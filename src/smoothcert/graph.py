@@ -9,6 +9,7 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -61,17 +62,22 @@ class Graph:
         if edges.size:
             if edges.min() < 0 or edges.max() >= n:
                 raise ValueError("edge endpoint out of range")
-            if np.any(edges[:, 0] == edges[:, 1]):
+            if (edges[:, 0] == edges[:, 1]).any():
                 raise ValueError("self-loops are not allowed")
             lo = np.minimum(edges[:, 0], edges[:, 1])
             hi = np.maximum(edges[:, 0], edges[:, 1])
-            order = np.lexsort((hi, lo))
-            canon = np.stack([lo[order], hi[order]], axis=1)
-            dup = np.all(canon[1:] == canon[:-1], axis=1)
-            if dup.any():
-                u, v = canon[1:][dup][0]
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            edges = canon
+            # lo * n + hi orders edges as (lo, hi) pairs. Strictly increasing
+            # keys are already canonical and duplicate-free, as in any subset
+            # of a canonical edge list, so only other inputs are sorted.
+            keys = lo * n + hi
+            if not (keys[1:] > keys[:-1]).all():
+                keys = np.sort(keys)
+                dup = keys[1:] == keys[:-1]
+                if dup.any():
+                    u, v = divmod(int(keys[1:][dup][0]), n)
+                    raise ValueError(f"duplicate edge ({u}, {v})")
+                lo, hi = np.divmod(keys, n)
+            edges = np.stack([lo, hi], axis=1)
         self.edges = _frozen(np.ascontiguousarray(edges))
 
         features = np.ascontiguousarray(features, dtype=np.float64)
@@ -94,15 +100,19 @@ class Graph:
         if self.num_classes < derived:
             raise ValueError("num_classes smaller than the largest label + 1")
 
-        # CSR over both edge orientations for neighbor queries.
-        m = self.edges.shape[0]
+        # CSR row pointers over both edge orientations; the neighbor lists
+        # they index are built on first use.
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.edges.ravel(), minlength=n), out=indptr[1:])
+        self.indptr = _frozen(indptr)
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        """Every node's neighbors in ascending order, row ``v`` at ``indptr[v]``."""
         src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
         dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        order = np.lexsort((dst, src))
-        self.indptr = _frozen(np.concatenate(
-            [[0], np.cumsum(np.bincount(src, minlength=n))]).astype(np.int64))
-        self.indices = _frozen(dst[order])
-        assert self.indices.shape[0] == 2 * m
+        # Sorted src * n + dst keys run by row, then by ascending neighbor.
+        return _frozen(np.sort(src * self.n + dst) % self.n)
 
     @property
     def num_edges(self) -> int:

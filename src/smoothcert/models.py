@@ -27,7 +27,6 @@ from .sampling import SmoothedSample, SmoothingParams, derive_sample_seed, sampl
 KINDS = ("message_passing_2layer", "feature_mlp")
 
 _INIT_STREAM = 1 << 40
-_TRAIN_STREAM = (1 << 40) + 1
 _ADAGRAD_EPS = 1e-10
 
 
@@ -60,15 +59,25 @@ class TrainedModel:
     graph_fingerprint: str
 
 
-def _normalized_adjacency(graph: Graph) -> sp.csr_matrix:
-    """Row-normalized adjacency with a self-loop on every node."""
-    n = graph.n
-    e = graph.edges
-    src = np.concatenate([e[:, 0], e[:, 1], np.arange(n, dtype=np.int64)])
-    dst = np.concatenate([e[:, 1], e[:, 0], np.arange(n, dtype=np.int64)])
-    a = sp.csr_matrix((np.ones(src.shape[0]), (src, dst)), shape=(n, n))
-    inv_deg = 1.0 / np.asarray(a.sum(axis=1)).ravel()
-    return sp.diags(inv_deg) @ a
+def normalized_operator(num_nodes: int, edges: np.ndarray) -> sp.csr_matrix:
+    """Row-normalized adjacency with a self-loop on every node.
+
+    ``edges`` is a duplicate-free, loop-free edge list such as
+    ``Graph.edges``. Row ``v`` holds ``1 / (degree(v) + 1)`` at ``v`` and at
+    each neighbor, with columns in descending order. Sparse products sum a
+    row in its stored order, so this fixed layout keeps every forward pass
+    bit-identical however the operator was assembled.
+    """
+    n = int(num_nodes)
+    loops = np.arange(n, dtype=np.int64)
+    src = np.concatenate([edges[:, 0], edges[:, 1], loops])
+    dst = np.concatenate([edges[:, 1], edges[:, 0], loops])
+    # Sorted src * n + (n - 1 - dst) keys run by row, then by descending column.
+    indices = (n - 1) - np.sort(src * n + (n - 1 - dst)) % n
+    sizes = np.bincount(src, minlength=n)
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    data = np.repeat(1.0 / sizes, sizes)
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def _init_weights(spec: ClassifierSpec, num_features: int, num_classes: int) -> dict:
@@ -158,7 +167,7 @@ def train_with_noise(spec: ClassifierSpec, graph: Graph, split: DataSplit,
     for epoch in range(spec.epochs):
         sample = sample_smoothed_graph(graph, params,
                                        derive_sample_seed(spec.seed, epoch))
-        agg = (_normalized_adjacency(sample.graph)
+        agg = (normalized_operator(graph.n, sample.graph.edges)
                if spec.kind == "message_passing_2layer" else None)
         grads = _gradients(weights, agg, graph.features, graph.labels,
                            train_idx, spec.weight_decay)
@@ -189,9 +198,25 @@ def predict(model: TrainedModel, graph: Graph,
         raise ValueError(
             f"feature dimension {graph.num_features} does not match "
             f"the trained model ({model.num_features})")
-    agg = (_normalized_adjacency(graph)
+    agg = (normalized_operator(graph.n, graph.edges)
            if model.spec.kind == "message_passing_2layer" else None)
     logits = _forward(model.weights, agg, graph.features, transformed)[-1]
+    return np.argmax(logits, axis=1)
+
+
+def predict_rows(model: TrainedModel, transformed: np.ndarray, nodes: np.ndarray,
+                 edges: np.ndarray) -> np.ndarray:
+    """Predictions for a stack of node copies joined by ``edges``.
+
+    Row ``r`` is a copy of node ``nodes[r]`` and ``edges`` connect rows, not
+    nodes. Stacking the non-isolated nodes of several smoothed graphs, each
+    graph's edges renumbered to its rows, gives a block-diagonal operator
+    whose rows equal :func:`predict` on each graph for those nodes.
+    ``transformed`` is the :func:`feature_transform` of every node.
+    """
+    agg = (normalized_operator(len(nodes), edges)
+           if model.spec.kind == "message_passing_2layer" else None)
+    logits = _forward(model.weights, agg, None, transformed[nodes])[-1]
     return np.argmax(logits, axis=1)
 
 
@@ -232,7 +257,7 @@ def train_predict_end_to_end(spec: ClassifierSpec, sample: SmoothedSample,
         raise ValueError("training requires at least 2 classes")
     weights = _init_weights(spec, graph.num_features, num_classes)
     cache = {k: np.zeros_like(v) for k, v in weights.items()}
-    agg = (_normalized_adjacency(graph)
+    agg = (normalized_operator(graph.n, graph.edges)
            if spec.kind == "message_passing_2layer" else None)
     for _ in range(spec.epochs):
         grads = _gradients(weights, agg, graph.features, graph.labels,

@@ -19,11 +19,15 @@ from .certify import (CertConfig, Outcome, VoteStats, abstain_test, certify_node
                       prob_all_removed)
 from .graph import Graph, DataSplit, PerturbationBudget
 from .models import (ClassifierSpec, TrainedModel, feature_transform, predict,
-                     train_predict_end_to_end)
+                     predict_rows, train_predict_end_to_end)
 from .sampling import SmoothingParams, derive_sample_seed, sample_smoothed_graph
 
 _TRAIN_STREAM = (1 << 40) + 1
 _RHO_HARD_CAP = 10**6
+# Evasion samples are evaluated together until their non-isolated nodes fill
+# this many operator rows. Capping rows rather than samples bounds memory: at
+# 64 hidden units each activation block of a batch stays near 512 KiB.
+_BATCH_ROWS = 1024
 
 _MERGE_IGNORED_KEYS = ("first_index", "num_samples")
 
@@ -61,16 +65,33 @@ class VoteTable:
                                      int(self.abstains[node]))
 
     def merged(self, other: "VoteTable") -> "VoteTable":
-        """Combine disjoint sample ranges of the same run into one table."""
+        """Combine adjacent sample ranges of the same run into one table.
+
+        The ranges ``[first_index, first_index + num_samples)`` of the two
+        tables must meet end to start, in either order. Merging a table with
+        itself, overlapping ranges or ranges with a gap between them raises
+        ``ValueError``: the first two would count samples twice and the
+        third would record a range that never ran.
+        """
+        if other is self:
+            raise ValueError("cannot merge a vote table with itself")
         if self.counts.shape != other.counts.shape:
             raise ValueError("vote tables cover different graphs")
         a = {k: v for k, v in self.provenance.items() if k not in _MERGE_IGNORED_KEYS}
         b = {k: v for k, v in other.provenance.items() if k not in _MERGE_IGNORED_KEYS}
         if a != b:
             raise ValueError("vote tables come from different runs")
+        lo_a = self.provenance.get("first_index", 0)
+        lo_b = other.provenance.get("first_index", 0)
+        hi_a, hi_b = lo_a + self.num_samples, lo_b + other.num_samples
+        if lo_a < hi_b and lo_b < hi_a:
+            raise ValueError(f"sample ranges [{lo_a}, {hi_a}) and [{lo_b}, {hi_b}) "
+                             "overlap")
+        if hi_a != lo_b and hi_b != lo_a:
+            raise ValueError(f"sample ranges [{lo_a}, {hi_a}) and [{lo_b}, {hi_b}) "
+                             "leave a gap")
         prov = dict(self.provenance)
-        prov["first_index"] = min(self.provenance.get("first_index", 0),
-                                  other.provenance.get("first_index", 0))
+        prov["first_index"] = min(lo_a, lo_b)
         prov["num_samples"] = self.num_samples + other.num_samples
         return VoteTable(counts=self.counts + other.counts,
                          abstains=self.abstains + other.abstains,
@@ -78,8 +99,8 @@ class VoteTable:
                          provenance=prov)
 
 
-def _accumulate_parallel(num_samples: int, first_index: int, threads: int,
-                         worker: Callable[[int, int], tuple[np.ndarray, np.ndarray]]):
+def accumulate_parallel(num_samples: int, first_index: int, threads: int,
+                        worker: Callable[[int, int], tuple[np.ndarray, np.ndarray]]):
     """Run ``worker(lo, hi)`` over a chunked index range and sum the results."""
     if threads <= 1:
         return worker(first_index, first_index + num_samples)
@@ -107,18 +128,38 @@ def collect_votes_evasion(model: TrainedModel, graph: Graph, num_samples: int,
     n = graph.n
     num_classes = model.num_classes
     transformed = feature_transform(model, graph.features)
+    # A node without kept edges sees only its self-loop, so its prediction
+    # is the one it gets in the edgeless graph, whatever the sample.
+    isolated = predict(model, Graph(n, (), graph.features), transformed)
+    aggregates = model.spec.kind == "message_passing_2layer"
 
     def worker(lo, hi):
-        counts = np.zeros((n, num_classes), dtype=np.int64)
-        rows = np.arange(n)
+        votes = np.zeros(n * num_classes, dtype=np.int64)
+        rows_of = np.empty(n, dtype=np.int64)
+        nodes, edges, rows = [], [], 0
         for i in range(lo, hi):
             sample = sample_smoothed_graph(graph, params,
                                            derive_sample_seed(master_seed, i))
-            preds = predict(model, sample.graph, transformed)
-            counts[rows, preds] += 1
+            if not aggregates:
+                continue
+            touched = np.flatnonzero(sample.graph.degrees)
+            rows_of[touched] = np.arange(rows, rows + touched.size)
+            nodes.append(touched)
+            edges.append(rows_of[sample.graph.edges])
+            rows += touched.size
+            if rows and (rows >= _BATCH_ROWS or i == hi - 1):
+                stacked = np.concatenate(nodes)
+                preds = predict_rows(model, transformed, stacked,
+                                     np.concatenate(edges))
+                votes += np.bincount(stacked * num_classes + preds,
+                                     minlength=votes.size)
+                nodes, edges, rows = [], [], 0
+        counts = votes.reshape(n, num_classes)
+        # Every (sample, node) pair not voted above is an isolated node.
+        counts[np.arange(n), isolated] += (hi - lo) - counts.sum(axis=1)
         return counts, np.zeros(n, dtype=np.int64)
 
-    counts, abstains = _accumulate_parallel(num_samples, first_index, threads, worker)
+    counts, abstains = accumulate_parallel(num_samples, first_index, threads, worker)
     provenance = {
         "kind": "evasion", "p_e": params.p_e, "p_n": params.p_n,
         "master_seed": int(master_seed), "first_index": int(first_index),
@@ -158,7 +199,7 @@ def collect_votes_poisoning(spec: ClassifierSpec, graph: Graph, split: DataSplit
             abstains[abstain] += 1
         return counts, abstains
 
-    counts, abstains = _accumulate_parallel(num_samples, first_index, threads, worker)
+    counts, abstains = accumulate_parallel(num_samples, first_index, threads, worker)
     provenance = {
         "kind": "poisoning", "p_e": params.p_e, "p_n": params.p_n, "mode": mode,
         "master_seed": int(master_seed), "first_index": int(first_index),

@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from scipy import stats
 
 from .graph import InteractionMatrix, PerturbationBudget
-from .pipeline import _accumulate_parallel, format_float, render_json
+from .pipeline import accumulate_parallel, format_float, render_json
 from .sampling import SmoothingParams, derive_sample_seed, sample_smoothed_ratings
 from .certify import prob_all_removed_recsys
 
@@ -143,7 +143,7 @@ def collect_item_votes(matrix: InteractionMatrix, num_samples: int,
                 counts[u, recs] += 1
         return counts, abstains
 
-    counts, abstains = _accumulate_parallel(num_samples, first_index, threads, worker)
+    counts, abstains = accumulate_parallel(num_samples, first_index, threads, worker)
     provenance = {
         "kind": "recommender", "p_e": params.p_e, "p_n": params.p_n,
         "k_prime": int(k_prime), "master_seed": int(master_seed),

@@ -7,6 +7,7 @@ calling the samplers under test.
 from itertools import product
 
 import numpy as np
+import scipy.sparse as sp
 
 from smoothcert import (Graph, InteractionMatrix, build_similarity, predict,
                         recommend_topk)
@@ -17,6 +18,21 @@ def _mask_probability(mask, p):
     for bit in mask:
         prob *= p if bit else (1.0 - p)
     return prob
+
+
+def normalized_adjacency(graph):
+    """Self-looped, row-normalized adjacency built as ``diags(1/deg) @ A``.
+
+    The construction the models used before the operator builder; the
+    product stores each row's columns in descending order.
+    """
+    n = graph.n
+    e = graph.edges
+    src = np.concatenate([e[:, 0], e[:, 1], np.arange(n, dtype=np.int64)])
+    dst = np.concatenate([e[:, 1], e[:, 0], np.arange(n, dtype=np.int64)])
+    a = sp.csr_matrix((np.ones(src.shape[0]), (src, dst)), shape=(n, n))
+    inv_deg = 1.0 / np.asarray(a.sum(axis=1)).ravel()
+    return sp.diags(inv_deg) @ a
 
 
 def enumerate_graph_votes(graph, params, model):

@@ -43,6 +43,21 @@ class TestGraphType:
         graph, _ = generate_sbm(60, 3, 0.3, 0.05, 3, seed=11)
         assert int(graph.degrees.sum()) == 2 * graph.num_edges
 
+    def test_edge_order_and_orientation_do_not_matter(self):
+        graph, _ = generate_sbm(60, 3, 0.3, 0.05, 3, seed=11)
+        rng = np.random.default_rng(0)
+        edges = graph.edges[rng.permutation(graph.num_edges)]
+        flip = rng.random(len(edges)) < 0.5
+        edges[flip] = edges[flip][:, ::-1]
+        shuffled = Graph(graph.n, edges, graph.features, graph.labels)
+        assert shuffled == graph
+        assert np.array_equal(shuffled.indptr, graph.indptr)
+        assert np.array_equal(shuffled.indices, graph.indices)
+        for v in range(graph.n):
+            expected = sorted({int(u) for a, b in graph.edges.tolist()
+                               for u, w in ((a, b), (b, a)) if w == v})
+            assert graph.neighbors(v).tolist() == expected
+
     def test_arrays_are_frozen(self):
         g = Graph(2, [(0, 1)], np.zeros((2, 1)))
         with pytest.raises(ValueError):

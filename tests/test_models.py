@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import normalized_adjacency
 from smoothcert import (ClassifierSpec, Graph, SmoothedSample, SmoothingParams,
                         load_model, predict, sample_smoothed_graph, save_model,
                         train_predict_end_to_end, train_with_noise)
+from smoothcert.models import normalized_operator
 
 
 def append_isolated(graph, count, rng):
@@ -46,6 +48,33 @@ class TestPredict:
         graph = Graph(2, [(0, 1)], np.zeros((2, 3)))
         with pytest.raises(ValueError, match="dimension"):
             predict(identity_model, graph)
+
+
+class TestNormalizedOperator:
+    def assert_matches_oracle(self, graph):
+        built = normalized_operator(graph.n, graph.edges)
+        oracle = normalized_adjacency(graph)
+        assert built.shape == oracle.shape
+        assert np.array_equal(built.indptr, oracle.indptr)
+        assert np.array_equal(built.indices, oracle.indices)
+        assert np.array_equal(built.data, oracle.data)
+
+    def test_matches_oracle_on_fixtures(self, sbm_fixture, two_clique_graph):
+        graph, _ = sbm_fixture
+        self.assert_matches_oracle(graph)
+        self.assert_matches_oracle(two_clique_graph)
+
+    def test_matches_oracle_with_isolated_nodes(self, sbm_fixture):
+        graph, _ = sbm_fixture
+        self.assert_matches_oracle(append_isolated(graph, 5, np.random.default_rng(2)))
+        for seed in range(5):
+            sample = sample_smoothed_graph(graph, SmoothingParams(0.3, 0.6), seed)
+            assert (sample.graph.degrees == 0).any()
+            self.assert_matches_oracle(sample.graph)
+
+    @pytest.mark.parametrize("n", [0, 1, 6])
+    def test_matches_oracle_without_edges(self, n):
+        self.assert_matches_oracle(Graph(n, [], np.zeros((n, 1))))
 
 
 class TestIsolatedNodeIndependence:

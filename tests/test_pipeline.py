@@ -3,11 +3,13 @@ import pytest
 
 from oracles import enumerate_graph_votes
 from smoothcert import (CertConfig, ClassifierSpec, DataSplit,
-                        PerturbationBudget, SmoothingParams, VoteTable,
-                        average_certified_radius, certified_accuracy_at,
-                        certified_accuracy_curve,
+                        PerturbationBudget, SmoothingParams, TrainedModel,
+                        VoteTable, average_certified_radius,
+                        certified_accuracy_at, certified_accuracy_curve,
                         collect_votes_evasion, collect_votes_poisoning,
-                        predict, read_curve_csv, write_report)
+                        derive_sample_seed, generate_sbm, predict,
+                        read_curve_csv, sample_smoothed_graph, write_report)
+from smoothcert import pipeline
 from smoothcert.pipeline import CertCurve, CurvePoint
 
 
@@ -52,6 +54,43 @@ class TestCollectVotesEvasion:
         with pytest.raises(ValueError, match="different runs"):
             a.merged(b)
 
+    def collect(self, graph, model, num_samples, first_index):
+        return collect_votes_evasion(model, graph, num_samples,
+                                     SmoothingParams(0.3, 0.2), master_seed=5,
+                                     first_index=first_index)
+
+    def test_merge_accepts_adjacent_ranges_in_either_order(self, two_clique_graph,
+                                                           identity_model):
+        lo = self.collect(two_clique_graph, identity_model, 20, 0)
+        hi = self.collect(two_clique_graph, identity_model, 30, 20)
+        for merged in (lo.merged(hi), hi.merged(lo)):
+            assert merged.num_samples == 50
+            assert merged.provenance["first_index"] == 0
+            assert merged.provenance["num_samples"] == 50
+
+    def test_merge_rejects_self(self, two_clique_graph, identity_model):
+        a = self.collect(two_clique_graph, identity_model, 50, 0)
+        with pytest.raises(ValueError, match="itself"):
+            a.merged(a)
+
+    def test_merge_rejects_overlap(self, two_clique_graph, identity_model):
+        a = self.collect(two_clique_graph, identity_model, 50, 0)
+        for b in (self.collect(two_clique_graph, identity_model, 50, 0),
+                  self.collect(two_clique_graph, identity_model, 50, 49),
+                  self.collect(two_clique_graph, identity_model, 10, 20)):
+            with pytest.raises(ValueError, match="overlap"):
+                a.merged(b)
+            with pytest.raises(ValueError, match="overlap"):
+                b.merged(a)
+
+    def test_merge_rejects_gap(self, two_clique_graph, identity_model):
+        a = self.collect(two_clique_graph, identity_model, 50, 0)
+        b = self.collect(two_clique_graph, identity_model, 50, 100)
+        with pytest.raises(ValueError, match="gap"):
+            a.merged(b)
+        with pytest.raises(ValueError, match="gap"):
+            b.merged(a)
+
     def test_thread_count_does_not_change_results(self, two_clique_graph,
                                                   identity_model):
         params = SmoothingParams(0.4, 0.3)
@@ -73,6 +112,70 @@ class TestCollectVotesEvasion:
         freq = table.counts / table.num_samples
         sigma = np.sqrt(exact * (1 - exact) / table.num_samples)
         assert np.all(np.abs(freq - exact) <= 4 * sigma + 1e-12)
+
+
+def random_model(kind, num_features, num_classes, seed):
+    rng = np.random.default_rng(seed)
+    hidden = 16
+    weights = {"w1": rng.standard_normal((num_features, hidden)),
+               "b1": rng.standard_normal(hidden),
+               "w2": rng.standard_normal((hidden, num_classes)),
+               "b2": rng.standard_normal(num_classes)}
+    return TrainedModel(spec=ClassifierSpec(kind=kind, hidden_dim=hidden),
+                        weights=weights, num_classes=num_classes,
+                        num_features=num_features, graph_fingerprint="random")
+
+
+def replay_votes(model, graph, num_samples, params, master_seed, first_index):
+    """Per-sample reference: sample_smoothed_graph, then predict, then count."""
+    counts = np.zeros((graph.n, model.num_classes), dtype=np.int64)
+    rows = np.arange(graph.n)
+    for i in range(first_index, first_index + num_samples):
+        sample = sample_smoothed_graph(graph, params,
+                                       derive_sample_seed(master_seed, i))
+        counts[rows, predict(model, sample.graph)] += 1
+    return counts
+
+
+class TestBatchedEvasionVotes:
+    """The batched vote loop against a per-sample replay, count for count."""
+
+    graph, _ = generate_sbm(n=300, classes=3, p_in=0.08, p_out=0.01, d=6, seed=2)
+
+    @pytest.mark.parametrize("batch_rows", [None, 37])
+    @pytest.mark.parametrize("kind", ["message_passing_2layer", "feature_mlp"])
+    @pytest.mark.parametrize("p_e,p_n", [(0.0, 0.0), (0.0, 0.9), (0.5, 0.0),
+                                         (0.1, 0.8)])
+    def test_matches_replay(self, monkeypatch, kind, p_e, p_n, batch_rows):
+        if batch_rows is not None:
+            monkeypatch.setattr(pipeline, "_BATCH_ROWS", batch_rows)
+        model = random_model(kind, self.graph.num_features, 3, seed=11)
+        params = SmoothingParams(p_e, p_n)
+        # A prime sample count, so batches and thread chunks end unevenly.
+        expected = replay_votes(model, self.graph, 211, params, 9, first_index=4)
+        assert len(np.unique(expected.argmax(axis=1))) > 1
+        for threads in (1, 3):
+            table = collect_votes_evasion(model, self.graph, 211, params,
+                                          master_seed=9, threads=threads,
+                                          first_index=4)
+            assert np.array_equal(table.counts, expected)
+
+    def test_draws_every_sample_through_the_public_sampler(self, monkeypatch):
+        # The benchmark's traced run times and replays this call per sample.
+        seeds = []
+
+        def counting(graph, params, seed):
+            seeds.append(seed)
+            return sample_smoothed_graph(graph, params, seed)
+
+        monkeypatch.setattr(pipeline, "sample_smoothed_graph", counting)
+        model = random_model("message_passing_2layer", self.graph.num_features,
+                             3, seed=1)
+        collect_votes_evasion(model, self.graph, 53, SmoothingParams(0.1, 0.8),
+                              master_seed=3, threads=3, first_index=2)
+        assert len(seeds) == 53
+        assert sorted(seeds) == sorted(derive_sample_seed(3, i)
+                                       for i in range(2, 55))
 
 
 class TestCollectVotesPoisoning:
