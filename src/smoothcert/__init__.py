@@ -7,21 +7,18 @@ from .graph import (DataSplit, Graph, InteractionMatrix, ParseError,
                     save_node_classification_dataset, seeded_split)
 from .sampling import (SmoothedSample, SmoothingParams, derive_sample_seed,
                        sample_smoothed_graph, sample_smoothed_ratings)
-from .certify import (CertConfig, CertDecision, CertifiedRadius, Outcome,
-                      Region, VoteStats, abstain_test, certify_node,
-                      clopper_pearson_lower, clopper_pearson_upper,
-                      exclude_mode_regions, include_mode_regions,
-                      majority_pvalue, margin_exclude, margin_include,
-                      max_certified_rho, node_retention_probs,
-                      prob_all_removed, prob_all_removed_recsys,
-                      solve_worst_case_margin, vote_bounds,
-                      worst_case_probabilities)
+from .certify import (CertConfig, CertDecision, Outcome, VoteStats,
+                      abstain_test, certify_node, clopper_pearson_lower,
+                      clopper_pearson_upper, majority_pvalue, margin_exclude,
+                      margin_include, node_retention_probs, prob_all_removed,
+                      prob_all_removed_recsys, vote_bounds)
 from .models import (ClassifierSpec, TrainedModel, load_model, predict,
                      save_model, train_predict_end_to_end, train_with_noise)
 from .pipeline import (CertCurve, CurvePoint, VoteTable,
                        average_certified_radius, certified_accuracy_at,
-                       certified_accuracy_curve, collect_votes_evasion,
-                       collect_votes_poisoning, read_curve_csv, write_report)
+                       certified_accuracy_curve, certified_radii,
+                       collect_votes_evasion, collect_votes_poisoning,
+                       read_curve_csv, write_report)
 from .recsys import (ItemSimilarityModel, ItemVoteTable, RecommenderCurve,
                      build_similarity, certified_precision_recall,
                      certify_overlap, certify_user_overlap, collect_item_votes,

@@ -1,14 +1,13 @@
-"""Closed-form certification margins, the worst-case classifier solver, and
-statistical bounds on Monte-Carlo vote probabilities.
+"""Closed-form certification margins and statistical bounds on Monte-Carlo
+vote probabilities.
 
 Every function here is pure and safe for unrestricted concurrent use.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy import stats
@@ -16,41 +15,11 @@ from scipy import stats
 from .graph import PerturbationBudget
 from .sampling import SmoothingParams
 
-_MASS_TOL = 1e-9
-_RHO_SCAN_CAP = 10**6
-
 
 class Outcome(Enum):
     CERTIFIED = "certified"
     ABSTAIN = "abstain"
     NOT_CERTIFIED = "not_certified"
-
-
-@dataclass(frozen=True)
-class Region:
-    """One constant-likelihood-ratio region of the sample space.
-
-    ``clean_mass`` is the probability the clean-input randomization lands in
-    the region, ``perturbed_mass`` the same under the worst-case perturbed
-    input. The ratio is clean over perturbed, with +inf when the perturbed
-    mass is zero.
-    """
-
-    clean_mass: float
-    perturbed_mass: float
-
-    def __post_init__(self):
-        if self.clean_mass < -_MASS_TOL or self.perturbed_mass < -_MASS_TOL:
-            raise ValueError("region masses must be non-negative")
-
-    @property
-    def ratio(self) -> float:
-        if self.perturbed_mass == 0.0:
-            return math.inf
-        return self.clean_mass / self.perturbed_mass
-
-
-LikelihoodRegions = Sequence[Region]
 
 
 @dataclass(frozen=True)
@@ -113,12 +82,6 @@ class CertDecision:
     margin: Optional[float]
     p_top_lower: Optional[float]
     p_runner_upper: Optional[float]
-
-
-@dataclass(frozen=True)
-class CertifiedRadius:
-    rho: int
-    abstained: bool
 
 
 def _validate_counts(tau: int, rho: int) -> None:
@@ -205,107 +168,42 @@ def margin_exclude(p_top_lower: float, p_runner_upper: float, p_all_removed: flo
             - kept_attacked)
 
 
-def include_mode_regions(p_all_removed: float) -> list[Region]:
-    """Two-region likelihood system for the include-mode certificate."""
-    return [Region(1.0, p_all_removed), Region(0.0, 1.0 - p_all_removed)]
-
-
-def exclude_mode_regions(p_all_removed: float, p_isolated: float,
-                         p_isolated_attacked: float) -> list[Region]:
-    """Two-region likelihood system for the exclude-mode certificate.
-
-    Restricted to samples where the query node still votes: mass
-    ``1 - p_isolated`` under the clean graph, ``1 - p_isolated_attacked``
-    under the attacked one. The attacked isolation probability is only known
-    to lie between the degree-doubled bound and the clean value, so callers
-    evaluate this system once per endpoint, applying each where it is
-    conservative.
-    """
-    kept = 1.0 - p_isolated_attacked
-    return [Region(1.0 - p_isolated, p_all_removed * kept),
-            Region(0.0, (1.0 - p_all_removed) * kept)]
-
-
-def worst_case_probabilities(regions: LikelihoodRegions, p_top_lower: float,
-                             p_runner_upper: float) -> tuple[float, float]:
-    """Perturbed-input class probabilities of the worst-case classifier.
-
-    The adversarial classifier places top-class mass in regions of decreasing
-    likelihood ratio until its clean-graph probability reaches
-    ``p_top_lower`` (paying as little perturbed mass as possible), and
-    runner-up mass in increasing ratio order until ``p_runner_upper`` is
-    reached (collecting as much perturbed mass as possible). Each region's
-    class probability is capped at 1. This is the exact optimum of the
-    underlying linear program.
-    """
-    clean_total = math.fsum(r.clean_mass for r in regions)
-    perturbed_total = math.fsum(r.perturbed_mass for r in regions)
-    if clean_total > 1.0 + _MASS_TOL or perturbed_total > 1.0 + _MASS_TOL:
-        raise ValueError("region masses must each sum to at most 1")
-    p_top_lower = min(max(p_top_lower, 0.0), 1.0)
-    p_runner_upper = min(max(p_runner_upper, 0.0), 1.0)
-    if p_top_lower > clean_total + _MASS_TOL:
-        raise ValueError(
-            f"infeasible: p_top_lower={p_top_lower} exceeds clean mass {clean_total}")
-    if p_runner_upper > clean_total + _MASS_TOL:
-        raise ValueError(
-            f"infeasible: p_runner_upper={p_runner_upper} exceeds clean mass {clean_total}")
-
-    by_ratio = sorted(regions, key=lambda r: r.ratio)
-
-    p_top = 0.0
-    remaining = p_top_lower
-    for region in reversed(by_ratio):
-        if remaining <= 0.0:
-            break
-        if region.clean_mass <= 0.0:
-            continue
-        frac = min(1.0, remaining / region.clean_mass)
-        p_top += frac * region.perturbed_mass
-        remaining -= frac * region.clean_mass
-
-    p_runner = 0.0
-    remaining = p_runner_upper
-    for region in by_ratio:
-        if region.clean_mass <= 0.0:
-            p_runner += region.perturbed_mass
-            continue
-        if remaining <= 0.0:
-            break
-        frac = min(1.0, remaining / region.clean_mass)
-        p_runner += frac * region.perturbed_mass
-        remaining -= frac * region.clean_mass
-
-    return p_top, p_runner
-
-
-def solve_worst_case_margin(regions: LikelihoodRegions, p_top_lower: float,
-                            p_runner_upper: float) -> float:
-    """Exact worst-case margin over the given likelihood region system."""
-    p_top, p_runner = worst_case_probabilities(regions, p_top_lower, p_runner_upper)
-    return p_top - p_runner
-
-
-def clopper_pearson_lower(successes: int, trials: int, level: float) -> float:
-    """One-sided Clopper-Pearson lower confidence limit at the given level."""
+def _checked_counts(successes, trials: int) -> np.ndarray:
     if trials <= 0:
         raise ValueError("trials must be positive")
-    if not 0 <= successes <= trials:
+    successes = np.asarray(successes)
+    if np.any((successes < 0) | (successes > trials)):
         raise ValueError("successes out of range")
-    if successes == 0:
-        return 0.0
-    return float(stats.beta.ppf(level, successes, trials - successes + 1))
+    return successes
 
 
-def clopper_pearson_upper(successes: int, trials: int, level: float) -> float:
-    """One-sided Clopper-Pearson upper confidence limit at the given level."""
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    if not 0 <= successes <= trials:
-        raise ValueError("successes out of range")
-    if successes == trials:
-        return 1.0
-    return float(stats.beta.ppf(1.0 - level, successes + 1, trials - successes))
+def clopper_pearson_lower(successes, trials: int, level: float):
+    """One-sided Clopper-Pearson lower confidence limit at the given level.
+
+    ``successes`` is a count or an array of counts out of ``trials``; a
+    count gives a float, an array an array of limits.
+    """
+    successes = _checked_counts(successes, trials)
+    out = np.zeros(successes.shape)
+    some = successes > 0
+    s = successes[some]
+    if s.size:  # scipy costs as much on an empty array as on a short one
+        out[some] = stats.beta.ppf(level, s, trials - s + 1)
+    return float(out) if out.ndim == 0 else out
+
+
+def clopper_pearson_upper(successes, trials: int, level: float):
+    """One-sided Clopper-Pearson upper confidence limit at the given level.
+
+    Takes a count or an array of counts, like :func:`clopper_pearson_lower`.
+    """
+    successes = _checked_counts(successes, trials)
+    out = np.ones(successes.shape)
+    some = successes < trials
+    s = successes[some]
+    if s.size:
+        out[some] = stats.beta.ppf(1.0 - level, s + 1, trials - s)
+    return float(out) if out.ndim == 0 else out
 
 
 def vote_bounds(votes: VoteStats, config: CertConfig) -> tuple[float, float]:
@@ -320,13 +218,15 @@ def vote_bounds(votes: VoteStats, config: CertConfig) -> tuple[float, float]:
 
 
 def majority_pvalue(top_votes: int, runner_votes: int) -> float:
-    """Exact two-sided binomial p-value of the top count at p = 1/2."""
+    """Exact two-sided binomial p-value of the top count at p = 1/2.
+
+    The null distribution is symmetric, so both tails weigh the same and the
+    p-value is twice the lower tail at the runner-up count.
+    """
     if top_votes < runner_votes:
         raise ValueError("top_votes must be >= runner_votes")
-    n = top_votes + runner_votes
-    if n == 0:
-        return 1.0
-    return float(stats.binomtest(top_votes, n, 0.5).pvalue)
+    tail = stats.binom.cdf(runner_votes, top_votes + runner_votes, 0.5)
+    return min(1.0, 2.0 * float(tail))
 
 
 def abstain_test(top_votes: int, runner_votes: int, alpha: float) -> bool:
@@ -366,31 +266,3 @@ def certify_node(votes: VoteStats, params: SmoothingParams,
     if margin > 0.0:
         return CertDecision(Outcome.CERTIFIED, votes.top_class, margin, lower, upper)
     return CertDecision(Outcome.NOT_CERTIFIED, None, margin, lower, upper)
-
-
-def max_certified_rho(votes: VoteStats, params: SmoothingParams, tau: int,
-                      config: CertConfig,
-                      degree: Optional[int] = None) -> CertifiedRadius:
-    """Largest injected-node count still certified at the given edge budget.
-
-    Scans upward from rho = 1 and stops at the first failure or once the
-    all-removed probability drops to 1/2, past which no certificate can hold
-    with a meaningful vote gap; a hard cap keeps the scan total. Abstaining
-    nodes report radius 0 with the abstain flag set.
-    """
-    params.require_certifiable()
-    if config.mode == "exclude" and (degree is None or degree < 1):
-        raise ValueError("exclusion mode requires degree >= 1")
-    if abstain_test(votes.top_votes, votes.runner_votes, config.alpha):
-        return CertifiedRadius(rho=0, abstained=True)
-    lower, upper = vote_bounds(votes, config)
-    best = 0
-    rho = 1
-    while rho <= _RHO_SCAN_CAP:
-        if prob_all_removed(params, tau, rho) <= 0.5:
-            break
-        if _margin_for(lower, upper, params, tau, rho, config.mode, degree) <= 0.0:
-            break
-        best = rho
-        rho += 1
-    return CertifiedRadius(rho=best, abstained=False)

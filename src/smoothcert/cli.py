@@ -334,43 +334,35 @@ def _run_empirical_attack(config: RunConfig) -> dict:
 
 
 def run(config: RunConfig) -> int:
-    """Execute the selected pipeline and write curves plus report.json."""
+    """Execute the selected pipeline and write curves plus report.json.
+
+    The report is a pure function of the configuration and the inputs; the
+    run time goes to stderr only.
+    """
     started = time.perf_counter()
     metadata = {"config": _echo_config(config), "version": __version__}
-
-    if config.command == "gen-synth":
-        result = _run_gen_synth(config)
-        metadata.update(result)
-        metadata["wall_clock_seconds"] = time.perf_counter() - started
-        out = Path(config.out_dir)
-        (out / "report.json").write_text(render_json({"metadata": metadata}) + "\n",
-                                         encoding="utf-8")
-        print(render_json({"metadata": metadata}))
-        return 0
 
     if config.command in ("certify-evasion", "certify-poison"):
         result = _run_certify_nodes(config)
         metadata["test_nodes"] = result["test_nodes"]
-        metadata["wall_clock_seconds"] = time.perf_counter() - started
         paths = write_report(result["curves"], metadata, config.out_dir)
-        print(Path(paths[-1]).read_text(encoding="utf-8"), end="")
-        return 0
-
-    if config.command == "certify-recsys":
+        report = Path(paths[-1]).read_text(encoding="utf-8")
+    elif config.command == "certify-recsys":
         result = _run_certify_recsys(config)
         metadata["evaluated_users"] = result["evaluated_users"]
-        metadata["wall_clock_seconds"] = time.perf_counter() - started
         paths = write_recommender_report(result["curves"], metadata,
                                          config.out_dir)
-        print(Path(paths[-1]).read_text(encoding="utf-8"), end="")
-        return 0
-
-    result = _run_empirical_attack(config)
-    metadata.update({k: v for k, v in result.items() if k != "files"})
-    metadata["wall_clock_seconds"] = time.perf_counter() - started
-    out = Path(config.out_dir)
-    report = render_json({"metadata": metadata}) + "\n"
-    (out / "report.json").write_text(report, encoding="utf-8")
+        report = Path(paths[-1]).read_text(encoding="utf-8")
+    else:
+        if config.command == "gen-synth":
+            result = _run_gen_synth(config)
+            metadata.update(result)
+        else:
+            result = _run_empirical_attack(config)
+            metadata.update({k: v for k, v in result.items() if k != "files"})
+        report = render_json({"metadata": metadata}) + "\n"
+        (Path(config.out_dir) / "report.json").write_text(report, encoding="utf-8")
+    _log(f"{config.command} finished in {time.perf_counter() - started:.2f} s")
     print(report, end="")
     return 0
 

@@ -13,10 +13,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .certify import (CertConfig, Outcome, VoteStats, abstain_test, certify_node,
-                      clopper_pearson_lower, clopper_pearson_upper,
-                      margin_exclude, margin_include, node_retention_probs,
-                      prob_all_removed)
+from .certify import (CertConfig, VoteStats, abstain_test, clopper_pearson_lower,
+                      clopper_pearson_upper, margin_exclude, margin_include,
+                      node_retention_probs, prob_all_removed)
 from .graph import Graph, DataSplit, PerturbationBudget
 from .models import (ClassifierSpec, TrainedModel, feature_transform, predict,
                      predict_rows, train_predict_end_to_end)
@@ -239,36 +238,8 @@ class CertCurve:
         raise KeyError(f"rho={rho} not on the curve grid")
 
 
-def _node_summaries(table: VoteTable, labels: np.ndarray, nodes: np.ndarray,
-                    config: CertConfig):
-    """Per-node abstention flag, correctness, and vote bounds (rho independent)."""
-    level = config.alpha / config.num_classes
-    abstained = np.empty(len(nodes), dtype=bool)
-    correct = np.empty(len(nodes), dtype=bool)
-    lowers = np.empty(len(nodes))
-    uppers = np.empty(len(nodes))
-    for j, v in enumerate(nodes):
-        s = table.stats_for(int(v))
-        abstained[j] = abstain_test(s.top_votes, s.runner_votes, config.alpha)
-        correct[j] = s.top_class == labels[v]
-        lowers[j] = clopper_pearson_lower(s.top_votes, s.num_samples, level)
-        uppers[j] = clopper_pearson_upper(s.runner_votes, s.num_samples, level)
-    return abstained, correct, lowers, uppers
-
-
-def certified_accuracy_curve(table: VoteTable, labels, params: SmoothingParams,
-                             tau: int, config: CertConfig, degrees=None,
-                             nodes=None) -> CertCurve:
-    """Certified accuracy over a dense rho grid at a fixed edge budget.
-
-    The grid runs from 0 to the first rho at which the all-removed
-    probability drops to 1/2 (extended while any node still certifies, under
-    a hard cap), so the curve always terminates at zero. Abstaining nodes
-    count against certified accuracy but are reported separately as the
-    abstain rate; clean accuracy is majority-vote correctness ignoring
-    certification.
-    """
-    params.require_certifiable()
+def _labeled_nodes(labels, nodes):
+    """The labels and the evaluated node ids, each of which must be labeled."""
     labels = np.asarray(labels, dtype=np.int64)
     if nodes is None:
         nodes = np.flatnonzero(labels >= 0)
@@ -277,73 +248,101 @@ def certified_accuracy_curve(table: VoteTable, labels, params: SmoothingParams,
         raise ValueError("no nodes to evaluate")
     if np.any(labels[nodes] < 0):
         raise ValueError("labels required for every evaluated node")
-    if config.mode == "exclude":
+    return labels, nodes
+
+
+def certified_radii(table: VoteTable, params: SmoothingParams, tau: int,
+                    config: CertConfig, nodes, degrees=None):
+    """Each node's certificate over the injected-node budget at edge budget tau.
+
+    Returns three arrays over ``nodes``: the abstain flag, the majority class
+    and the radius, the largest rho at which the majority is certified. A
+    margin positive at some rho is positive at every smaller rho, so a node
+    is certified at exactly the budgets ``0..radius``; the scan stops at the
+    first margin <= 0 and at rho = 10**6. The radius is -1 for abstaining nodes, for nodes not
+    certified even at rho = 0 and, in exclude mode, for nodes isolated in the
+    original graph (``degrees`` holds the original degree of every node).
+    """
+    params.require_certifiable()
+    nodes = np.asarray(nodes, dtype=np.int64)
+    exclude = config.mode == "exclude"
+    if exclude:
         if degrees is None:
             raise ValueError("exclusion mode requires original node degrees")
-        degrees = np.asarray(degrees, dtype=np.int64)
+        node_degrees = np.asarray(degrees, dtype=np.int64)[nodes]
+    counts = table.counts[nodes]
+    rows = np.arange(nodes.size)
+    majority = np.argmax(counts, axis=1)
+    top = counts[rows, majority]
+    counts[rows, majority] = -1
+    runner = counts.max(axis=1)
+    level = config.alpha / config.num_classes
+    lowers = clopper_pearson_lower(top, table.num_samples, level)
+    uppers = clopper_pearson_upper(runner, table.num_samples, level)
 
-    abstained, correct, lowers, uppers = _node_summaries(table, labels, nodes, config)
-    active = ~abstained
-    if config.mode == "exclude":
-        node_deg = degrees[nodes]
-        active &= node_deg > 0  # no certificate exists for originally isolated nodes
-        retention = [node_retention_probs(params, int(d)) if d > 0 else None
-                     for d in node_deg]
+    margin = margin_exclude if exclude else margin_include
+    removed = []  # prob_all_removed at rho = 0, 1, ...
+    abstained = np.empty(nodes.size, dtype=bool)
+    radius = np.full(nodes.size, -1, dtype=np.int64)
+    for j in range(nodes.size):
+        abstained[j] = abstain_test(int(top[j]), int(runner[j]), config.alpha)
+        if abstained[j] or (exclude and node_degrees[j] < 1):
+            continue
+        retention = (node_retention_probs(params, int(node_degrees[j]))
+                     if exclude else ())
+        rho = 0
+        while rho <= _RHO_HARD_CAP:
+            if rho == len(removed):
+                removed.append(prob_all_removed(params, tau, rho))
+            if margin(lowers[j], uppers[j], removed[rho], *retention) <= 0.0:
+                break
+            rho += 1
+        radius[j] = rho - 1
+    return abstained, majority, radius
 
-    abstain_rate = float(np.mean(abstained))
-    clean_accuracy = float(np.mean(correct))
 
+def certified_accuracy_curve(table: VoteTable, labels, params: SmoothingParams,
+                             tau: int, config: CertConfig, degrees=None,
+                             nodes=None) -> CertCurve:
+    """Certified accuracy over a dense rho grid at a fixed edge budget.
+
+    The accuracy at rho is the share of nodes whose majority is correct and
+    whose radius (:func:`certified_radii`) reaches rho. The grid runs from 0
+    to the first rho at which the all-removed probability drops to 1/2,
+    extended while any node still certifies, under a hard cap, so the curve
+    always terminates at zero. Abstaining nodes count against certified
+    accuracy but are reported separately as the abstain rate; clean accuracy
+    is majority-vote correctness ignoring certification.
+    """
+    labels, nodes = _labeled_nodes(labels, nodes)
+    abstained, majority, radius = certified_radii(table, params, tau, config,
+                                                  nodes, degrees)
+    correct = majority == labels[nodes]
     rho_cut = 1
     while (prob_all_removed(params, tau, rho_cut) > 0.5
            and rho_cut < _RHO_HARD_CAP):
         rho_cut += 1
-
-    points = []
-    rho = 0
-    while True:
-        p_removed = prob_all_removed(params, tau, rho)
-        certified = np.zeros(len(nodes), dtype=bool)
-        for j in np.flatnonzero(active):
-            if config.mode == "include":
-                margin = margin_include(lowers[j], uppers[j], p_removed)
-            else:
-                p_iso, p_iso_attacked = retention[j]
-                margin = margin_exclude(lowers[j], uppers[j], p_removed,
-                                        p_iso, p_iso_attacked)
-            certified[j] = margin > 0.0
-        xi = float(np.mean(certified & correct))
-        points.append(CurvePoint(rho=rho, certified_accuracy=xi,
-                                 abstain_rate=abstain_rate))
-        if rho >= rho_cut and (xi == 0.0 or rho >= _RHO_HARD_CAP):
-            break
-        rho += 1
-
-    return CertCurve(tau=tau, points=tuple(points), clean_accuracy=clean_accuracy)
+    reached = radius[correct]
+    last = min(_RHO_HARD_CAP, max(rho_cut, int(reached.max(initial=-1)) + 1))
+    # Correct nodes with radius exactly r, then with radius >= r.
+    exact = np.bincount(reached[reached >= 0], minlength=last + 1)
+    accuracy = np.cumsum(exact[::-1])[::-1] / nodes.size
+    abstain_rate = float(np.mean(abstained))
+    points = tuple(CurvePoint(rho=rho, certified_accuracy=float(accuracy[rho]),
+                              abstain_rate=abstain_rate)
+                   for rho in range(last + 1))
+    return CertCurve(tau=tau, points=points,
+                     clean_accuracy=float(np.mean(correct)))
 
 
 def certified_accuracy_at(table: VoteTable, labels, params: SmoothingParams,
                           budget: PerturbationBudget, config: CertConfig,
                           degrees=None, nodes=None) -> float:
-    """Certified accuracy at a single budget, via per-node certification."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if nodes is None:
-        nodes = np.flatnonzero(labels >= 0)
-    nodes = np.asarray(nodes, dtype=np.int64)
-    if degrees is not None:
-        degrees = np.asarray(degrees, dtype=np.int64)
-    hits = 0
-    for v in nodes:
-        degree = None
-        if config.mode == "exclude":
-            degree = int(degrees[v])
-            if degree == 0:
-                continue
-        decision = certify_node(table.stats_for(int(v)), params, budget, config,
-                                degree=degree)
-        if (decision.outcome is Outcome.CERTIFIED
-                and decision.certified_class == labels[v]):
-            hits += 1
-    return hits / len(nodes)
+    """Certified accuracy at a single budget: one point of the curve."""
+    labels, nodes = _labeled_nodes(labels, nodes)
+    _, majority, radius = certified_radii(table, params, budget.tau, config,
+                                          nodes, degrees)
+    return float(np.mean((majority == labels[nodes]) & (radius >= budget.rho)))
 
 
 def average_certified_radius(curve: CertCurve) -> float:

@@ -10,12 +10,12 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy import stats
 
 from .graph import InteractionMatrix, PerturbationBudget
 from .pipeline import accumulate_parallel, format_float, render_json
 from .sampling import SmoothingParams, derive_sample_seed, sample_smoothed_ratings
-from .certify import prob_all_removed_recsys
+from .certify import (clopper_pearson_lower, clopper_pearson_upper,
+                      prob_all_removed_recsys)
 
 
 @dataclass(eq=False)
@@ -154,24 +154,6 @@ def collect_item_votes(matrix: InteractionMatrix, num_samples: int,
                          user_degrees=matrix.user_degrees, provenance=provenance)
 
 
-def _cp_lower_vec(successes: np.ndarray, trials: int, level: float) -> np.ndarray:
-    out = np.zeros(successes.shape[0])
-    pos = successes > 0
-    if pos.any():
-        s = successes[pos]
-        out[pos] = stats.beta.ppf(level, s, trials - s + 1)
-    return out
-
-
-def _cp_upper_vec(successes: np.ndarray, trials: int, level: float) -> np.ndarray:
-    out = np.ones(successes.shape[0])
-    below = successes < trials
-    if below.any():
-        s = successes[below]
-        out[below] = stats.beta.ppf(1.0 - level, s + 1, trials - s)
-    return out
-
-
 def _certifies_overlap(gt_lowers: np.ndarray, other_uppers: np.ndarray, r: int,
                        k: int, k_prime: int, p_hat: float, p_isolated: float,
                        scaled_candidate_sum: bool) -> bool:
@@ -250,8 +232,9 @@ def certify_user_overlap(table: ItemVoteTable, user: int, ground_truth, k: int,
 
     for r in range(min(k, gt.size), 0, -1):
         level = alpha / (gt.size + (k - r + 1))
-        gt_lowers = _cp_lower_vec(counts[gt], table.num_samples, level)
-        other_uppers = _cp_upper_vec(counts[others], table.num_samples, level)
+        gt_lowers = clopper_pearson_lower(counts[gt], table.num_samples, level)
+        other_uppers = clopper_pearson_upper(counts[others], table.num_samples,
+                                             level)
         if _certifies_overlap(gt_lowers, other_uppers, r, k, table.k_prime,
                               p_hat, p_isolated, scaled_candidate_sum):
             return r

@@ -1,16 +1,135 @@
-"""Exhaustive-enumeration oracles for fixtures with few random bits.
+"""Reference implementations the tests compare the package against.
 
-These replace the Monte-Carlo samplers with exact sums over every smoothing
-outcome; they intentionally re-derive the outcome probabilities instead of
-calling the samplers under test.
+The exhaustive-enumeration oracles replace the Monte-Carlo samplers with
+exact sums over every smoothing outcome; they intentionally re-derive the
+outcome probabilities instead of calling the samplers under test. The
+worst-case solver is the generic linear program behind the closed-form
+margins, and ``reference_curve`` is the per-rho, per-node curve loop.
 """
+import math
+from dataclasses import dataclass
 from itertools import product
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy import stats
 
-from smoothcert import (Graph, InteractionMatrix, build_similarity, predict,
+from smoothcert import (CurvePoint, Graph, InteractionMatrix,
+                        build_similarity, margin_exclude, margin_include,
+                        node_retention_probs, predict, prob_all_removed,
                         recommend_topk)
+
+_MASS_TOL = 1e-9
+_RHO_HARD_CAP = 10**6
+
+
+@dataclass(frozen=True)
+class Region:
+    """One constant-likelihood-ratio region of the sample space.
+
+    ``clean_mass`` is the probability the clean-input randomization lands in
+    the region, ``perturbed_mass`` the same under the worst-case perturbed
+    input. The ratio is clean over perturbed, with +inf when the perturbed
+    mass is zero.
+    """
+
+    clean_mass: float
+    perturbed_mass: float
+
+    def __post_init__(self):
+        if self.clean_mass < -_MASS_TOL or self.perturbed_mass < -_MASS_TOL:
+            raise ValueError("region masses must be non-negative")
+
+    @property
+    def ratio(self) -> float:
+        if self.perturbed_mass == 0.0:
+            return math.inf
+        return self.clean_mass / self.perturbed_mass
+
+
+LikelihoodRegions = Sequence[Region]
+
+
+def include_mode_regions(p_all_removed: float) -> list[Region]:
+    """Two-region likelihood system for the include-mode certificate."""
+    return [Region(1.0, p_all_removed), Region(0.0, 1.0 - p_all_removed)]
+
+
+def exclude_mode_regions(p_all_removed: float, p_isolated: float,
+                         p_isolated_attacked: float) -> list[Region]:
+    """Two-region likelihood system for the exclude-mode certificate.
+
+    Restricted to samples where the query node still votes: mass
+    ``1 - p_isolated`` under the clean graph, ``1 - p_isolated_attacked``
+    under the attacked one. The attacked isolation probability is only known
+    to lie between the degree-doubled bound and the clean value, so callers
+    evaluate this system once per endpoint, applying each where it is
+    conservative.
+    """
+    kept = 1.0 - p_isolated_attacked
+    return [Region(1.0 - p_isolated, p_all_removed * kept),
+            Region(0.0, (1.0 - p_all_removed) * kept)]
+
+
+def worst_case_probabilities(regions: LikelihoodRegions, p_top_lower: float,
+                             p_runner_upper: float) -> tuple[float, float]:
+    """Perturbed-input class probabilities of the worst-case classifier.
+
+    The adversarial classifier places top-class mass in regions of decreasing
+    likelihood ratio until its clean-graph probability reaches
+    ``p_top_lower`` (paying as little perturbed mass as possible), and
+    runner-up mass in increasing ratio order until ``p_runner_upper`` is
+    reached (collecting as much perturbed mass as possible). Each region's
+    class probability is capped at 1. This is the exact optimum of the
+    underlying linear program.
+    """
+    clean_total = math.fsum(r.clean_mass for r in regions)
+    perturbed_total = math.fsum(r.perturbed_mass for r in regions)
+    if clean_total > 1.0 + _MASS_TOL or perturbed_total > 1.0 + _MASS_TOL:
+        raise ValueError("region masses must each sum to at most 1")
+    p_top_lower = min(max(p_top_lower, 0.0), 1.0)
+    p_runner_upper = min(max(p_runner_upper, 0.0), 1.0)
+    if p_top_lower > clean_total + _MASS_TOL:
+        raise ValueError(
+            f"infeasible: p_top_lower={p_top_lower} exceeds clean mass {clean_total}")
+    if p_runner_upper > clean_total + _MASS_TOL:
+        raise ValueError(
+            f"infeasible: p_runner_upper={p_runner_upper} exceeds clean mass {clean_total}")
+
+    by_ratio = sorted(regions, key=lambda r: r.ratio)
+
+    p_top = 0.0
+    remaining = p_top_lower
+    for region in reversed(by_ratio):
+        if remaining <= 0.0:
+            break
+        if region.clean_mass <= 0.0:
+            continue
+        frac = min(1.0, remaining / region.clean_mass)
+        p_top += frac * region.perturbed_mass
+        remaining -= frac * region.clean_mass
+
+    p_runner = 0.0
+    remaining = p_runner_upper
+    for region in by_ratio:
+        if region.clean_mass <= 0.0:
+            p_runner += region.perturbed_mass
+            continue
+        if remaining <= 0.0:
+            break
+        frac = min(1.0, remaining / region.clean_mass)
+        p_runner += frac * region.perturbed_mass
+        remaining -= frac * region.clean_mass
+
+    return p_top, p_runner
+
+
+def solve_worst_case_margin(regions: LikelihoodRegions, p_top_lower: float,
+                            p_runner_upper: float) -> float:
+    """Exact worst-case margin over the given likelihood region system."""
+    p_top, p_runner = worst_case_probabilities(regions, p_top_lower, p_runner_upper)
+    return p_top - p_runner
 
 
 def _mask_probability(mask, p):
@@ -86,3 +205,52 @@ def enumerate_item_probs(matrix, params, k_prime):
                 for item in recommend_topk(model, history, k_prime):
                     probs[u, item] += weight
     return probs, abstain
+
+
+def reference_curve(table, labels, params, tau, config, degrees=None):
+    """Certified-accuracy curve over all labeled nodes, one rho at a time.
+
+    Abstains with ``scipy.stats.binomtest``, bounds each node with scalar
+    beta quantiles, evaluates every active node's margin at every grid
+    point, and stops once the all-removed probability has dropped to 1/2
+    and no node certifies. Returns the points as ``CurvePoint`` and the clean
+    accuracy.
+    """
+    labels = np.asarray(labels)
+    nodes = np.flatnonzero(labels >= 0)
+    level = config.alpha / config.num_classes
+    n = table.num_samples
+    abstained, correct, lowers, uppers = [], [], [], []
+    for v in nodes:
+        order = np.argsort(-table.counts[v], kind="stable")
+        top, runner = (int(c) for c in table.counts[v][order[:2]])
+        pvalue = stats.binomtest(top, top + runner, 0.5).pvalue if top else 1.0
+        abstained.append(pvalue > config.alpha)
+        correct.append(order[0] == labels[v])
+        lowers.append(float(stats.beta.ppf(level, top, n - top + 1)) if top else 0.0)
+        uppers.append(float(stats.beta.ppf(1.0 - level, runner + 1, n - runner))
+                      if runner < n else 1.0)
+    active = ~np.array(abstained)
+    if config.mode == "exclude":
+        active &= np.asarray(degrees)[nodes] > 0
+
+    rho_cut = 1
+    while prob_all_removed(params, tau, rho_cut) > 0.5 and rho_cut < _RHO_HARD_CAP:
+        rho_cut += 1
+    points = []
+    rho = 0
+    while True:
+        p_removed = prob_all_removed(params, tau, rho)
+        certified = np.zeros(len(nodes), dtype=bool)
+        for j in np.flatnonzero(active):
+            if config.mode == "include":
+                margin = margin_include(lowers[j], uppers[j], p_removed)
+            else:
+                retention = node_retention_probs(params, int(degrees[nodes[j]]))
+                margin = margin_exclude(lowers[j], uppers[j], p_removed, *retention)
+            certified[j] = margin > 0.0
+        xi = float(np.mean(certified & np.array(correct)))
+        points.append(CurvePoint(rho, xi, float(np.mean(abstained))))
+        if rho >= rho_cut and (xi == 0.0 or rho >= _RHO_HARD_CAP):
+            return points, float(np.mean(correct))
+        rho += 1

@@ -9,7 +9,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from oracles import enumerate_graph_votes, enumerate_item_probs
+from oracles import (enumerate_graph_votes, enumerate_item_probs,
+                     exclude_mode_regions, include_mode_regions,
+                     worst_case_probabilities)
 from smoothcert import (CertConfig, ClassifierSpec, InteractionMatrix, Outcome,
                         PerturbationBudget, SmoothingParams, VoteStats,
                         apply_attack, average_certified_radius, certify_node,
@@ -18,12 +20,10 @@ from smoothcert import (CertConfig, ClassifierSpec, InteractionMatrix, Outcome,
                         clopper_pearson_lower, clopper_pearson_upper,
                         collect_item_votes, collect_votes_evasion,
                         craft_injection, empirical_accuracy,
-                        exclude_mode_regions, include_mode_regions,
                         load_node_classification_dataset, margin_exclude,
                         margin_include, node_retention_probs,
                         prob_all_removed, prob_all_removed_recsys,
-                        recommender_curve, seeded_split, train_with_noise,
-                        worst_case_probabilities)
+                        recommender_curve, seeded_split, train_with_noise)
 from smoothcert.pipeline import VoteTable
 
 

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from smoothcert import (CertConfig, CertifiedRadius, Outcome, PerturbationBudget,
-                        Region, SmoothingParams, VoteStats, abstain_test,
-                        certify_node, clopper_pearson_lower,
-                        clopper_pearson_upper, exclude_mode_regions,
-                        include_mode_regions, majority_pvalue, margin_exclude,
-                        margin_include, max_certified_rho, node_retention_probs,
-                        prob_all_removed, prob_all_removed_recsys,
-                        solve_worst_case_margin, vote_bounds,
-                        worst_case_probabilities)
+from oracles import (Region, exclude_mode_regions, include_mode_regions,
+                     solve_worst_case_margin, worst_case_probabilities)
+from smoothcert import (CertConfig, Outcome, PerturbationBudget,
+                        SmoothingParams, VoteStats, VoteTable, abstain_test,
+                        certified_radii, certify_node, clopper_pearson_lower,
+                        clopper_pearson_upper, majority_pvalue, margin_exclude,
+                        margin_include, node_retention_probs,
+                        prob_all_removed, prob_all_removed_recsys, vote_bounds)
 
 probs = st.floats(min_value=0.0, max_value=0.99)
 unit = st.floats(min_value=0.0, max_value=1.0)
@@ -257,6 +256,31 @@ class TestVoteBounds:
                 hi = mid
         assert clopper_pearson_upper(k, n, level) == pytest.approx(lo, abs=1e-9)
 
+    @pytest.mark.parametrize("trials", [1, 7, 1000])
+    def test_arrays_match_scalar_calls(self, trials):
+        level = 0.003
+        successes = np.unique(np.linspace(0, trials, 23).astype(np.int64))
+        assert successes[0] == 0 and successes[-1] == trials
+        lowers = clopper_pearson_lower(successes, trials, level)
+        uppers = clopper_pearson_upper(successes, trials, level)
+        for s, lower, upper in zip(successes, lowers, uppers):
+            scalar_lower = clopper_pearson_lower(int(s), trials, level)
+            scalar_upper = clopper_pearson_upper(int(s), trials, level)
+            assert type(scalar_lower) is float and type(scalar_upper) is float
+            assert lower == scalar_lower and upper == scalar_upper
+            assert lower == (float(stats.beta.ppf(level, s, trials - s + 1))
+                             if s > 0 else 0.0)
+            assert upper == (float(stats.beta.ppf(1 - level, s + 1, trials - s))
+                             if s < trials else 1.0)
+
+    def test_array_validation_covers_every_element(self):
+        with pytest.raises(ValueError, match="range"):
+            clopper_pearson_lower(np.array([3, 11]), 10, 0.01)
+        with pytest.raises(ValueError, match="range"):
+            clopper_pearson_upper(np.array([-1, 3]), 10, 0.01)
+        with pytest.raises(ValueError, match="trials"):
+            clopper_pearson_upper(np.array([0]), 0, 0.01)
+
 
 class TestAbstainTest:
     def test_tie_always_abstains(self):
@@ -281,6 +305,19 @@ class TestAbstainTest:
 
     def test_no_votes_abstains(self):
         assert abstain_test(0, 0, 0.01)
+
+    def test_closed_form_matches_binomtest_decisions(self):
+        # Every (top, runner) pair with top + runner <= 160.
+        worst = 0.0
+        for n in range(0, 161):
+            for runner in range(0, n // 2 + 1):
+                top = n - runner
+                exact = stats.binomtest(top, n, 0.5).pvalue if n else 1.0
+                closed = majority_pvalue(top, runner)
+                worst = max(worst, abs(closed - exact) / exact)
+                for alpha in (0.001, 0.01, 0.05, 0.1):
+                    assert abstain_test(top, runner, alpha) == (exact > alpha)
+        assert worst <= 1e-13
 
 
 class TestCertifyNode:
@@ -393,12 +430,14 @@ class TestCertifyNode:
 
 
 class TestMaxCertifiedRho:
+    """The per-node radius of ``certified_radii`` against a certify_node scan."""
+
     params = SmoothingParams(0.1, 0.9)
     config = CertConfig(alpha=0.01, num_classes=7)
 
     def scan_oracle(self, votes, params, tau, config, degree=None):
-        best = 0
-        for rho in range(1, 2000):
+        best = -1
+        for rho in range(0, 2000):
             decision = certify_node(votes, params, PerturbationBudget(rho, tau),
                                     config, degree=degree)
             if decision.outcome is Outcome.CERTIFIED:
@@ -407,13 +446,27 @@ class TestMaxCertifiedRho:
                 break
         return best
 
+    def radius(self, votes, params, tau, config, degree=None):
+        """(abstained, radius) of a one-node table holding ``votes``."""
+        counts = np.zeros((1, config.num_classes), dtype=np.int64)
+        counts[0, votes.top_class] = votes.top_votes
+        counts[0, votes.runner_class] = votes.runner_votes
+        rest = votes.num_samples - votes.top_votes - votes.runner_votes
+        table = VoteTable(counts=counts, abstains=[rest],
+                          num_samples=votes.num_samples, provenance={})
+        degrees = None if degree is None else [degree]
+        abstained, majority, radius = certified_radii(table, params, tau, config,
+                                                      [0], degrees)
+        assert majority[0] == votes.top_class
+        return bool(abstained[0]), int(radius[0])
+
     def test_matches_full_scan(self):
         votes = VoteStats(990, 5, top_class=0, runner_class=1, num_samples=1000)
         for tau in (1, 2, 5, 10):
-            got = max_certified_rho(votes, self.params, tau, self.config)
-            assert got == CertifiedRadius(
-                self.scan_oracle(votes, self.params, tau, self.config), False)
-            assert got.rho > 0 or tau > 20
+            got = self.radius(votes, self.params, tau, self.config)
+            assert got == (False, self.scan_oracle(votes, self.params, tau,
+                                                   self.config))
+            assert got[1] > 0 or tau > 20
 
     def test_edge_only_smoothing_at_090(self):
         # tau = 5 with p_e = 0.9 leaves the all-removed probability at
@@ -422,16 +475,15 @@ class TestMaxCertifiedRho:
         params = SmoothingParams(0.9, 0.0)
         votes = VoteStats(100000, 0, top_class=0, runner_class=1,
                           num_samples=100000)
-        got = max_certified_rho(votes, params, 5, self.config)
-        assert got.rho == self.scan_oracle(votes, params, 5, self.config)
+        got = self.radius(votes, params, 5, self.config)
+        assert got[1] == self.scan_oracle(votes, params, 5, self.config)
         weak = VoteStats(700, 300, top_class=0, runner_class=1, num_samples=1000)
-        got_weak = max_certified_rho(weak, params, 5, self.config)
-        assert got_weak.rho == self.scan_oracle(weak, params, 5, self.config)
+        got_weak = self.radius(weak, params, 5, self.config)
+        assert got_weak[1] == self.scan_oracle(weak, params, 5, self.config)
 
     def test_abstain_flag(self):
         votes = VoteStats(10, 10, top_class=0, runner_class=1, num_samples=20)
-        assert max_certified_rho(votes, self.params, 5, self.config) == \
-            CertifiedRadius(rho=0, abstained=True)
+        assert self.radius(votes, self.params, 5, self.config) == (True, -1)
 
     def test_exclude_mode_scan(self):
         # Realizable stats: abstentions track the isolation probability of a
@@ -440,10 +492,17 @@ class TestMaxCertifiedRho:
         config = CertConfig(alpha=0.01, num_classes=7, mode="exclude")
         votes = VoteStats(40, 1, top_class=0, runner_class=1,
                           num_samples=1000, abstain_count=955)
-        got = max_certified_rho(votes, self.params, 5, config, degree=6)
-        assert got == CertifiedRadius(
-            self.scan_oracle(votes, self.params, 5, config, degree=6), False)
-        assert got.rho == 3
+        got = self.radius(votes, self.params, 5, config, degree=6)
+        assert got == (False, self.scan_oracle(votes, self.params, 5, config,
+                                               degree=6))
+        assert got[1] == 3
+
+    def test_isolated_node_in_exclude_mode_has_no_radius(self):
+        config = CertConfig(alpha=0.01, num_classes=7, mode="exclude")
+        votes = VoteStats(990, 5, top_class=0, runner_class=1, num_samples=1000)
+        assert self.radius(votes, self.params, 5, config, degree=0) == (False, -1)
+        with pytest.raises(ValueError, match="degrees"):
+            self.radius(votes, self.params, 5, config)
 
 
 class TestVoteStats:

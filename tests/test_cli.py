@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -115,10 +116,15 @@ class TestCertifyEvasionCommand:
         assert '"curves"' in stdout
         assert stdout.rstrip().endswith("}")
 
-    def test_byte_identical_reruns(self, tmp_path):
-        first = self.run_once(tmp_path / "x", "run1")
-        second = self.run_once(tmp_path / "y", "run2")
-        for name in ("curve_tau2.csv", "curve_tau3.csv"):
+    def test_byte_identical_reruns(self, tmp_path, monkeypatch):
+        # Relative paths, so both runs echo the same config into report.json.
+        outputs = []
+        for where in ("x", "y"):
+            (tmp_path / where).mkdir()
+            monkeypatch.chdir(tmp_path / where)
+            outputs.append(tmp_path / where / self.run_once(Path("."), "run"))
+        first, second = outputs
+        for name in ("curve_tau2.csv", "curve_tau3.csv", "report.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
     def test_report_config_reproduces_the_run(self, tmp_path):

@@ -1,0 +1,71 @@
+"""The benchmark's traced run against the package names it wraps.
+
+``perfbench/traced.py`` wraps public functions at the module attributes
+their callers look up, and reads their arguments and results. A refactor
+that renames such a function, or changes how it is called, breaks the
+traced run, which nothing else in the suite executes. These are tiny runs
+of three benchmark workloads through the same hooks.
+"""
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from smoothcert import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TINY = ["--n", "20", "--epochs", "5"]
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import run
+        import traced
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return run, traced
+
+
+@pytest.fixture(scope="module")
+def sbm_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("sbm")
+    assert cli.main(["gen-synth", "--out", str(out), "--seed", "1",
+                     "--synth-n", "60", "--synth-p-in", "0.3"]) == 0
+    return out
+
+
+def ratings_dir(tmp_path):
+    """Eight users in two taste groups, one later rating each held out."""
+    lines = []
+    for u in range(8):
+        base = 0 if u < 4 else 5
+        lines += [f"{u}\t{base + j}\t4\t{j}" for j in range(5)]
+        lines.append(f"{u}\t{base + 20 + u % 2}\t4\t100")
+    (tmp_path / "ratings.tsv").write_text("\n".join(lines) + "\n")
+    return tmp_path
+
+
+@pytest.mark.parametrize("name", ["evasion-small", "poison-exclude",
+                                  "recsys-ml100k"])
+def test_traced_run_yields_every_metric(perfbench, sbm_dir, tmp_path, name):
+    run, traced = perfbench
+    workload = replace(run.WORKLOADS[name], samples=20, check_samples=4)
+    fixture = (ratings_dir(tmp_path) if workload.fixture == "ratings-ml100k"
+               else sbm_dir)
+    tracer = traced.Tracer(run_id="contract")
+    captured = {}
+    traced.install(tracer, captured)
+    try:
+        code = cli.main(workload.argv(str(fixture), str(tmp_path / "out"), 0)
+                        + TINY)
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    metrics = traced.layer_metrics(tracer, captured)
+    check_metrics, failures = traced.cross_checks(workload, captured)
+    metrics.update(check_metrics)
+    assert set(run.PER_LAYER) - {"trace.overhead_s"} <= set(metrics)
+    assert not failures

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import enumerate_graph_votes
+from oracles import enumerate_graph_votes, reference_curve
 from smoothcert import (CertConfig, ClassifierSpec, DataSplit,
                         PerturbationBudget, SmoothingParams, TrainedModel,
                         VoteTable, average_certified_radius,
@@ -320,6 +320,80 @@ class TestCertifiedAccuracyCurve:
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert values[-1] == 0.0
         assert values[0] > 0.5
+
+
+class TestCertifiedAccuracyAt:
+    params = SmoothingParams(0.1, 0.8)
+    labels = np.array([0, -1, 1])
+    table = perfect_table(3, 2, np.array([0, 1, 1]), num_samples=1000)
+    budget = PerturbationBudget(rho=1, tau=2)
+
+    def test_exclude_mode_requires_degrees(self):
+        config = CertConfig(alpha=0.01, num_classes=2, mode="exclude")
+        with pytest.raises(ValueError, match="degrees"):
+            certified_accuracy_at(self.table, self.labels, self.params,
+                                  self.budget, config)
+
+    def test_rejects_unlabeled_nodes(self):
+        config = CertConfig(alpha=0.01, num_classes=2)
+        assert certified_accuracy_at(self.table, self.labels, self.params,
+                                     self.budget, config, nodes=[0]) == 1.0
+        with pytest.raises(ValueError, match="labels"):
+            certified_accuracy_at(self.table, self.labels, self.params,
+                                  self.budget, config, nodes=[0, 1])
+
+
+class TestReferenceCurve:
+    """The radius-based curve against the per-rho, per-node loop it replaced."""
+
+    def random_case(self, rng, mode):
+        n = 25
+        num_classes = int(rng.integers(2, 5))
+        num_samples = int(rng.integers(50, 3000))
+        labels = rng.integers(0, num_classes, size=n)
+        labels[rng.random(n) < 0.2] = -1
+        abstains = np.zeros(n, dtype=np.int64)
+        if mode == "exclude":
+            abstains = rng.binomial(num_samples, rng.uniform(0, 0.95, size=n))
+        counts = np.zeros((n, num_classes), dtype=np.int64)
+        for v in range(n):
+            weights = np.ones(num_classes)
+            weights[rng.integers(num_classes)] = rng.choice([1.0, 5.0, 50.0, 500.0])
+            counts[v] = rng.multinomial(num_samples - abstains[v],
+                                        rng.dirichlet(weights))
+        table = VoteTable(counts=counts, abstains=abstains,
+                          num_samples=num_samples, provenance={})
+        params = SmoothingParams(float(rng.choice([0.0, 0.05, 0.1, 0.3, 0.9])),
+                                 float(rng.choice(np.arange(10) / 10)))
+        tau = int(rng.choice([1, 3, 10]))
+        config = CertConfig(alpha=float(rng.choice([0.001, 0.01, 0.1])),
+                            num_classes=num_classes, mode=mode)
+        degrees = rng.integers(0, 6, size=n)
+        return table, labels, params, tau, config, degrees
+
+    @pytest.mark.parametrize("mode", ["include", "exclude"])
+    def test_curve_and_single_budgets_match(self, mode):
+        rng = np.random.default_rng(23 if mode == "include" else 24)
+        certified = 0
+        for _ in range(40):
+            table, labels, params, tau, config, degrees = self.random_case(rng,
+                                                                           mode)
+            curve = certified_accuracy_curve(table, labels, params, tau, config,
+                                             degrees=degrees)
+            points, clean = reference_curve(table, labels, params, tau, config,
+                                            degrees=degrees)
+            assert list(curve.points) == points
+            assert curve.clean_accuracy == clean
+            assert points[-1].certified_accuracy == 0.0
+            certified += points[0].certified_accuracy > 0.0
+            for rho in (0, 1, 2, 5, 40):
+                expected = (points[rho].certified_accuracy if rho < len(points)
+                            else 0.0)
+                got = certified_accuracy_at(table, labels, params,
+                                            PerturbationBudget(rho, tau), config,
+                                            degrees=degrees)
+                assert got == expected
+        assert certified >= 10  # the cases certify, not just abstain
 
 
 class TestAverageCertifiedRadius:
