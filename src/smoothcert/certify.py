@@ -15,6 +15,8 @@ from scipy import stats
 from .graph import PerturbationBudget
 from .sampling import SmoothingParams
 
+RHO_CAP = 10**6  # radius scans over the injected-node budget stop here
+
 
 class Outcome(Enum):
     CERTIFIED = "certified"
@@ -168,41 +170,42 @@ def margin_exclude(p_top_lower: float, p_runner_upper: float, p_all_removed: flo
             - kept_attacked)
 
 
-def _checked_counts(successes, trials: int) -> np.ndarray:
+def _checked_counts(successes, trials: int, level):
     if trials <= 0:
         raise ValueError("trials must be positive")
     successes = np.asarray(successes)
     if np.any((successes < 0) | (successes > trials)):
         raise ValueError("successes out of range")
-    return successes
+    return successes, np.broadcast_to(level, successes.shape)
 
 
-def clopper_pearson_lower(successes, trials: int, level: float):
+def clopper_pearson_lower(successes, trials: int, level):
     """One-sided Clopper-Pearson lower confidence limit at the given level.
 
     ``successes`` is a count or an array of counts out of ``trials``; a
-    count gives a float, an array an array of limits.
+    count gives a float, an array an array of limits. ``level`` may be an
+    array of levels, one per count.
     """
-    successes = _checked_counts(successes, trials)
+    successes, level = _checked_counts(successes, trials, level)
     out = np.zeros(successes.shape)
     some = successes > 0
     s = successes[some]
     if s.size:  # scipy costs as much on an empty array as on a short one
-        out[some] = stats.beta.ppf(level, s, trials - s + 1)
+        out[some] = stats.beta.ppf(level[some], s, trials - s + 1)
     return float(out) if out.ndim == 0 else out
 
 
-def clopper_pearson_upper(successes, trials: int, level: float):
+def clopper_pearson_upper(successes, trials: int, level):
     """One-sided Clopper-Pearson upper confidence limit at the given level.
 
-    Takes a count or an array of counts, like :func:`clopper_pearson_lower`.
+    Takes counts and levels like :func:`clopper_pearson_lower`.
     """
-    successes = _checked_counts(successes, trials)
+    successes, level = _checked_counts(successes, trials, level)
     out = np.ones(successes.shape)
     some = successes < trials
     s = successes[some]
     if s.size:
-        out[some] = stats.beta.ppf(1.0 - level, s + 1, trials - s)
+        out[some] = stats.beta.ppf(1.0 - level[some], s + 1, trials - s)
     return float(out) if out.ndim == 0 else out
 
 

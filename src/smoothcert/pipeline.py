@@ -13,16 +13,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .certify import (CertConfig, VoteStats, abstain_test, clopper_pearson_lower,
-                      clopper_pearson_upper, margin_exclude, margin_include,
-                      node_retention_probs, prob_all_removed)
+from .certify import (RHO_CAP, CertConfig, VoteStats, abstain_test,
+                      clopper_pearson_lower, clopper_pearson_upper, margin_exclude,
+                      margin_include, node_retention_probs, prob_all_removed)
 from .graph import Graph, DataSplit, PerturbationBudget
 from .models import (ClassifierSpec, TrainedModel, feature_transform, predict,
                      predict_rows, train_predict_end_to_end)
 from .sampling import SmoothingParams, derive_sample_seed, sample_smoothed_graph
 
 _TRAIN_STREAM = (1 << 40) + 1
-_RHO_HARD_CAP = 10**6
 # Evasion samples are evaluated together until their non-isolated nodes fill
 # this many operator rows. Capping rows rather than samples bounds memory: at
 # 64 hidden units each activation block of a batch stays near 512 KiB.
@@ -107,10 +106,12 @@ def accumulate_parallel(num_samples: int, first_index: int, threads: int,
     bounds = np.linspace(first_index, first_index + num_samples,
                          chunk_count + 1).astype(np.int64)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda se: worker(se[0], se[1]),
-                              zip(bounds[:-1], bounds[1:])))
-    counts = sum(p[0] for p in parts)
-    abstains = sum(p[1] for p in parts)
+        parts = pool.map(worker, bounds[:-1], bounds[1:])
+        counts, abstains = next(parts)
+        # Summed as they arrive, so the finished chunks are not all held.
+        for chunk_counts, chunk_abstains in parts:
+            counts += chunk_counts
+            abstains += chunk_abstains
     return counts, abstains
 
 
@@ -291,7 +292,7 @@ def certified_radii(table: VoteTable, params: SmoothingParams, tau: int,
         retention = (node_retention_probs(params, int(node_degrees[j]))
                      if exclude else ())
         rho = 0
-        while rho <= _RHO_HARD_CAP:
+        while rho <= RHO_CAP:
             if rho == len(removed):
                 removed.append(prob_all_removed(params, tau, rho))
             if margin(lowers[j], uppers[j], removed[rho], *retention) <= 0.0:
@@ -320,10 +321,10 @@ def certified_accuracy_curve(table: VoteTable, labels, params: SmoothingParams,
     correct = majority == labels[nodes]
     rho_cut = 1
     while (prob_all_removed(params, tau, rho_cut) > 0.5
-           and rho_cut < _RHO_HARD_CAP):
+           and rho_cut < RHO_CAP):
         rho_cut += 1
     reached = radius[correct]
-    last = min(_RHO_HARD_CAP, max(rho_cut, int(reached.max(initial=-1)) + 1))
+    last = min(RHO_CAP, max(rho_cut, int(reached.max(initial=-1)) + 1))
     # Correct nodes with radius exactly r, then with radius >= r.
     exact = np.bincount(reached[reached >= 0], minlength=last + 1)
     accuracy = np.cumsum(exact[::-1])[::-1] / nodes.size

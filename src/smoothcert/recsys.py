@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -14,7 +14,7 @@ import scipy.sparse as sp
 from .graph import InteractionMatrix, PerturbationBudget
 from .pipeline import accumulate_parallel, format_float, render_json
 from .sampling import SmoothingParams, derive_sample_seed, sample_smoothed_ratings
-from .certify import (clopper_pearson_lower, clopper_pearson_upper,
+from .certify import (RHO_CAP, clopper_pearson_lower, clopper_pearson_upper,
                       prob_all_removed_recsys)
 
 
@@ -110,9 +110,6 @@ class ItemVoteTable:
     def items(self) -> int:
         return self.counts.shape[1]
 
-    def frequencies(self, user: int) -> np.ndarray:
-        return self.counts[user] / self.num_samples
-
 
 def collect_item_votes(matrix: InteractionMatrix, num_samples: int,
                        params: SmoothingParams, k_prime: int, master_seed: int, *,
@@ -154,117 +151,143 @@ def collect_item_votes(matrix: InteractionMatrix, num_samples: int,
                          user_degrees=matrix.user_degrees, provenance=provenance)
 
 
-def _certifies_overlap(gt_lowers: np.ndarray, other_uppers: np.ndarray, r: int,
-                       k: int, k_prime: int, p_hat: float, p_isolated: float,
-                       scaled_candidate_sum: bool) -> bool:
-    """Check the worst-case condition for at least ``r`` ground-truth hits.
+def _certifies_overlap(p_r: np.ndarray, sums: np.ndarray, take: np.ndarray,
+                       k_prime: int, p_hat: float,
+                       p_isolated: np.ndarray) -> np.ndarray:
+    """Check the worst-case condition for at least r ground-truth hits, per row.
 
-    The r-th largest lower bound among ground-truth items must beat the
-    cheapest average over the bottom-c of the top-(k - r + 1) candidate upper
-    bounds, inflated by the mass the adversary can move through samples where
-    the user still votes but an injected rating survives.
+    The r-th largest ground-truth lower bound ``p_r`` must beat the cheapest
+    average over the bottom-c of the top-(k - r + 1) candidate upper bounds
+    (prefix sums ``S_c``, the first ``take`` columns of ``sums``), inflated by
+    the mass the adversary moves through samples where the user still votes
+    but an injected rating survives. It only gets harder as ``p_hat`` falls.
     """
-    if gt_lowers.size < r:
-        return False
-    p_r = np.sort(gt_lowers)[-r]
     slack = k_prime * (1.0 - p_hat) * (1.0 - p_isolated)
-    take = min(k - r + 1, other_uppers.size)
-    if take == 0:
-        return p_hat * p_r - slack > 0.0
-    top_desc = np.sort(other_uppers)[::-1][:take]
-    ascending = top_desc[::-1]
-    sums = np.cumsum(ascending)
-    cs = np.arange(1, take + 1, dtype=np.float64)
-    if scaled_candidate_sum:
-        bounds = (p_hat * sums + slack) / cs
-    else:
-        bounds = (sums + slack) / cs
-    return p_hat * p_r - float(bounds.min()) > 0.0
+    cs = np.arange(1, sums.shape[1] + 1)
+    bounds = np.where(cs <= take[:, None], (p_hat * sums + slack[:, None]) / cs,
+                      np.inf)
+    best = np.where(take == 0, slack, bounds.min(axis=1))
+    return p_hat * p_r - best > 0.0
 
 
 def certify_overlap(gt_lowers, other_uppers, k: int, k_prime: int, p_hat: float,
-                    p_isolated: float, *, scaled_candidate_sum: bool = True) -> int:
+                    p_isolated: float) -> int:
     """Largest certified overlap given fixed per-item probability bounds.
 
     Used directly when exact inclusion probabilities are available (for
     example from exhaustive enumeration); the Monte-Carlo entry point is
     :func:`certify_user_overlap`.
     """
-    gt_lowers = np.asarray(gt_lowers, dtype=np.float64)
-    other_uppers = np.asarray(other_uppers, dtype=np.float64)
-    for r in range(min(k, gt_lowers.size), 0, -1):
-        if _certifies_overlap(gt_lowers, other_uppers, r, k, k_prime,
-                              p_hat, p_isolated, scaled_candidate_sum):
-            return r
-    return 0
+    gt_lowers = np.sort(np.asarray(gt_lowers, dtype=np.float64))[::-1]
+    other_uppers = np.sort(np.asarray(other_uppers, dtype=np.float64))
+    r = np.arange(1, min(k, gt_lowers.size) + 1)
+    take = np.minimum(k - r + 1, other_uppers.size)
+    sums = np.zeros((r.size, k))
+    for row, t in enumerate(take):
+        sums[row, :t] = np.cumsum(other_uppers[other_uppers.size - t:])
+    holds = _certifies_overlap(gt_lowers[r - 1], sums, take, k_prime, p_hat,
+                               np.full(r.size, p_isolated))
+    return int(r[holds].max(initial=0))
 
 
-def certify_user_overlap(table: ItemVoteTable, user: int, ground_truth, k: int,
-                         params: SmoothingParams, budget: PerturbationBudget,
-                         alpha: float, *, d_u: Optional[int] = None,
-                         scaled_candidate_sum: bool = True) -> int:
-    """Largest ``r`` such that at least ``r`` of the smoothed top-``k`` items
-    are guaranteed to come from ``ground_truth`` under any allowed poisoning.
+def certified_overlap_radii(table: ItemVoteTable,
+                            ground_truths: Mapping[int, Sequence[int]], k: int,
+                            params: SmoothingParams, tau: int,
+                            alpha: float) -> np.ndarray:
+    """Each user's certificate over the injected-user budget at edge budget tau.
 
-    Per candidate value of ``r``, the significance budget ``alpha`` is split
-    evenly over the ``|ground_truth| + (k - r + 1)`` bounded items and
-    one-sided Clopper-Pearson bounds are recomputed at that level.
+    Returns a ``(len(ground_truths), k)`` array in ``ground_truths`` order
+    whose column ``r - 1`` is the largest rho at which at least ``r``
+    ground-truth items are certified to stay in the user's top-``k`` (-1 if
+    never); the certified overlap at rho counts a row's entries that reach
+    it. Bounds rise with the count, so each (user, r) bounds only the r-th
+    largest ground-truth count and the top ``k - r + 1`` other counts, once.
     """
+    if not ground_truths:
+        raise ValueError("no users to evaluate")
     params.require_certifiable()
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     if k < 1 or k > table.k_prime:
         raise ValueError("need 1 <= k <= k_prime")
-    if d_u is None:
+    rows = []  # (user position, r, gt count, level, p_isolated, candidate counts)
+    for i, (user, gt) in enumerate(ground_truths.items()):
+        gt = np.unique(np.asarray(list(gt), dtype=np.int64))
+        if gt.size == 0:
+            raise ValueError(f"user {user} has empty ground truth")
         d_u = int(table.user_degrees[user])
-    if d_u < 1:
-        raise ValueError("certification requires at least one training rating")
-    gt = np.unique(np.asarray(list(ground_truth), dtype=np.int64))
-    if gt.size == 0:
+        if d_u < 1:
+            raise ValueError("certification requires at least one training rating")
+        if gt.min() < 0 or gt.max() >= table.items:
+            raise ValueError("ground-truth item index out of range")
+        gt_counts = np.sort(table.counts[user, gt])[::-1]
+        others = np.sort(np.delete(table.counts[user], gt))
+        p_isolated = params.p_n + (1.0 - params.p_n) * params.p_e**d_u
+        rows += [(i, r, gt_counts[r - 1], alpha / (gt.size + (k - r + 1)),
+                  p_isolated, others[max(others.size - (k - r + 1), 0):])
+                 for r in range(1, min(k, gt.size) + 1)]
+    *columns, candidates = zip(*rows)
+    user, r, gt_counts, level, p_isolated = map(np.array, columns)
+    take = np.array([c.size for c in candidates])
+    filled = np.arange(k) < take[:, None]
+    uppers = np.zeros(filled.shape)
+    uppers[filled] = clopper_pearson_upper(np.concatenate(candidates),
+                                           table.num_samples, np.repeat(level, take))
+    lowers = clopper_pearson_lower(gt_counts, table.num_samples, level)
+    sums = np.cumsum(uppers, axis=1)
+    radii = np.full((len(ground_truths), k), -1, dtype=np.int64)
+    alive = np.arange(r.size)
+    rho = 0
+    while alive.size and rho <= RHO_CAP:
+        p_hat = prob_all_removed_recsys(params, tau, rho)
+        alive = alive[_certifies_overlap(lowers[alive], sums[alive], take[alive],
+                                         table.k_prime, p_hat, p_isolated[alive])]
+        radii[user[alive], r[alive] - 1] = rho
+        rho += 1
+    # At least r hits are certified wherever r' >= r hits are.
+    return np.maximum.accumulate(radii[:, ::-1], axis=1)[:, ::-1]
+
+
+def certify_user_overlap(table: ItemVoteTable, user: int, ground_truth, k: int,
+                         params: SmoothingParams, budget: PerturbationBudget,
+                         alpha: float) -> int:
+    """Largest ``r`` such that at least ``r`` of the smoothed top-``k`` items
+    are guaranteed to come from ``ground_truth`` under any allowed poisoning:
+    one user of :func:`certified_overlap_radii` at one budget.
+    """
+    ground_truth = list(ground_truth)
+    if not ground_truth:
         raise ValueError("ground truth must be non-empty")
-    if gt.min() < 0 or gt.max() >= table.items:
-        raise ValueError("ground-truth item index out of range")
+    radii = certified_overlap_radii(table, {user: ground_truth}, k, params,
+                                    budget.tau, alpha)
+    return int((radii >= budget.rho).sum())
 
-    p_hat = prob_all_removed_recsys(params, budget.tau, budget.rho)
-    p_isolated = params.p_n + (1.0 - params.p_n) * params.p_e**d_u
-    counts = table.counts[user]
-    others = np.setdiff1d(np.arange(table.items), gt)
 
-    for r in range(min(k, gt.size), 0, -1):
-        level = alpha / (gt.size + (k - r + 1))
-        gt_lowers = clopper_pearson_lower(counts[gt], table.num_samples, level)
-        other_uppers = clopper_pearson_upper(counts[others], table.num_samples,
-                                             level)
-        if _certifies_overlap(gt_lowers, other_uppers, r, k, table.k_prime,
-                              p_hat, p_isolated, scaled_candidate_sum):
-            return r
-    return 0
+def _precision_recall(radii: np.ndarray, rho: int, k: int,
+                      ground_truths: Mapping[int, Sequence[int]]):
+    """Mean certified precision and recall at rho, added in user order.
+
+    ``cumsum`` adds one user at a time; ``np.sum`` would add pairwise.
+    """
+    overlaps = (radii >= rho).sum(axis=1)
+    sizes = np.array([len(gt) for gt in ground_truths.values()])
+    return (float(np.cumsum(overlaps / k)[-1]) / overlaps.size,
+            float(np.cumsum(overlaps / sizes)[-1]) / overlaps.size)
 
 
 def certified_precision_recall(table: ItemVoteTable,
                                ground_truths: Mapping[int, Sequence[int]],
                                k: int, params: SmoothingParams,
-                               budget: PerturbationBudget, alpha: float, *,
-                               scaled_candidate_sum: bool = True) -> tuple[float, float]:
+                               budget: PerturbationBudget,
+                               alpha: float) -> tuple[float, float]:
     """Mean certified precision and recall over the given users.
 
     Per user the certified overlap ``r`` contributes ``r / k`` to precision
-    and ``r / |ground_truth|`` to recall.
+    and ``r / |ground_truth|`` to recall: one point of :func:`recommender_curve`.
     """
-    if not ground_truths:
-        raise ValueError("no users to evaluate")
-    precision = 0.0
-    recall = 0.0
-    for user, gt in ground_truths.items():
-        gt = list(gt)
-        if not gt:
-            raise ValueError(f"user {user} has empty ground truth")
-        r = certify_user_overlap(table, user, gt, k, params, budget, alpha,
-                                 scaled_candidate_sum=scaled_candidate_sum)
-        precision += r / k
-        recall += r / len(gt)
-    count = len(ground_truths)
-    return precision / count, recall / count
+    radii = certified_overlap_radii(table, ground_truths, k, params, budget.tau,
+                                    alpha)
+    return _precision_recall(radii, budget.rho, k, ground_truths)
 
 
 @dataclass(frozen=True)
@@ -287,23 +310,17 @@ class RecommenderCurve:
 
 def recommender_curve(table: ItemVoteTable,
                       ground_truths: Mapping[int, Sequence[int]], k: int,
-                      params: SmoothingParams, tau: int, alpha: float, *,
-                      scaled_candidate_sum: bool = True,
-                      rho_cap: int = 10**6) -> RecommenderCurve:
-    """Certified precision/recall over a dense rho grid until both reach zero."""
-    points = []
-    rho = 0
-    while True:
-        budget = PerturbationBudget(rho=rho, tau=tau)
-        precision, recall = certified_precision_recall(
-            table, ground_truths, k, params, budget, alpha,
-            scaled_candidate_sum=scaled_candidate_sum)
-        points.append(RecommenderCurvePoint(rho=rho, certified_precision=precision,
-                                            certified_recall=recall))
-        if (precision == 0.0 and recall == 0.0) or rho >= rho_cap:
-            break
-        rho += 1
-    return RecommenderCurve(tau=tau, points=tuple(points))
+                      params: SmoothingParams, tau: int,
+                      alpha: float) -> RecommenderCurve:
+    """Certified precision/recall over a dense rho grid until both reach zero.
+
+    Each point counts the overlap radii (:func:`certified_overlap_radii`).
+    """
+    radii = certified_overlap_radii(table, ground_truths, k, params, tau, alpha)
+    last = min(RHO_CAP, int(radii.max(initial=-1)) + 1)
+    return RecommenderCurve(tau=tau, points=tuple(
+        RecommenderCurvePoint(rho, *_precision_recall(radii, rho, k, ground_truths))
+        for rho in range(last + 1)))
 
 
 def write_recommender_report(curves: Sequence[RecommenderCurve], metadata: dict,

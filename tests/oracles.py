@@ -4,7 +4,9 @@ The exhaustive-enumeration oracles replace the Monte-Carlo samplers with
 exact sums over every smoothing outcome; they intentionally re-derive the
 outcome probabilities instead of calling the samplers under test. The
 worst-case solver is the generic linear program behind the closed-form
-margins, and ``reference_curve`` is the per-rho, per-node curve loop.
+margins, ``reference_curve`` is the per-rho, per-node curve loop and
+``reference_recommender_curve`` the per-rho, per-user, per-r recommender
+curve loop.
 """
 import math
 from dataclasses import dataclass
@@ -18,7 +20,8 @@ from scipy import stats
 from smoothcert import (CurvePoint, Graph, InteractionMatrix,
                         build_similarity, margin_exclude, margin_include,
                         node_retention_probs, predict, prob_all_removed,
-                        recommend_topk)
+                        prob_all_removed_recsys, recommend_topk)
+from smoothcert.recsys import RecommenderCurvePoint
 
 _MASS_TOL = 1e-9
 _RHO_HARD_CAP = 10**6
@@ -253,4 +256,72 @@ def reference_curve(table, labels, params, tau, config, degrees=None):
         points.append(CurvePoint(rho, xi, float(np.mean(abstained))))
         if rho >= rho_cut and (xi == 0.0 or rho >= _RHO_HARD_CAP):
             return points, float(np.mean(correct))
+        rho += 1
+
+
+def _beta_lower(counts, n, level):
+    out = np.zeros(counts.shape)
+    some = counts > 0
+    out[some] = stats.beta.ppf(level, counts[some], n - counts[some] + 1)
+    return out
+
+
+def _beta_upper(counts, n, level):
+    out = np.ones(counts.shape)
+    some = counts < n
+    out[some] = stats.beta.ppf(1.0 - level, counts[some] + 1, n - counts[some])
+    return out
+
+
+def _reference_overlap(table, user, gt, k, params, tau, rho, alpha):
+    """Largest certified overlap of one user, trying r from the top down.
+
+    Bounds every item at each r's level and sorts all candidate upper
+    bounds, where the package bounds only the counts it needs.
+    """
+    gt = np.unique(np.asarray(gt, dtype=np.int64))
+    p_hat = prob_all_removed_recsys(params, tau, rho)
+    d_u = int(table.user_degrees[user])
+    p_isolated = params.p_n + (1.0 - params.p_n) * params.p_e**d_u
+    counts = table.counts[user]
+    others = np.setdiff1d(np.arange(table.items), gt)
+    slack = table.k_prime * (1.0 - p_hat) * (1.0 - p_isolated)
+    for r in range(min(k, gt.size), 0, -1):
+        level = alpha / (gt.size + (k - r + 1))
+        p_r = np.sort(_beta_lower(counts[gt], table.num_samples, level))[-r]
+        other_uppers = _beta_upper(counts[others], table.num_samples, level)
+        take = min(k - r + 1, other_uppers.size)
+        if take == 0:
+            if p_hat * p_r - slack > 0.0:
+                return r
+            continue
+        ascending = np.sort(other_uppers)[::-1][:take][::-1]
+        sums = np.cumsum(ascending)
+        cs = np.arange(1, take + 1, dtype=np.float64)
+        bounds = (p_hat * sums + slack) / cs
+        if p_hat * p_r - float(bounds.min()) > 0.0:
+            return r
+    return 0
+
+
+def reference_recommender_curve(table, ground_truths, k, params, tau, alpha):
+    """Certified precision/recall points, one rho and one user at a time.
+
+    Precision and recall are running sums in ``ground_truths`` order, and
+    the grid stops at the first rho where both are zero.
+    """
+    points = []
+    rho = 0
+    while True:
+        precision = recall = 0.0
+        for user, gt in ground_truths.items():
+            r = _reference_overlap(table, user, list(gt), k, params, tau, rho,
+                                   alpha)
+            precision += r / k
+            recall += r / len(gt)
+        count = len(ground_truths)
+        points.append(RecommenderCurvePoint(rho, precision / count,
+                                            recall / count))
+        if (precision == 0.0 and recall == 0.0) or rho >= _RHO_HARD_CAP:
+            return tuple(points)
         rho += 1

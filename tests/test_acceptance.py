@@ -11,7 +11,7 @@ import pytest
 
 from oracles import (enumerate_graph_votes, enumerate_item_probs,
                      exclude_mode_regions, include_mode_regions,
-                     worst_case_probabilities)
+                     reference_recommender_curve, worst_case_probabilities)
 from smoothcert import (CertConfig, ClassifierSpec, InteractionMatrix, Outcome,
                         PerturbationBudget, SmoothingParams, VoteStats,
                         apply_attack, average_certified_radius, certify_node,
@@ -347,7 +347,7 @@ def _pooled_rating_fixture(rng):
 
 def test_recommender_desk_scale():
     """Zero-budget certified precision equals clean smoothed precision; the
-    curve is non-increasing and reaches zero."""
+    curve is non-increasing, reaches zero and equals the reference loop."""
     with criterion("recommender certificate at desk scale"):
         started = time.monotonic()
         rng = np.random.default_rng(77)
@@ -360,6 +360,8 @@ def test_recommender_desk_scale():
 
         curve = recommender_curve(table, ground_truths, k, params, tau,
                                   alpha=0.01)
+        assert curve.points == reference_recommender_curve(
+            table, ground_truths, k, params, tau, 0.01)
         precisions = [p.certified_precision for p in curve.points]
         assert precisions[0] > 0
         assert all(a >= b for a, b in zip(precisions, precisions[1:]))

@@ -204,6 +204,29 @@ class TestCertifyRecsysCommand:
         csv = (out / "recsys_curve_tau3.csv").read_text().splitlines()
         assert csv[0] == "rho,certified_precision,certified_recall"
 
+    def test_byte_identical_reruns(self, tmp_path, monkeypatch):
+        # Two taste groups of six users over six items each; every user
+        # rates its group's items and rates one of them last, so the held-out
+        # items are the ones the group recommends and the curve certifies.
+        lines = [f"{u}\t{(0 if u < 6 else 10) + j}\t4\t{100 if j == u % 6 else j}"
+                 for u in range(12) for j in range(6)]
+        (tmp_path / "u.data").write_text("\n".join(lines) + "\n")
+        # Relative paths, so both runs echo the same config into report.json.
+        for where in ("x", "y"):
+            (tmp_path / where).mkdir()
+            monkeypatch.chdir(tmp_path / where)
+            assert main(["certify-recsys", "--out", "run", "--ratings",
+                         "../u.data", "--p-e", "0.2", "--p-n", "0.4",
+                         "--tau", "2", "3", "--n", "400", "--k", "1",
+                         "--k-prime", "2", "--split-fraction", "0.8",
+                         "--seed", "2"]) == 0
+        first, second = tmp_path / "x" / "run", tmp_path / "y" / "run"
+        assert (first / "recsys_curve_tau2.csv").read_text().splitlines()[1] \
+            == "0,1,0.5"
+        for name in ("recsys_curve_tau2.csv", "recsys_curve_tau3.csv",
+                     "report.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
 
 class TestEmpiricalAttackCommand:
     def test_smoke_run(self, tmp_path):

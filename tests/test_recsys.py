@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from oracles import enumerate_item_probs
+from oracles import enumerate_item_probs, reference_recommender_curve
 from smoothcert import (InteractionMatrix, PerturbationBudget, SmoothingParams,
-                        build_similarity, certified_precision_recall,
-                        certify_overlap, certify_user_overlap,
-                        collect_item_votes, recommend_topk, recommender_curve,
+                        build_similarity, certified_overlap_radii,
+                        certified_precision_recall, certify_overlap,
+                        certify_user_overlap, collect_item_votes,
+                        recommend_topk, recommender_curve,
                         write_recommender_report)
 from smoothcert.recsys import ItemVoteTable
 
@@ -33,6 +36,30 @@ def table_from_frequencies(freqs, abstains, num_samples, k_prime, degrees):
                          num_samples=num_samples, k_prime=k_prime,
                          user_degrees=np.asarray(degrees, dtype=np.int64),
                          provenance={"kind": "synthetic"})
+
+
+def random_item_table(rng):
+    """A seeded vote table whose ground truths are voted more often than
+    the other items, with a random strength, so some tables certify and
+    some do not."""
+    users = int(rng.integers(1, 13))
+    items = int(rng.integers(3, 12))
+    k_prime = int(rng.integers(1, 5))
+    num_samples = int(rng.choice([1, 7, 50, 400, 5000]))
+    ground_truths = {}
+    freqs = rng.uniform(0.0, 0.3, size=(users, items))
+    for u in rng.permutation(users)[:int(rng.integers(1, users + 1))]:
+        gt = rng.choice(items, size=int(rng.integers(1, items + 1)),
+                        replace=False)
+        freqs[u, gt] = rng.uniform(0.3, 1.0, size=gt.size)
+        ground_truths[int(u)] = [int(i) for i in gt]
+    freqs[rng.random(freqs.shape) < 0.2] = rng.choice([0.0, 1.0])
+    counts = rng.binomial(num_samples, freqs)
+    table = ItemVoteTable(counts=counts, abstains=np.zeros(users),
+                          num_samples=num_samples, k_prime=k_prime,
+                          user_degrees=rng.integers(1, 6, size=users),
+                          provenance={"kind": "synthetic"})
+    return table, ground_truths
 
 
 class TestSimilarity:
@@ -139,15 +166,6 @@ class TestCertifyOverlap:
                             p_hat=0.9, p_isolated=0.2)
         assert r == 2
 
-    def test_unscaled_variant_is_more_conservative(self):
-        # The same inputs under the unscaled candidate sum lose r = 2
-        # (0.54 - 0.55 < 0) but keep r = 1 via the averaged pair bound
-        # (0.9 * 0.8 - (0.31 + 0.2 + 0.24) / 2 = 0.345 > 0).
-        r = certify_overlap([0.8, 0.6], [0.31, 0.2, 0.1], k=2, k_prime=3,
-                            p_hat=0.9, p_isolated=0.2,
-                            scaled_candidate_sum=False)
-        assert r == 1
-
     def test_averaging_over_candidates_helps(self):
         # With one huge and one small upper bound, c = 2 rescues the
         # certificate that c = 1 alone would lose.
@@ -204,10 +222,20 @@ class TestCertifyUserOverlap:
         budget = PerturbationBudget(rho=0, tau=3)
         with pytest.raises(ValueError, match="k <= k_prime"):
             certify_user_overlap(table, 0, {0}, 5, params, budget, 0.01)
+        unrated = replace(table, user_degrees=[0])
         with pytest.raises(ValueError, match="training rating"):
-            certify_user_overlap(table, 0, {0}, 2, params, budget, 0.01, d_u=0)
+            certify_user_overlap(unrated, 0, {0}, 2, params, budget, 0.01)
         with pytest.raises(ValueError, match="non-empty"):
             certify_user_overlap(table, 0, set(), 2, params, budget, 0.01)
+        for item in (6, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                certify_user_overlap(table, 0, {0, item}, 2, params, budget, 0.01)
+        for alpha in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError, match="alpha"):
+                certify_user_overlap(table, 0, {0}, 2, params, budget, alpha)
+        with pytest.raises(ValueError, match="p_e < 1"):
+            certify_user_overlap(table, 0, {0}, 2, SmoothingParams(1.0, 0.2),
+                                 budget, 0.01)
 
     def test_exact_probabilities_never_weaker_than_bounds(self, enum_matrix):
         params = SmoothingParams(p_e=0.35, p_n=0.25)
@@ -259,6 +287,9 @@ class TestCertifiedPrecisionRecall:
             certified_precision_recall(table, {0: []}, 2,
                                        SmoothingParams(0.1, 0.1),
                                        PerturbationBudget(rho=0, tau=2), 0.01)
+        with pytest.raises(ValueError, match="no users"):
+            certified_precision_recall(table, {}, 2, SmoothingParams(0.1, 0.1),
+                                       PerturbationBudget(rho=0, tau=2), 0.01)
 
 
 class TestRecommenderCurve:
@@ -289,3 +320,79 @@ class TestRecommenderCurve:
         write_recommender_report([curve], {"seed": 1}, again)
         assert (tmp_path / "recsys_curve_tau3.csv").read_bytes() == \
             (again / "recsys_curve_tau3.csv").read_bytes()
+
+
+class TestCertifiedOverlapRadii:
+    def test_curves_match_the_reference_loop(self):
+        rng = np.random.default_rng(2024)
+        certifying = 0
+        for _ in range(80):
+            table, ground_truths = random_item_table(rng)
+            k = int(rng.integers(1, table.k_prime + 1))
+            params = SmoothingParams(float(rng.choice([0.0, 0.1, 0.4])),
+                                     float(rng.choice([0.3, 0.6, 0.9])))
+            tau = int(rng.choice([1, 3, 10]))
+            alpha = float(rng.choice([0.001, 0.01, 0.1, 0.5]))
+            curve = recommender_curve(table, ground_truths, k, params, tau, alpha)
+            expected = reference_recommender_curve(table, ground_truths, k,
+                                                   params, tau, alpha)
+            assert curve.points == expected
+            certifying += len(curve.points) > 1
+            rho = int(rng.integers(0, len(expected) + 1))
+            at = certified_precision_recall(table, ground_truths, k, params,
+                                            PerturbationBudget(rho=rho, tau=tau),
+                                            alpha)
+            last = expected[min(rho, len(expected) - 1)]
+            assert at == (last.certified_precision, last.certified_recall)
+            for user, gt in ground_truths.items():
+                budget = PerturbationBudget(rho=rho, tau=tau)
+                single = certify_user_overlap(table, user, gt, k, params, budget,
+                                              alpha)
+                alone = certified_precision_recall(table, {user: gt}, k, params,
+                                                   budget, alpha)
+                assert alone[0] == single / k
+        assert 10 <= certifying <= 70
+
+    def test_radii_shape_and_order(self):
+        freqs = np.array([[0.85, 0.80, 0.02, 0.0, 0.0, 0.0],
+                          [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+        table = table_from_frequencies(freqs, [0.1, 1.0], 20_000, k_prime=3,
+                                       degrees=[5, 2])
+        radii = certified_overlap_radii(table, {1: [3], 0: [0, 1]}, 3,
+                                        SmoothingParams(0.1, 0.55), 3, 0.01)
+        assert radii.shape == (2, 3)
+        assert radii[0].tolist() == [-1, -1, -1]  # user 1 certifies nothing
+        assert radii[1, 0] >= radii[1, 1] >= 0 and radii[1, 2] == -1
+
+    def test_fewer_hits_certified_wherever_more_are(self):
+        # Row r is bounded at level alpha / (|gt| + k - r + 1). With tied
+        # ground-truth counts, r = 2 certifies at rho = 0 while r = 1 alone
+        # does not, so the radius for "at least one hit" is that of two.
+        table = ItemVoteTable(counts=[[18, 18, 2, 2]], abstains=[0],
+                              num_samples=50, k_prime=2, user_degrees=[3],
+                              provenance={"kind": "synthetic"})
+        params = SmoothingParams(0.1, 0.5)
+        radii = certified_overlap_radii(table, {0: [0, 1]}, 2, params, 2, 0.01)
+        assert radii.tolist() == [[0, 0]]
+        assert certify_user_overlap(table, 0, [0, 1], 2, params,
+                                    PerturbationBudget(rho=0, tau=2), 0.01) == 2
+        curve = recommender_curve(table, {0: [0, 1]}, 2, params, 2, 0.01)
+        assert curve.points == reference_recommender_curve(
+            table, {0: [0, 1]}, 2, params, 2, 0.01)
+
+    def test_precision_adds_users_in_order(self):
+        # These overlaps certify at rho = 0. Adding m / 3 over the users
+        # pairwise, as np.sum does, rounds differently than adding in order.
+        overlaps = [1, 3, 2, 0, 1, 3, 2, 0, 3, 2, 3, 0, 0, 3, 0, 2, 0, 1, 1, 1]
+        freqs = np.zeros((20, 6))
+        for u, m in enumerate(overlaps):
+            freqs[u, :m] = 1.0
+        table = table_from_frequencies(freqs, np.zeros(20), 1000, k_prime=3,
+                                       degrees=np.full(20, 3))
+        ground_truths = {u: [0, 1, 2] for u in range(20)}
+        params = SmoothingParams(0.1, 0.5)
+        radii = certified_overlap_radii(table, ground_truths, 3, params, 2, 0.01)
+        assert ((radii >= 0).sum(axis=1) == overlaps).all()
+        curve = recommender_curve(table, ground_truths, 3, params, 2, 0.01)
+        assert curve.points == reference_recommender_curve(
+            table, ground_truths, 3, params, 2, 0.01)
