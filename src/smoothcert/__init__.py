@@ -19,11 +19,11 @@ from .pipeline import (CertCurve, CurvePoint, VoteTable,
                        certified_accuracy_curve, certified_radii,
                        collect_votes_evasion, collect_votes_poisoning,
                        read_curve_csv, write_report)
-from .recsys import (ItemSimilarityModel, ItemVoteTable, RecommenderCurve,
-                     build_similarity, certified_overlap_radii,
-                     certified_precision_recall, certify_overlap,
-                     certify_user_overlap, collect_item_votes, recommend_topk,
-                     recommender_curve, write_recommender_report)
+from .recsys import (ItemVoteTable, RecommenderCurve, build_similarity,
+                     certified_overlap_radii, certified_precision_recall,
+                     certify_overlap, certify_user_overlap, collect_item_votes,
+                     recommend_topk, recommender_curve, top_items,
+                     write_recommender_report)
 from .attack import (AttackPlan, apply_attack, craft_injection,
                      empirical_accuracy)
 

@@ -18,64 +18,61 @@ from .certify import (RHO_CAP, clopper_pearson_lower, clopper_pearson_upper,
                       prob_all_removed_recsys)
 
 
-@dataclass(eq=False)
-class ItemSimilarityModel:
-    """Jaccard item-item similarity backed by co-occurrence counts."""
-
-    items: int
-    item_counts: np.ndarray        # users per item
-    cooccurrence: sp.csr_matrix    # users per item pair (diagonal = item_counts)
-
-    def similarity(self, i: int, j: int) -> float:
-        both = self.cooccurrence[i, j]
-        denom = self.item_counts[i] + self.item_counts[j] - both
-        return float(both / denom) if denom > 0 else 0.0
-
-    def scores(self, history) -> np.ndarray:
-        """Sum of similarities to each history item, over all items."""
-        score = np.zeros(self.items)
-        counts = self.item_counts
-        indptr = self.cooccurrence.indptr
-        indices = self.cooccurrence.indices
-        data = self.cooccurrence.data
-        for j in history:
-            lo, hi = indptr[j], indptr[j + 1]
-            idx = indices[lo:hi]
-            both = data[lo:hi]
-            score[idx] += both / (counts[idx] + counts[j] - both)
-        return score
+_RANK_ROWS = 256  # rows per block: top_items scores, build_similarity's Jaccard
 
 
-def build_similarity(matrix: InteractionMatrix) -> ItemSimilarityModel:
-    """Exact co-occurrence and Jaccard similarity over the interactions."""
-    pairs = matrix.pairs
-    a = sp.csr_matrix((np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])),
-                      shape=(matrix.users, matrix.items))
-    cooc = (a.T @ a).tocsr()
-    return ItemSimilarityModel(items=matrix.items,
-                               item_counts=cooc.diagonal(),
-                               cooccurrence=cooc)
+def _histories(matrix: InteractionMatrix) -> sp.csr_matrix:
+    """Users x items 0/1 matrix; each row holds the user's items ascending."""
+    return sp.csr_matrix((np.ones(matrix.nnz), tuple(matrix.pairs.T)),
+                         shape=(matrix.users, matrix.items))
 
 
-def recommend_topk(model: ItemSimilarityModel, user_history, k_prime: int) -> np.ndarray:
-    """Top ``k_prime`` items by summed similarity to the user's history.
+def build_similarity(matrix: InteractionMatrix) -> sp.csr_matrix:
+    """Item x item Jaccard similarity, written over the co-occurrence counts:
+    ``both / ((count[j] + count[i]) - both)`` at ``(i, j)``."""
+    a = _histories(matrix)
+    similarity = a.T.tocsr() @ a
+    counts = similarity.diagonal()
+    for lo in range(0, counts.size, _RANK_ROWS):
+        bounds = similarity.indptr[lo:lo + _RANK_ROWS + 1]
+        part = slice(bounds[0], bounds[-1])
+        denominator = counts[similarity.indices[part]]
+        denominator += np.repeat(counts[lo:lo + _RANK_ROWS], np.diff(bounds))
+        denominator -= similarity.data[part]
+        similarity.data[part] /= denominator
+    return similarity
 
-    History items and zero-score items are never recommended; ties break
-    toward the lower item id. An empty history yields an empty list (the
-    abstention case).
+
+def top_items(similarity: sp.csr_matrix, histories: sp.csr_matrix,
+              k_prime: int) -> np.ndarray:
+    """Each user's top ``k_prime`` items by summed similarity to the history.
+
+    ``histories`` is a users x items CSR with each row's items ascending, so
+    the product adds a user's similarities in history order. History items
+    and zero-score items are never ranked and ties break toward the lower
+    item id; rows are padded with -1.
     """
     if k_prime < 1:
         raise ValueError("k_prime must be >= 1")
-    history = np.asarray(user_history, dtype=np.int64)
-    if history.size == 0:
-        return np.empty(0, dtype=np.int64)
-    score = model.scores(history)
-    score[history] = 0.0
-    candidates = np.flatnonzero(score > 0.0)
-    if candidates.size == 0:
-        return np.empty(0, dtype=np.int64)
-    order = candidates[np.lexsort((candidates, -score[candidates]))]
-    return order[:k_prime]
+    top = np.full((histories.shape[0], k_prime), -1, dtype=np.int64)
+    for lo in range(0, histories.shape[0], _RANK_ROWS):
+        block = histories[lo:lo + _RANK_ROWS]
+        score = (block @ similarity).toarray()
+        score[block.nonzero()] = 0.0
+        order = np.argsort(-score, axis=1, kind="stable")[:, :k_prime]
+        top[lo:lo + block.shape[0], :order.shape[1]] = np.where(
+            np.take_along_axis(score, order, axis=1) > 0.0, order, -1)
+    return top
+
+
+def recommend_topk(similarity: sp.csr_matrix, user_history,
+                   k_prime: int) -> np.ndarray:
+    """One row of :func:`top_items`, over the sorted distinct history items."""
+    history = np.unique(np.asarray(user_history, dtype=np.int64))
+    row = sp.csr_matrix((np.ones(history.size), (np.zeros_like(history), history)),
+                        shape=(1, similarity.shape[0]))
+    top = top_items(similarity, row, k_prime)[0]
+    return top[top >= 0]
 
 
 @dataclass(eq=False)
@@ -116,8 +113,9 @@ def collect_item_votes(matrix: InteractionMatrix, num_samples: int,
                        threads: int = 1, first_index: int = 0) -> ItemVoteTable:
     """Count how often each item enters each user's smoothed top-K'.
 
-    Every sample rebuilds the similarity model on its own smoothed rating
-    matrix; users left without ratings abstain for that sample.
+    Every sample rebuilds the similarity on its own smoothed rating matrix
+    and ranks all users still holding a rating at once (:func:`top_items`);
+    users left without ratings abstain for that sample.
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
@@ -130,14 +128,12 @@ def collect_item_votes(matrix: InteractionMatrix, num_samples: int,
         for i in range(lo, hi):
             smoothed, _ = sample_smoothed_ratings(
                 matrix, params, derive_sample_seed(master_seed, i))
-            model = build_similarity(smoothed)
-            for u in range(matrix.users):
-                history = smoothed.items_of(u)
-                if history.size == 0:
-                    abstains[u] += 1
-                    continue
-                recs = recommend_topk(model, history, k_prime)
-                counts[u, recs] += 1
+            active = np.flatnonzero(smoothed.user_degrees)
+            abstains += smoothed.user_degrees == 0
+            top = top_items(build_similarity(smoothed),
+                            _histories(smoothed)[active], k_prime)
+            row, rank = np.nonzero(top >= 0)
+            counts[active[row], top[row, rank]] += 1
         return counts, abstains
 
     counts, abstains = accumulate_parallel(num_samples, first_index, threads, worker)
@@ -215,6 +211,8 @@ def certified_overlap_radii(table: ItemVoteTable,
         gt = np.unique(np.asarray(list(gt), dtype=np.int64))
         if gt.size == 0:
             raise ValueError(f"user {user} has empty ground truth")
+        if not 0 <= user < table.users:
+            raise ValueError("user index out of range")
         d_u = int(table.user_degrees[user])
         if d_u < 1:
             raise ValueError("certification requires at least one training rating")
@@ -270,7 +268,7 @@ def _precision_recall(radii: np.ndarray, rho: int, k: int,
     ``cumsum`` adds one user at a time; ``np.sum`` would add pairwise.
     """
     overlaps = (radii >= rho).sum(axis=1)
-    sizes = np.array([len(gt) for gt in ground_truths.values()])
+    sizes = np.array([np.unique(list(gt)).size for gt in ground_truths.values()])
     return (float(np.cumsum(overlaps / k)[-1]) / overlaps.size,
             float(np.cumsum(overlaps / sizes)[-1]) / overlaps.size)
 

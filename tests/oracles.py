@@ -6,7 +6,8 @@ outcome probabilities instead of calling the samplers under test. The
 worst-case solver is the generic linear program behind the closed-form
 margins, ``reference_curve`` is the per-rho, per-node curve loop and
 ``reference_recommender_curve`` the per-rho, per-user, per-r recommender
-curve loop.
+curve loop, and ``reference_item_votes`` the per-sample, per-user
+recommender vote loop.
 """
 import math
 from dataclasses import dataclass
@@ -18,9 +19,9 @@ import scipy.sparse as sp
 from scipy import stats
 
 from smoothcert import (CurvePoint, Graph, InteractionMatrix,
-                        build_similarity, margin_exclude, margin_include,
+                        derive_sample_seed, margin_exclude, margin_include,
                         node_retention_probs, predict, prob_all_removed,
-                        prob_all_removed_recsys, recommend_topk)
+                        prob_all_removed_recsys, sample_smoothed_ratings)
 from smoothcert.recsys import RecommenderCurvePoint
 
 _MASS_TOL = 1e-9
@@ -183,6 +184,48 @@ def enumerate_graph_votes(graph, params, model):
     return probs
 
 
+def reference_cooccurrence(matrix):
+    """Users per item pair from a dense 0/1 rating matrix (exact integers)."""
+    dense = np.zeros((matrix.users, matrix.items))
+    dense[matrix.pairs[:, 0], matrix.pairs[:, 1]] = 1.0
+    return dense.T @ dense
+
+
+def reference_topk(cooccurrence, history, k_prime):
+    """Top ``k_prime`` items for one history, one history item at a time.
+
+    Adds each history item's Jaccard similarities in history order, zeroes
+    the history, keeps positive scores and breaks ties toward the lower id.
+    """
+    counts = np.diag(cooccurrence)
+    score = np.zeros(cooccurrence.shape[0])
+    for j in history:
+        idx = np.flatnonzero(cooccurrence[j])
+        both = cooccurrence[j, idx]
+        score[idx] += both / (counts[idx] + counts[j] - both)
+    score[history] = 0.0
+    candidates = np.flatnonzero(score > 0.0)
+    order = candidates[np.lexsort((candidates, -score[candidates]))]
+    return order[:k_prime]
+
+
+def reference_item_votes(matrix, num_samples, params, k_prime, master_seed):
+    """Per-(user, item) top-K' counts and abstentions, one user at a time."""
+    counts = np.zeros((matrix.users, matrix.items), dtype=np.int64)
+    abstains = np.zeros(matrix.users, dtype=np.int64)
+    for i in range(num_samples):
+        smoothed, _ = sample_smoothed_ratings(
+            matrix, params, derive_sample_seed(master_seed, i))
+        cooccurrence = reference_cooccurrence(smoothed)
+        for u in range(matrix.users):
+            history = smoothed.items_of(u)
+            if history.size == 0:
+                abstains[u] += 1
+                continue
+            counts[u, reference_topk(cooccurrence, history, k_prime)] += 1
+    return counts, abstains
+
+
 def enumerate_item_probs(matrix, params, k_prime):
     """Exact per-(user, item) inclusion probabilities plus abstain probabilities."""
     users, items, nnz = matrix.users, matrix.items, matrix.nnz
@@ -198,14 +241,14 @@ def enumerate_item_probs(matrix, params, k_prime):
             keep = [not coin[i] and not user_mask[pairs[i, 0]] for i in range(nnz)]
             smoothed = InteractionMatrix(
                 users=users, items=items, pairs=pairs[np.array(keep, dtype=bool)])
-            model = build_similarity(smoothed)
+            cooccurrence = reference_cooccurrence(smoothed)
             weight = p_users * p_coin
             for u in range(users):
                 history = smoothed.items_of(u)
                 if history.size == 0:
                     abstain[u] += weight
                     continue
-                for item in recommend_topk(model, history, k_prime):
+                for item in reference_topk(cooccurrence, history, k_prime):
                     probs[u, item] += weight
     return probs, abstain
 
@@ -318,7 +361,7 @@ def reference_recommender_curve(table, ground_truths, k, params, tau, alpha):
             r = _reference_overlap(table, user, list(gt), k, params, tau, rho,
                                    alpha)
             precision += r / k
-            recall += r / len(gt)
+            recall += r / np.unique(list(gt)).size
         count = len(ground_truths)
         points.append(RecommenderCurvePoint(rho, precision / count,
                                             recall / count))

@@ -181,16 +181,15 @@ class TestCertifyPoisonCommand:
 class TestCertifyRecsysCommand:
     def test_smoke_run(self, tmp_path):
         lines = []
-        # 8 users, two taste groups over 10 items, 6 ratings each
+        # 8 users in two taste groups of four, each group over its own six
+        # items. Every user rates all six; the two it rates last are held
+        # out by the 0.7 split and were rated in training by two other
+        # members of its group, so the recommender can recommend them.
         for u in range(8):
-            base = 0 if u < 4 else 5
+            base = 0 if u < 4 else 10
+            late = {u % 4, (u + 1) % 4}
             for j in range(6):
-                item = base + (j % 5)
-                if j == 5:
-                    item = base + 4 if u % 2 else base + 3
-                    lines.append(f"{u}\t{item + 20}\t4\t{100 + j}")
-                else:
-                    lines.append(f"{u}\t{item}\t4\t{j}")
+                lines.append(f"{u}\t{base + j}\t4\t{100 + j if j in late else j}")
         ratings = tmp_path / "u.data"
         ratings.write_text("\n".join(sorted(set(lines))) + "\n")
         out = tmp_path / "rec"
@@ -200,9 +199,11 @@ class TestCertifyRecsysCommand:
                      "--split-fraction", "0.7", "--seed", "2"])
         assert code == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["metadata"]["evaluated_users"] >= 1
+        assert report["metadata"]["evaluated_users"] == 8
         csv = (out / "recsys_curve_tau3.csv").read_text().splitlines()
         assert csv[0] == "rho,certified_precision,certified_recall"
+        rho, precision, _ = csv[1].split(",")
+        assert rho == "0" and float(precision) > 0
 
     def test_byte_identical_reruns(self, tmp_path, monkeypatch):
         # Two taste groups of six users over six items each; every user

@@ -2,14 +2,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from oracles import enumerate_item_probs, reference_recommender_curve
+from oracles import (enumerate_item_probs, reference_cooccurrence,
+                     reference_item_votes, reference_recommender_curve,
+                     reference_topk)
 from smoothcert import (InteractionMatrix, PerturbationBudget, SmoothingParams,
                         build_similarity, certified_overlap_radii,
                         certified_precision_recall, certify_overlap,
                         certify_user_overlap, collect_item_votes,
-                        recommend_topk, recommender_curve,
+                        recommend_topk, recommender_curve, top_items,
                         write_recommender_report)
+from smoothcert import recsys
 from smoothcert.recsys import ItemVoteTable
 
 
@@ -62,57 +66,102 @@ def random_item_table(rng):
     return table, ground_truths
 
 
+def random_rating_matrix(rng):
+    """A seeded rating matrix with duplicated items (tied scores), duplicated
+    users (tied rows) and users without any rating."""
+    users = int(rng.integers(2, 11))
+    items = int(rng.integers(2, 10))
+    rated = rng.random((users, items)) < rng.uniform(0.2, 0.7)
+    for i in range(1, items):
+        if rng.random() < 0.3:
+            rated[:, i] = rated[:, int(rng.integers(0, i))]
+    for u in range(1, users):
+        if rng.random() < 0.3:
+            rated[u] = rated[int(rng.integers(0, u))]
+        elif rng.random() < 0.15:
+            rated[u] = False
+    return InteractionMatrix(users=users, items=items,
+                             pairs=np.argwhere(rated))
+
+
 class TestSimilarity:
     def test_hand_counted_jaccard(self, two_user_matrix):
-        model = build_similarity(two_user_matrix)
-        assert model.similarity(0, 1) == pytest.approx(0.5)
-        assert model.similarity(1, 2) == pytest.approx(0.5)
-        assert model.similarity(0, 2) == 0.0
-        assert model.similarity(1, 1) == 1.0
-        assert model.similarity(3, 3) == 0.0  # never-rated item
+        similarity = build_similarity(two_user_matrix)
+        assert similarity[0, 1] == pytest.approx(0.5)
+        assert similarity[1, 2] == pytest.approx(0.5)
+        assert similarity[0, 2] == 0.0
+        assert similarity[1, 1] == 1.0
+        assert similarity[3, 3] == 0.0  # never-rated item
 
     def test_disjoint_histories_have_zero_similarity(self):
         matrix = InteractionMatrix(users=2, items=4,
                                    pairs=[(0, 0), (0, 1), (1, 2), (1, 3)])
-        model = build_similarity(matrix)
+        similarity = build_similarity(matrix)
         for i in (0, 1):
             for j in (2, 3):
-                assert model.similarity(i, j) == 0.0
+                assert similarity[i, j] == 0.0
 
     def test_identical_histories_are_fully_similar(self):
         matrix = InteractionMatrix(users=3, items=3,
                                    pairs=[(u, i) for u in range(3)
                                           for i in range(2)])
-        model = build_similarity(matrix)
-        assert model.similarity(0, 1) == 1.0
+        similarity = build_similarity(matrix)
+        assert similarity[0, 1] == 1.0
 
 
 class TestRecommendTopK:
     def test_empty_history_recommends_nothing(self, two_user_matrix):
-        model = build_similarity(two_user_matrix)
-        assert recommend_topk(model, [], 3).size == 0
+        similarity = build_similarity(two_user_matrix)
+        assert recommend_topk(similarity, [], 3).size == 0
 
     def test_hand_scored_single_recommendation(self, two_user_matrix):
-        model = build_similarity(two_user_matrix)
-        recs = recommend_topk(model, [0, 1], 1)
+        similarity = build_similarity(two_user_matrix)
+        recs = recommend_topk(similarity, [0, 1], 1)
         assert recs.tolist() == [2]  # score 0.5 via item 1
 
     def test_large_k_returns_all_scorable_items(self, two_user_matrix):
-        model = build_similarity(two_user_matrix)
-        recs = recommend_topk(model, [0], 10)
+        similarity = build_similarity(two_user_matrix)
+        recs = recommend_topk(similarity, [0], 10)
         # items 1 (co-rated) and 2 (via nothing) ... only positive scores
         assert recs.tolist() == [1]
-        recs = recommend_topk(model, [1], 10)
+        recs = recommend_topk(similarity, [1], 10)
         assert recs.tolist() == [0, 2]
 
     def test_ties_break_by_item_id(self, two_user_matrix):
-        model = build_similarity(two_user_matrix)
+        similarity = build_similarity(two_user_matrix)
         # items 0 and 2 both score 0.5 against history {1}
-        assert recommend_topk(model, [1], 1).tolist() == [0]
+        assert recommend_topk(similarity, [1], 1).tolist() == [0]
 
     def test_k_prime_validation(self, two_user_matrix):
         with pytest.raises(ValueError):
             recommend_topk(build_similarity(two_user_matrix), [0], 0)
+
+    def test_history_validation(self, two_user_matrix):
+        similarity = build_similarity(two_user_matrix)
+        for item in (-1, 4):
+            with pytest.raises(ValueError):
+                recommend_topk(similarity, [0, item], 2)
+
+    def test_rows_are_padded_to_k_prime(self, two_user_matrix):
+        similarity = build_similarity(two_user_matrix)
+        histories = sp.csr_matrix(np.array([[1.0, 1.0, 0.0, 0.0],
+                                            [0.0, 0.0, 0.0, 0.0]]))
+        top = top_items(similarity, histories, 6)
+        assert top.tolist() == [[2, -1, -1, -1, -1, -1], [-1] * 6]
+
+    def test_matches_the_reference_per_user(self):
+        rng = np.random.default_rng(77)
+        for _ in range(60):
+            matrix = random_rating_matrix(rng)
+            similarity = build_similarity(matrix)
+            cooccurrence = reference_cooccurrence(matrix)
+            k_prime = int(rng.integers(1, matrix.items + 3))
+            for u in range(matrix.users):
+                history = matrix.items_of(u)
+                expected = reference_topk(cooccurrence, history, k_prime)
+                shuffled = rng.permutation(np.concatenate([history, history[:1]]))
+                assert np.array_equal(
+                    recommend_topk(similarity, shuffled, k_prime), expected)
 
 
 class TestCollectItemVotes:
@@ -141,6 +190,29 @@ class TestCollectItemVotes:
                                       threads=3)
         assert np.array_equal(serial.counts, parallel.counts)
         assert np.array_equal(serial.abstains, parallel.abstains)
+
+    @pytest.mark.parametrize("block_rows", [recsys._RANK_ROWS, 3])
+    def test_bit_equal_to_the_reference_loop(self, monkeypatch, block_rows):
+        # A 3-row block splits the users and the items into several blocks.
+        monkeypatch.setattr(recsys, "_RANK_ROWS", block_rows)
+        rng = np.random.default_rng(5150)
+        voted = 0
+        for case in range(64):
+            matrix = random_rating_matrix(rng)
+            params = SmoothingParams(float(rng.choice([0.0, 0.2, 0.5])),
+                                     0.0 if case % 2 else float(rng.choice([0.2, 0.6])))
+            # Up to two past the item count: beyond every candidate list.
+            k_prime = int(rng.integers(1, matrix.items + 3))
+            num_samples = int(rng.integers(1, 9))
+            counts, abstains = reference_item_votes(matrix, num_samples, params,
+                                                    k_prime, master_seed=case)
+            for threads in (1, 3):
+                table = collect_item_votes(matrix, num_samples, params, k_prime,
+                                           master_seed=case, threads=threads)
+                assert table.counts.tobytes() == counts.tobytes()
+                assert table.abstains.tobytes() == abstains.tobytes()
+            voted += bool(counts.any())
+        assert voted >= 40
 
     def test_frequencies_match_enumeration(self, enum_matrix):
         params = SmoothingParams(p_e=0.35, p_n=0.25)
@@ -273,6 +345,15 @@ class TestCertifiedPrecisionRecall:
         assert precision == 1.0
         assert recall == 1.0
 
+    def test_repeated_ground_truth_items_count_once(self):
+        freqs = np.array([[1.0, 1.0, 0.0, 0.0, 0.0]])
+        table = table_from_frequencies(freqs, [0.0], 50_000, k_prime=3,
+                                       degrees=[3])
+        args = (2, SmoothingParams(0.1, 0.1), PerturbationBudget(rho=0, tau=2),
+                0.01)
+        assert certified_precision_recall(table, {0: [0, 1, 1]}, *args) == \
+            certified_precision_recall(table, {0: [0, 1]}, *args) == (1.0, 1.0)
+
     def test_empty_votes_give_zero(self):
         table = table_from_frequencies(np.zeros((2, 5)), [1.0, 1.0], 1000, 3,
                                        [3, 3])
@@ -363,6 +444,14 @@ class TestCertifiedOverlapRadii:
         assert radii.shape == (2, 3)
         assert radii[0].tolist() == [-1, -1, -1]  # user 1 certifies nothing
         assert radii[1, 0] >= radii[1, 1] >= 0 and radii[1, 2] == -1
+
+    def test_rejects_user_out_of_range(self):
+        table = table_from_frequencies(np.full((2, 4), 0.5), [0.0, 0.0], 100,
+                                       k_prime=2, degrees=[3, 3])
+        for user in (-1, 2):
+            with pytest.raises(ValueError, match="user index out of range"):
+                certified_overlap_radii(table, {0: [0], user: [1]}, 1,
+                                        SmoothingParams(0.1, 0.5), 2, 0.01)
 
     def test_fewer_hits_certified_wherever_more_are(self):
         # Row r is bounded at level alpha / (|gt| + k - r + 1). With tied
