@@ -7,23 +7,21 @@ from .graph import (DataSplit, Graph, InteractionMatrix, ParseError,
                     save_node_classification_dataset, seeded_split)
 from .sampling import (SmoothedSample, SmoothingParams, derive_sample_seed,
                        sample_smoothed_graph, sample_smoothed_ratings)
-from .certify import (CertConfig, CertDecision, Outcome, VoteStats,
-                      abstain_test, certify_node, clopper_pearson_lower,
+from .certify import (CertConfig, abstain_test, clopper_pearson_lower,
                       clopper_pearson_upper, majority_pvalue, margin_exclude,
                       margin_include, node_retention_probs, prob_all_removed,
-                      prob_all_removed_recsys, vote_bounds)
-from .models import (ClassifierSpec, TrainedModel, load_model, predict,
-                     save_model, train_predict_end_to_end, train_with_noise)
+                      prob_all_removed_recsys)
+from .models import (ClassifierSpec, TrainedModel, predict,
+                     train_predict_end_to_end, train_with_noise)
 from .pipeline import (CertCurve, CurvePoint, VoteTable,
                        average_certified_radius, certified_accuracy_at,
                        certified_accuracy_curve, certified_radii,
                        collect_votes_evasion, collect_votes_poisoning,
                        read_curve_csv, write_report)
 from .recsys import (ItemVoteTable, RecommenderCurve, build_similarity,
-                     certified_overlap_radii, certified_precision_recall,
-                     certify_overlap, certify_user_overlap, collect_item_votes,
-                     recommend_topk, recommender_curve, top_items,
-                     write_recommender_report)
+                     certified_overlap_radii, certify_user_overlap,
+                     collect_item_votes, recommend_topk, recommender_curve,
+                     top_items, write_recommender_report)
 from .attack import (AttackPlan, apply_attack, craft_injection,
                      empirical_accuracy)
 

@@ -6,58 +6,13 @@ Every function here is pure and safe for unrestricted concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Optional
 
 import numpy as np
 from scipy import stats
 
-from .graph import PerturbationBudget
 from .sampling import SmoothingParams
 
 RHO_CAP = 10**6  # radius scans over the injected-node budget stop here
-
-
-class Outcome(Enum):
-    CERTIFIED = "certified"
-    ABSTAIN = "abstain"
-    NOT_CERTIFIED = "not_certified"
-
-
-@dataclass(frozen=True)
-class VoteStats:
-    """Top-two vote counts for one node out of ``num_samples`` draws."""
-
-    top_votes: int
-    runner_votes: int
-    top_class: int
-    runner_class: int
-    num_samples: int
-    abstain_count: int = 0
-
-    def __post_init__(self):
-        if self.num_samples <= 0:
-            raise ValueError("num_samples must be positive")
-        if self.top_votes < self.runner_votes:
-            raise ValueError("top_votes must be >= runner_votes")
-        if min(self.top_votes, self.runner_votes, self.abstain_count) < 0:
-            raise ValueError("counts must be non-negative")
-        if self.top_votes + self.runner_votes + self.abstain_count > self.num_samples:
-            raise ValueError("counts exceed num_samples")
-
-    @classmethod
-    def from_counts(cls, counts, num_samples: int, abstain_count: int = 0) -> "VoteStats":
-        """Build stats from a per-class count vector (ties go to the lower id)."""
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.ndim != 1 or counts.size < 2:
-            raise ValueError("counts must be a vector over >= 2 classes")
-        top = int(np.argmax(counts))
-        masked = counts.copy()
-        masked[top] = -1
-        runner = int(np.argmax(masked))
-        return cls(top_votes=int(counts[top]), runner_votes=int(counts[runner]),
-                   top_class=top, runner_class=runner,
-                   num_samples=int(num_samples), abstain_count=int(abstain_count))
 
 
 @dataclass(frozen=True)
@@ -75,15 +30,6 @@ class CertConfig:
             raise ValueError("num_classes must be >= 2")
         if self.mode not in ("include", "exclude"):
             raise ValueError("mode must be 'include' or 'exclude'")
-
-
-@dataclass(frozen=True)
-class CertDecision:
-    outcome: Outcome
-    certified_class: Optional[int]
-    margin: Optional[float]
-    p_top_lower: Optional[float]
-    p_runner_upper: Optional[float]
 
 
 def _validate_counts(tau: int, rho: int) -> None:
@@ -209,17 +155,6 @@ def clopper_pearson_upper(successes, trials: int, level):
     return float(out) if out.ndim == 0 else out
 
 
-def vote_bounds(votes: VoteStats, config: CertConfig) -> tuple[float, float]:
-    """Confidence bounds on the top and runner-up vote probabilities.
-
-    One-sided Clopper-Pearson limits, each at level ``alpha / num_classes``.
-    """
-    level = config.alpha / config.num_classes
-    lower = clopper_pearson_lower(votes.top_votes, votes.num_samples, level)
-    upper = clopper_pearson_upper(votes.runner_votes, votes.num_samples, level)
-    return lower, upper
-
-
 def majority_pvalue(top_votes: int, runner_votes: int) -> float:
     """Exact two-sided binomial p-value of the top count at p = 1/2.
 
@@ -235,37 +170,3 @@ def majority_pvalue(top_votes: int, runner_votes: int) -> float:
 def abstain_test(top_votes: int, runner_votes: int, alpha: float) -> bool:
     """True when the top class is not statistically separable from the runner-up."""
     return majority_pvalue(top_votes, runner_votes) > alpha
-
-
-def _margin_for(votes_lower: float, votes_upper: float, params: SmoothingParams,
-                tau: int, rho: int, mode: str, degree: Optional[int]) -> float:
-    p_removed = prob_all_removed(params, tau, rho)
-    if mode == "include":
-        return margin_include(votes_lower, votes_upper, p_removed)
-    if degree is None:
-        raise ValueError("exclusion mode requires the node's original degree")
-    p_iso, p_iso_attacked = node_retention_probs(params, degree)
-    return margin_exclude(votes_lower, votes_upper, p_removed, p_iso, p_iso_attacked)
-
-
-def certify_node(votes: VoteStats, params: SmoothingParams,
-                 budget: PerturbationBudget, config: CertConfig,
-                 degree: Optional[int] = None) -> CertDecision:
-    """Certify one node's smoothed prediction against the given budget.
-
-    Runs the abstention test at level ``alpha``; if the top class is
-    separable, bounds the vote probabilities and evaluates the worst-case
-    margin for the configured mode. The prediction is certified exactly when
-    the margin is positive.
-    """
-    params.require_certifiable()
-    if config.mode == "exclude" and (degree is None or degree < 1):
-        raise ValueError("exclusion mode requires degree >= 1")
-    if abstain_test(votes.top_votes, votes.runner_votes, config.alpha):
-        return CertDecision(Outcome.ABSTAIN, None, None, None, None)
-    lower, upper = vote_bounds(votes, config)
-    margin = _margin_for(lower, upper, params, budget.tau, budget.rho,
-                         config.mode, degree)
-    if margin > 0.0:
-        return CertDecision(Outcome.CERTIFIED, votes.top_class, margin, lower, upper)
-    return CertDecision(Outcome.NOT_CERTIFIED, None, margin, lower, upper)

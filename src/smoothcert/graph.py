@@ -30,6 +30,31 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _canonical_pairs(rows: np.ndarray, cols: np.ndarray, width: int):
+    """Sort (row, col) pairs, ``0 <= col < width``, and find a repeated one.
+
+    ``row * width + col`` orders the pairs by row, then column. Strictly
+    increasing keys are already canonical and duplicate-free, as in any
+    subset of a canonical list, so only other inputs are sorted. Returns the
+    sorted ``(m, 2)`` pairs and the first repeated pair, or None.
+    """
+    keys = rows * width + cols
+    if (keys[1:] > keys[:-1]).all():
+        return np.stack([rows, cols], axis=1), None
+    keys = np.sort(keys)
+    dup = keys[1:][keys[1:] == keys[:-1]]
+    return (np.stack(np.divmod(keys, width), axis=1),
+            divmod(int(dup[0]), width) if dup.size else None)
+
+
+def _digest(*parts) -> str:
+    """Stable hex digest of the parts (bytes or arrays), in order."""
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else part.tobytes())
+    return h.hexdigest()[:16]
+
+
 class Graph:
     """Undirected simple graph with dense node features and optional labels.
 
@@ -64,20 +89,10 @@ class Graph:
                 raise ValueError("edge endpoint out of range")
             if (edges[:, 0] == edges[:, 1]).any():
                 raise ValueError("self-loops are not allowed")
-            lo = np.minimum(edges[:, 0], edges[:, 1])
-            hi = np.maximum(edges[:, 0], edges[:, 1])
-            # lo * n + hi orders edges as (lo, hi) pairs. Strictly increasing
-            # keys are already canonical and duplicate-free, as in any subset
-            # of a canonical edge list, so only other inputs are sorted.
-            keys = lo * n + hi
-            if not (keys[1:] > keys[:-1]).all():
-                keys = np.sort(keys)
-                dup = keys[1:] == keys[:-1]
-                if dup.any():
-                    u, v = divmod(int(keys[1:][dup][0]), n)
-                    raise ValueError(f"duplicate edge ({u}, {v})")
-                lo, hi = np.divmod(keys, n)
-            edges = np.stack([lo, hi], axis=1)
+            edges, dup = _canonical_pairs(np.minimum(edges[:, 0], edges[:, 1]),
+                                          np.maximum(edges[:, 0], edges[:, 1]), n)
+            if dup is not None:
+                raise ValueError(f"duplicate edge {dup}")
         self.edges = _frozen(np.ascontiguousarray(edges))
 
         features = np.ascontiguousarray(features, dtype=np.float64)
@@ -146,12 +161,8 @@ class Graph:
 
     def fingerprint(self) -> str:
         """Stable hex digest of the graph contents."""
-        h = hashlib.sha256()
-        h.update(str(self.n).encode())
-        h.update(self.edges.tobytes())
-        h.update(self.features.tobytes())
-        h.update(self.labels.tobytes())
-        return h.hexdigest()[:16]
+        return _digest(str(self.n).encode(), self.edges, self.features,
+                       self.labels)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -185,6 +196,11 @@ class DataSplit:
         merged = np.concatenate([self.train, self.validation, self.test])
         if len(np.unique(merged)) != total:
             raise ValueError("split sets must be pairwise disjoint")
+
+    def fingerprint(self) -> str:
+        """Stable hex digest of the three node-id sets."""
+        return _digest(np.array([len(self.train), len(self.validation)]),
+                       self.train, self.validation, self.test)
 
 
 @dataclass(frozen=True)
@@ -222,9 +238,8 @@ class InteractionMatrix:
                 raise ValueError("user index out of range")
             if pairs[:, 1].min() < 0 or pairs[:, 1].max() >= self.items:
                 raise ValueError("item index out of range")
-            order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-            pairs = pairs[order]
-            if np.any(np.all(pairs[1:] == pairs[:-1], axis=1)):
+            pairs, dup = _canonical_pairs(pairs[:, 0], pairs[:, 1], self.items)
+            if dup is not None:
                 raise ValueError("duplicate (user, item) pair")
         object.__setattr__(self, "pairs", _frozen(np.ascontiguousarray(pairs)))
         indptr = np.concatenate(
@@ -238,6 +253,10 @@ class InteractionMatrix:
     @property
     def user_degrees(self) -> np.ndarray:
         return np.diff(self._indptr)
+
+    def fingerprint(self) -> str:
+        """Stable hex digest of the shape and the rating pairs."""
+        return _digest(np.array([self.users, self.items]), self.pairs)
 
     def items_of(self, user: int) -> np.ndarray:
         if not 0 <= user < self.users:

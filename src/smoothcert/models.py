@@ -14,7 +14,6 @@ is covered by an exact test.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -268,60 +267,3 @@ def train_predict_end_to_end(spec: ClassifierSpec, sample: SmoothedSample,
     preds = np.argmax(logits, axis=1)
     abstain = isolated.copy() if mode == "exclude" else np.zeros(graph.n, dtype=bool)
     return preds, abstain
-
-
-def save_model(model: TrainedModel, path) -> None:
-    """Dump a trained model to the flat binary container format.
-
-    Layout: magic ``SCM1``, a length-prefixed UTF-8 JSON header (spec fields,
-    class/feature counts, fingerprint), then for each of w1, b1, w2, b2 a
-    uint32 ndim, uint64 dims, and row-major float64 data.
-    """
-    import json
-
-    header = json.dumps({
-        "kind": model.spec.kind,
-        "hidden_dim": model.spec.hidden_dim,
-        "epochs": model.spec.epochs,
-        "learning_rate": model.spec.learning_rate,
-        "weight_decay": model.spec.weight_decay,
-        "seed": model.spec.seed,
-        "num_classes": model.num_classes,
-        "num_features": model.num_features,
-        "graph_fingerprint": model.graph_fingerprint,
-    }, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(b"SCM1")
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for key in ("w1", "b1", "w2", "b2"):
-            arr = np.ascontiguousarray(model.weights[key], dtype=np.float64)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(arr.tobytes())
-
-
-def load_model(path) -> TrainedModel:
-    """Load a model written by :func:`save_model`."""
-    import json
-
-    with open(path, "rb") as fh:
-        if fh.read(4) != b"SCM1":
-            raise ValueError("not a model container")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        weights = {}
-        for key in ("w1", "b1", "w2", "b2"):
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
-            count = int(np.prod(shape)) if shape else 1
-            weights[key] = np.frombuffer(
-                fh.read(8 * count), dtype=np.float64).reshape(shape).copy()
-    spec = ClassifierSpec(kind=header["kind"], hidden_dim=header["hidden_dim"],
-                          epochs=header["epochs"],
-                          learning_rate=header["learning_rate"],
-                          weight_decay=header["weight_decay"], seed=header["seed"])
-    return TrainedModel(spec=spec, weights=weights,
-                        num_classes=header["num_classes"],
-                        num_features=header["num_features"],
-                        graph_fingerprint=header["graph_fingerprint"])

@@ -6,14 +6,15 @@ not depend on how sample indices are chunked across worker threads.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .certify import (RHO_CAP, CertConfig, VoteStats, abstain_test,
+from .certify import (RHO_CAP, CertConfig, abstain_test,
                       clopper_pearson_lower, clopper_pearson_upper, margin_exclude,
                       margin_include, node_retention_probs, prob_all_removed)
 from .graph import Graph, DataSplit, PerturbationBudget
@@ -58,10 +59,6 @@ class VoteTable:
     def majority_classes(self) -> np.ndarray:
         return np.argmax(self.counts, axis=1)
 
-    def stats_for(self, node: int) -> VoteStats:
-        return VoteStats.from_counts(self.counts[node], self.num_samples,
-                                     int(self.abstains[node]))
-
     def merged(self, other: "VoteTable") -> "VoteTable":
         """Combine adjacent sample ranges of the same run into one table.
 
@@ -99,13 +96,19 @@ class VoteTable:
 
 def accumulate_parallel(num_samples: int, first_index: int, threads: int,
                         worker: Callable[[int, int], tuple[np.ndarray, np.ndarray]]):
-    """Run ``worker(lo, hi)`` over a chunked index range and sum the results."""
-    if threads <= 1:
+    """Run ``worker(lo, hi)`` over a chunked index range and sum the results.
+
+    At most one worker runs per usable CPU, whatever ``threads`` asks for.
+    """
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(threads, cpus)
+    if workers <= 1:
         return worker(first_index, first_index + num_samples)
-    chunk_count = min(num_samples, threads * 4)
+    chunk_count = min(num_samples, workers * 4)
     bounds = np.linspace(first_index, first_index + num_samples,
                          chunk_count + 1).astype(np.int64)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = pool.map(worker, bounds[:-1], bounds[1:])
         counts, abstains = next(parts)
         # Summed as they arrive, so the finished chunks are not all held.
@@ -163,8 +166,8 @@ def collect_votes_evasion(model: TrainedModel, graph: Graph, num_samples: int,
     provenance = {
         "kind": "evasion", "p_e": params.p_e, "p_n": params.p_n,
         "master_seed": int(master_seed), "first_index": int(first_index),
-        "num_samples": int(num_samples), "model_graph": model.graph_fingerprint,
-        "model_kind": model.spec.kind, "model_seed": model.spec.seed,
+        "num_samples": int(num_samples), "graph": graph.fingerprint(),
+        "model_graph": model.graph_fingerprint, "model_spec": asdict(model.spec),
     }
     return VoteTable(counts=counts, abstains=abstains,
                      num_samples=num_samples, provenance=provenance)
@@ -203,8 +206,8 @@ def collect_votes_poisoning(spec: ClassifierSpec, graph: Graph, split: DataSplit
     provenance = {
         "kind": "poisoning", "p_e": params.p_e, "p_n": params.p_n, "mode": mode,
         "master_seed": int(master_seed), "first_index": int(first_index),
-        "num_samples": int(num_samples), "model_kind": spec.kind,
-        "model_seed": spec.seed,
+        "num_samples": int(num_samples), "graph": graph.fingerprint(),
+        "split": split.fingerprint(), "model_spec": asdict(spec),
     }
     return VoteTable(counts=counts, abstains=abstains,
                      num_samples=num_samples, provenance=provenance)
@@ -260,9 +263,10 @@ def certified_radii(table: VoteTable, params: SmoothingParams, tau: int,
     and the radius, the largest rho at which the majority is certified. A
     margin positive at some rho is positive at every smaller rho, so a node
     is certified at exactly the budgets ``0..radius``; the scan stops at the
-    first margin <= 0 and at rho = 10**6. The radius is -1 for abstaining nodes, for nodes not
-    certified even at rho = 0 and, in exclude mode, for nodes isolated in the
-    original graph (``degrees`` holds the original degree of every node).
+    first margin <= 0 and at ``RHO_CAP``. The radius is -1 for abstaining
+    nodes, for nodes not certified even at rho = 0 and, in exclude mode, for
+    nodes isolated in the original graph (``degrees`` holds the original
+    degree of every node).
     """
     params.require_certifiable()
     nodes = np.asarray(nodes, dtype=np.int64)

@@ -138,7 +138,8 @@ def collect_item_votes(matrix: InteractionMatrix, num_samples: int,
 
     counts, abstains = accumulate_parallel(num_samples, first_index, threads, worker)
     provenance = {
-        "kind": "recommender", "p_e": params.p_e, "p_n": params.p_n,
+        "kind": "recommender", "matrix": matrix.fingerprint(),
+        "p_e": params.p_e, "p_n": params.p_n,
         "k_prime": int(k_prime), "master_seed": int(master_seed),
         "first_index": int(first_index), "num_samples": int(num_samples),
     }
@@ -164,26 +165,6 @@ def _certifies_overlap(p_r: np.ndarray, sums: np.ndarray, take: np.ndarray,
                       np.inf)
     best = np.where(take == 0, slack, bounds.min(axis=1))
     return p_hat * p_r - best > 0.0
-
-
-def certify_overlap(gt_lowers, other_uppers, k: int, k_prime: int, p_hat: float,
-                    p_isolated: float) -> int:
-    """Largest certified overlap given fixed per-item probability bounds.
-
-    Used directly when exact inclusion probabilities are available (for
-    example from exhaustive enumeration); the Monte-Carlo entry point is
-    :func:`certify_user_overlap`.
-    """
-    gt_lowers = np.sort(np.asarray(gt_lowers, dtype=np.float64))[::-1]
-    other_uppers = np.sort(np.asarray(other_uppers, dtype=np.float64))
-    r = np.arange(1, min(k, gt_lowers.size) + 1)
-    take = np.minimum(k - r + 1, other_uppers.size)
-    sums = np.zeros((r.size, k))
-    for row, t in enumerate(take):
-        sums[row, :t] = np.cumsum(other_uppers[other_uppers.size - t:])
-    holds = _certifies_overlap(gt_lowers[r - 1], sums, take, k_prime, p_hat,
-                               np.full(r.size, p_isolated))
-    return int(r[holds].max(initial=0))
 
 
 def certified_overlap_radii(table: ItemVoteTable,
@@ -271,21 +252,6 @@ def _precision_recall(radii: np.ndarray, rho: int, k: int,
     sizes = np.array([np.unique(list(gt)).size for gt in ground_truths.values()])
     return (float(np.cumsum(overlaps / k)[-1]) / overlaps.size,
             float(np.cumsum(overlaps / sizes)[-1]) / overlaps.size)
-
-
-def certified_precision_recall(table: ItemVoteTable,
-                               ground_truths: Mapping[int, Sequence[int]],
-                               k: int, params: SmoothingParams,
-                               budget: PerturbationBudget,
-                               alpha: float) -> tuple[float, float]:
-    """Mean certified precision and recall over the given users.
-
-    Per user the certified overlap ``r`` contributes ``r / k`` to precision
-    and ``r / |ground_truth|`` to recall: one point of :func:`recommender_curve`.
-    """
-    radii = certified_overlap_radii(table, ground_truths, k, params, budget.tau,
-                                    alpha)
-    return _precision_recall(radii, budget.rho, k, ground_truths)
 
 
 @dataclass(frozen=True)

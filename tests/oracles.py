@@ -4,7 +4,9 @@ The exhaustive-enumeration oracles replace the Monte-Carlo samplers with
 exact sums over every smoothing outcome; they intentionally re-derive the
 outcome probabilities instead of calling the samplers under test. The
 worst-case solver is the generic linear program behind the closed-form
-margins, ``reference_curve`` is the per-rho, per-node curve loop and
+margins, ``reference_certify_node`` is one node's certificate at one budget,
+``reference_overlap_from_bounds`` one user's overlap certificate from fixed
+probability bounds, ``reference_curve`` is the per-rho, per-node curve loop and
 ``reference_recommender_curve`` the per-rho, per-user, per-r recommender
 curve loop, and ``reference_item_votes`` the per-sample, per-user
 recommender vote loop.
@@ -253,6 +255,42 @@ def enumerate_item_probs(matrix, params, k_prime):
     return probs, abstain
 
 
+def _beta_bounds(top, runner, num_samples, level):
+    """Scalar Clopper-Pearson lower bound on ``top`` and upper on ``runner``."""
+    lower = (float(stats.beta.ppf(level, top, num_samples - top + 1))
+             if top else 0.0)
+    upper = (float(stats.beta.ppf(1.0 - level, runner + 1, num_samples - runner))
+             if runner < num_samples else 1.0)
+    return lower, upper
+
+
+def _abstains(top, runner, alpha):
+    return (stats.binomtest(top, top + runner, 0.5).pvalue if top else 1.0) > alpha
+
+
+def reference_certify_node(top, runner, num_samples, params, budget, config,
+                           degree=None):
+    """One node's certificate at one budget: its margin, or None if it abstains.
+
+    Abstains with ``scipy.stats.binomtest``, bounds the top and runner-up
+    counts with scalar beta quantiles at level alpha / C and evaluates the
+    mode's closed-form margin. The node is certified when the margin is
+    positive.
+    """
+    params.require_certifiable()
+    if config.mode == "exclude" and (degree is None or degree < 1):
+        raise ValueError("exclusion mode requires degree >= 1")
+    if _abstains(top, runner, config.alpha):
+        return None
+    lower, upper = _beta_bounds(top, runner, num_samples,
+                                config.alpha / config.num_classes)
+    p_removed = prob_all_removed(params, budget.tau, budget.rho)
+    if config.mode == "include":
+        return margin_include(lower, upper, p_removed)
+    return margin_exclude(lower, upper, p_removed,
+                          *node_retention_probs(params, degree))
+
+
 def reference_curve(table, labels, params, tau, config, degrees=None):
     """Certified-accuracy curve over all labeled nodes, one rho at a time.
 
@@ -270,12 +308,11 @@ def reference_curve(table, labels, params, tau, config, degrees=None):
     for v in nodes:
         order = np.argsort(-table.counts[v], kind="stable")
         top, runner = (int(c) for c in table.counts[v][order[:2]])
-        pvalue = stats.binomtest(top, top + runner, 0.5).pvalue if top else 1.0
-        abstained.append(pvalue > config.alpha)
+        abstained.append(_abstains(top, runner, config.alpha))
         correct.append(order[0] == labels[v])
-        lowers.append(float(stats.beta.ppf(level, top, n - top + 1)) if top else 0.0)
-        uppers.append(float(stats.beta.ppf(1.0 - level, runner + 1, n - runner))
-                      if runner < n else 1.0)
+        lower, upper = _beta_bounds(top, runner, n, level)
+        lowers.append(lower)
+        uppers.append(upper)
     active = ~np.array(abstained)
     if config.mode == "exclude":
         active &= np.asarray(degrees)[nodes] > 0
@@ -316,6 +353,37 @@ def _beta_upper(counts, n, level):
     return out
 
 
+def _overlap_holds(p_r, other_uppers, r, k, k_prime, p_hat, p_isolated):
+    """The worst-case condition for at least r hits, from fixed bounds.
+
+    ``p_r`` is the r-th largest ground-truth lower bound. The adversary's
+    cheapest average over the bottom-c of the top-(k - r + 1) other upper
+    bounds, inflated by the mass moved while the user votes and an injected
+    rating survives, must stay below it.
+    """
+    slack = k_prime * (1.0 - p_hat) * (1.0 - p_isolated)
+    take = min(k - r + 1, len(other_uppers))
+    if take == 0:
+        return p_hat * p_r - slack > 0.0
+    ascending = np.sort(other_uppers)[::-1][:take][::-1]
+    sums = np.cumsum(ascending)
+    cs = np.arange(1, take + 1, dtype=np.float64)
+    return p_hat * p_r - float(((p_hat * sums + slack) / cs).min()) > 0.0
+
+
+def reference_overlap_from_bounds(gt_lowers, other_uppers, k, k_prime, p_hat,
+                                  p_isolated):
+    """Largest certified overlap given fixed per-item probability bounds,
+    such as exact inclusion probabilities, trying r from the top down."""
+    gt_lowers = np.sort(np.asarray(gt_lowers, dtype=np.float64))
+    other_uppers = np.asarray(other_uppers, dtype=np.float64)
+    for r in range(min(k, gt_lowers.size), 0, -1):
+        if _overlap_holds(gt_lowers[-r], other_uppers, r, k, k_prime, p_hat,
+                          p_isolated):
+            return r
+    return 0
+
+
 def _reference_overlap(table, user, gt, k, params, tau, rho, alpha):
     """Largest certified overlap of one user, trying r from the top down.
 
@@ -328,21 +396,12 @@ def _reference_overlap(table, user, gt, k, params, tau, rho, alpha):
     p_isolated = params.p_n + (1.0 - params.p_n) * params.p_e**d_u
     counts = table.counts[user]
     others = np.setdiff1d(np.arange(table.items), gt)
-    slack = table.k_prime * (1.0 - p_hat) * (1.0 - p_isolated)
     for r in range(min(k, gt.size), 0, -1):
         level = alpha / (gt.size + (k - r + 1))
         p_r = np.sort(_beta_lower(counts[gt], table.num_samples, level))[-r]
         other_uppers = _beta_upper(counts[others], table.num_samples, level)
-        take = min(k - r + 1, other_uppers.size)
-        if take == 0:
-            if p_hat * p_r - slack > 0.0:
-                return r
-            continue
-        ascending = np.sort(other_uppers)[::-1][:take][::-1]
-        sums = np.cumsum(ascending)
-        cs = np.arange(1, take + 1, dtype=np.float64)
-        bounds = (p_hat * sums + slack) / cs
-        if p_hat * p_r - float(bounds.min()) > 0.0:
+        if _overlap_holds(p_r, other_uppers, r, k, table.k_prime, p_hat,
+                          p_isolated):
             return r
     return 0
 

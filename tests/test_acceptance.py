@@ -11,12 +11,13 @@ import pytest
 
 from oracles import (enumerate_graph_votes, enumerate_item_probs,
                      exclude_mode_regions, include_mode_regions,
+                     reference_certify_node, reference_overlap_from_bounds,
                      reference_recommender_curve, worst_case_probabilities)
-from smoothcert import (CertConfig, ClassifierSpec, InteractionMatrix, Outcome,
-                        PerturbationBudget, SmoothingParams, VoteStats,
-                        apply_attack, average_certified_radius, certify_node,
-                        certified_accuracy_at, certified_accuracy_curve,
-                        certify_overlap, certify_user_overlap,
+from smoothcert import (CertConfig, ClassifierSpec, InteractionMatrix,
+                        PerturbationBudget, SmoothingParams, apply_attack,
+                        average_certified_radius, certified_accuracy_at,
+                        certified_accuracy_curve, certified_radii,
+                        certify_user_overlap,
                         clopper_pearson_lower, clopper_pearson_upper,
                         collect_item_votes, collect_votes_evasion,
                         craft_injection, empirical_accuracy,
@@ -132,12 +133,18 @@ def test_half_mass_is_necessary_for_inclusion_certificates():
             runner = int(rng.integers(0, num - top + 1))
             if top < runner:
                 top, runner = runner, top
-            votes = VoteStats(top, runner, 0, 1, num_samples=num)
             config = CertConfig(alpha=float(rng.uniform(0.001, 0.2)),
                                 num_classes=int(rng.integers(2, 10)))
-            decision = certify_node(votes, params,
-                                    PerturbationBudget(rho=rho, tau=tau), config)
-            if decision.outcome is Outcome.CERTIFIED:
+            counts = np.zeros((1, config.num_classes), dtype=np.int64)
+            counts[0, :2] = top, runner
+            table = VoteTable(counts=counts, abstains=[num - top - runner],
+                              num_samples=num, provenance={})
+            radius = certified_radii(table, params, tau, config, [0])[2][0]
+            margin = reference_certify_node(top, runner, num, params,
+                                            PerturbationBudget(rho=rho, tau=tau),
+                                            config)
+            assert (margin is not None and margin > 0) == (radius >= rho)
+            if radius >= rho:
                 certified_seen += 1
                 assert prob_all_removed(params, tau, rho) > 0.5
         assert certified_seen > 0  # the fuzz actually exercises both outcomes
@@ -185,23 +192,26 @@ def test_exhaustive_enumeration_equivalence(two_clique_graph, identity_model):
         config = CertConfig(alpha=0.01, num_classes=2)
         tau = 2
         rho_grid = range(0, 8)
-        for v in range(two_clique_graph.n):
-            stats = table.stats_for(v)
-            exact_top = exact[v, stats.top_class]
-            exact_runner = exact[v, stats.runner_class]
+        nodes = np.arange(two_clique_graph.n)
+        abstained, _, radius = certified_radii(table, params, tau, config, nodes)
+        for v in nodes:
+            top_class, runner_class = np.argsort(-table.counts[v], kind="stable")[:2]
+            top, runner = table.counts[v, [top_class, runner_class]]
+            exact_top = exact[v, top_class]
+            exact_runner = exact[v, runner_class]
             for rho in rho_grid:
                 p_removed = prob_all_removed(params, tau, rho)
                 exact_margin = margin_include(exact_top, exact_runner, p_removed)
-                decision = certify_node(stats, params,
-                                        PerturbationBudget(rho=rho, tau=tau),
-                                        config)
-                if decision.outcome is Outcome.CERTIFIED:
+                margin = reference_certify_node(
+                    int(top), int(runner), draws, params,
+                    PerturbationBudget(rho=rho, tau=tau), config)
+                assert (margin is None) == abstained[v]
+                assert (margin is not None and margin > 0) == (radius[v] >= rho)
+                if radius[v] >= rho:
                     # sampled certificates are never unsound
                     assert exact_margin > 0
                 if abs(exact_margin) > 0.05:
-                    expected = (Outcome.CERTIFIED if exact_margin > 0
-                                else Outcome.NOT_CERTIFIED)
-                    assert decision.outcome is expected
+                    assert (radius[v] >= rho) == (exact_margin > 0)
 
         # Rating fixture: 2 users + 6 interactions = 8 random bits.
         matrix = InteractionMatrix(users=2, items=4,
@@ -227,9 +237,9 @@ def test_exhaustive_enumeration_equivalence(two_clique_graph, identity_model):
             budget = PerturbationBudget(rho=rho, tau=2)
             p_hat = prob_all_removed_recsys(r_params, budget.tau, budget.rho)
             p_iso = r_params.p_n + (1 - r_params.p_n) * r_params.p_e ** d_u
-            r_exact = certify_overlap(exact_items[0, ground_truth],
-                                      exact_items[0, others], k, k_prime,
-                                      p_hat, p_iso)
+            r_exact = reference_overlap_from_bounds(
+                exact_items[0, ground_truth], exact_items[0, others], k,
+                k_prime, p_hat, p_iso)
             r_bounds = certify_user_overlap(item_table, 0, set(ground_truth),
                                             k, r_params, budget, alpha=0.01)
             # exact probabilities can only strengthen the certificate

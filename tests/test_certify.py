@@ -6,13 +6,14 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from oracles import (Region, exclude_mode_regions, include_mode_regions,
-                     solve_worst_case_margin, worst_case_probabilities)
-from smoothcert import (CertConfig, Outcome, PerturbationBudget,
-                        SmoothingParams, VoteStats, VoteTable, abstain_test,
-                        certified_radii, certify_node, clopper_pearson_lower,
-                        clopper_pearson_upper, majority_pvalue, margin_exclude,
-                        margin_include, node_retention_probs,
-                        prob_all_removed, prob_all_removed_recsys, vote_bounds)
+                     reference_certify_node, solve_worst_case_margin,
+                     worst_case_probabilities)
+from smoothcert import (CertConfig, PerturbationBudget, SmoothingParams,
+                        VoteTable, abstain_test, certified_radii,
+                        clopper_pearson_lower, clopper_pearson_upper,
+                        majority_pvalue, margin_exclude, margin_include,
+                        node_retention_probs, prob_all_removed,
+                        prob_all_removed_recsys)
 
 probs = st.floats(min_value=0.0, max_value=0.99)
 unit = st.floats(min_value=0.0, max_value=1.0)
@@ -30,6 +31,26 @@ def exclude_margin_oracle(p_top, p_runner, p_removed, p_iso, p_iso_attacked):
     runner = worst_case_probabilities(
         exclude_mode_regions(p_removed, p_iso, p_iso_attacked), 0.0, p_runner)[1]
     return top - runner
+
+
+def one_node(votes, num_samples, params, tau, config, degree=None):
+    """(abstained, majority, radius) of a one-node table.
+
+    ``votes`` maps class ids to counts; the remaining samples abstain.
+    """
+    counts = np.zeros((1, config.num_classes), dtype=np.int64)
+    for cls, count in votes.items():
+        counts[0, cls] = count
+    table = VoteTable(counts=counts, abstains=[num_samples - counts.sum()],
+                      num_samples=num_samples, provenance={})
+    abstained, majority, radius = certified_radii(
+        table, params, tau, config, [0], None if degree is None else [degree])
+    return bool(abstained[0]), int(majority[0]), int(radius[0])
+
+
+def certified(margin):
+    """Whether a ``reference_certify_node`` result certifies."""
+    return margin is not None and margin > 0.0
 
 
 class TestProbAllRemoved:
@@ -208,16 +229,12 @@ class TestWorstCaseSolver:
 
 class TestVoteBounds:
     def test_zero_successes_lower_is_zero(self):
-        config = CertConfig(alpha=0.05, num_classes=5)
-        votes = VoteStats(0, 0, 0, 1, num_samples=100)
-        lower, _ = vote_bounds(votes, config)
-        assert lower == 0.0
+        assert clopper_pearson_lower(0, 100, 0.05 / 5) == 0.0
 
     def test_all_success_closed_form(self):
-        # level alpha / C = 0.01, all 100 votes for the top class.
-        config = CertConfig(alpha=0.07, num_classes=7)
-        votes = VoteStats(100, 0, 2, 0, num_samples=100)
-        lower, upper = vote_bounds(votes, config)
+        # level 0.01, all 100 votes for the top class and none for the runner.
+        lower = clopper_pearson_lower(100, 100, 0.01)
+        upper = clopper_pearson_upper(0, 100, 0.01)
         assert lower == pytest.approx(0.01 ** (1 / 100), rel=1e-12)
         assert upper == pytest.approx(1 - 0.01 ** (1 / 100), rel=1e-12)
         assert lower == pytest.approx(0.9550, abs=1e-4)
@@ -321,64 +338,75 @@ class TestAbstainTest:
 
 
 class TestCertifyNode:
-    strong = VoteStats(990, 5, top_class=2, runner_class=0, num_samples=1000)
+    """One node at one budget: ``certified_radii`` read at rho, against the
+    scalar ``reference_certify_node``."""
+
+    params = SmoothingParams(0.1, 0.9)
+    strong = {2: 990, 0: 5}
     config7 = CertConfig(alpha=0.01, num_classes=7)
 
     def test_zero_budget_certifies_confident_votes(self):
-        decision = certify_node(self.strong, SmoothingParams(0.1, 0.9),
-                                PerturbationBudget(rho=0, tau=5), self.config7)
-        assert decision.outcome is Outcome.CERTIFIED
-        assert decision.certified_class == 2
-        assert decision.margin == pytest.approx(
-            decision.p_top_lower - decision.p_runner_upper)
+        abstained, majority, radius = one_node(self.strong, 1000, self.params,
+                                               5, self.config7)
+        assert not abstained and majority == 2 and radius >= 0
+        margin = reference_certify_node(990, 5, 1000, self.params,
+                                        PerturbationBudget(rho=0, tau=5),
+                                        self.config7)
+        level = 0.01 / 7
+        assert margin == pytest.approx(clopper_pearson_lower(990, 1000, level)
+                                       - clopper_pearson_upper(5, 1000, level))
 
     def test_composed_reference_decision(self):
         # Chains the separately validated pieces: bounds at alpha/C, the
         # all-removed probability, and the include margin.
-        params = SmoothingParams(0.1, 0.9)
         budget = PerturbationBudget(rho=3, tau=5)
-        decision = certify_node(self.strong, params, budget, self.config7)
+        margin = reference_certify_node(990, 5, 1000, self.params, budget,
+                                        self.config7)
         lower = clopper_pearson_lower(990, 1000, 0.01 / 7)
         upper = clopper_pearson_upper(5, 1000, 0.01 / 7)
-        expected = margin_include(lower, upper, prob_all_removed(params, 5, 3))
-        assert decision.margin == pytest.approx(expected, abs=1e-15)
-        assert decision.outcome is (
-            Outcome.CERTIFIED if expected > 0 else Outcome.NOT_CERTIFIED)
+        expected = margin_include(lower, upper, prob_all_removed(self.params, 5, 3))
+        assert margin == pytest.approx(expected, abs=1e-15)
         assert expected > 0
+        assert one_node(self.strong, 1000, self.params, 5, self.config7)[2] >= 3
 
     def test_majority_below_half_never_certifies(self):
         # rho large enough that the all-removed probability drops below 1/2.
         params = SmoothingParams(0.1, 0.5)
-        budget = PerturbationBudget(rho=3, tau=5)
         assert prob_all_removed(params, 5, 3) <= 0.5
-        decision = certify_node(self.strong, params, budget, self.config7)
-        assert decision.outcome is Outcome.NOT_CERTIFIED
+        assert one_node(self.strong, 1000, params, 5, self.config7)[2] < 3
+        assert not certified(reference_certify_node(
+            990, 5, 1000, params, PerturbationBudget(rho=3, tau=5), self.config7))
 
     def test_tied_votes_abstain(self):
-        votes = VoteStats(500, 500, top_class=0, runner_class=1, num_samples=1000)
-        decision = certify_node(votes, SmoothingParams(0.1, 0.9),
-                                PerturbationBudget(rho=1, tau=5), self.config7)
-        assert decision.outcome is Outcome.ABSTAIN
-        assert decision.margin is None
+        assert one_node({0: 500, 1: 500}, 1000, self.params, 5,
+                        self.config7) == (True, 0, -1)
+        assert reference_certify_node(500, 500, 1000, self.params,
+                                      PerturbationBudget(rho=1, tau=5),
+                                      self.config7) is None
 
     def test_exclude_requires_degree(self):
         config = CertConfig(alpha=0.01, num_classes=7, mode="exclude")
         with pytest.raises(ValueError, match="degree"):
-            certify_node(self.strong, SmoothingParams(0.1, 0.9),
-                         PerturbationBudget(rho=1, tau=5), config)
+            one_node(self.strong, 1000, self.params, 5, config)
+        with pytest.raises(ValueError, match="degree"):
+            reference_certify_node(990, 5, 1000, self.params,
+                                   PerturbationBudget(rho=1, tau=5), config)
 
     def test_exclude_certifies_with_degree(self):
         config = CertConfig(alpha=0.01, num_classes=7, mode="exclude")
-        votes = VoteStats(20, 1, top_class=1, runner_class=0,
-                          num_samples=1000, abstain_count=975)
-        decision = certify_node(votes, SmoothingParams(0.1, 0.9),
-                                PerturbationBudget(rho=1, tau=5), config, degree=4)
-        assert decision.outcome in (Outcome.CERTIFIED, Outcome.NOT_CERTIFIED)
+        abstained, majority, radius = one_node({1: 20, 0: 1}, 1000, self.params,
+                                               5, config, degree=4)
+        assert not abstained and majority == 1
+        for rho in range(max(radius, 0) + 2):
+            margin = reference_certify_node(20, 1, 1000, self.params,
+                                            PerturbationBudget(rho=rho, tau=5),
+                                            config, degree=4)
+            assert certified(margin) == (rho <= radius)
 
     def test_rejects_probability_one(self):
         with pytest.raises(ValueError):
-            certify_node(self.strong, SmoothingParams(1.0, 0.0),
-                         PerturbationBudget(rho=1, tau=5), self.config7)
+            one_node(self.strong, 1000, SmoothingParams(1.0, 0.0), 5,
+                     self.config7)
 
     @given(p_removed=unit, p_top=unit, p_runner=unit,
            bump=st.floats(min_value=0.0, max_value=0.5))
@@ -403,13 +431,14 @@ class TestCertifyNode:
         # Include mode can only certify while the all-removed probability
         # stays above one half.
         params = SmoothingParams(p_e, p_n)
-        votes = VoteStats(top, 1000 - top, top_class=0, runner_class=1,
-                          num_samples=1000) if top >= 500 else VoteStats(
-            1000 - top, top, top_class=1, runner_class=0, num_samples=1000)
-        decision = certify_node(votes, params, PerturbationBudget(rho=rho, tau=tau),
-                                CertConfig(alpha=0.01, num_classes=4))
-        if decision.outcome is Outcome.CERTIFIED:
-            assert prob_all_removed(params, tau, rho) > 0.5
+        config = CertConfig(alpha=0.01, num_classes=4)
+        _, _, radius = one_node({0: top, 1: 1000 - top}, 1000, params, tau, config)
+        if radius >= 0:
+            assert prob_all_removed(params, tau, radius) > 0.5
+        margin = reference_certify_node(max(top, 1000 - top), min(top, 1000 - top),
+                                        1000, params,
+                                        PerturbationBudget(rho=rho, tau=tau), config)
+        assert certified(margin) == (radius >= rho)
 
     @given(p_e=probs, p_n=probs, tau=st.integers(1, 8), rho=st.integers(1, 12),
            degree=st.integers(1, 10), mode=st.sampled_from(["include", "exclude"]))
@@ -417,55 +446,52 @@ class TestCertifyNode:
     def test_certified_budgets_are_downward_closed(self, p_e, p_n, tau, rho,
                                                    degree, mode):
         params = SmoothingParams(p_e, p_n)
-        votes = VoteStats(960, 20, top_class=0, runner_class=1, num_samples=1000,
-                          abstain_count=20)
+        votes = {0: 960, 1: 20}
         config = CertConfig(alpha=0.01, num_classes=3, mode=mode)
-        decision = certify_node(votes, params, PerturbationBudget(rho=rho, tau=tau),
-                                config, degree=degree)
-        if decision.outcome is Outcome.CERTIFIED:
-            for smaller in [PerturbationBudget(rho - 1, tau),
-                            PerturbationBudget(rho, max(1, tau - 1))]:
-                weaker = certify_node(votes, params, smaller, config, degree=degree)
-                assert weaker.outcome is Outcome.CERTIFIED
+        _, _, radius = one_node(votes, 1000, params, tau, config, degree)
+        margin = reference_certify_node(960, 20, 1000, params,
+                                        PerturbationBudget(rho=rho, tau=tau),
+                                        config, degree=degree)
+        assert certified(margin) == (radius >= rho)
+        if radius >= rho:
+            assert certified(reference_certify_node(
+                960, 20, 1000, params, PerturbationBudget(rho - 1, tau), config,
+                degree=degree))
+            assert one_node(votes, 1000, params, max(1, tau - 1), config,
+                            degree)[2] >= rho
 
 
 class TestMaxCertifiedRho:
-    """The per-node radius of ``certified_radii`` against a certify_node scan."""
+    """The per-node radius of ``certified_radii`` against a scan of the
+    scalar ``reference_certify_node``."""
 
     params = SmoothingParams(0.1, 0.9)
     config = CertConfig(alpha=0.01, num_classes=7)
 
-    def scan_oracle(self, votes, params, tau, config, degree=None):
+    def scan_oracle(self, top, runner, num_samples, params, tau, config,
+                    degree=None):
         best = -1
         for rho in range(0, 2000):
-            decision = certify_node(votes, params, PerturbationBudget(rho, tau),
-                                    config, degree=degree)
-            if decision.outcome is Outcome.CERTIFIED:
-                best = rho
-            else:
+            if not certified(reference_certify_node(
+                    top, runner, num_samples, params, PerturbationBudget(rho, tau),
+                    config, degree=degree)):
                 break
+            best = rho
         return best
 
-    def radius(self, votes, params, tau, config, degree=None):
-        """(abstained, radius) of a one-node table holding ``votes``."""
-        counts = np.zeros((1, config.num_classes), dtype=np.int64)
-        counts[0, votes.top_class] = votes.top_votes
-        counts[0, votes.runner_class] = votes.runner_votes
-        rest = votes.num_samples - votes.top_votes - votes.runner_votes
-        table = VoteTable(counts=counts, abstains=[rest],
-                          num_samples=votes.num_samples, provenance={})
-        degrees = None if degree is None else [degree]
-        abstained, majority, radius = certified_radii(table, params, tau, config,
-                                                      [0], degrees)
-        assert majority[0] == votes.top_class
-        return bool(abstained[0]), int(radius[0])
+    def radius(self, top, runner, num_samples, params, tau, config, degree=None):
+        """(abstained, radius) of a one-node table voting ``top`` for class 0
+        and ``runner`` for class 1."""
+        abstained, majority, radius = one_node({0: top, 1: runner}, num_samples,
+                                               params, tau, config, degree)
+        assert majority == 0
+        return abstained, radius
 
     def test_matches_full_scan(self):
-        votes = VoteStats(990, 5, top_class=0, runner_class=1, num_samples=1000)
         for tau in (1, 2, 5, 10):
-            got = self.radius(votes, self.params, tau, self.config)
-            assert got == (False, self.scan_oracle(votes, self.params, tau,
-                                                   self.config))
+            got = self.radius(990, 5, 1000, self.params, tau, self.config)
+            assert got == (False, self.scan_oracle(990, 5, 1000, self.params,
+                                                   tau, self.config))
             assert got[1] > 0 or tau > 20
 
     def test_edge_only_smoothing_at_090(self):
@@ -473,46 +499,34 @@ class TestMaxCertifiedRho:
         # 0.9^5 = 0.59 for a single injected node, so the scan (not mental
         # arithmetic) decides whether rho = 1 certifies.
         params = SmoothingParams(0.9, 0.0)
-        votes = VoteStats(100000, 0, top_class=0, runner_class=1,
-                          num_samples=100000)
-        got = self.radius(votes, params, 5, self.config)
-        assert got[1] == self.scan_oracle(votes, params, 5, self.config)
-        weak = VoteStats(700, 300, top_class=0, runner_class=1, num_samples=1000)
-        got_weak = self.radius(weak, params, 5, self.config)
-        assert got_weak[1] == self.scan_oracle(weak, params, 5, self.config)
+        got = self.radius(100000, 0, 100000, params, 5, self.config)
+        assert got[1] == self.scan_oracle(100000, 0, 100000, params, 5,
+                                          self.config)
+        got_weak = self.radius(700, 300, 1000, params, 5, self.config)
+        assert got_weak[1] == self.scan_oracle(700, 300, 1000, params, 5,
+                                               self.config)
 
     def test_abstain_flag(self):
-        votes = VoteStats(10, 10, top_class=0, runner_class=1, num_samples=20)
-        assert self.radius(votes, self.params, 5, self.config) == (True, -1)
+        assert self.radius(10, 10, 20, self.params, 5, self.config) == (True, -1)
 
     def test_exclude_mode_scan(self):
         # Realizable stats: abstentions track the isolation probability of a
         # degree-6 node at these noise levels, so the vote bound stays below
         # the non-isolation mass and the half-mass cutoff loses nothing.
         config = CertConfig(alpha=0.01, num_classes=7, mode="exclude")
-        votes = VoteStats(40, 1, top_class=0, runner_class=1,
-                          num_samples=1000, abstain_count=955)
-        got = self.radius(votes, self.params, 5, config, degree=6)
-        assert got == (False, self.scan_oracle(votes, self.params, 5, config,
-                                               degree=6))
+        got = self.radius(40, 1, 1000, self.params, 5, config, degree=6)
+        assert got == (False, self.scan_oracle(40, 1, 1000, self.params, 5,
+                                               config, degree=6))
         assert got[1] == 3
 
     def test_isolated_node_in_exclude_mode_has_no_radius(self):
         config = CertConfig(alpha=0.01, num_classes=7, mode="exclude")
-        votes = VoteStats(990, 5, top_class=0, runner_class=1, num_samples=1000)
-        assert self.radius(votes, self.params, 5, config, degree=0) == (False, -1)
+        assert self.radius(990, 5, 1000, self.params, 5, config,
+                           degree=0) == (False, -1)
         with pytest.raises(ValueError, match="degrees"):
-            self.radius(votes, self.params, 5, config)
+            self.radius(990, 5, 1000, self.params, 5, config)
 
-
-class TestVoteStats:
-    def test_from_counts_breaks_ties_low(self):
-        votes = VoteStats.from_counts([5, 7, 7, 0], num_samples=19)
-        assert votes.top_class == 1 and votes.runner_class == 2
-        assert votes.top_votes == 7 and votes.runner_votes == 7
-
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            VoteStats(3, 5, 0, 1, num_samples=10)
-        with pytest.raises(ValueError):
-            VoteStats(6, 5, 0, 1, num_samples=10)
+    def test_ties_go_to_the_lower_class(self):
+        config = CertConfig(alpha=0.01, num_classes=4)
+        assert one_node({0: 5, 1: 7, 2: 7}, 19, self.params, 5,
+                        config) == (True, 1, -1)

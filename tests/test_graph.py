@@ -231,6 +231,13 @@ class TestGenerateSbm:
 
 
 class TestSplits:
+    def test_fingerprint_tracks_each_set(self):
+        split = DataSplit(train=[0, 1], validation=[2], test=[3, 4])
+        assert split.fingerprint() == DataSplit([1, 0], [2], [4, 3]).fingerprint()
+        for other in (DataSplit([0], [1, 2], [3, 4]), DataSplit([0, 1], [2], [3]),
+                      DataSplit([0, 1], [2, 3], [4])):
+            assert other.fingerprint() != split.fingerprint()
+
     def test_disjointness_enforced(self):
         with pytest.raises(ValueError, match="disjoint"):
             DataSplit(train=[0, 1], validation=[1], test=[2])
@@ -248,6 +255,33 @@ class TestInteractionMatrix:
     def test_duplicate_pair_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             InteractionMatrix(users=2, items=2, pairs=[(0, 1), (0, 1)])
+
+    def test_shuffled_pairs_are_sorted_by_user_then_item(self):
+        rng = np.random.default_rng(4)
+        for users, items in ((1, 1), (5, 3), (40, 70)):
+            keys = rng.choice(users * items, size=(users * items + 1) // 2,
+                              replace=False)
+            pairs = np.stack(np.divmod(keys, items), axis=1)
+            expected = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+            m = InteractionMatrix(users=users, items=items, pairs=pairs)
+            assert np.array_equal(m.pairs, expected)
+            assert np.array_equal(InteractionMatrix(users, items, expected).pairs,
+                                  expected)
+
+    def test_duplicate_pair_rejected_in_either_order(self):
+        for pairs in ([(0, 1), (1, 0), (0, 1)], [(1, 0), (0, 1), (0, 1)],
+                      [(0, 0), (0, 1), (0, 1), (1, 1)]):
+            with pytest.raises(ValueError, match=r"duplicate \(user, item\) pair"):
+                InteractionMatrix(users=2, items=2, pairs=pairs)
+
+    def test_fingerprint_tracks_shape_and_pairs(self):
+        m = InteractionMatrix(users=2, items=3, pairs=[(0, 2), (1, 0)])
+        shuffled = InteractionMatrix(2, 3, [(1, 0), (0, 2)])
+        assert m.fingerprint() == shuffled.fingerprint()
+        for other in (InteractionMatrix(2, 4, [(0, 2), (1, 0)]),
+                      InteractionMatrix(3, 3, [(0, 2), (1, 0)]),
+                      InteractionMatrix(2, 3, [(0, 2), (1, 1)])):
+            assert other.fingerprint() != m.fingerprint()
 
     def test_items_of(self):
         m = InteractionMatrix(users=2, items=4, pairs=[(0, 2), (0, 1), (1, 3)])

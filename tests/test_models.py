@@ -3,8 +3,8 @@ import pytest
 
 from oracles import normalized_adjacency
 from smoothcert import (ClassifierSpec, Graph, SmoothedSample, SmoothingParams,
-                        load_model, predict, sample_smoothed_graph, save_model,
-                        train_predict_end_to_end, train_with_noise)
+                        predict, sample_smoothed_graph, train_predict_end_to_end,
+                        train_with_noise)
 from smoothcert.models import normalized_operator
 
 
@@ -197,25 +197,3 @@ class TestTrainPredictEndToEnd:
             ClassifierSpec(epochs=5, seed=3), sample, split4, mode="include")
         assert not abstain.any()
         assert preds.shape == (4,)
-
-
-class TestModelContainer:
-    def test_round_trip(self, sbm_fixture, tmp_path):
-        graph, split = sbm_fixture
-        spec = ClassifierSpec(hidden_dim=8, epochs=5, seed=21)
-        model = train_with_noise(spec, graph, split, SmoothingParams(0.2, 0.2))
-        path = tmp_path / "model.bin"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.spec == model.spec
-        assert loaded.num_classes == model.num_classes
-        assert loaded.graph_fingerprint == model.graph_fingerprint
-        for key in model.weights:
-            assert np.array_equal(loaded.weights[key], model.weights[key])
-        assert np.array_equal(predict(loaded, graph), predict(model, graph))
-
-    def test_rejects_other_files(self, tmp_path):
-        path = tmp_path / "bogus.bin"
-        path.write_bytes(b"not a model")
-        with pytest.raises(ValueError, match="container"):
-            load_model(path)

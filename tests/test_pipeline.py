@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from oracles import enumerate_graph_votes, reference_curve
-from smoothcert import (CertConfig, ClassifierSpec, DataSplit,
+from smoothcert import (CertConfig, ClassifierSpec, DataSplit, Graph,
                         PerturbationBudget, SmoothingParams, TrainedModel,
                         VoteTable, average_certified_radius,
                         certified_accuracy_at, certified_accuracy_curve,
+                        certified_radii,
                         collect_votes_evasion, collect_votes_poisoning,
                         derive_sample_seed, generate_sbm, predict,
                         read_curve_csv, sample_smoothed_graph, write_report)
@@ -137,6 +140,87 @@ def replay_votes(model, graph, num_samples, params, master_seed, first_index):
     return counts
 
 
+class TestVoteProvenance:
+    """Tables voted on another graph, split or model never merge."""
+
+    graph, split = generate_sbm(n=60, classes=2, p_in=0.3, p_out=0.05, d=4,
+                                seed=2)
+    halved = Graph(graph.n, graph.edges[::2], graph.features, graph.labels)
+    params = SmoothingParams(0.2, 0.3)
+
+    def test_evasion_binds_the_voted_graph_and_the_model(self):
+        model = random_model("message_passing_2layer", 4, 2, seed=1)
+        retuned = replace(model, spec=replace(model.spec, learning_rate=0.5))
+        first = collect_votes_evasion(model, self.graph, 10, self.params,
+                                      master_seed=5)
+        assert first.merged(collect_votes_evasion(
+            model, self.graph, 10, self.params, master_seed=5,
+            first_index=10)).num_samples == 20
+        for other_model, graph in ((model, self.halved), (retuned, self.graph)):
+            second = collect_votes_evasion(other_model, graph, 10, self.params,
+                                           master_seed=5, first_index=10)
+            with pytest.raises(ValueError, match="different runs"):
+                first.merged(second)
+
+    def test_poisoning_binds_the_graph_split_and_spec(self):
+        spec = ClassifierSpec(hidden_dim=4, epochs=3, seed=6)
+        reordered = DataSplit(train=self.split.validation,
+                              validation=self.split.train, test=self.split.test)
+
+        def collect(graph=self.graph, split=self.split, spec=spec, first=0):
+            return collect_votes_poisoning(spec, graph, split, 10, self.params,
+                                           "include", master_seed=4,
+                                           first_index=first)
+
+        first = collect()
+        assert first.merged(collect(first=10)).num_samples == 20
+        for second in (collect(graph=self.halved, first=10),
+                       collect(split=reordered, first=10),
+                       collect(spec=replace(spec, epochs=4), first=10)):
+            with pytest.raises(ValueError, match="different runs"):
+                first.merged(second)
+
+
+class TestAccumulateParallel:
+    """Worker counts, with a serial stand-in for the thread pool."""
+
+    def run(self, monkeypatch, cpus, threads):
+        pools, chunks = [], []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        def worker(lo, hi):
+            chunks.append((int(lo), int(hi)))
+            return np.array([hi - lo]), np.zeros(1, dtype=np.int64)
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        counts, _ = pipeline.accumulate_parallel(1000, 5, threads, worker)
+        assert counts.tolist() == [1000]
+        assert chunks[0][0] == 5 and chunks[-1][1] == 1005
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        return pools, len(chunks)
+
+    def test_workers_capped_at_usable_cpus(self, monkeypatch):
+        assert self.run(monkeypatch, cpus=3, threads=5000) == ([3], 12)
+        assert self.run(monkeypatch, cpus=3, threads=2) == ([2], 8)
+
+    def test_one_cpu_runs_serially(self, monkeypatch):
+        assert self.run(monkeypatch, cpus=1, threads=4) == ([], 1)
+
+
 class TestBatchedEvasionVotes:
     """The batched vote loop against a per-sample replay, count for count."""
 
@@ -224,11 +308,12 @@ class TestVoteTable:
         counts = np.array([[3, 5, 2], [4, 4, 0]], dtype=np.int64)
         table = VoteTable(counts=counts, abstains=np.array([0, 2]),
                           num_samples=10, provenance={})
-        stats = table.stats_for(0)
-        assert (stats.top_class, stats.runner_class) == (1, 0)
-        stats = table.stats_for(1)
-        assert (stats.top_class, stats.runner_class) == (0, 1)
-        assert stats.abstain_count == 2
+        assert table.majority_classes.tolist() == [1, 0]
+        abstained, majority, radius = certified_radii(
+            table, SmoothingParams(0.1, 0.8), 1,
+            CertConfig(alpha=0.01, num_classes=3), [0, 1])
+        assert majority.tolist() == [1, 0]
+        assert abstained.all() and radius.tolist() == [-1, -1]
 
 
 class TestCertifiedAccuracyCurve:

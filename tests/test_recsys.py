@@ -5,11 +5,10 @@ import pytest
 import scipy.sparse as sp
 
 from oracles import (enumerate_item_probs, reference_cooccurrence,
-                     reference_item_votes, reference_recommender_curve,
-                     reference_topk)
+                     reference_item_votes, reference_overlap_from_bounds,
+                     reference_recommender_curve, reference_topk)
 from smoothcert import (InteractionMatrix, PerturbationBudget, SmoothingParams,
                         build_similarity, certified_overlap_radii,
-                        certified_precision_recall, certify_overlap,
                         certify_user_overlap, collect_item_votes,
                         recommend_topk, recommender_curve, top_items,
                         write_recommender_report)
@@ -182,6 +181,14 @@ class TestCollectItemVotes:
         assert np.all(table.abstains == 9)
         assert table.counts.sum() == 0
 
+    def test_provenance_binds_the_rating_matrix(self, two_user_matrix,
+                                                enum_matrix):
+        tables = [collect_item_votes(matrix, 3, SmoothingParams(0.1, 0.1), 2,
+                                     master_seed=3)
+                  for matrix in (two_user_matrix, enum_matrix)]
+        assert tables[0].provenance["matrix"] == two_user_matrix.fingerprint()
+        assert tables[0].provenance["matrix"] != tables[1].provenance["matrix"]
+
     def test_thread_count_invariance(self, enum_matrix):
         params = SmoothingParams(0.4, 0.2)
         serial = collect_item_votes(enum_matrix, 300, params, 2, master_seed=5,
@@ -229,13 +236,26 @@ class TestCollectItemVotes:
         assert np.all(np.abs(ab_freq - exact_abstain) <= 4 * ab_sigma + 1e-12)
 
 
+def precision_recall_at(table, ground_truths, k, params, budget, alpha):
+    """Certified precision and recall at one budget: the curve's point at
+    ``budget.rho``, zero past its last rho."""
+    points = recommender_curve(table, ground_truths, k, params, budget.tau,
+                               alpha).points
+    if budget.rho >= len(points):
+        return 0.0, 0.0
+    point = points[budget.rho]
+    return point.certified_precision, point.certified_recall
+
+
 class TestCertifyOverlap:
+    """The fixed-bounds overlap oracle, evaluated by hand."""
+
     def test_hand_evaluation_of_the_condition(self):
         # k = 2, k' = 3, all-removed probability 0.9, isolation 0.2.
         # r = 2: candidate set is the single largest upper bound 0.31;
         # 0.9 * 0.6 - (0.9 * 0.31 + 3 * 0.1 * 0.8) / 1 = 0.021 > 0.
-        r = certify_overlap([0.8, 0.6], [0.31, 0.2, 0.1], k=2, k_prime=3,
-                            p_hat=0.9, p_isolated=0.2)
+        r = reference_overlap_from_bounds([0.8, 0.6], [0.31, 0.2, 0.1], k=2,
+                                          k_prime=3, p_hat=0.9, p_isolated=0.2)
         assert r == 2
 
     def test_averaging_over_candidates_helps(self):
@@ -243,13 +263,13 @@ class TestCertifyOverlap:
         # certificate that c = 1 alone would lose.
         gt = [0.9]
         uppers = [0.85, 0.05]
-        r_all = certify_overlap(gt, uppers, k=1, k_prime=2, p_hat=1.0,
-                                p_isolated=0.5)
+        r_all = reference_overlap_from_bounds(gt, uppers, k=1, k_prime=2,
+                                              p_hat=1.0, p_isolated=0.5)
         assert r_all == 1
 
     def test_zero_votes_certify_nothing(self):
-        assert certify_overlap([0.0, 0.0], [0.0], k=2, k_prime=3, p_hat=0.9,
-                               p_isolated=0.2) == 0
+        assert reference_overlap_from_bounds([0.0, 0.0], [0.0], k=2, k_prime=3,
+                                             p_hat=0.9, p_isolated=0.2) == 0
 
 
 class TestCertifyUserOverlap:
@@ -325,8 +345,8 @@ class TestCertifyUserOverlap:
             p_iso = params.p_n + (1 - params.p_n) * params.p_e ** d_u
             gt_idx = np.array(sorted(gt))
             others = np.setdiff1d(np.arange(enum_matrix.items), gt_idx)
-            r_exact = certify_overlap(exact[user, gt_idx], exact[user, others],
-                                      k, k_prime, p_hat, p_iso)
+            r_exact = reference_overlap_from_bounds(
+                exact[user, gt_idx], exact[user, others], k, k_prime, p_hat, p_iso)
             r_bounds = certify_user_overlap(table, user, gt, k, params, budget,
                                             alpha=0.01)
             assert r_exact >= r_bounds
@@ -339,7 +359,7 @@ class TestCertifiedPrecisionRecall:
         table = table_from_frequencies(freqs, [0.0, 0.0], 50_000, k_prime=3,
                                        degrees=[3, 3])
         params = SmoothingParams(0.1, 0.1)
-        precision, recall = certified_precision_recall(
+        precision, recall = precision_recall_at(
             table, {0: [0, 1], 1: [2, 3]}, k=2, params=params,
             budget=PerturbationBudget(rho=0, tau=2), alpha=0.01)
         assert precision == 1.0
@@ -351,13 +371,13 @@ class TestCertifiedPrecisionRecall:
                                        degrees=[3])
         args = (2, SmoothingParams(0.1, 0.1), PerturbationBudget(rho=0, tau=2),
                 0.01)
-        assert certified_precision_recall(table, {0: [0, 1, 1]}, *args) == \
-            certified_precision_recall(table, {0: [0, 1]}, *args) == (1.0, 1.0)
+        assert precision_recall_at(table, {0: [0, 1, 1]}, *args) == \
+            precision_recall_at(table, {0: [0, 1]}, *args) == (1.0, 1.0)
 
     def test_empty_votes_give_zero(self):
         table = table_from_frequencies(np.zeros((2, 5)), [1.0, 1.0], 1000, 3,
                                        [3, 3])
-        precision, recall = certified_precision_recall(
+        precision, recall = precision_recall_at(
             table, {0: [0], 1: [2]}, k=2, params=SmoothingParams(0.1, 0.1),
             budget=PerturbationBudget(rho=0, tau=2), alpha=0.01)
         assert precision == 0.0 and recall == 0.0
@@ -365,12 +385,11 @@ class TestCertifiedPrecisionRecall:
     def test_rejects_empty_ground_truth(self):
         table = table_from_frequencies(np.zeros((1, 5)), [1.0], 1000, 3, [3])
         with pytest.raises(ValueError, match="empty ground truth"):
-            certified_precision_recall(table, {0: []}, 2,
-                                       SmoothingParams(0.1, 0.1),
-                                       PerturbationBudget(rho=0, tau=2), 0.01)
+            precision_recall_at(table, {0: []}, 2, SmoothingParams(0.1, 0.1),
+                                PerturbationBudget(rho=0, tau=2), 0.01)
         with pytest.raises(ValueError, match="no users"):
-            certified_precision_recall(table, {}, 2, SmoothingParams(0.1, 0.1),
-                                       PerturbationBudget(rho=0, tau=2), 0.01)
+            precision_recall_at(table, {}, 2, SmoothingParams(0.1, 0.1),
+                                PerturbationBudget(rho=0, tau=2), 0.01)
 
 
 class TestRecommenderCurve:
@@ -420,18 +439,18 @@ class TestCertifiedOverlapRadii:
             assert curve.points == expected
             certifying += len(curve.points) > 1
             rho = int(rng.integers(0, len(expected) + 1))
-            at = certified_precision_recall(table, ground_truths, k, params,
-                                            PerturbationBudget(rho=rho, tau=tau),
-                                            alpha)
+            # One point of the curve is a count of the radii, in user order.
+            hits = (certified_overlap_radii(table, ground_truths, k, params,
+                                            tau, alpha) >= rho).sum(axis=1)
             last = expected[min(rho, len(expected) - 1)]
-            assert at == (last.certified_precision, last.certified_recall)
-            for user, gt in ground_truths.items():
-                budget = PerturbationBudget(rho=rho, tau=tau)
+            assert last.certified_precision == sum(h / k for h in hits) / hits.size
+            budget = PerturbationBudget(rho=rho, tau=tau)
+            for hit, (user, gt) in zip(hits, ground_truths.items()):
                 single = certify_user_overlap(table, user, gt, k, params, budget,
                                               alpha)
-                alone = certified_precision_recall(table, {user: gt}, k, params,
-                                                   budget, alpha)
-                assert alone[0] == single / k
+                alone = precision_recall_at(table, {user: gt}, k, params,
+                                            budget, alpha)
+                assert single == hit and alone[0] == single / k
         assert 10 <= certifying <= 70
 
     def test_radii_shape_and_order(self):
