@@ -17,7 +17,7 @@ from .pipeline import (CertCurve, CurvePoint, VoteTable,
                        average_certified_radius, certified_accuracy_at,
                        certified_accuracy_curve, certified_radii,
                        collect_votes_evasion, collect_votes_poisoning,
-                       read_curve_csv, write_report)
+                       write_report)
 from .recsys import (ItemVoteTable, RecommenderCurve, build_similarity,
                      certified_overlap_radii, certify_user_overlap,
                      collect_item_votes, recommend_topk, recommender_curve,

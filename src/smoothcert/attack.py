@@ -37,25 +37,12 @@ class AttackPlan:
     def num_injected(self) -> int:
         return self.features.shape[0]
 
-    def degrees(self) -> np.ndarray:
-        return np.bincount(self.edges[:, 0], minlength=self.num_injected)
-
     def to_json(self) -> str:
         return json.dumps({
             "strategy": self.strategy,
             "features": self.features.tolist(),
             "edges": self.edges.tolist(),
         }, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AttackPlan":
-        data = json.loads(text)
-        rho = len(data["features"])
-        return cls(features=np.asarray(data["features"],
-                                       dtype=np.float64).reshape(rho, -1),
-                   edges=np.asarray(data["edges"],
-                                    dtype=np.int64).reshape(-1, 2),
-                   strategy=data["strategy"])
 
 
 def craft_injection(graph: Graph, budget: PerturbationBudget, strategy: str,

@@ -7,11 +7,8 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -115,19 +112,10 @@ class Graph:
         if self.num_classes < derived:
             raise ValueError("num_classes smaller than the largest label + 1")
 
-        # CSR row pointers over both edge orientations; the neighbor lists
-        # they index are built on first use.
+        # CSR row pointers over both edge orientations.
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.edges.ravel(), minlength=n), out=indptr[1:])
         self.indptr = _frozen(indptr)
-
-    @cached_property
-    def indices(self) -> np.ndarray:
-        """Every node's neighbors in ascending order, row ``v`` at ``indptr[v]``."""
-        src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-        dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        # Sorted src * n + dst keys run by row, then by ascending neighbor.
-        return _frozen(np.sort(src * self.n + dst) % self.n)
 
     @property
     def num_edges(self) -> int:
@@ -141,23 +129,9 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def degree(self, v: int) -> int:
-        """Number of incident undirected edges of node ``v``."""
-        if not 0 <= v < self.n:
-            raise ValueError(f"node id {v} out of range [0, {self.n})")
-        return int(self.indptr[v + 1] - self.indptr[v])
-
-    def neighbors(self, v: int) -> np.ndarray:
-        if not 0 <= v < self.n:
-            raise ValueError(f"node id {v} out of range [0, {self.n})")
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
-
     @property
     def labeled_mask(self) -> np.ndarray:
         return self.labels >= 0
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbors(u)
 
     def fingerprint(self) -> str:
         """Stable hex digest of the graph contents."""
@@ -224,8 +198,6 @@ class InteractionMatrix:
     users: int
     items: int
     pairs: np.ndarray  # (nnz, 2) rows of (user, item), sorted, deduplicated
-    user_ids: Optional[np.ndarray] = field(default=None)
-    item_ids: Optional[np.ndarray] = field(default=None)
 
     def __post_init__(self):
         pairs = np.asarray(self.pairs, dtype=np.int64)
@@ -377,7 +349,7 @@ def load_interaction_dataset(path, split_fraction: float):
     of records (ordered by timestamp, ties by item id) become training
     interactions; the rest are held out. Users with fewer than two records go
     wholly to training. User and item ids are remapped to dense 0-based
-    indices; the original ids are kept on the returned matrix.
+    indices in ascending id order.
 
     Returns
     -------
@@ -405,40 +377,36 @@ def load_interaction_dataset(path, split_fraction: float):
                 raise ParseError(path, line_no, f"malformed record {line!r}") from None
             records.append((user, item, ts, line_no))
 
-    user_ids = np.unique([r[0] for r in records]) if records else np.empty(0, np.int64)
-    item_ids = np.unique([r[1] for r in records]) if records else np.empty(0, np.int64)
-    user_index = {int(u): i for i, u in enumerate(user_ids)}
-    item_index = {int(it): i for i, it in enumerate(item_ids)}
+    users, items, ts, line_nos = np.array(records, dtype=np.int64).reshape(-1, 4).T
+    user_ids, u = np.unique(users, return_inverse=True)
+    item_ids, i = np.unique(items, return_inverse=True)
+    num_users, num_items = len(user_ids), len(item_ids)
 
-    per_user: list[list[tuple[int, int, int]]] = [[] for _ in range(len(user_ids))]
-    seen_pairs = {}
-    for user, item, ts, line_no in records:
-        u, i = user_index[user], item_index[item]
-        if (u, i) in seen_pairs:
-            raise ParseError(path, line_no,
-                             f"duplicate interaction user={user} item={item} "
-                             f"(first at line {seen_pairs[(u, i)]})")
-        seen_pairs[(u, i)] = line_no
-        per_user[u].append((ts, i, line_no))
+    keys = u * num_items + i
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    repeats = order[1:][sorted_keys[1:] == sorted_keys[:-1]]
+    if repeats.size:
+        at = repeats.min()  # the repeat that comes first in the file
+        first = order[np.searchsorted(sorted_keys, keys[at])]
+        raise ParseError(path, int(line_nos[at]),
+                         f"duplicate interaction user={users[at]} item={items[at]} "
+                         f"(first at line {line_nos[first]})")
 
-    train_pairs = []
-    held_out: list[np.ndarray] = []
-    for u, recs in enumerate(per_user):
-        recs.sort(key=lambda r: (r[0], r[1]))
-        count = len(recs)
-        if count < 2:
-            n_train = count
-        else:
-            n_train = max(1, math.floor(split_fraction * count))
-        train_pairs.extend((u, i) for _, i, _ in recs[:n_train])
-        held_out.append(np.array(sorted(i for _, i, _ in recs[n_train:]), dtype=np.int64))
+    # Each user's records by timestamp, ties by item id, then ranked.
+    order = np.lexsort((i, ts, u))
+    counts = np.bincount(u, minlength=num_users)
+    ranks = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+    n_train = np.maximum(1, np.floor(split_fraction * counts)).astype(np.int64)
+    n_train[counts < 2] = counts[counts < 2]
+    train = np.zeros(len(order), dtype=bool)
+    train[order] = ranks < np.repeat(n_train, counts)
 
-    matrix = InteractionMatrix(
-        users=len(user_ids), items=len(item_ids),
-        pairs=np.array(train_pairs, dtype=np.int64).reshape(-1, 2),
-        user_ids=_frozen(user_ids.astype(np.int64)),
-        item_ids=_frozen(item_ids.astype(np.int64)))
-    return matrix, held_out
+    held = np.sort(keys[~train])  # by user, then item
+    bounds = np.searchsorted(held, np.arange(1, num_users) * num_items)
+    matrix = InteractionMatrix(users=num_users, items=num_items,
+                               pairs=np.stack([u[train], i[train]], axis=1))
+    return matrix, np.split(held % num_items, bounds) if num_users else []
 
 
 def generate_sbm(n: int, classes: int, p_in: float, p_out: float, d: int,

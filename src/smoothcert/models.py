@@ -15,7 +15,8 @@ is covered by an exact test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import repeat
+from typing import Iterable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -94,14 +95,13 @@ def _init_weights(spec: ClassifierSpec, num_features: int, num_classes: int) -> 
     }
 
 
-def _forward(weights: dict, agg: Optional[sp.csr_matrix], features: np.ndarray,
-             transformed: Optional[np.ndarray] = None):
-    """Forward pass; ``agg`` is None for the MLP.
+def _forward(weights: dict, agg: Optional[sp.csr_matrix], t1: np.ndarray):
+    """Forward pass from the first-layer product ``t1 = features @ w1``;
+    ``agg`` is None for the MLP.
 
     Features are transformed before aggregation (same map by associativity),
-    so the ``features @ w1`` product can be cached across smoothing samples.
+    so ``t1`` can be cached across smoothing samples.
     """
-    t1 = features @ weights["w1"] if transformed is None else transformed
     z1 = (agg @ t1 if agg is not None else t1) + weights["b1"]
     h1 = np.maximum(z1, 0.0)
     t2 = h1 @ weights["w2"]
@@ -109,26 +109,21 @@ def _forward(weights: dict, agg: Optional[sp.csr_matrix], features: np.ndarray,
     return z1, h1, logits
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _gradients(weights, agg, features, labels, train_idx, weight_decay):
-    z1, h1, logits = _forward(weights, agg, features)
-    probs = _softmax(logits)
+def _gradients(weights, agg, agg_t, features, labels, train_idx, weight_decay):
+    z1, h1, logits = _forward(weights, agg, features @ weights["w1"])
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)  # softmax
     d_logits = np.zeros_like(probs)
     d_logits[train_idx] = probs[train_idx]
     d_logits[train_idx, labels[train_idx]] -= 1.0
     d_logits /= len(train_idx)
 
-    d_t2 = agg.T @ d_logits if agg is not None else d_logits
+    d_t2 = agg_t @ d_logits if agg is not None else d_logits
     g_w2 = h1.T @ d_t2 + weight_decay * weights["w2"]
     g_b2 = d_logits.sum(axis=0)
     d_h1 = d_t2 @ weights["w2"].T
     d_z1 = d_h1 * (z1 > 0.0)
-    d_t1 = agg.T @ d_z1 if agg is not None else d_z1
+    d_t1 = agg_t @ d_z1 if agg is not None else d_z1
     g_w1 = features.T @ d_t1 + weight_decay * weights["w1"]
     g_b1 = d_z1.sum(axis=0)
     return {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2}
@@ -147,6 +142,24 @@ def _check_train_nodes(graph: Graph, train_idx: np.ndarray) -> None:
         raise ValueError("every training node must carry a label")
 
 
+def _fit(spec: ClassifierSpec, graph: Graph, train_idx: np.ndarray,
+         operators: Iterable[Optional[sp.csr_matrix]]) -> dict:
+    """Trained weights after one Adagrad step per operator in ``operators``
+    (None for the MLP); each distinct operator is transposed once."""
+    if graph.num_classes < 2:
+        raise ValueError("training requires at least 2 classes")
+    weights = _init_weights(spec, graph.num_features, graph.num_classes)
+    cache = {k: np.zeros_like(v) for k, v in weights.items()}
+    agg = agg_t = None  # the MLP's None operator never needs a transpose
+    for operator in operators:
+        if operator is not agg:
+            agg, agg_t = operator, operator.T
+        grads = _gradients(weights, agg, agg_t, graph.features, graph.labels,
+                           train_idx, spec.weight_decay)
+        _adagrad_step(weights, grads, cache, spec.learning_rate)
+    return weights
+
+
 def train_with_noise(spec: ClassifierSpec, graph: Graph, split: DataSplit,
                      params: SmoothingParams) -> TrainedModel:
     """Train a base classifier with smoothing noise augmentation.
@@ -157,22 +170,14 @@ def train_with_noise(spec: ClassifierSpec, graph: Graph, split: DataSplit,
     """
     train_idx = np.asarray(split.train, dtype=np.int64)
     _check_train_nodes(graph, train_idx)
-    num_classes = graph.num_classes
-    if num_classes < 2:
-        raise ValueError("training requires at least 2 classes")
-
-    weights = _init_weights(spec, graph.num_features, num_classes)
-    cache = {k: np.zeros_like(v) for k, v in weights.items()}
-    for epoch in range(spec.epochs):
-        sample = sample_smoothed_graph(graph, params,
-                                       derive_sample_seed(spec.seed, epoch))
-        agg = (normalized_operator(graph.n, sample.graph.edges)
-               if spec.kind == "message_passing_2layer" else None)
-        grads = _gradients(weights, agg, graph.features, graph.labels,
-                           train_idx, spec.weight_decay)
-        _adagrad_step(weights, grads, cache, spec.learning_rate)
-
-    return TrainedModel(spec=spec, weights=weights, num_classes=num_classes,
+    # The MLP ignores the edges, so it draws no samples.
+    operators = (
+        normalized_operator(graph.n, sample_smoothed_graph(
+            graph, params, derive_sample_seed(spec.seed, epoch)).graph.edges)
+        if spec.kind == "message_passing_2layer" else None
+        for epoch in range(spec.epochs))
+    return TrainedModel(spec=spec, weights=_fit(spec, graph, train_idx, operators),
+                        num_classes=graph.num_classes,
                         num_features=graph.num_features,
                         graph_fingerprint=graph.fingerprint())
 
@@ -193,14 +198,10 @@ def predict(model: TrainedModel, graph: Graph,
     ``transformed`` may carry a cached :func:`feature_transform` result when
     many graphs share the same feature matrix.
     """
-    if graph.num_features != model.num_features:
-        raise ValueError(
-            f"feature dimension {graph.num_features} does not match "
-            f"the trained model ({model.num_features})")
-    agg = (normalized_operator(graph.n, graph.edges)
-           if model.spec.kind == "message_passing_2layer" else None)
-    logits = _forward(model.weights, agg, graph.features, transformed)[-1]
-    return np.argmax(logits, axis=1)
+    # feature_transform also rejects features of the wrong dimension.
+    if transformed is None or graph.num_features != model.num_features:
+        transformed = feature_transform(model, graph.features)
+    return predict_rows(model, transformed, np.arange(graph.n), graph.edges)
 
 
 def predict_rows(model: TrainedModel, transformed: np.ndarray, nodes: np.ndarray,
@@ -215,7 +216,7 @@ def predict_rows(model: TrainedModel, transformed: np.ndarray, nodes: np.ndarray
     """
     agg = (normalized_operator(len(nodes), edges)
            if model.spec.kind == "message_passing_2layer" else None)
-    logits = _forward(model.weights, agg, None, transformed[nodes])[-1]
+    logits = _forward(model.weights, agg, transformed[nodes])[-1]
     return np.argmax(logits, axis=1)
 
 
@@ -239,8 +240,7 @@ def train_predict_end_to_end(spec: ClassifierSpec, sample: SmoothedSample,
     if mode not in ("include", "exclude"):
         raise ValueError("mode must be 'include' or 'exclude'")
     graph = sample.graph
-    degrees = graph.degrees
-    isolated = degrees == 0
+    isolated = graph.degrees == 0
 
     train_idx = np.asarray(split.train, dtype=np.int64)
     _check_train_nodes(graph, train_idx)
@@ -251,19 +251,10 @@ def train_predict_end_to_end(spec: ClassifierSpec, sample: SmoothedSample,
                     np.ones(graph.n, dtype=bool))
         raise ValueError("every training node is isolated in this sample")
 
-    num_classes = graph.num_classes
-    if num_classes < 2:
-        raise ValueError("training requires at least 2 classes")
-    weights = _init_weights(spec, graph.num_features, num_classes)
-    cache = {k: np.zeros_like(v) for k, v in weights.items()}
     agg = (normalized_operator(graph.n, graph.edges)
            if spec.kind == "message_passing_2layer" else None)
-    for _ in range(spec.epochs):
-        grads = _gradients(weights, agg, graph.features, graph.labels,
-                           train_idx, spec.weight_decay)
-        _adagrad_step(weights, grads, cache, spec.learning_rate)
-
-    logits = _forward(weights, agg, graph.features)[-1]
+    weights = _fit(spec, graph, train_idx, repeat(agg, spec.epochs))
+    logits = _forward(weights, agg, graph.features @ weights["w1"])[-1]
     preds = np.argmax(logits, axis=1)
     abstain = isolated.copy() if mode == "exclude" else np.zeros(graph.n, dtype=bool)
     return preds, abstain

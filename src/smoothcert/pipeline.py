@@ -235,12 +235,6 @@ class CertCurve:
         if any(a > b + 1e-15 for a, b in zip(values[1:], values[:-1])):
             raise ValueError("certified accuracy must be non-increasing in rho")
 
-    def certified_at(self, rho: int) -> float:
-        for p in self.points:
-            if p.rho == rho:
-                return p.certified_accuracy
-        raise KeyError(f"rho={rho} not on the curve grid")
-
 
 def _labeled_nodes(labels, nodes):
     """The labels and the evaluated node ids, each of which must be labeled."""
@@ -430,15 +424,3 @@ def write_report(curves: Sequence[CertCurve], metadata: dict, out_dir) -> list[P
     written.append(report_path)
     return written
 
-
-def read_curve_csv(path) -> list[CurvePoint]:
-    """Parse a curve CSV written by :func:`write_report`."""
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if lines[0] != "rho,certified_accuracy,abstain_rate":
-        raise ValueError(f"unexpected header {lines[0]!r}")
-    points = []
-    for line in lines[1:]:
-        rho, acc, rate = line.split(",")
-        points.append(CurvePoint(rho=int(rho), certified_accuracy=float(acc),
-                                 abstain_rate=float(rate)))
-    return points

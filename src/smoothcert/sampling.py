@@ -110,8 +110,6 @@ def sample_smoothed_ratings(matrix: InteractionMatrix, params: SmoothingParams,
     keep = ~(deleted[pairs[:, 0]] | coin)
 
     smoothed = InteractionMatrix(users=matrix.users, items=matrix.items,
-                                 pairs=pairs[keep],
-                                 user_ids=matrix.user_ids,
-                                 item_ids=matrix.item_ids)
+                                 pairs=pairs[keep])
     deleted.flags.writeable = False
     return smoothed, deleted

@@ -10,7 +10,14 @@ probability bounds, ``reference_curve`` is the per-rho, per-node curve loop and
 ``reference_recommender_curve`` the per-rho, per-user, per-r recommender
 curve loop, and ``reference_item_votes`` the per-sample, per-user
 recommender vote loop.
+
+``reference_predict``, ``reference_train_with_noise`` and
+``reference_train_predict`` are the single-graph forward pass and the two
+training loops the models had before they shared one loop; they transpose
+the operator at each use. The remaining helpers stand in for accessors that
+only tests need: neighbor lists, attack-plan parsing and curve reading.
 """
+import json
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -20,10 +27,12 @@ import numpy as np
 import scipy.sparse as sp
 from scipy import stats
 
-from smoothcert import (CurvePoint, Graph, InteractionMatrix,
-                        derive_sample_seed, margin_exclude, margin_include,
-                        node_retention_probs, predict, prob_all_removed,
-                        prob_all_removed_recsys, sample_smoothed_ratings)
+from smoothcert import (AttackPlan, CurvePoint, Graph, InteractionMatrix,
+                        TrainedModel, derive_sample_seed, margin_exclude,
+                        margin_include, node_retention_probs, prob_all_removed,
+                        prob_all_removed_recsys, sample_smoothed_graph,
+                        sample_smoothed_ratings)
+from smoothcert.models import normalized_operator
 from smoothcert.recsys import RecommenderCurvePoint
 
 _MASS_TOL = 1e-9
@@ -160,8 +169,156 @@ def normalized_adjacency(graph):
     return sp.diags(inv_deg) @ a
 
 
+def neighbors(graph, v):
+    """Node ``v``'s neighbors in ascending order, read off the edge list."""
+    if not 0 <= v < graph.n:
+        raise ValueError(f"node id {v} out of range [0, {graph.n})")
+    e = graph.edges
+    return np.sort(np.concatenate([e[e[:, 0] == v, 1], e[e[:, 1] == v, 0]]))
+
+
+def degree(graph, v):
+    return neighbors(graph, v).size
+
+
+def has_edge(graph, u, v):
+    return v in neighbors(graph, u)
+
+
+def plan_degrees(plan):
+    """Edges per injected node of an attack plan."""
+    return np.bincount(plan.edges[:, 0], minlength=plan.num_injected)
+
+
+def plan_from_json(text):
+    """Parse ``AttackPlan.to_json`` output."""
+    data = json.loads(text)
+    rho = len(data["features"])
+    return AttackPlan(
+        features=np.asarray(data["features"], dtype=np.float64).reshape(rho, -1),
+        edges=np.asarray(data["edges"], dtype=np.int64).reshape(-1, 2),
+        strategy=data["strategy"])
+
+
+def certified_at(curve, rho):
+    """Certified accuracy of a ``CertCurve`` at a grid point."""
+    for p in curve.points:
+        if p.rho == rho:
+            return p.certified_accuracy
+    raise KeyError(f"rho={rho} not on the curve grid")
+
+
+def read_curve_csv(path):
+    """Parse a curve CSV written by ``write_report``."""
+    lines = path.read_text(encoding="utf-8").strip().splitlines()
+    if lines[0] != "rho,certified_accuracy,abstain_rate":
+        raise ValueError(f"unexpected header {lines[0]!r}")
+    points = []
+    for line in lines[1:]:
+        rho, acc, rate = line.split(",")
+        points.append(CurvePoint(rho=int(rho), certified_accuracy=float(acc),
+                                 abstain_rate=float(rate)))
+    return points
+
+
+def _operator(kind, graph):
+    return (normalized_operator(graph.n, graph.edges)
+            if kind == "message_passing_2layer" else None)
+
+
+def _reference_forward(weights, agg, features):
+    t1 = features @ weights["w1"]
+    z1 = (agg @ t1 if agg is not None else t1) + weights["b1"]
+    h1 = np.maximum(z1, 0.0)
+    t2 = h1 @ weights["w2"]
+    logits = (agg @ t2 if agg is not None else t2) + weights["b2"]
+    return z1, h1, logits
+
+
+def reference_predict(model, graph):
+    """Predictions from one forward pass over the whole graph."""
+    if graph.num_features != model.num_features:
+        raise ValueError("feature dimension does not match the trained model")
+    logits = _reference_forward(model.weights, _operator(model.spec.kind, graph),
+                                graph.features)[-1]
+    return np.argmax(logits, axis=1)
+
+
+def _reference_init(spec, num_features, num_classes):
+    rng = np.random.default_rng(derive_sample_seed(spec.seed, 1 << 40))
+
+    def glorot(fan_in, fan_out):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+
+    return {"w1": glorot(num_features, spec.hidden_dim),
+            "b1": np.zeros(spec.hidden_dim),
+            "w2": glorot(spec.hidden_dim, num_classes),
+            "b2": np.zeros(num_classes)}
+
+
+def _reference_step(weights, cache, agg, graph, train_idx, spec):
+    """One Adagrad step on the training-node cross-entropy."""
+    z1, h1, logits = _reference_forward(weights, agg, graph.features)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    probs = e / e.sum(axis=1, keepdims=True)
+    d_logits = np.zeros_like(probs)
+    d_logits[train_idx] = probs[train_idx]
+    d_logits[train_idx, graph.labels[train_idx]] -= 1.0
+    d_logits /= len(train_idx)
+
+    d_t2 = agg.T @ d_logits if agg is not None else d_logits
+    d_z1 = (d_t2 @ weights["w2"].T) * (z1 > 0.0)
+    d_t1 = agg.T @ d_z1 if agg is not None else d_z1
+    grads = {"w1": graph.features.T @ d_t1 + spec.weight_decay * weights["w1"],
+             "b1": d_z1.sum(axis=0),
+             "w2": h1.T @ d_t2 + spec.weight_decay * weights["w2"],
+             "b2": d_logits.sum(axis=0)}
+    for key, grad in grads.items():
+        cache[key] += grad * grad
+        weights[key] -= spec.learning_rate * grad / (np.sqrt(cache[key]) + 1e-10)
+
+
+def reference_train_with_noise(spec, graph, split, params):
+    """Noisy training: a fresh smoothed sample and operator every epoch."""
+    train_idx = np.asarray(split.train, dtype=np.int64)
+    weights = _reference_init(spec, graph.num_features, graph.num_classes)
+    cache = {k: np.zeros_like(v) for k, v in weights.items()}
+    for epoch in range(spec.epochs):
+        sample = sample_smoothed_graph(graph, params,
+                                       derive_sample_seed(spec.seed, epoch))
+        _reference_step(weights, cache, _operator(spec.kind, sample.graph), graph,
+                        train_idx, spec)
+    return TrainedModel(spec=spec, weights=weights, num_classes=graph.num_classes,
+                        num_features=graph.num_features,
+                        graph_fingerprint=graph.fingerprint())
+
+
+def reference_train_predict(spec, sample, split, mode):
+    """Train on one smoothed sample, bypassing its isolated training nodes,
+    and predict on it. Returns the predictions, the abstain mask and the
+    weights (None when every training node is isolated in exclude mode)."""
+    graph = sample.graph
+    isolated = graph.degrees == 0
+    train_idx = np.asarray(split.train, dtype=np.int64)
+    train_idx = train_idx[~isolated[train_idx]]
+    if train_idx.size == 0:
+        assert mode == "exclude"
+        return (np.zeros(graph.n, dtype=np.int64), np.ones(graph.n, dtype=bool),
+                None)
+    weights = _reference_init(spec, graph.num_features, graph.num_classes)
+    cache = {k: np.zeros_like(v) for k, v in weights.items()}
+    agg = _operator(spec.kind, graph)
+    for _ in range(spec.epochs):
+        _reference_step(weights, cache, agg, graph, train_idx, spec)
+    preds = np.argmax(_reference_forward(weights, agg, graph.features)[-1], axis=1)
+    abstain = isolated if mode == "exclude" else np.zeros(graph.n, dtype=bool)
+    return preds, abstain, weights
+
+
 def enumerate_graph_votes(graph, params, model):
-    """Exact per-node class probabilities of ``predict`` under smoothing."""
+    """Exact per-node class probabilities of the predictions under smoothing."""
     n, m = graph.n, graph.num_edges
     edges = graph.edges
     node_masks = (list(product([0, 1], repeat=n))
@@ -179,11 +336,29 @@ def enumerate_graph_votes(graph, params, model):
             ]
             sample = Graph(n, edges[np.array(keep, dtype=bool)], graph.features,
                            graph.labels, num_classes=graph.num_classes)
-            preds = predict(model, sample)
+            preds = reference_predict(model, sample)
             weight = p_nodes * p_edges
             for v in range(n):
                 probs[v, preds[v]] += weight
     return probs
+
+
+def reference_ratings_split(records, split_fraction):
+    """Training pairs and per-user held-out items of ``(user, item, ts)``
+    records, one user at a time, with dense ids in ascending id order."""
+    user_index = {u: k for k, u in enumerate(sorted({r[0] for r in records}))}
+    item_index = {i: k for k, i in enumerate(sorted({r[1] for r in records}))}
+    per_user = [[] for _ in user_index]
+    for user, item, ts in records:
+        per_user[user_index[user]].append((ts, item_index[item]))
+    train, held = [], []
+    for u, recs in enumerate(per_user):
+        recs.sort()
+        count = len(recs)
+        n_train = count if count < 2 else max(1, math.floor(split_fraction * count))
+        train += [[u, i] for _, i in recs[:n_train]]
+        held.append(sorted(i for _, i in recs[n_train:]))
+    return sorted(train), held
 
 
 def reference_cooccurrence(matrix):

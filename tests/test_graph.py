@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from oracles import degree, has_edge, neighbors, reference_ratings_split
 from smoothcert import (Graph, DataSplit, InteractionMatrix, ParseError,
                         generate_sbm, load_interaction_dataset,
                         load_node_classification_dataset,
@@ -21,8 +22,8 @@ def write_dataset(tmp_path, edge_text, node_text):
 class TestGraphType:
     def test_symmetry_is_forced(self):
         g = Graph(2, [(0, 1)], np.zeros((2, 1)))
-        assert list(g.neighbors(0)) == [1]
-        assert list(g.neighbors(1)) == [0]
+        assert list(neighbors(g, 0)) == [1]
+        assert list(neighbors(g, 1)) == [0]
 
     def test_rejects_self_loop_and_duplicates(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -34,10 +35,11 @@ class TestGraphType:
 
     def test_degree(self):
         g = Graph(4, [(0, 1), (1, 2), (0, 2)], np.zeros((4, 1)))
-        assert g.degree(3) == 0
-        assert g.degree(0) == 2
+        assert degree(g, 3) == 0
+        assert degree(g, 0) == 2
+        assert g.degrees.tolist() == [degree(g, v) for v in range(4)]
         with pytest.raises(ValueError):
-            g.degree(4)
+            degree(g, 4)
 
     def test_degree_sum_equals_twice_edges(self):
         graph, _ = generate_sbm(60, 3, 0.3, 0.05, 3, seed=11)
@@ -52,11 +54,11 @@ class TestGraphType:
         shuffled = Graph(graph.n, edges, graph.features, graph.labels)
         assert shuffled == graph
         assert np.array_equal(shuffled.indptr, graph.indptr)
-        assert np.array_equal(shuffled.indices, graph.indices)
         for v in range(graph.n):
             expected = sorted({int(u) for a, b in graph.edges.tolist()
                                for u, w in ((a, b), (b, a)) if w == v})
-            assert graph.neighbors(v).tolist() == expected
+            assert neighbors(graph, v).tolist() == expected
+            assert neighbors(shuffled, v).tolist() == expected
 
     def test_arrays_are_frozen(self):
         g = Graph(2, [(0, 1)], np.zeros((2, 1)))
@@ -71,7 +73,7 @@ class TestNodeClassificationLoader:
         paths = write_dataset(tmp_path, "0\t1\n", self.NODES)
         g = load_node_classification_dataset(*paths)
         assert g.n == 2 and g.num_edges == 1
-        assert g.has_edge(0, 1) and g.has_edge(1, 0)
+        assert has_edge(g, 0, 1) and has_edge(g, 1, 0)
         assert list(g.labels) == [0, 1]
 
     def test_empty_edge_file(self, tmp_path):
@@ -170,6 +172,39 @@ class TestInteractionLoader:
         path.write_text("1\t2\t3\n")
         with pytest.raises(ParseError, match="u.data:1"):
             load_interaction_dataset(path, 0.85)
+
+    def test_duplicate_interaction_reports_first_repeat(self, tmp_path):
+        # (1, 5) and (2, 6) both repeat; the repeat of (1, 5) comes first.
+        pairs = [(1, 5), (2, 6), (2, 5), (1, 5), (2, 6)]
+        path = tmp_path / "dup.tsv"
+        path.write_text("".join(f"{u}\t{i}\t4\t{10 + t}\n"
+                                for t, (u, i) in enumerate(pairs)))
+        with pytest.raises(ParseError) as info:
+            load_interaction_dataset(path, 0.5)
+        assert str(info.value) == (f"{path}:4: duplicate interaction "
+                                   "user=1 item=5 (first at line 1)")
+        assert info.value.line_no == 4 and type(info.value.line_no) is int
+
+    def test_empty_log(self, tmp_path):
+        path = tmp_path / "empty.tsv"
+        path.write_text("\n\n")
+        matrix, held = load_interaction_dataset(path, 0.85)
+        assert (matrix.users, matrix.items, matrix.nnz) == (0, 0, 0)
+        assert held == []
+
+    @pytest.mark.parametrize("fraction", [0.3, 0.5, 0.85, 1.0])
+    def test_matches_per_user_reference(self, tmp_path, fraction):
+        # Sparse and negative ids, and many tied timestamps.
+        rng = np.random.default_rng(int(fraction * 100))
+        keys = rng.choice(12 * 15, size=90, replace=False)
+        records = [(int(k // 15) * 3 - 5, int(k % 15) * 7, int(rng.integers(6)))
+                   for k in keys]
+        path = tmp_path / "u.data"
+        path.write_text("".join(f"{u}\t{i}\t1\t{ts}\n" for u, i, ts in records))
+        matrix, held = load_interaction_dataset(path, fraction)
+        train, expected_held = reference_ratings_split(records, fraction)
+        assert matrix.pairs.tolist() == train
+        assert [h.tolist() for h in held] == expected_held
 
     def test_bad_fraction(self, tmp_path):
         path = tmp_path / "u.data"

@@ -1,7 +1,8 @@
 """Layout rules of the package source.
 
-No module imports another module's private helpers, and the single-budget
-certificate API that lives in ``tests/oracles.py`` is not exported.
+No module imports another module's private helpers, only ``certify.py``
+imports ``scipy.stats``, and the API that lives in ``tests/oracles.py`` (the
+single-budget certificate and the accessors only tests use) is not exported.
 """
 import ast
 from pathlib import Path
@@ -14,7 +15,13 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "smoothcert")
                  .glob("*.py"))
 REMOVED = ("certify_node", "CertDecision", "Outcome", "VoteStats",
            "vote_bounds", "certify_overlap", "certified_precision_recall",
-           "save_model", "load_model")
+           "save_model", "load_model", "read_curve_csv")
+# Methods and fields whose only callers were tests.
+REMOVED_MEMBERS = (("CertCurve", "certified_at"), ("AttackPlan", "from_json"),
+                   ("AttackPlan", "degrees"), ("Graph", "indices"),
+                   ("Graph", "degree"), ("Graph", "neighbors"),
+                   ("Graph", "has_edge"), ("InteractionMatrix", "user_ids"),
+                   ("InteractionMatrix", "item_ids"))
 
 
 def private_imports(path):
@@ -27,6 +34,23 @@ def private_imports(path):
             found += [(node.lineno, alias.name) for alias in node.names
                       if alias.name.startswith("_")
                       and not alias.name.endswith("__")]
+    return found
+
+
+def stats_imports(path):
+    """Line numbers of every import of ``scipy.stats`` or a submodule."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+            names.append(node.module or "")
+        else:
+            continue
+        if any(name == "scipy.stats" or name.startswith("scipy.stats.")
+               for name in names):
+            found.append(node.lineno)
     return found
 
 
@@ -52,10 +76,33 @@ def test_private_import_is_detected(tmp_path):
 @pytest.mark.parametrize("name", REMOVED)
 def test_single_budget_api_is_not_exported(name):
     assert not hasattr(smoothcert, name)
-    modules = (smoothcert.certify, smoothcert.models, smoothcert.pipeline,
-               smoothcert.recsys)
+    modules = (smoothcert.attack, smoothcert.certify, smoothcert.graph,
+               smoothcert.models, smoothcert.pipeline, smoothcert.recsys)
     assert not any(hasattr(module, name) for module in modules)
+
+
+@pytest.mark.parametrize("owner, name", REMOVED_MEMBERS,
+                         ids=lambda x: x if isinstance(x, str) else None)
+def test_test_only_members_are_gone(owner, name):
+    cls = getattr(smoothcert, owner)
+    fields = getattr(cls, "__dataclass_fields__", {})
+    assert not hasattr(cls, name) and name not in fields
 
 
 def test_vote_table_has_no_stats_for():
     assert not hasattr(smoothcert.VoteTable, "stats_for")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_certify_imports_scipy_stats(path):
+    assert bool(stats_imports(path)) == (path.name == "certify.py")
+
+
+def test_stats_import_is_detected(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("import scipy.stats\n"
+                      "from scipy import stats\n"
+                      "from scipy.stats import beta\n"
+                      "import scipy.special\n"
+                      "from scipy import special\n")
+    assert stats_imports(source) == [1, 2, 3]

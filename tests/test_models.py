@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from oracles import normalized_adjacency
+from oracles import (neighbors, normalized_adjacency, reference_predict,
+                     reference_train_predict, reference_train_with_noise)
 from smoothcert import (ClassifierSpec, Graph, SmoothedSample, SmoothingParams,
-                        predict, sample_smoothed_graph, train_predict_end_to_end,
+                        derive_sample_seed, generate_sbm, predict,
+                        sample_smoothed_graph, train_predict_end_to_end,
                         train_with_noise)
-from smoothcert.models import normalized_operator
+from smoothcert import models
+from smoothcert.models import feature_transform, normalized_operator
+
+KINDS = ("message_passing_2layer", "feature_mlp")
 
 
 def append_isolated(graph, count, rng):
@@ -133,7 +138,7 @@ class TestTrainWithNoise:
         for _ in range(2):
             out = averaged.copy()
             for v in range(graph.n):
-                nbrs = graph.neighbors(v)
+                nbrs = neighbors(graph, v)
                 out[v] = (averaged[v] + averaged[nbrs].sum(axis=0)) / (1 + nbrs.size)
             averaged = out
         centroids = np.stack([averaged[graph.labels == c].mean(axis=0)
@@ -197,3 +202,56 @@ class TestTrainPredictEndToEnd:
             ClassifierSpec(epochs=5, seed=3), sample, split4, mode="include")
         assert not abstain.any()
         assert preds.shape == (4,)
+
+
+class TestMatchesReferenceLoops:
+    """The shared training loop and forward pass against the separate
+    loops and the single-graph forward they replaced, bit for bit."""
+
+    @pytest.fixture(params=[3, 8, 21])
+    def seeded(self, request):
+        seed = request.param
+        graph, split = generate_sbm(48, 2, 0.25, 0.04, 4, seed=seed)
+        return seed, graph, split
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_noisy_training_and_predict(self, seeded, kind):
+        seed, graph, split = seeded
+        spec = ClassifierSpec(kind=kind, hidden_dim=6, epochs=12, seed=seed)
+        params = SmoothingParams(0.3, 0.4)
+        model = train_with_noise(spec, graph, split, params)
+        reference = reference_train_with_noise(spec, graph, split, params)
+        assert model.weights.keys() == reference.weights.keys()
+        for key, value in reference.weights.items():
+            assert np.array_equal(model.weights[key], value)
+        transformed = feature_transform(model, graph.features)
+        graphs = [graph] + [sample_smoothed_graph(graph, params, i).graph
+                            for i in range(4)]
+        for g in graphs:
+            expected = reference_predict(reference, g)
+            assert np.array_equal(predict(model, g), expected)
+            assert np.array_equal(predict(model, g, transformed), expected)
+
+    @pytest.mark.parametrize("mode", ["include", "exclude"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_train_predict(self, seeded, kind, mode, monkeypatch):
+        seed, graph, split = seeded
+        spec = ClassifierSpec(kind=kind, hidden_dim=6, epochs=12, seed=seed)
+        fitted = []
+        fit = models._fit
+        monkeypatch.setattr(models, "_fit",
+                            lambda *args: fitted.append(fit(*args)) or fitted[-1])
+        bypassed = 0
+        for i in range(6):
+            sample = sample_smoothed_graph(graph, SmoothingParams(0.3, 0.4),
+                                           derive_sample_seed(seed, i))
+            bypassed += (sample.graph.degrees[split.train] == 0).any()
+            preds, abstain = train_predict_end_to_end(spec, sample, split, mode)
+            ref_preds, ref_abstain, ref_weights = reference_train_predict(
+                spec, sample, split, mode)
+            assert np.array_equal(preds, ref_preds)
+            assert np.array_equal(abstain, ref_abstain)
+            weights = fitted.pop()
+            for key, value in ref_weights.items():
+                assert np.array_equal(weights[key], value)
+        assert bypassed  # some sample must leave a training node isolated

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import enumerate_graph_votes, reference_curve
+from oracles import enumerate_graph_votes, read_curve_csv, reference_curve
 from smoothcert import (CertConfig, ClassifierSpec, DataSplit, Graph,
                         PerturbationBudget, SmoothingParams, TrainedModel,
                         VoteTable, average_certified_radius,
@@ -11,7 +11,7 @@ from smoothcert import (CertConfig, ClassifierSpec, DataSplit, Graph,
                         certified_radii,
                         collect_votes_evasion, collect_votes_poisoning,
                         derive_sample_seed, generate_sbm, predict,
-                        read_curve_csv, sample_smoothed_graph, write_report)
+                        sample_smoothed_graph, write_report)
 from smoothcert import pipeline
 from smoothcert.pipeline import CertCurve, CurvePoint
 

@@ -119,7 +119,7 @@ class TestGraphSampler:
         hits = 0
         for seed in range(draws):
             sample = sample_smoothed_graph(graph, params, seed)
-            if sample.deleted_nodes[0] or sample.graph.degree(0) == 0:
+            if sample.deleted_nodes[0] or sample.graph.degrees[0] == 0:
                 hits += 1
         sigma = math.sqrt(draws * expected * (1 - expected))
         assert abs(hits - expected * draws) <= 4 * sigma
