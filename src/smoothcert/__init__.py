@@ -7,9 +7,9 @@ from .graph import (DataSplit, Graph, InteractionMatrix, ParseError,
                     save_node_classification_dataset, seeded_split)
 from .sampling import (SmoothedSample, SmoothingParams, derive_sample_seed,
                        sample_smoothed_graph, sample_smoothed_ratings)
-from .certify import (CertConfig, abstain_test, clopper_pearson_lower,
-                      clopper_pearson_upper, majority_pvalue, margin_exclude,
-                      margin_include, node_retention_probs, prob_all_removed,
+from .certify import (abstain_test, clopper_pearson_lower, clopper_pearson_upper,
+                      majority_pvalue, margin_exclude, margin_include,
+                      node_retention_probs, prob_all_removed,
                       prob_all_removed_recsys)
 from .models import (ClassifierSpec, TrainedModel, predict,
                      train_predict_end_to_end, train_with_noise)

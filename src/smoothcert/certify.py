@@ -5,31 +5,12 @@ Every function here is pure and safe for unrestricted concurrent use.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import stats
 
 from .sampling import SmoothingParams
 
 RHO_CAP = 10**6  # radius scans over the injected-node budget stop here
-
-
-@dataclass(frozen=True)
-class CertConfig:
-    """Certification settings: significance level, class count, vote mode."""
-
-    alpha: float
-    num_classes: int
-    mode: str = "include"
-
-    def __post_init__(self):
-        if not 0 < self.alpha < 1:
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
-        if self.mode not in ("include", "exclude"):
-            raise ValueError("mode must be 'include' or 'exclude'")
 
 
 def _validate_counts(tau: int, rho: int) -> None:
@@ -83,10 +64,9 @@ def node_retention_probs(params: SmoothingParams, degree: int) -> tuple[float, f
         raise ValueError("exclusion mode is undefined for isolated nodes (degree 0)")
     if params.p_e >= 1.0 or params.p_n >= 1.0:
         raise ValueError("retention probabilities require p_e < 1 and p_n < 1")
-    q = params.p_e + params.p_n - params.p_e * params.p_n
-    p_isolated = params.p_n + (1.0 - params.p_n) * q**degree
-    p_isolated_attacked = params.p_n + (1.0 - params.p_n) * q**(2 * degree)
-    return p_isolated, p_isolated_attacked
+    # A node is isolated as often as an injected node with its edges is removed.
+    return (prob_all_removed(params, degree, 1),
+            prob_all_removed(params, 2 * degree, 1))
 
 
 def margin_include(p_top_lower: float, p_runner_upper: float,

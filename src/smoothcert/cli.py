@@ -18,7 +18,6 @@ from typing import Optional
 
 from . import __version__
 from .attack import apply_attack, craft_injection, empirical_accuracy
-from .certify import CertConfig
 from .graph import (Graph, PerturbationBudget, generate_sbm,
                     load_interaction_dataset, load_node_classification_dataset,
                     save_node_classification_dataset, seeded_split)
@@ -266,11 +265,8 @@ def _run_certify_nodes(config: RunConfig) -> dict:
                                         config.mode, votes_seed,
                                         threads=config.threads)
 
-    cert = CertConfig(alpha=config.alpha, num_classes=graph.num_classes,
-                      mode=config.mode)
-    degrees = graph.degrees if config.mode == "exclude" else None
-    curves = [certified_accuracy_curve(table, graph.labels, params, tau, cert,
-                                       degrees=degrees, nodes=split.test)
+    curves = [certified_accuracy_curve(table, graph.labels, tau, config.alpha,
+                                       nodes=split.test)
               for tau in config.tau]
     return {"curves": curves, "test_nodes": int(split.test.size)}
 
@@ -285,13 +281,12 @@ def _run_certify_recsys(config: RunConfig) -> dict:
     table = collect_item_votes(matrix, num_samples, params, config.k_prime,
                                derive_sample_seed(config.master_seed, _VOTES_STREAM),
                                threads=config.threads)
-    degrees = matrix.user_degrees
     ground_truths = {u: held_out[u] for u in range(matrix.users)
-                     if len(held_out[u]) > 0 and degrees[u] >= 1}
+                     if len(held_out[u]) > 0 and table.degrees[u] >= 1}
     if not ground_truths:
         raise ValueError("no user has both training ratings and held-out items")
-    curves = [recommender_curve(table, ground_truths, config.k, params, tau,
-                                config.alpha) for tau in config.tau]
+    curves = [recommender_curve(table, ground_truths, config.k, tau, config.alpha)
+              for tau in config.tau]
     return {"curves": curves, "evaluated_users": len(ground_truths)}
 
 
@@ -320,10 +315,8 @@ def _run_empirical_attack(config: RunConfig) -> dict:
                                            votes_seed, threads=config.threads)
     clean_acc, attacked_acc = empirical_accuracy(clean_votes, attacked_votes,
                                                  graph.labels, split.test)
-    cert = CertConfig(alpha=config.alpha, num_classes=graph.num_classes,
-                      mode="include")
-    certified = certified_accuracy_at(clean_votes, graph.labels, params, budget,
-                                      cert, nodes=split.test)
+    certified = certified_accuracy_at(clean_votes, graph.labels, budget,
+                                      config.alpha, nodes=split.test)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "attack_plan.json").write_text(plan.to_json() + "\n", encoding="utf-8")

@@ -377,7 +377,15 @@ def load_interaction_dataset(path, split_fraction: float):
                 raise ParseError(path, line_no, f"malformed record {line!r}") from None
             records.append((user, item, ts, line_no))
 
-    users, items, ts, line_nos = np.array(records, dtype=np.int64).reshape(-1, 4).T
+    try:
+        parsed = np.array(records, dtype=np.int64)
+    except OverflowError:  # report the first field outside int64
+        for *values, line_no in records:
+            for name, value in zip(("user", "item", "timestamp"), values):
+                if not -2**63 <= value < 2**63:
+                    raise ParseError(path, line_no,
+                                     f"{name} {value} is outside int64") from None
+    users, items, ts, line_nos = parsed.reshape(-1, 4).T
     user_ids, u = np.unique(users, return_inverse=True)
     item_ids, i = np.unique(items, return_inverse=True)
     num_users, num_items = len(user_ids), len(item_ids)

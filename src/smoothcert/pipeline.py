@@ -8,13 +8,13 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .certify import (RHO_CAP, CertConfig, abstain_test,
+from .certify import (RHO_CAP, abstain_test,
                       clopper_pearson_lower, clopper_pearson_upper, margin_exclude,
                       margin_include, node_retention_probs, prob_all_removed)
 from .graph import Graph, DataSplit, PerturbationBudget
@@ -28,45 +28,47 @@ _TRAIN_STREAM = (1 << 40) + 1
 # 64 hidden units each activation block of a batch stays near 512 KiB.
 _BATCH_ROWS = 1024
 
-_MERGE_IGNORED_KEYS = ("first_index", "num_samples")
+_MERGE_IGNORED_KEYS = ("first_index", "num_samples")  # of the provenance
+_MERGED_APART = ("counts", "abstains", "num_samples", "degrees", "provenance")
 
 
 @dataclass(eq=False)
-class VoteTable:
-    """Per-node, per-class Monte-Carlo vote counts with abstention counts."""
+class BaseVoteTable:
+    """Monte-Carlo vote counts of one smoothing run and every input a
+    certificate over them needs: the smoothing noise that drew the samples
+    and each row's degree in the graph or rating matrix that was voted on."""
 
-    counts: np.ndarray   # (n, num_classes) int64
-    abstains: np.ndarray  # (n,) int64
+    counts: np.ndarray    # (rows, columns) int64
+    abstains: np.ndarray  # (rows,) int64, samples in which the row did not vote
     num_samples: int
+    params: SmoothingParams
+    degrees: np.ndarray   # (rows,) int64
     provenance: dict
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
         self.abstains = np.asarray(self.abstains, dtype=np.int64)
+        self.degrees = np.asarray(self.degrees, dtype=np.int64)
         if self.counts.ndim != 2:
-            raise ValueError("counts must be (n, num_classes)")
-        if self.abstains.shape != (self.counts.shape[0],):
-            raise ValueError("abstains must be (n,)")
-        totals = self.counts.sum(axis=1) + self.abstains
-        if self.counts.shape[0] and not np.all(totals == self.num_samples):
-            raise ValueError("per-node counts must sum to num_samples")
+            raise ValueError("counts must be (rows, columns)")
+        rows = (self.counts.shape[0],)
+        if self.abstains.shape != rows or self.degrees.shape != rows:
+            raise ValueError("abstains and degrees must hold one value per row")
+        if np.any(self.counts < 0) or np.any(self.abstains < 0):
+            raise ValueError("vote counts must be non-negative")
+        voted = self.num_samples - self.abstains
+        if np.any(voted < 0) or np.any(self.counts > voted[:, None]):
+            raise ValueError("a row has more votes than samples it voted in")
 
-    @property
-    def num_nodes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def majority_classes(self) -> np.ndarray:
-        return np.argmax(self.counts, axis=1)
-
-    def merged(self, other: "VoteTable") -> "VoteTable":
+    def merged(self, other: "BaseVoteTable") -> "BaseVoteTable":
         """Combine adjacent sample ranges of the same run into one table.
 
         The ranges ``[first_index, first_index + num_samples)`` of the two
         tables must meet end to start, in either order. Merging a table with
         itself, overlapping ranges or ranges with a gap between them raises
         ``ValueError``: the first two would count samples twice and the
-        third would record a range that never ran.
+        third would record a range that never ran. So do tables whose noise,
+        mode, ``k_prime``, degrees or provenance differ.
         """
         if other is self:
             raise ValueError("cannot merge a vote table with itself")
@@ -74,7 +76,10 @@ class VoteTable:
             raise ValueError("vote tables cover different graphs")
         a = {k: v for k, v in self.provenance.items() if k not in _MERGE_IGNORED_KEYS}
         b = {k: v for k, v in other.provenance.items() if k not in _MERGE_IGNORED_KEYS}
-        if a != b:
+        if (type(other) is not type(self) or a != b
+                or not np.array_equal(self.degrees, other.degrees)
+                or any(getattr(self, f.name) != getattr(other, f.name)
+                       for f in fields(self) if f.name not in _MERGED_APART)):
             raise ValueError("vote tables come from different runs")
         lo_a = self.provenance.get("first_index", 0)
         lo_b = other.provenance.get("first_index", 0)
@@ -85,13 +90,32 @@ class VoteTable:
         if hi_a != lo_b and hi_b != lo_a:
             raise ValueError(f"sample ranges [{lo_a}, {hi_a}) and [{lo_b}, {hi_b}) "
                              "leave a gap")
-        prov = dict(self.provenance)
-        prov["first_index"] = min(lo_a, lo_b)
-        prov["num_samples"] = self.num_samples + other.num_samples
-        return VoteTable(counts=self.counts + other.counts,
-                         abstains=self.abstains + other.abstains,
-                         num_samples=self.num_samples + other.num_samples,
-                         provenance=prov)
+        num_samples = self.num_samples + other.num_samples
+        return replace(self, counts=self.counts + other.counts,
+                       abstains=self.abstains + other.abstains,
+                       num_samples=num_samples,
+                       provenance=dict(self.provenance, num_samples=num_samples,
+                                       first_index=min(lo_a, lo_b)))
+
+
+@dataclass(eq=False)
+class VoteTable(BaseVoteTable):
+    """Per-node, per-class vote counts of a smoothed node classifier. In
+    ``"exclude"`` mode nodes isolated in a sample abstain instead of voting."""
+
+    mode: str = "include"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.mode not in ("include", "exclude"):
+            raise ValueError("mode must be 'include' or 'exclude'")
+        totals = self.counts.sum(axis=1) + self.abstains
+        if self.counts.shape[0] and not np.all(totals == self.num_samples):
+            raise ValueError("per-node counts must sum to num_samples")
+
+    @property
+    def majority_classes(self) -> np.ndarray:
+        return np.argmax(self.counts, axis=1)
 
 
 def accumulate_parallel(num_samples: int, first_index: int, threads: int,
@@ -164,13 +188,13 @@ def collect_votes_evasion(model: TrainedModel, graph: Graph, num_samples: int,
 
     counts, abstains = accumulate_parallel(num_samples, first_index, threads, worker)
     provenance = {
-        "kind": "evasion", "p_e": params.p_e, "p_n": params.p_n,
-        "master_seed": int(master_seed), "first_index": int(first_index),
-        "num_samples": int(num_samples), "graph": graph.fingerprint(),
+        "kind": "evasion", "master_seed": int(master_seed),
+        "first_index": int(first_index), "num_samples": int(num_samples),
+        "graph": graph.fingerprint(),
         "model_graph": model.graph_fingerprint, "model_spec": asdict(model.spec),
     }
-    return VoteTable(counts=counts, abstains=abstains,
-                     num_samples=num_samples, provenance=provenance)
+    return VoteTable(counts=counts, abstains=abstains, num_samples=num_samples,
+                     params=params, degrees=graph.degrees, provenance=provenance)
 
 
 def collect_votes_poisoning(spec: ClassifierSpec, graph: Graph, split: DataSplit,
@@ -204,13 +228,14 @@ def collect_votes_poisoning(spec: ClassifierSpec, graph: Graph, split: DataSplit
 
     counts, abstains = accumulate_parallel(num_samples, first_index, threads, worker)
     provenance = {
-        "kind": "poisoning", "p_e": params.p_e, "p_n": params.p_n, "mode": mode,
-        "master_seed": int(master_seed), "first_index": int(first_index),
-        "num_samples": int(num_samples), "graph": graph.fingerprint(),
+        "kind": "poisoning", "master_seed": int(master_seed),
+        "first_index": int(first_index), "num_samples": int(num_samples),
+        "graph": graph.fingerprint(),
         "split": split.fingerprint(), "model_spec": asdict(spec),
     }
-    return VoteTable(counts=counts, abstains=abstains,
-                     num_samples=num_samples, provenance=provenance)
+    return VoteTable(counts=counts, abstains=abstains, num_samples=num_samples,
+                     params=params, degrees=graph.degrees, provenance=provenance,
+                     mode=mode)
 
 
 @dataclass(frozen=True)
@@ -249,33 +274,35 @@ def _labeled_nodes(labels, nodes):
     return labels, nodes
 
 
-def certified_radii(table: VoteTable, params: SmoothingParams, tau: int,
-                    config: CertConfig, nodes, degrees=None):
+def certified_radii(table: VoteTable, tau: int, alpha: float, nodes):
     """Each node's certificate over the injected-node budget at edge budget tau.
 
     Returns three arrays over ``nodes``: the abstain flag, the majority class
     and the radius, the largest rho at which the majority is certified. A
     margin positive at some rho is positive at every smaller rho, so a node
     is certified at exactly the budgets ``0..radius``; the scan stops at the
-    first margin <= 0 and at ``RHO_CAP``. The radius is -1 for abstaining
-    nodes, for nodes not certified even at rho = 0 and, in exclude mode, for
-    nodes isolated in the original graph (``degrees`` holds the original
-    degree of every node).
+    first margin <= 0 and at ``RHO_CAP``. The smoothing noise, the mode and
+    the degrees come from the table, and the bounds are taken at level
+    ``alpha`` over its class count. The radius is -1 for abstaining nodes,
+    for nodes not certified even at rho = 0 and, in exclude mode, for nodes
+    isolated in the voted graph.
     """
+    params = table.params
     params.require_certifiable()
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie in (0, 1)")
+    if table.counts.shape[1] < 2:
+        raise ValueError("certification needs at least two classes")
     nodes = np.asarray(nodes, dtype=np.int64)
-    exclude = config.mode == "exclude"
-    if exclude:
-        if degrees is None:
-            raise ValueError("exclusion mode requires original node degrees")
-        node_degrees = np.asarray(degrees, dtype=np.int64)[nodes]
+    exclude = table.mode == "exclude"
+    node_degrees = table.degrees[nodes]
     counts = table.counts[nodes]
     rows = np.arange(nodes.size)
     majority = np.argmax(counts, axis=1)
     top = counts[rows, majority]
     counts[rows, majority] = -1
     runner = counts.max(axis=1)
-    level = config.alpha / config.num_classes
+    level = alpha / table.counts.shape[1]
     lowers = clopper_pearson_lower(top, table.num_samples, level)
     uppers = clopper_pearson_upper(runner, table.num_samples, level)
 
@@ -284,7 +311,7 @@ def certified_radii(table: VoteTable, params: SmoothingParams, tau: int,
     abstained = np.empty(nodes.size, dtype=bool)
     radius = np.full(nodes.size, -1, dtype=np.int64)
     for j in range(nodes.size):
-        abstained[j] = abstain_test(int(top[j]), int(runner[j]), config.alpha)
+        abstained[j] = abstain_test(int(top[j]), int(runner[j]), alpha)
         if abstained[j] or (exclude and node_degrees[j] < 1):
             continue
         retention = (node_retention_probs(params, int(node_degrees[j]))
@@ -300,8 +327,7 @@ def certified_radii(table: VoteTable, params: SmoothingParams, tau: int,
     return abstained, majority, radius
 
 
-def certified_accuracy_curve(table: VoteTable, labels, params: SmoothingParams,
-                             tau: int, config: CertConfig, degrees=None,
+def certified_accuracy_curve(table: VoteTable, labels, tau: int, alpha: float,
                              nodes=None) -> CertCurve:
     """Certified accuracy over a dense rho grid at a fixed edge budget.
 
@@ -314,11 +340,10 @@ def certified_accuracy_curve(table: VoteTable, labels, params: SmoothingParams,
     is majority-vote correctness ignoring certification.
     """
     labels, nodes = _labeled_nodes(labels, nodes)
-    abstained, majority, radius = certified_radii(table, params, tau, config,
-                                                  nodes, degrees)
+    abstained, majority, radius = certified_radii(table, tau, alpha, nodes)
     correct = majority == labels[nodes]
     rho_cut = 1
-    while (prob_all_removed(params, tau, rho_cut) > 0.5
+    while (prob_all_removed(table.params, tau, rho_cut) > 0.5
            and rho_cut < RHO_CAP):
         rho_cut += 1
     reached = radius[correct]
@@ -334,13 +359,11 @@ def certified_accuracy_curve(table: VoteTable, labels, params: SmoothingParams,
                      clean_accuracy=float(np.mean(correct)))
 
 
-def certified_accuracy_at(table: VoteTable, labels, params: SmoothingParams,
-                          budget: PerturbationBudget, config: CertConfig,
-                          degrees=None, nodes=None) -> float:
+def certified_accuracy_at(table: VoteTable, labels, budget: PerturbationBudget,
+                          alpha: float, nodes=None) -> float:
     """Certified accuracy at a single budget: one point of the curve."""
     labels, nodes = _labeled_nodes(labels, nodes)
-    _, majority, radius = certified_radii(table, params, budget.tau, config,
-                                          nodes, degrees)
+    _, majority, radius = certified_radii(table, budget.tau, alpha, nodes)
     return float(np.mean((majority == labels[nodes]) & (radius >= budget.rho)))
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import InteractionMatrix, PerturbationBudget
-from .pipeline import accumulate_parallel, format_float, render_json
+from .pipeline import BaseVoteTable, accumulate_parallel, format_float, render_json
 from .sampling import SmoothingParams, derive_sample_seed, sample_smoothed_ratings
 from .certify import (RHO_CAP, clopper_pearson_lower, clopper_pearson_upper,
                       prob_all_removed_recsys)
@@ -76,28 +76,12 @@ def recommend_topk(similarity: sp.csr_matrix, user_history,
 
 
 @dataclass(eq=False)
-class ItemVoteTable:
-    """Per (user, item) inclusion counts of the smoothed base recommender."""
+class ItemVoteTable(BaseVoteTable):
+    """Per (user, item) inclusion counts of the smoothed top-``k_prime``
+    recommender. A user abstains in the samples that leave it without
+    ratings, and ``degrees`` holds each user's training rating count."""
 
-    counts: np.ndarray       # (users, items) int64
-    abstains: np.ndarray     # (users,) int64, samples with the user isolated
-    num_samples: int
     k_prime: int
-    user_degrees: np.ndarray  # training interaction count per user
-    provenance: dict
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        self.abstains = np.asarray(self.abstains, dtype=np.int64)
-        self.user_degrees = np.asarray(self.user_degrees, dtype=np.int64)
-        if self.counts.ndim != 2:
-            raise ValueError("counts must be (users, items)")
-        users = self.counts.shape[0]
-        if self.abstains.shape != (users,) or self.user_degrees.shape != (users,):
-            raise ValueError("abstains and user_degrees must be (users,)")
-        if self.counts.size and (self.counts.max() > self.num_samples
-                                 or self.abstains.max() > self.num_samples):
-            raise ValueError("counts cannot exceed num_samples")
 
     @property
     def users(self) -> int:
@@ -139,13 +123,13 @@ def collect_item_votes(matrix: InteractionMatrix, num_samples: int,
     counts, abstains = accumulate_parallel(num_samples, first_index, threads, worker)
     provenance = {
         "kind": "recommender", "matrix": matrix.fingerprint(),
-        "p_e": params.p_e, "p_n": params.p_n,
-        "k_prime": int(k_prime), "master_seed": int(master_seed),
-        "first_index": int(first_index), "num_samples": int(num_samples),
+        "master_seed": int(master_seed), "first_index": int(first_index),
+        "num_samples": int(num_samples),
     }
     return ItemVoteTable(counts=counts, abstains=abstains,
-                         num_samples=num_samples, k_prime=k_prime,
-                         user_degrees=matrix.user_degrees, provenance=provenance)
+                         num_samples=num_samples, params=params,
+                         degrees=matrix.user_degrees, provenance=provenance,
+                         k_prime=k_prime)
 
 
 def _certifies_overlap(p_r: np.ndarray, sums: np.ndarray, take: np.ndarray,
@@ -169,8 +153,7 @@ def _certifies_overlap(p_r: np.ndarray, sums: np.ndarray, take: np.ndarray,
 
 def certified_overlap_radii(table: ItemVoteTable,
                             ground_truths: Mapping[int, Sequence[int]], k: int,
-                            params: SmoothingParams, tau: int,
-                            alpha: float) -> np.ndarray:
+                            tau: int, alpha: float) -> np.ndarray:
     """Each user's certificate over the injected-user budget at edge budget tau.
 
     Returns a ``(len(ground_truths), k)`` array in ``ground_truths`` order
@@ -182,6 +165,7 @@ def certified_overlap_radii(table: ItemVoteTable,
     """
     if not ground_truths:
         raise ValueError("no users to evaluate")
+    params = table.params
     params.require_certifiable()
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
@@ -194,14 +178,14 @@ def certified_overlap_radii(table: ItemVoteTable,
             raise ValueError(f"user {user} has empty ground truth")
         if not 0 <= user < table.users:
             raise ValueError("user index out of range")
-        d_u = int(table.user_degrees[user])
+        d_u = int(table.degrees[user])
         if d_u < 1:
             raise ValueError("certification requires at least one training rating")
         if gt.min() < 0 or gt.max() >= table.items:
             raise ValueError("ground-truth item index out of range")
         gt_counts = np.sort(table.counts[user, gt])[::-1]
         others = np.sort(np.delete(table.counts[user], gt))
-        p_isolated = params.p_n + (1.0 - params.p_n) * params.p_e**d_u
+        p_isolated = prob_all_removed_recsys(params, d_u, 1)
         rows += [(i, r, gt_counts[r - 1], alpha / (gt.size + (k - r + 1)),
                   p_isolated, others[max(others.size - (k - r + 1), 0):])
                  for r in range(1, min(k, gt.size) + 1)]
@@ -228,8 +212,7 @@ def certified_overlap_radii(table: ItemVoteTable,
 
 
 def certify_user_overlap(table: ItemVoteTable, user: int, ground_truth, k: int,
-                         params: SmoothingParams, budget: PerturbationBudget,
-                         alpha: float) -> int:
+                         budget: PerturbationBudget, alpha: float) -> int:
     """Largest ``r`` such that at least ``r`` of the smoothed top-``k`` items
     are guaranteed to come from ``ground_truth`` under any allowed poisoning:
     one user of :func:`certified_overlap_radii` at one budget.
@@ -237,8 +220,8 @@ def certify_user_overlap(table: ItemVoteTable, user: int, ground_truth, k: int,
     ground_truth = list(ground_truth)
     if not ground_truth:
         raise ValueError("ground truth must be non-empty")
-    radii = certified_overlap_radii(table, {user: ground_truth}, k, params,
-                                    budget.tau, alpha)
+    radii = certified_overlap_radii(table, {user: ground_truth}, k, budget.tau,
+                                    alpha)
     return int((radii >= budget.rho).sum())
 
 
@@ -274,13 +257,12 @@ class RecommenderCurve:
 
 def recommender_curve(table: ItemVoteTable,
                       ground_truths: Mapping[int, Sequence[int]], k: int,
-                      params: SmoothingParams, tau: int,
-                      alpha: float) -> RecommenderCurve:
+                      tau: int, alpha: float) -> RecommenderCurve:
     """Certified precision/recall over a dense rho grid until both reach zero.
 
     Each point counts the overlap radii (:func:`certified_overlap_radii`).
     """
-    radii = certified_overlap_radii(table, ground_truths, k, params, tau, alpha)
+    radii = certified_overlap_radii(table, ground_truths, k, tau, alpha)
     last = min(RHO_CAP, int(radii.max(initial=-1)) + 1)
     return RecommenderCurve(tau=tau, points=tuple(
         RecommenderCurvePoint(rho, *_precision_recall(radii, rho, k, ground_truths))

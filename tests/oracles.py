@@ -443,30 +443,30 @@ def _abstains(top, runner, alpha):
     return (stats.binomtest(top, top + runner, 0.5).pvalue if top else 1.0) > alpha
 
 
-def reference_certify_node(top, runner, num_samples, params, budget, config,
-                           degree=None):
+def reference_certify_node(top, runner, num_samples, params, budget, alpha,
+                           num_classes, mode="include", degree=None):
     """One node's certificate at one budget: its margin, or None if it abstains.
 
     Abstains with ``scipy.stats.binomtest``, bounds the top and runner-up
-    counts with scalar beta quantiles at level alpha / C and evaluates the
-    mode's closed-form margin. The node is certified when the margin is
-    positive.
+    counts with scalar beta quantiles at level alpha / num_classes and
+    evaluates the mode's closed-form margin. The node is certified when the
+    margin is positive.
     """
     params.require_certifiable()
-    if config.mode == "exclude" and (degree is None or degree < 1):
+    if mode == "exclude" and (degree is None or degree < 1):
         raise ValueError("exclusion mode requires degree >= 1")
-    if _abstains(top, runner, config.alpha):
+    if _abstains(top, runner, alpha):
         return None
-    lower, upper = _beta_bounds(top, runner, num_samples,
-                                config.alpha / config.num_classes)
+    lower, upper = _beta_bounds(top, runner, num_samples, alpha / num_classes)
     p_removed = prob_all_removed(params, budget.tau, budget.rho)
-    if config.mode == "include":
+    if mode == "include":
         return margin_include(lower, upper, p_removed)
     return margin_exclude(lower, upper, p_removed,
                           *node_retention_probs(params, degree))
 
 
-def reference_curve(table, labels, params, tau, config, degrees=None):
+def reference_curve(table, labels, params, tau, alpha, num_classes,
+                    mode="include", degrees=None):
     """Certified-accuracy curve over all labeled nodes, one rho at a time.
 
     Abstains with ``scipy.stats.binomtest``, bounds each node with scalar
@@ -477,19 +477,19 @@ def reference_curve(table, labels, params, tau, config, degrees=None):
     """
     labels = np.asarray(labels)
     nodes = np.flatnonzero(labels >= 0)
-    level = config.alpha / config.num_classes
+    level = alpha / num_classes
     n = table.num_samples
     abstained, correct, lowers, uppers = [], [], [], []
     for v in nodes:
         order = np.argsort(-table.counts[v], kind="stable")
         top, runner = (int(c) for c in table.counts[v][order[:2]])
-        abstained.append(_abstains(top, runner, config.alpha))
+        abstained.append(_abstains(top, runner, alpha))
         correct.append(order[0] == labels[v])
         lower, upper = _beta_bounds(top, runner, n, level)
         lowers.append(lower)
         uppers.append(upper)
     active = ~np.array(abstained)
-    if config.mode == "exclude":
+    if mode == "exclude":
         active &= np.asarray(degrees)[nodes] > 0
 
     rho_cut = 1
@@ -501,7 +501,7 @@ def reference_curve(table, labels, params, tau, config, degrees=None):
         p_removed = prob_all_removed(params, tau, rho)
         certified = np.zeros(len(nodes), dtype=bool)
         for j in np.flatnonzero(active):
-            if config.mode == "include":
+            if mode == "include":
                 margin = margin_include(lowers[j], uppers[j], p_removed)
             else:
                 retention = node_retention_probs(params, int(degrees[nodes[j]]))
@@ -567,7 +567,7 @@ def _reference_overlap(table, user, gt, k, params, tau, rho, alpha):
     """
     gt = np.unique(np.asarray(gt, dtype=np.int64))
     p_hat = prob_all_removed_recsys(params, tau, rho)
-    d_u = int(table.user_degrees[user])
+    d_u = int(table.degrees[user])
     p_isolated = params.p_n + (1.0 - params.p_n) * params.p_e**d_u
     counts = table.counts[user]
     others = np.setdiff1d(np.arange(table.items), gt)

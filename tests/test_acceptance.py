@@ -14,7 +14,7 @@ from oracles import (certified_at, enumerate_graph_votes,
                      include_mode_regions,
                      reference_certify_node, reference_overlap_from_bounds,
                      reference_recommender_curve, worst_case_probabilities)
-from smoothcert import (CertConfig, ClassifierSpec, InteractionMatrix,
+from smoothcert import (ClassifierSpec, InteractionMatrix,
                         PerturbationBudget, SmoothingParams, apply_attack,
                         average_certified_radius, certified_accuracy_at,
                         certified_accuracy_curve, certified_radii,
@@ -39,12 +39,14 @@ def criterion(name):
     print(f"\n[criterion] {name}: PASS")
 
 
-def perfect_table(labels, num_classes, num_samples):
+def perfect_table(labels, num_classes, num_samples, params):
     n = len(labels)
     counts = np.zeros((n, num_classes), dtype=np.int64)
     counts[np.arange(n), labels] = num_samples
     return VoteTable(counts=counts, abstains=np.zeros(n, dtype=np.int64),
-                     num_samples=num_samples, provenance={"kind": "synthetic"})
+                     num_samples=num_samples, params=params,
+                     degrees=np.ones(n, dtype=np.int64),
+                     provenance={"kind": "synthetic"})
 
 
 def test_oracle_equivalence():
@@ -134,16 +136,17 @@ def test_half_mass_is_necessary_for_inclusion_certificates():
             runner = int(rng.integers(0, num - top + 1))
             if top < runner:
                 top, runner = runner, top
-            config = CertConfig(alpha=float(rng.uniform(0.001, 0.2)),
-                                num_classes=int(rng.integers(2, 10)))
-            counts = np.zeros((1, config.num_classes), dtype=np.int64)
+            alpha = float(rng.uniform(0.001, 0.2))
+            num_classes = int(rng.integers(2, 10))
+            counts = np.zeros((1, num_classes), dtype=np.int64)
             counts[0, :2] = top, runner
             table = VoteTable(counts=counts, abstains=[num - top - runner],
-                              num_samples=num, provenance={})
-            radius = certified_radii(table, params, tau, config, [0])[2][0]
+                              num_samples=num, params=params, degrees=[1],
+                              provenance={})
+            radius = certified_radii(table, tau, alpha, [0])[2][0]
             margin = reference_certify_node(top, runner, num, params,
                                             PerturbationBudget(rho=rho, tau=tau),
-                                            config)
+                                            alpha, num_classes)
             assert (margin is not None and margin > 0) == (radius >= rho)
             if radius >= rho:
                 certified_seen += 1
@@ -190,11 +193,10 @@ def test_exhaustive_enumeration_equivalence(two_clique_graph, identity_model):
         sigma = np.sqrt(exact * (1 - exact) / draws)
         assert np.all(np.abs(freq - exact) <= 4 * sigma + 1e-12)
 
-        config = CertConfig(alpha=0.01, num_classes=2)
         tau = 2
         rho_grid = range(0, 8)
         nodes = np.arange(two_clique_graph.n)
-        abstained, _, radius = certified_radii(table, params, tau, config, nodes)
+        abstained, _, radius = certified_radii(table, tau, 0.01, nodes)
         for v in nodes:
             top_class, runner_class = np.argsort(-table.counts[v], kind="stable")[:2]
             top, runner = table.counts[v, [top_class, runner_class]]
@@ -205,7 +207,7 @@ def test_exhaustive_enumeration_equivalence(two_clique_graph, identity_model):
                 exact_margin = margin_include(exact_top, exact_runner, p_removed)
                 margin = reference_certify_node(
                     int(top), int(runner), draws, params,
-                    PerturbationBudget(rho=rho, tau=tau), config)
+                    PerturbationBudget(rho=rho, tau=tau), 0.01, 2)
                 assert (margin is None) == abstained[v]
                 assert (margin is not None and margin > 0) == (radius[v] >= rho)
                 if radius[v] >= rho:
@@ -242,7 +244,7 @@ def test_exhaustive_enumeration_equivalence(two_clique_graph, identity_model):
                 exact_items[0, ground_truth], exact_items[0, others], k,
                 k_prime, p_hat, p_iso)
             r_bounds = certify_user_overlap(item_table, 0, set(ground_truth),
-                                            k, r_params, budget, alpha=0.01)
+                                            k, budget, alpha=0.01)
             # exact probabilities can only strengthen the certificate
             assert r_exact >= r_bounds
 
@@ -251,21 +253,18 @@ def test_edge_only_smoothing_cannot_certify_three_injections():
     """Edge deletion alone certifies nothing at rho=3, tau=5 for p_e <= 0.95."""
     with criterion("edge-deletion-only smoothing collapses at rho=3, tau=5"):
         labels = np.array([0, 1, 0, 1, 1])
-        table = perfect_table(labels, 2, num_samples=100_000)
-        config = CertConfig(alpha=0.01, num_classes=2)
         threshold = 0.5 ** (1 / 15)
         for p_e in (0.3, 0.5, 0.7, 0.9, 0.95):
             assert p_e < threshold  # hence p_e**15 < 0.5
             params = SmoothingParams(p_e=p_e, p_n=0.0)
             assert prob_all_removed(params, 5, 3) == pytest.approx(p_e**15)
             assert p_e**15 < 0.5
-            xi = certified_accuracy_at(table, labels, params,
-                                       PerturbationBudget(rho=3, tau=5), config)
+            table = perfect_table(labels, 2, 100_000, params)
+            xi = certified_accuracy_at(table, labels,
+                                       PerturbationBudget(rho=3, tau=5), 0.01)
             assert xi == 0.0
         # on-grid check: with p_e = 0.95 the curve reaches rho = 3 and is 0
-        curve = certified_accuracy_curve(table, labels,
-                                         SmoothingParams(0.95, 0.0), tau=5,
-                                         config=config)
+        curve = certified_accuracy_curve(table, labels, tau=5, alpha=0.01)
         assert certified_at(curve, 3) == 0.0
         assert certified_at(curve, 0) == 1.0
 
@@ -282,10 +281,8 @@ def test_end_to_end_attack_soundness(sbm_fixture):
         draws = 2000
         clean_votes = collect_votes_evasion(model, graph, draws, params,
                                             master_seed=1234, threads=2)
-        config = CertConfig(alpha=0.01, num_classes=graph.num_classes)
-        curve = certified_accuracy_curve(clean_votes, graph.labels, params,
-                                         tau=tau, config=config,
-                                         nodes=split.test)
+        curve = certified_accuracy_curve(clean_votes, graph.labels, tau=tau,
+                                         alpha=0.01, nodes=split.test)
         assert certified_at(curve, 1) > 0  # the check must not be vacuous
 
         clean_acc = empirical_accuracy(clean_votes, clean_votes, graph.labels,
@@ -311,7 +308,6 @@ def test_curve_monotonicity_and_radius_area():
     """Curves are non-increasing in rho; the radius area equals the tail sum."""
     with criterion("curve monotonicity and radius-area identity"):
         rng = np.random.default_rng(17)
-        config = CertConfig(alpha=0.01, num_classes=3)
         for trial in range(20):
             n = int(rng.integers(5, 40))
             labels = rng.integers(0, 3, size=n)
@@ -321,14 +317,14 @@ def test_curve_monotonicity_and_radius_area():
             strong = rng.random(n) < 0.7
             counts[strong] = 0
             counts[strong, labels[strong]] = num
-            table = VoteTable(counts=counts.astype(np.int64),
-                              abstains=np.zeros(n, dtype=np.int64),
-                              num_samples=num, provenance={})
             params = SmoothingParams(p_e=float(rng.uniform(0, 0.5)),
                                      p_n=float(rng.uniform(0.5, 0.95)))
+            table = VoteTable(counts=counts.astype(np.int64),
+                              abstains=np.zeros(n, dtype=np.int64),
+                              num_samples=num, params=params,
+                              degrees=np.ones(n, dtype=np.int64), provenance={})
             for tau in (1, 3):
-                curve = certified_accuracy_curve(table, labels, params, tau,
-                                                 config)
+                curve = certified_accuracy_curve(table, labels, tau, 0.01)
                 values = [p.certified_accuracy for p in curve.points]
                 assert all(a >= b for a, b in zip(values, values[1:]))
                 assert values[-1] == 0.0
@@ -369,8 +365,7 @@ def test_recommender_desk_scale():
         table = collect_item_votes(matrix, draws, params, k_prime,
                                    master_seed=404, threads=2)
 
-        curve = recommender_curve(table, ground_truths, k, params, tau,
-                                  alpha=0.01)
+        curve = recommender_curve(table, ground_truths, k, tau, alpha=0.01)
         assert curve.points == reference_recommender_curve(
             table, ground_truths, k, params, tau, 0.01)
         precisions = [p.certified_precision for p in curve.points]
@@ -411,15 +406,14 @@ def test_full_scale_benchmark():
         split = seeded_split(graph, seed=0)
         threads = int(os.environ.get("SMOOTHCERT_THREADS", "4"))
         draws = int(os.environ.get("SMOOTHCERT_FULL_N", "100000"))
-        config = CertConfig(alpha=0.01, num_classes=graph.num_classes)
         spec = ClassifierSpec(hidden_dim=64, epochs=200, seed=0)
 
         params = SmoothingParams(p_e=0.0, p_n=0.9)
         model = train_with_noise(spec, graph, split, params)
         votes = collect_votes_evasion(model, graph, draws, params,
                                       master_seed=0, threads=threads)
-        curve = certified_accuracy_curve(votes, graph.labels, params, tau=5,
-                                         config=config, nodes=split.test)
+        curve = certified_accuracy_curve(votes, graph.labels, tau=5,
+                                         alpha=0.01, nodes=split.test)
         assert abs(certified_at(curve, 10) - 0.729) <= 0.10
 
         baseline_params = SmoothingParams(p_e=0.9, p_n=0.0)
@@ -428,7 +422,6 @@ def test_full_scale_benchmark():
                                                baseline_params, master_seed=0,
                                                threads=threads)
         baseline_curve = certified_accuracy_curve(
-            baseline_votes, graph.labels, baseline_params, tau=5,
-            config=config, nodes=split.test)
+            baseline_votes, graph.labels, tau=5, alpha=0.01, nodes=split.test)
         assert (average_certified_radius(curve)
                 >= 10 * average_certified_radius(baseline_curve))

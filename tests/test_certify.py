@@ -8,7 +8,7 @@ from scipy import stats
 from oracles import (Region, exclude_mode_regions, include_mode_regions,
                      reference_certify_node, solve_worst_case_margin,
                      worst_case_probabilities)
-from smoothcert import (CertConfig, PerturbationBudget, SmoothingParams,
+from smoothcert import (PerturbationBudget, SmoothingParams,
                         VoteTable, abstain_test, certified_radii,
                         clopper_pearson_lower, clopper_pearson_upper,
                         majority_pvalue, margin_exclude, margin_include,
@@ -33,18 +33,20 @@ def exclude_margin_oracle(p_top, p_runner, p_removed, p_iso, p_iso_attacked):
     return top - runner
 
 
-def one_node(votes, num_samples, params, tau, config, degree=None):
-    """(abstained, majority, radius) of a one-node table.
+def one_node(votes, num_samples, params, tau, num_classes, mode="include",
+             degree=1, alpha=0.01):
+    """(abstained, majority, radius) of a one-node table with ``num_classes``
+    columns, voted under ``params`` in ``mode`` by a node of ``degree``.
 
     ``votes`` maps class ids to counts; the remaining samples abstain.
     """
-    counts = np.zeros((1, config.num_classes), dtype=np.int64)
+    counts = np.zeros((1, num_classes), dtype=np.int64)
     for cls, count in votes.items():
         counts[0, cls] = count
     table = VoteTable(counts=counts, abstains=[num_samples - counts.sum()],
-                      num_samples=num_samples, provenance={})
-    abstained, majority, radius = certified_radii(
-        table, params, tau, config, [0], None if degree is None else [degree])
+                      num_samples=num_samples, params=params, degrees=[degree],
+                      provenance={}, mode=mode)
+    abstained, majority, radius = certified_radii(table, tau, alpha, [0])
     return bool(abstained[0]), int(majority[0]), int(radius[0])
 
 
@@ -343,15 +345,14 @@ class TestCertifyNode:
 
     params = SmoothingParams(0.1, 0.9)
     strong = {2: 990, 0: 5}
-    config7 = CertConfig(alpha=0.01, num_classes=7)
 
     def test_zero_budget_certifies_confident_votes(self):
         abstained, majority, radius = one_node(self.strong, 1000, self.params,
-                                               5, self.config7)
+                                               5, 7)
         assert not abstained and majority == 2 and radius >= 0
         margin = reference_certify_node(990, 5, 1000, self.params,
                                         PerturbationBudget(rho=0, tau=5),
-                                        self.config7)
+                                        0.01, 7)
         level = 0.01 / 7
         assert margin == pytest.approx(clopper_pearson_lower(990, 1000, level)
                                        - clopper_pearson_upper(5, 1000, level))
@@ -361,52 +362,53 @@ class TestCertifyNode:
         # all-removed probability, and the include margin.
         budget = PerturbationBudget(rho=3, tau=5)
         margin = reference_certify_node(990, 5, 1000, self.params, budget,
-                                        self.config7)
+                                        0.01, 7)
         lower = clopper_pearson_lower(990, 1000, 0.01 / 7)
         upper = clopper_pearson_upper(5, 1000, 0.01 / 7)
         expected = margin_include(lower, upper, prob_all_removed(self.params, 5, 3))
         assert margin == pytest.approx(expected, abs=1e-15)
         assert expected > 0
-        assert one_node(self.strong, 1000, self.params, 5, self.config7)[2] >= 3
+        assert one_node(self.strong, 1000, self.params, 5, 7)[2] >= 3
 
     def test_majority_below_half_never_certifies(self):
         # rho large enough that the all-removed probability drops below 1/2.
         params = SmoothingParams(0.1, 0.5)
         assert prob_all_removed(params, 5, 3) <= 0.5
-        assert one_node(self.strong, 1000, params, 5, self.config7)[2] < 3
+        assert one_node(self.strong, 1000, params, 5, 7)[2] < 3
         assert not certified(reference_certify_node(
-            990, 5, 1000, params, PerturbationBudget(rho=3, tau=5), self.config7))
+            990, 5, 1000, params, PerturbationBudget(rho=3, tau=5), 0.01, 7))
 
     def test_tied_votes_abstain(self):
         assert one_node({0: 500, 1: 500}, 1000, self.params, 5,
-                        self.config7) == (True, 0, -1)
+                        7) == (True, 0, -1)
         assert reference_certify_node(500, 500, 1000, self.params,
                                       PerturbationBudget(rho=1, tau=5),
-                                      self.config7) is None
+                                      0.01, 7) is None
 
     def test_exclude_requires_degree(self):
-        config = CertConfig(alpha=0.01, num_classes=7, mode="exclude")
-        with pytest.raises(ValueError, match="degree"):
-            one_node(self.strong, 1000, self.params, 5, config)
+        # A table carries one degree per node; one without them is refused.
+        with pytest.raises(ValueError, match="degrees"):
+            VoteTable(counts=[[5, 990]], abstains=[5], num_samples=1000,
+                      params=self.params, degrees=[], provenance={},
+                      mode="exclude")
         with pytest.raises(ValueError, match="degree"):
             reference_certify_node(990, 5, 1000, self.params,
-                                   PerturbationBudget(rho=1, tau=5), config)
+                                   PerturbationBudget(rho=1, tau=5), 0.01, 7,
+                                   mode="exclude")
 
     def test_exclude_certifies_with_degree(self):
-        config = CertConfig(alpha=0.01, num_classes=7, mode="exclude")
         abstained, majority, radius = one_node({1: 20, 0: 1}, 1000, self.params,
-                                               5, config, degree=4)
+                                               5, 7, "exclude", degree=4)
         assert not abstained and majority == 1
         for rho in range(max(radius, 0) + 2):
             margin = reference_certify_node(20, 1, 1000, self.params,
                                             PerturbationBudget(rho=rho, tau=5),
-                                            config, degree=4)
+                                            0.01, 7, "exclude", degree=4)
             assert certified(margin) == (rho <= radius)
 
     def test_rejects_probability_one(self):
         with pytest.raises(ValueError):
-            one_node(self.strong, 1000, SmoothingParams(1.0, 0.0), 5,
-                     self.config7)
+            one_node(self.strong, 1000, SmoothingParams(1.0, 0.0), 5, 7)
 
     @given(p_removed=unit, p_top=unit, p_runner=unit,
            bump=st.floats(min_value=0.0, max_value=0.5))
@@ -431,13 +433,12 @@ class TestCertifyNode:
         # Include mode can only certify while the all-removed probability
         # stays above one half.
         params = SmoothingParams(p_e, p_n)
-        config = CertConfig(alpha=0.01, num_classes=4)
-        _, _, radius = one_node({0: top, 1: 1000 - top}, 1000, params, tau, config)
+        _, _, radius = one_node({0: top, 1: 1000 - top}, 1000, params, tau, 4)
         if radius >= 0:
             assert prob_all_removed(params, tau, radius) > 0.5
         margin = reference_certify_node(max(top, 1000 - top), min(top, 1000 - top),
                                         1000, params,
-                                        PerturbationBudget(rho=rho, tau=tau), config)
+                                        PerturbationBudget(rho=rho, tau=tau), 0.01, 4)
         assert certified(margin) == (radius >= rho)
 
     @given(p_e=probs, p_n=probs, tau=st.integers(1, 8), rho=st.integers(1, 12),
@@ -447,17 +448,16 @@ class TestCertifyNode:
                                                    degree, mode):
         params = SmoothingParams(p_e, p_n)
         votes = {0: 960, 1: 20}
-        config = CertConfig(alpha=0.01, num_classes=3, mode=mode)
-        _, _, radius = one_node(votes, 1000, params, tau, config, degree)
+        _, _, radius = one_node(votes, 1000, params, tau, 3, mode, degree)
         margin = reference_certify_node(960, 20, 1000, params,
                                         PerturbationBudget(rho=rho, tau=tau),
-                                        config, degree=degree)
+                                        0.01, 3, mode, degree=degree)
         assert certified(margin) == (radius >= rho)
         if radius >= rho:
             assert certified(reference_certify_node(
-                960, 20, 1000, params, PerturbationBudget(rho - 1, tau), config,
-                degree=degree))
-            assert one_node(votes, 1000, params, max(1, tau - 1), config,
+                960, 20, 1000, params, PerturbationBudget(rho - 1, tau), 0.01, 3,
+                mode, degree=degree))
+            assert one_node(votes, 1000, params, max(1, tau - 1), 3, mode,
                             degree)[2] >= rho
 
 
@@ -466,32 +466,32 @@ class TestMaxCertifiedRho:
     scalar ``reference_certify_node``."""
 
     params = SmoothingParams(0.1, 0.9)
-    config = CertConfig(alpha=0.01, num_classes=7)
 
-    def scan_oracle(self, top, runner, num_samples, params, tau, config,
-                    degree=None):
+    def scan_oracle(self, top, runner, num_samples, params, tau,
+                    mode="include", degree=None):
         best = -1
         for rho in range(0, 2000):
             if not certified(reference_certify_node(
                     top, runner, num_samples, params, PerturbationBudget(rho, tau),
-                    config, degree=degree)):
+                    0.01, 7, mode, degree=degree)):
                 break
             best = rho
         return best
 
-    def radius(self, top, runner, num_samples, params, tau, config, degree=None):
-        """(abstained, radius) of a one-node table voting ``top`` for class 0
-        and ``runner`` for class 1."""
+    def radius(self, top, runner, num_samples, params, tau, mode="include",
+               degree=1):
+        """(abstained, radius) of a seven-class one-node table voting ``top``
+        for class 0 and ``runner`` for class 1."""
         abstained, majority, radius = one_node({0: top, 1: runner}, num_samples,
-                                               params, tau, config, degree)
+                                               params, tau, 7, mode, degree)
         assert majority == 0
         return abstained, radius
 
     def test_matches_full_scan(self):
         for tau in (1, 2, 5, 10):
-            got = self.radius(990, 5, 1000, self.params, tau, self.config)
+            got = self.radius(990, 5, 1000, self.params, tau)
             assert got == (False, self.scan_oracle(990, 5, 1000, self.params,
-                                                   tau, self.config))
+                                                   tau))
             assert got[1] > 0 or tau > 20
 
     def test_edge_only_smoothing_at_090(self):
@@ -499,34 +499,31 @@ class TestMaxCertifiedRho:
         # 0.9^5 = 0.59 for a single injected node, so the scan (not mental
         # arithmetic) decides whether rho = 1 certifies.
         params = SmoothingParams(0.9, 0.0)
-        got = self.radius(100000, 0, 100000, params, 5, self.config)
-        assert got[1] == self.scan_oracle(100000, 0, 100000, params, 5,
-                                          self.config)
-        got_weak = self.radius(700, 300, 1000, params, 5, self.config)
-        assert got_weak[1] == self.scan_oracle(700, 300, 1000, params, 5,
-                                               self.config)
+        got = self.radius(100000, 0, 100000, params, 5)
+        assert got[1] == self.scan_oracle(100000, 0, 100000, params, 5)
+        got_weak = self.radius(700, 300, 1000, params, 5)
+        assert got_weak[1] == self.scan_oracle(700, 300, 1000, params, 5)
 
     def test_abstain_flag(self):
-        assert self.radius(10, 10, 20, self.params, 5, self.config) == (True, -1)
+        assert self.radius(10, 10, 20, self.params, 5) == (True, -1)
 
     def test_exclude_mode_scan(self):
         # Realizable stats: abstentions track the isolation probability of a
         # degree-6 node at these noise levels, so the vote bound stays below
         # the non-isolation mass and the half-mass cutoff loses nothing.
-        config = CertConfig(alpha=0.01, num_classes=7, mode="exclude")
-        got = self.radius(40, 1, 1000, self.params, 5, config, degree=6)
+        got = self.radius(40, 1, 1000, self.params, 5, "exclude", degree=6)
         assert got == (False, self.scan_oracle(40, 1, 1000, self.params, 5,
-                                               config, degree=6))
+                                               "exclude", degree=6))
         assert got[1] == 3
 
     def test_isolated_node_in_exclude_mode_has_no_radius(self):
-        config = CertConfig(alpha=0.01, num_classes=7, mode="exclude")
-        assert self.radius(990, 5, 1000, self.params, 5, config,
+        assert self.radius(990, 5, 1000, self.params, 5, "exclude",
                            degree=0) == (False, -1)
         with pytest.raises(ValueError, match="degrees"):
-            self.radius(990, 5, 1000, self.params, 5, config)
+            VoteTable(counts=[[990, 5]], abstains=[5], num_samples=1000,
+                      params=self.params, degrees=[0, 0], provenance={},
+                      mode="exclude")
 
     def test_ties_go_to_the_lower_class(self):
-        config = CertConfig(alpha=0.01, num_classes=4)
         assert one_node({0: 5, 1: 7, 2: 7}, 19, self.params, 5,
-                        config) == (True, 1, -1)
+                        4) == (True, 1, -1)

@@ -185,6 +185,18 @@ class TestInteractionLoader:
                                    "user=1 item=5 (first at line 1)")
         assert info.value.line_no == 4 and type(info.value.line_no) is int
 
+    @pytest.mark.parametrize("field, record", [
+        ("user", "9223372036854775808\t2\t4\t100"),
+        ("user", "-9223372036854775809\t2\t4\t100"),
+        ("item", "1\t9223372036854775808\t4\t100"),
+        ("timestamp", "1\t2\t4\t99999999999999999999")])
+    def test_field_outside_int64_names_its_line(self, tmp_path, field, record):
+        path = tmp_path / "big.tsv"
+        path.write_text(f"1\t1\t4\t5\n{record}\n")
+        with pytest.raises(ParseError, match=f"big.tsv:2: {field} ") as info:
+            load_interaction_dataset(path, 0.5)
+        assert info.value.line_no == 2
+
     def test_empty_log(self, tmp_path):
         path = tmp_path / "empty.tsv"
         path.write_text("\n\n")

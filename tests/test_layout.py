@@ -3,8 +3,11 @@
 No module imports another module's private helpers, only ``certify.py``
 imports ``scipy.stats``, and the API that lives in ``tests/oracles.py`` (the
 single-budget certificate and the accessors only tests use) is not exported.
+Certificates read the smoothing noise, mode and degrees from the vote table,
+so no certify entry point takes them again.
 """
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -15,7 +18,7 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "smoothcert")
                  .glob("*.py"))
 REMOVED = ("certify_node", "CertDecision", "Outcome", "VoteStats",
            "vote_bounds", "certify_overlap", "certified_precision_recall",
-           "save_model", "load_model", "read_curve_csv")
+           "save_model", "load_model", "read_curve_csv", "CertConfig")
 # Methods and fields whose only callers were tests.
 REMOVED_MEMBERS = (("CertCurve", "certified_at"), ("AttackPlan", "from_json"),
                    ("AttackPlan", "degrees"), ("Graph", "indices"),
@@ -87,6 +90,18 @@ def test_test_only_members_are_gone(owner, name):
     cls = getattr(smoothcert, owner)
     fields = getattr(cls, "__dataclass_fields__", {})
     assert not hasattr(cls, name) and name not in fields
+
+
+CERTIFY_ENTRY_POINTS = ("certified_radii", "certified_accuracy_curve",
+                        "certified_accuracy_at", "certified_overlap_radii",
+                        "recommender_curve", "certify_user_overlap")
+
+
+@pytest.mark.parametrize("name", CERTIFY_ENTRY_POINTS)
+def test_certify_entry_points_take_no_second_copy_of_the_table(name):
+    parameters = inspect.signature(getattr(smoothcert, name)).parameters
+    assert list(parameters)[0] == "table"
+    assert not {"params", "config", "degrees", "mode"} & set(parameters)
 
 
 def test_vote_table_has_no_stats_for():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import enumerate_graph_votes, read_curve_csv, reference_curve
-from smoothcert import (CertConfig, ClassifierSpec, DataSplit, Graph,
+from smoothcert import (ClassifierSpec, DataSplit, Graph,
                         PerturbationBudget, SmoothingParams, TrainedModel,
                         VoteTable, average_certified_radius,
                         certified_accuracy_at, certified_accuracy_curve,
@@ -21,11 +21,28 @@ def split4():
     return DataSplit(train=[0, 2], validation=[1], test=[3])
 
 
-def perfect_table(n, num_classes, labels, num_samples):
+NOISE = SmoothingParams(0.1, 0.8)
+
+
+def perfect_table(n, num_classes, labels, num_samples, **fields):
     counts = np.zeros((n, num_classes), dtype=np.int64)
     counts[np.arange(n), labels] = num_samples
-    return VoteTable(counts=counts, abstains=np.zeros(n, dtype=np.int64),
-                     num_samples=num_samples, provenance={"kind": "synthetic"})
+    return table_of(counts, num_samples, **fields)
+
+
+def table_of(counts, num_samples, abstains=None, params=NOISE, degrees=None,
+             mode="include"):
+    """A vote table of the given counts; rows abstain in the samples they do
+    not vote in, and every node has degree 1 unless ``degrees`` says
+    otherwise."""
+    counts = np.asarray(counts, dtype=np.int64)
+    if abstains is None:
+        abstains = num_samples - counts.sum(axis=1)
+    if degrees is None:
+        degrees = np.ones(counts.shape[0], dtype=np.int64)
+    return VoteTable(counts=counts, abstains=abstains, num_samples=num_samples,
+                     params=params, degrees=degrees,
+                     provenance={"kind": "synthetic"}, mode=mode)
 
 
 class TestCollectVotesEvasion:
@@ -300,31 +317,63 @@ class TestCollectVotesPoisoning:
 class TestVoteTable:
     def test_counts_must_sum_to_samples(self):
         with pytest.raises(ValueError, match="sum"):
-            VoteTable(counts=np.ones((2, 2), dtype=np.int64),
-                      abstains=np.zeros(2, dtype=np.int64),
-                      num_samples=5, provenance={})
+            table_of(np.ones((2, 2)), 5, abstains=np.zeros(2, dtype=np.int64))
 
     def test_stats_extraction(self):
         counts = np.array([[3, 5, 2], [4, 4, 0]], dtype=np.int64)
-        table = VoteTable(counts=counts, abstains=np.array([0, 2]),
-                          num_samples=10, provenance={})
+        table = table_of(counts, 10)
         assert table.majority_classes.tolist() == [1, 0]
-        abstained, majority, radius = certified_radii(
-            table, SmoothingParams(0.1, 0.8), 1,
-            CertConfig(alpha=0.01, num_classes=3), [0, 1])
+        abstained, majority, radius = certified_radii(table, 1, 0.01, [0, 1])
         assert majority.tolist() == [1, 0]
         assert abstained.all() and radius.tolist() == [-1, -1]
 
+    def test_rejects_negative_and_excess_votes(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            table_of([[-5, 15]], 10, abstains=[0])
+        with pytest.raises(ValueError, match="non-negative"):
+            table_of([[0, 0]], 10, abstains=[-1])
+        with pytest.raises(ValueError, match="more votes"):
+            table_of([[0, 0]], 10, abstains=[11])
+
+    def test_merge_rejects_another_mode_noise_or_degrees(self):
+        a = table_of([[6, 4]], 10)
+        for b in (replace(a, mode="exclude"), replace(a, degrees=[2]),
+                  replace(a, params=SmoothingParams(0.1, 0.9))):
+            with pytest.raises(ValueError, match="different runs"):
+                a.merged(b)
+
+    def test_rejects_unknown_mode_and_missing_degrees(self):
+        with pytest.raises(ValueError, match="mode"):
+            table_of([[10, 0]], 10, mode="both")
+        with pytest.raises(ValueError, match="degrees"):
+            table_of([[10, 0], [0, 10]], 10, degrees=[3])
+
+    def test_certificate_needs_two_classes_and_alpha_in_range(self):
+        with pytest.raises(ValueError, match="two classes"):
+            certified_radii(table_of([[10]], 10), 1, 0.01, [0])
+        table = table_of([[10, 0]], 10)
+        for alpha in (0.0, 1.0, -0.5):
+            with pytest.raises(ValueError, match="alpha"):
+                certified_radii(table, 1, alpha, [0])
+
+    def test_certificate_follows_the_table(self):
+        # The same votes certify differently under the class count, noise and
+        # mode they were drawn with; each is read off the table.
+        three = table_of([[690, 300, 10]], 1000)
+        two = table_of([[690, 300]], 1000)
+        assert certified_radii(three, 5, 0.01, [0])[2].tolist() == [1]
+        assert certified_radii(two, 5, 0.01, [0])[2].tolist() == [2]
+        noisier = replace(three, params=SmoothingParams(0.1, 0.95))
+        assert certified_radii(noisier, 5, 0.01, [0])[2].tolist() == [25]
+        isolated = replace(three, mode="exclude", degrees=[0])
+        assert certified_radii(isolated, 5, 0.01, [0])[2].tolist() == [-1]
+
 
 class TestCertifiedAccuracyCurve:
-    params = SmoothingParams(0.1, 0.8)
-    config = CertConfig(alpha=0.01, num_classes=2)
-
     def test_perfect_votes_certify_at_zero(self):
         labels = np.array([0, 1, 0, 1])
         table = perfect_table(4, 2, labels, num_samples=10_000)
-        curve = certified_accuracy_curve(table, labels, self.params, tau=2,
-                                         config=self.config)
+        curve = certified_accuracy_curve(table, labels, tau=2, alpha=0.01)
         assert curve.points[0].rho == 0
         assert curve.points[0].certified_accuracy == 1.0
         assert curve.clean_accuracy == 1.0
@@ -332,11 +381,8 @@ class TestCertifiedAccuracyCurve:
 
     def test_all_abstain_table_is_flat_zero(self):
         labels = np.array([0, 1])
-        counts = np.zeros((2, 2), dtype=np.int64)
-        table = VoteTable(counts=counts, abstains=np.full(2, 100),
-                          num_samples=100, provenance={})
-        curve = certified_accuracy_curve(table, labels, self.params, tau=2,
-                                         config=self.config)
+        table = table_of(np.zeros((2, 2)), 100)
+        curve = certified_accuracy_curve(table, labels, tau=2, alpha=0.01)
         assert all(p.certified_accuracy == 0.0 for p in curve.points)
         assert curve.points[0].abstain_rate == 1.0
 
@@ -347,26 +393,20 @@ class TestCertifiedAccuracyCurve:
         wins = rng.integers(500, 1000, size=12)
         counts[np.arange(12), labels] = wins
         counts[np.arange(12), 1 - labels] = 1000 - wins
-        table = VoteTable(counts=counts, abstains=np.zeros(12, dtype=np.int64),
-                          num_samples=1000, provenance={})
-        curve = certified_accuracy_curve(table, labels, self.params, tau=3,
-                                         config=self.config)
+        table = table_of(counts, 1000)
+        curve = certified_accuracy_curve(table, labels, tau=3, alpha=0.01)
         for point in curve.points:
             budget = PerturbationBudget(rho=point.rho, tau=3)
-            direct = certified_accuracy_at(table, labels, self.params, budget,
-                                           self.config)
+            direct = certified_accuracy_at(table, labels, budget, 0.01)
             assert point.certified_accuracy == pytest.approx(direct, abs=1e-15)
 
     def test_exclude_mode_requires_degrees_and_skips_isolated(self):
         labels = np.array([0, 1, 0])
-        table = perfect_table(3, 2, labels, num_samples=1000)
-        config = CertConfig(alpha=0.01, num_classes=2, mode="exclude")
         with pytest.raises(ValueError, match="degrees"):
-            certified_accuracy_curve(table, labels, self.params, tau=2,
-                                     config=config)
-        degrees = np.array([3, 0, 2])
-        curve = certified_accuracy_curve(table, labels, self.params, tau=2,
-                                         config=config, degrees=degrees)
+            perfect_table(3, 2, labels, 1000, mode="exclude", degrees=[])
+        table = perfect_table(3, 2, labels, 1000, mode="exclude",
+                              degrees=[3, 0, 2])
+        curve = certified_accuracy_curve(table, labels, tau=2, alpha=0.01)
         # the degree-0 node can never be certified, capping accuracy at 2/3
         assert curve.points[0].certified_accuracy <= 2 / 3 + 1e-12
 
@@ -377,10 +417,8 @@ class TestCertifiedAccuracyCurve:
         wins = rng.integers(700, 1001, size=20)
         counts[np.arange(20), labels] = wins
         counts[np.arange(20), 1 - labels] = 1000 - wins
-        table = VoteTable(counts=counts, abstains=np.zeros(20, dtype=np.int64),
-                          num_samples=1000, provenance={})
-        curves = {tau: certified_accuracy_curve(table, labels, self.params,
-                                                tau, self.config)
+        table = table_of(counts, 1000)
+        curves = {tau: certified_accuracy_curve(table, labels, tau, 0.01)
                   for tau in (1, 2, 4)}
         for lo, hi in [(1, 2), (2, 4)]:
             shared = min(len(curves[lo].points), len(curves[hi].points))
@@ -396,10 +434,8 @@ class TestCertifiedAccuracyCurve:
         wins = rng.integers(800, 1001, size=graph.n)
         counts[np.arange(graph.n), labels] = wins
         counts[np.arange(graph.n), 1 - labels] = 1000 - wins
-        table = VoteTable(counts=counts, abstains=np.zeros(graph.n, dtype=np.int64),
-                          num_samples=1000, provenance={})
-        curve = certified_accuracy_curve(table, labels, SmoothingParams(0.2, 0.9),
-                                         tau=5, config=self.config,
+        table = table_of(counts, 1000, params=SmoothingParams(0.2, 0.9))
+        curve = certified_accuracy_curve(table, labels, tau=5, alpha=0.01,
                                          nodes=split.test)
         values = [p.certified_accuracy for p in curve.points]
         assert all(a >= b for a, b in zip(values, values[1:]))
@@ -408,24 +444,20 @@ class TestCertifiedAccuracyCurve:
 
 
 class TestCertifiedAccuracyAt:
-    params = SmoothingParams(0.1, 0.8)
     labels = np.array([0, -1, 1])
     table = perfect_table(3, 2, np.array([0, 1, 1]), num_samples=1000)
     budget = PerturbationBudget(rho=1, tau=2)
 
     def test_exclude_mode_requires_degrees(self):
-        config = CertConfig(alpha=0.01, num_classes=2, mode="exclude")
         with pytest.raises(ValueError, match="degrees"):
-            certified_accuracy_at(self.table, self.labels, self.params,
-                                  self.budget, config)
+            replace(self.table, mode="exclude", degrees=[])
 
     def test_rejects_unlabeled_nodes(self):
-        config = CertConfig(alpha=0.01, num_classes=2)
-        assert certified_accuracy_at(self.table, self.labels, self.params,
-                                     self.budget, config, nodes=[0]) == 1.0
+        assert certified_accuracy_at(self.table, self.labels, self.budget,
+                                     0.01, nodes=[0]) == 1.0
         with pytest.raises(ValueError, match="labels"):
-            certified_accuracy_at(self.table, self.labels, self.params,
-                                  self.budget, config, nodes=[0, 1])
+            certified_accuracy_at(self.table, self.labels, self.budget, 0.01,
+                                  nodes=[0, 1])
 
 
 class TestReferenceCurve:
@@ -446,26 +478,24 @@ class TestReferenceCurve:
             weights[rng.integers(num_classes)] = rng.choice([1.0, 5.0, 50.0, 500.0])
             counts[v] = rng.multinomial(num_samples - abstains[v],
                                         rng.dirichlet(weights))
-        table = VoteTable(counts=counts, abstains=abstains,
-                          num_samples=num_samples, provenance={})
         params = SmoothingParams(float(rng.choice([0.0, 0.05, 0.1, 0.3, 0.9])),
                                  float(rng.choice(np.arange(10) / 10)))
         tau = int(rng.choice([1, 3, 10]))
-        config = CertConfig(alpha=float(rng.choice([0.001, 0.01, 0.1])),
-                            num_classes=num_classes, mode=mode)
+        alpha = float(rng.choice([0.001, 0.01, 0.1]))
         degrees = rng.integers(0, 6, size=n)
-        return table, labels, params, tau, config, degrees
+        table = table_of(counts, num_samples, abstains, params, degrees, mode)
+        return table, labels, params, tau, alpha, degrees
 
     @pytest.mark.parametrize("mode", ["include", "exclude"])
     def test_curve_and_single_budgets_match(self, mode):
         rng = np.random.default_rng(23 if mode == "include" else 24)
         certified = 0
         for _ in range(40):
-            table, labels, params, tau, config, degrees = self.random_case(rng,
-                                                                           mode)
-            curve = certified_accuracy_curve(table, labels, params, tau, config,
-                                             degrees=degrees)
-            points, clean = reference_curve(table, labels, params, tau, config,
+            table, labels, params, tau, alpha, degrees = self.random_case(rng,
+                                                                          mode)
+            curve = certified_accuracy_curve(table, labels, tau, alpha)
+            points, clean = reference_curve(table, labels, params, tau, alpha,
+                                            table.counts.shape[1], mode,
                                             degrees=degrees)
             assert list(curve.points) == points
             assert curve.clean_accuracy == clean
@@ -474,9 +504,8 @@ class TestReferenceCurve:
             for rho in (0, 1, 2, 5, 40):
                 expected = (points[rho].certified_accuracy if rho < len(points)
                             else 0.0)
-                got = certified_accuracy_at(table, labels, params,
-                                            PerturbationBudget(rho, tau), config,
-                                            degrees=degrees)
+                got = certified_accuracy_at(table, labels,
+                                            PerturbationBudget(rho, tau), alpha)
                 assert got == expected
         assert certified >= 10  # the cases certify, not just abstain
 

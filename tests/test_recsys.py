@@ -31,14 +31,15 @@ def enum_matrix():
                                     (1, 1), (1, 2), (1, 3)])
 
 
-def table_from_frequencies(freqs, abstains, num_samples, k_prime, degrees):
+def table_from_frequencies(freqs, abstains, num_samples, k_prime, degrees,
+                           params):
     counts = np.rint(np.asarray(freqs) * num_samples).astype(np.int64)
     return ItemVoteTable(counts=counts,
                          abstains=np.rint(np.asarray(abstains)
                                           * num_samples).astype(np.int64),
-                         num_samples=num_samples, k_prime=k_prime,
-                         user_degrees=np.asarray(degrees, dtype=np.int64),
-                         provenance={"kind": "synthetic"})
+                         num_samples=num_samples, params=params,
+                         degrees=np.asarray(degrees, dtype=np.int64),
+                         provenance={"kind": "synthetic"}, k_prime=k_prime)
 
 
 def random_item_table(rng):
@@ -59,9 +60,9 @@ def random_item_table(rng):
     freqs[rng.random(freqs.shape) < 0.2] = rng.choice([0.0, 1.0])
     counts = rng.binomial(num_samples, freqs)
     table = ItemVoteTable(counts=counts, abstains=np.zeros(users),
-                          num_samples=num_samples, k_prime=k_prime,
-                          user_degrees=rng.integers(1, 6, size=users),
-                          provenance={"kind": "synthetic"})
+                          num_samples=num_samples, params=SmoothingParams(0, 0),
+                          degrees=rng.integers(1, 6, size=users),
+                          provenance={"kind": "synthetic"}, k_prime=k_prime)
     return table, ground_truths
 
 
@@ -189,6 +190,47 @@ class TestCollectItemVotes:
         assert tables[0].provenance["matrix"] == two_user_matrix.fingerprint()
         assert tables[0].provenance["matrix"] != tables[1].provenance["matrix"]
 
+    def test_disjoint_ranges_merge_to_full_run(self, enum_matrix):
+        params = SmoothingParams(0.4, 0.2)
+        full = collect_item_votes(enum_matrix, 8, params, 2, master_seed=5)
+        lo = collect_item_votes(enum_matrix, 4, params, 2, master_seed=5)
+        hi = collect_item_votes(enum_matrix, 4, params, 2, master_seed=5,
+                                first_index=4)
+        for merged in (lo.merged(hi), hi.merged(lo)):
+            assert type(merged) is ItemVoteTable and merged.k_prime == 2
+            assert np.array_equal(merged.counts, full.counts)
+            assert np.array_equal(merged.abstains, full.abstains)
+            assert merged.num_samples == 8 and merged.params == params
+            assert merged.provenance == full.provenance
+
+    def test_merge_rejects_double_counts_gaps_and_other_runs(self, enum_matrix):
+        def collect(lo, hi, params=SmoothingParams(0.4, 0.2), k_prime=2):
+            return collect_item_votes(enum_matrix, hi - lo, params, k_prime,
+                                      master_seed=5, first_index=lo)
+
+        a = collect(0, 4)
+        with pytest.raises(ValueError, match="itself"):
+            a.merged(a)
+        for b, reason in ((collect(2, 6), "overlap"), (collect(6, 8), "gap"),
+                          (collect(4, 8, SmoothingParams(0.4, 0.3)),
+                           "different runs"),
+                          (collect(4, 8, k_prime=3), "different runs")):
+            with pytest.raises(ValueError, match=reason):
+                a.merged(b)
+            with pytest.raises(ValueError, match=reason):
+                b.merged(a)
+
+    def test_table_rejects_impossible_votes(self):
+        fields = dict(params=SmoothingParams(0.1, 0.1), degrees=[2],
+                      provenance={}, k_prime=1)
+        # Every sample abstained, yet the first item was voted in each.
+        with pytest.raises(ValueError, match="more votes"):
+            ItemVoteTable(counts=[[1000, 0, 0, 0]], abstains=[1000],
+                          num_samples=1000, **fields)
+        with pytest.raises(ValueError, match="non-negative"):
+            ItemVoteTable(counts=[[-1, 0]], abstains=[0], num_samples=10,
+                          **fields)
+
     def test_thread_count_invariance(self, enum_matrix):
         params = SmoothingParams(0.4, 0.2)
         serial = collect_item_votes(enum_matrix, 300, params, 2, master_seed=5,
@@ -236,10 +278,10 @@ class TestCollectItemVotes:
         assert np.all(np.abs(ab_freq - exact_abstain) <= 4 * ab_sigma + 1e-12)
 
 
-def precision_recall_at(table, ground_truths, k, params, budget, alpha):
+def precision_recall_at(table, ground_truths, k, budget, alpha):
     """Certified precision and recall at one budget: the curve's point at
     ``budget.rho``, zero past its last rho."""
-    points = recommender_curve(table, ground_truths, k, params, budget.tau,
+    points = recommender_curve(table, ground_truths, k, budget.tau,
                                alpha).points
     if budget.rho >= len(points):
         return 0.0, 0.0
@@ -273,61 +315,58 @@ class TestCertifyOverlap:
 
 
 class TestCertifyUserOverlap:
-    def make_confident_table(self, num_samples=10_000):
+    def make_confident_table(self, params=SmoothingParams(0.2, 0.2)):
         # user 0: ground truth items {0, 1} recommended in ~80% of samples,
         # items 2..5 almost never.
         freqs = np.array([[0.80, 0.78, 0.02, 0.01, 0.0, 0.0]])
-        return table_from_frequencies(freqs, [0.1], num_samples, k_prime=3,
-                                      degrees=[4])
+        return table_from_frequencies(freqs, [0.1], 10_000, k_prime=3,
+                                      degrees=[4], params=params)
 
     def test_zero_budget_reduces_to_clean_ranking(self):
         table = self.make_confident_table()
-        params = SmoothingParams(0.2, 0.2)
-        r = certify_user_overlap(table, 0, {0, 1}, k=2, params=params,
+        r = certify_user_overlap(table, 0, {0, 1}, k=2,
                                  budget=PerturbationBudget(rho=0, tau=3),
                                  alpha=0.01)
         assert r == 2
 
     def test_zero_table_certifies_nothing(self):
-        table = table_from_frequencies(np.zeros((1, 6)), [1.0], 1000, 3, [4])
+        table = table_from_frequencies(np.zeros((1, 6)), [1.0], 1000, 3, [4],
+                                       SmoothingParams(0.2, 0.2))
         r = certify_user_overlap(table, 0, {0, 1}, k=2,
-                                 params=SmoothingParams(0.2, 0.2),
                                  budget=PerturbationBudget(rho=0, tau=3),
                                  alpha=0.01)
         assert r == 0
 
     def test_overlap_non_increasing_in_budget(self):
-        table = self.make_confident_table()
-        params = SmoothingParams(0.2, 0.6)
-        radii = [certify_user_overlap(table, 0, {0, 1}, 2, params,
+        table = self.make_confident_table(SmoothingParams(0.2, 0.6))
+        radii = [certify_user_overlap(table, 0, {0, 1}, 2,
                                       PerturbationBudget(rho=rho, tau=3), 0.01)
                  for rho in range(6)]
         assert all(a >= b for a, b in zip(radii, radii[1:]))
-        taus = [certify_user_overlap(table, 0, {0, 1}, 2, params,
+        taus = [certify_user_overlap(table, 0, {0, 1}, 2,
                                      PerturbationBudget(rho=1, tau=tau), 0.01)
                 for tau in range(1, 6)]
         assert all(a >= b for a, b in zip(taus, taus[1:]))
 
     def test_validation(self):
         table = self.make_confident_table()
-        params = SmoothingParams(0.2, 0.2)
         budget = PerturbationBudget(rho=0, tau=3)
         with pytest.raises(ValueError, match="k <= k_prime"):
-            certify_user_overlap(table, 0, {0}, 5, params, budget, 0.01)
-        unrated = replace(table, user_degrees=[0])
+            certify_user_overlap(table, 0, {0}, 5, budget, 0.01)
+        unrated = replace(table, degrees=[0])
         with pytest.raises(ValueError, match="training rating"):
-            certify_user_overlap(unrated, 0, {0}, 2, params, budget, 0.01)
+            certify_user_overlap(unrated, 0, {0}, 2, budget, 0.01)
         with pytest.raises(ValueError, match="non-empty"):
-            certify_user_overlap(table, 0, set(), 2, params, budget, 0.01)
+            certify_user_overlap(table, 0, set(), 2, budget, 0.01)
         for item in (6, -1):
             with pytest.raises(ValueError, match="out of range"):
-                certify_user_overlap(table, 0, {0, item}, 2, params, budget, 0.01)
+                certify_user_overlap(table, 0, {0, item}, 2, budget, 0.01)
         for alpha in (0.0, 1.0, 1.5):
             with pytest.raises(ValueError, match="alpha"):
-                certify_user_overlap(table, 0, {0}, 2, params, budget, alpha)
+                certify_user_overlap(table, 0, {0}, 2, budget, alpha)
+        certain = replace(table, params=SmoothingParams(1.0, 0.2))
         with pytest.raises(ValueError, match="p_e < 1"):
-            certify_user_overlap(table, 0, {0}, 2, SmoothingParams(1.0, 0.2),
-                                 budget, 0.01)
+            certify_user_overlap(certain, 0, {0}, 2, budget, 0.01)
 
     def test_exact_probabilities_never_weaker_than_bounds(self, enum_matrix):
         params = SmoothingParams(p_e=0.35, p_n=0.25)
@@ -347,20 +386,21 @@ class TestCertifyUserOverlap:
             others = np.setdiff1d(np.arange(enum_matrix.items), gt_idx)
             r_exact = reference_overlap_from_bounds(
                 exact[user, gt_idx], exact[user, others], k, k_prime, p_hat, p_iso)
-            r_bounds = certify_user_overlap(table, user, gt, k, params, budget,
+            r_bounds = certify_user_overlap(table, user, gt, k, budget,
                                             alpha=0.01)
             assert r_exact >= r_bounds
 
 
 class TestCertifiedPrecisionRecall:
+    noise = SmoothingParams(0.1, 0.1)
+
     def test_saturated_votes_give_full_precision(self):
         freqs = np.array([[1.0, 1.0, 0.0, 0.0, 0.0],
                           [0.0, 0.0, 1.0, 1.0, 0.0]])
         table = table_from_frequencies(freqs, [0.0, 0.0], 50_000, k_prime=3,
-                                       degrees=[3, 3])
-        params = SmoothingParams(0.1, 0.1)
+                                       degrees=[3, 3], params=self.noise)
         precision, recall = precision_recall_at(
-            table, {0: [0, 1], 1: [2, 3]}, k=2, params=params,
+            table, {0: [0, 1], 1: [2, 3]}, k=2,
             budget=PerturbationBudget(rho=0, tau=2), alpha=0.01)
         assert precision == 1.0
         assert recall == 1.0
@@ -368,27 +408,27 @@ class TestCertifiedPrecisionRecall:
     def test_repeated_ground_truth_items_count_once(self):
         freqs = np.array([[1.0, 1.0, 0.0, 0.0, 0.0]])
         table = table_from_frequencies(freqs, [0.0], 50_000, k_prime=3,
-                                       degrees=[3])
-        args = (2, SmoothingParams(0.1, 0.1), PerturbationBudget(rho=0, tau=2),
-                0.01)
+                                       degrees=[3], params=self.noise)
+        args = (2, PerturbationBudget(rho=0, tau=2), 0.01)
         assert precision_recall_at(table, {0: [0, 1, 1]}, *args) == \
             precision_recall_at(table, {0: [0, 1]}, *args) == (1.0, 1.0)
 
     def test_empty_votes_give_zero(self):
         table = table_from_frequencies(np.zeros((2, 5)), [1.0, 1.0], 1000, 3,
-                                       [3, 3])
+                                       [3, 3], self.noise)
         precision, recall = precision_recall_at(
-            table, {0: [0], 1: [2]}, k=2, params=SmoothingParams(0.1, 0.1),
+            table, {0: [0], 1: [2]}, k=2,
             budget=PerturbationBudget(rho=0, tau=2), alpha=0.01)
         assert precision == 0.0 and recall == 0.0
 
     def test_rejects_empty_ground_truth(self):
-        table = table_from_frequencies(np.zeros((1, 5)), [1.0], 1000, 3, [3])
+        table = table_from_frequencies(np.zeros((1, 5)), [1.0], 1000, 3, [3],
+                                       self.noise)
         with pytest.raises(ValueError, match="empty ground truth"):
-            precision_recall_at(table, {0: []}, 2, SmoothingParams(0.1, 0.1),
+            precision_recall_at(table, {0: []}, 2,
                                 PerturbationBudget(rho=0, tau=2), 0.01)
         with pytest.raises(ValueError, match="no users"):
-            precision_recall_at(table, {}, 2, SmoothingParams(0.1, 0.1),
+            precision_recall_at(table, {}, 2,
                                 PerturbationBudget(rho=0, tau=2), 0.01)
 
 
@@ -396,10 +436,9 @@ class TestRecommenderCurve:
     def test_curve_is_monotone_and_reaches_zero(self):
         freqs = np.array([[0.85, 0.80, 0.02, 0.0, 0.0, 0.0]])
         table = table_from_frequencies(freqs, [0.1], 20_000, k_prime=3,
-                                       degrees=[5])
-        params = SmoothingParams(0.1, 0.55)
-        curve = recommender_curve(table, {0: [0, 1]}, k=2, params=params,
-                                  tau=3, alpha=0.01)
+                                       degrees=[5],
+                                       params=SmoothingParams(0.1, 0.55))
+        curve = recommender_curve(table, {0: [0, 1]}, k=2, tau=3, alpha=0.01)
         precisions = [p.certified_precision for p in curve.points]
         assert precisions[0] > 0
         assert all(a >= b for a, b in zip(precisions, precisions[1:]))
@@ -408,10 +447,9 @@ class TestRecommenderCurve:
     def test_report_round_trip(self, tmp_path):
         freqs = np.array([[0.85, 0.80, 0.02, 0.0, 0.0, 0.0]])
         table = table_from_frequencies(freqs, [0.1], 20_000, k_prime=3,
-                                       degrees=[5])
-        curve = recommender_curve(table, {0: [0, 1]}, k=2,
-                                  params=SmoothingParams(0.1, 0.55), tau=3,
-                                  alpha=0.01)
+                                       degrees=[5],
+                                       params=SmoothingParams(0.1, 0.55))
+        curve = recommender_curve(table, {0: [0, 1]}, k=2, tau=3, alpha=0.01)
         write_recommender_report([curve], {"seed": 1}, tmp_path)
         text = (tmp_path / "recsys_curve_tau3.csv").read_text()
         assert text.splitlines()[0] == "rho,certified_precision,certified_recall"
@@ -423,6 +461,8 @@ class TestRecommenderCurve:
 
 
 class TestCertifiedOverlapRadii:
+    noise = SmoothingParams(0.1, 0.55)
+
     def test_curves_match_the_reference_loop(self):
         rng = np.random.default_rng(2024)
         certifying = 0
@@ -431,25 +471,24 @@ class TestCertifiedOverlapRadii:
             k = int(rng.integers(1, table.k_prime + 1))
             params = SmoothingParams(float(rng.choice([0.0, 0.1, 0.4])),
                                      float(rng.choice([0.3, 0.6, 0.9])))
+            table = replace(table, params=params)
             tau = int(rng.choice([1, 3, 10]))
             alpha = float(rng.choice([0.001, 0.01, 0.1, 0.5]))
-            curve = recommender_curve(table, ground_truths, k, params, tau, alpha)
+            curve = recommender_curve(table, ground_truths, k, tau, alpha)
             expected = reference_recommender_curve(table, ground_truths, k,
                                                    params, tau, alpha)
             assert curve.points == expected
             certifying += len(curve.points) > 1
             rho = int(rng.integers(0, len(expected) + 1))
             # One point of the curve is a count of the radii, in user order.
-            hits = (certified_overlap_radii(table, ground_truths, k, params,
-                                            tau, alpha) >= rho).sum(axis=1)
+            hits = (certified_overlap_radii(table, ground_truths, k, tau,
+                                            alpha) >= rho).sum(axis=1)
             last = expected[min(rho, len(expected) - 1)]
             assert last.certified_precision == sum(h / k for h in hits) / hits.size
             budget = PerturbationBudget(rho=rho, tau=tau)
             for hit, (user, gt) in zip(hits, ground_truths.items()):
-                single = certify_user_overlap(table, user, gt, k, params, budget,
-                                              alpha)
-                alone = precision_recall_at(table, {user: gt}, k, params,
-                                            budget, alpha)
+                single = certify_user_overlap(table, user, gt, k, budget, alpha)
+                alone = precision_recall_at(table, {user: gt}, k, budget, alpha)
                 assert single == hit and alone[0] == single / k
         assert 10 <= certifying <= 70
 
@@ -457,34 +496,33 @@ class TestCertifiedOverlapRadii:
         freqs = np.array([[0.85, 0.80, 0.02, 0.0, 0.0, 0.0],
                           [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
         table = table_from_frequencies(freqs, [0.1, 1.0], 20_000, k_prime=3,
-                                       degrees=[5, 2])
-        radii = certified_overlap_radii(table, {1: [3], 0: [0, 1]}, 3,
-                                        SmoothingParams(0.1, 0.55), 3, 0.01)
+                                       degrees=[5, 2], params=self.noise)
+        radii = certified_overlap_radii(table, {1: [3], 0: [0, 1]}, 3, 3, 0.01)
         assert radii.shape == (2, 3)
         assert radii[0].tolist() == [-1, -1, -1]  # user 1 certifies nothing
         assert radii[1, 0] >= radii[1, 1] >= 0 and radii[1, 2] == -1
 
     def test_rejects_user_out_of_range(self):
         table = table_from_frequencies(np.full((2, 4), 0.5), [0.0, 0.0], 100,
-                                       k_prime=2, degrees=[3, 3])
+                                       k_prime=2, degrees=[3, 3],
+                                       params=SmoothingParams(0.1, 0.5))
         for user in (-1, 2):
             with pytest.raises(ValueError, match="user index out of range"):
-                certified_overlap_radii(table, {0: [0], user: [1]}, 1,
-                                        SmoothingParams(0.1, 0.5), 2, 0.01)
+                certified_overlap_radii(table, {0: [0], user: [1]}, 1, 2, 0.01)
 
     def test_fewer_hits_certified_wherever_more_are(self):
         # Row r is bounded at level alpha / (|gt| + k - r + 1). With tied
         # ground-truth counts, r = 2 certifies at rho = 0 while r = 1 alone
         # does not, so the radius for "at least one hit" is that of two.
-        table = ItemVoteTable(counts=[[18, 18, 2, 2]], abstains=[0],
-                              num_samples=50, k_prime=2, user_degrees=[3],
-                              provenance={"kind": "synthetic"})
         params = SmoothingParams(0.1, 0.5)
-        radii = certified_overlap_radii(table, {0: [0, 1]}, 2, params, 2, 0.01)
+        table = ItemVoteTable(counts=[[18, 18, 2, 2]], abstains=[0],
+                              num_samples=50, params=params, degrees=[3],
+                              provenance={"kind": "synthetic"}, k_prime=2)
+        radii = certified_overlap_radii(table, {0: [0, 1]}, 2, 2, 0.01)
         assert radii.tolist() == [[0, 0]]
-        assert certify_user_overlap(table, 0, [0, 1], 2, params,
+        assert certify_user_overlap(table, 0, [0, 1], 2,
                                     PerturbationBudget(rho=0, tau=2), 0.01) == 2
-        curve = recommender_curve(table, {0: [0, 1]}, 2, params, 2, 0.01)
+        curve = recommender_curve(table, {0: [0, 1]}, 2, 2, 0.01)
         assert curve.points == reference_recommender_curve(
             table, {0: [0, 1]}, 2, params, 2, 0.01)
 
@@ -495,12 +533,12 @@ class TestCertifiedOverlapRadii:
         freqs = np.zeros((20, 6))
         for u, m in enumerate(overlaps):
             freqs[u, :m] = 1.0
-        table = table_from_frequencies(freqs, np.zeros(20), 1000, k_prime=3,
-                                       degrees=np.full(20, 3))
-        ground_truths = {u: [0, 1, 2] for u in range(20)}
         params = SmoothingParams(0.1, 0.5)
-        radii = certified_overlap_radii(table, ground_truths, 3, params, 2, 0.01)
+        table = table_from_frequencies(freqs, np.zeros(20), 1000, k_prime=3,
+                                       degrees=np.full(20, 3), params=params)
+        ground_truths = {u: [0, 1, 2] for u in range(20)}
+        radii = certified_overlap_radii(table, ground_truths, 3, 2, 0.01)
         assert ((radii >= 0).sum(axis=1) == overlaps).all()
-        curve = recommender_curve(table, ground_truths, 3, params, 2, 0.01)
+        curve = recommender_curve(table, ground_truths, 3, 2, 0.01)
         assert curve.points == reference_recommender_curve(
             table, ground_truths, 3, params, 2, 0.01)
