@@ -120,7 +120,7 @@ def empirical_accuracy(clean_votes: VoteTable, attacked_votes: VoteTable,
                        labels, nodes) -> tuple[float, float]:
     """Majority-vote accuracy of the smoothed classifier before and after attack."""
     labels = np.asarray(labels, dtype=np.int64)
-    nodes = np.asarray(nodes, dtype=np.int64)
+    nodes = clean_votes.checked_rows(nodes)
     clean = clean_votes.majority_classes[nodes]
     attacked = attacked_votes.majority_classes[nodes]
     return (float(np.mean(clean == labels[nodes])),

@@ -71,11 +71,10 @@ def node_retention_probs(params: SmoothingParams, degree: int) -> tuple[float, f
 
 def margin_include(p_top_lower: float, p_runner_upper: float,
                    p_all_removed: float) -> float:
-    """Worst-case vote margin when isolated nodes still receive predictions.
-
-    Total in all arguments, including crossed bounds.
-    """
-    return p_all_removed * (p_top_lower - p_runner_upper + 1.0) - 1.0
+    """Worst-case vote margin when isolated nodes still receive predictions:
+    :func:`margin_exclude` for a node that is never isolated. Total in all
+    arguments, including crossed bounds."""
+    return margin_exclude(p_top_lower, p_runner_upper, p_all_removed, 0.0, 0.0)
 
 
 def margin_exclude(p_top_lower: float, p_runner_upper: float, p_all_removed: float,

@@ -25,7 +25,8 @@ from .models import ClassifierSpec, train_with_noise
 from .pipeline import (certified_accuracy_at, certified_accuracy_curve,
                        collect_votes_evasion, collect_votes_poisoning,
                        render_json, write_report)
-from .recsys import collect_item_votes, recommender_curve, write_recommender_report
+from .recsys import collect_item_votes, recommender_curve
+from .recsys import write_recommender_report  # noqa: F401 (perfbench/traced.py hook)
 from .sampling import SmoothingParams, derive_sample_seed
 
 COMMANDS = ("gen-synth", "certify-evasion", "certify-poison", "certify-recsys",
@@ -91,26 +92,39 @@ class RunConfig:
             raise UsageError("threads must be >= 1")
         if any(t < 1 for t in self.tau):
             raise UsageError("every tau must be >= 1")
+        if len(set(self.tau)) != len(self.tau):
+            raise UsageError("tau values must be distinct")
         if self.mode not in ("include", "exclude"):
             raise UsageError("mode must be include or exclude")
+        if self.command != "gen-synth" and self.p_e == 0.0 and self.p_n == 0.0:
+            raise UsageError("certification needs p_e > 0 or p_n > 0")
         if self.command in ("certify-evasion", "certify-poison", "empirical-attack"):
-            if self.p_e == 0.0 and self.p_n == 0.0:
-                raise UsageError("certification needs p_e > 0 or p_n > 0")
             if not self.dataset_edges or not self.dataset_nodes:
                 raise UsageError("--dataset-edges and --dataset-nodes are required")
+            try:
+                self.classifier_spec()
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
         if self.command == "certify-evasion" and self.mode != "include":
             raise UsageError("exclude mode applies to per-sample training runs only")
         if self.command == "certify-recsys":
             if not self.ratings:
                 raise UsageError("--ratings is required")
-            if self.p_e == 0.0 and self.p_n == 0.0:
-                raise UsageError("certification needs p_e > 0 or p_n > 0")
             if not 0 < self.split_fraction <= 1:
                 raise UsageError("split fraction must lie in (0, 1]")
             if self.k < 1 or self.k_prime < self.k:
                 raise UsageError("need 1 <= k <= k_prime")
         if self.command == "empirical-attack" and self.rho < 0:
             raise UsageError("rho must be >= 0")
+        if self.command == "empirical-attack" and len(self.tau) != 1:
+            raise UsageError("empirical-attack takes one tau")
+
+    def classifier_spec(self) -> ClassifierSpec:
+        return ClassifierSpec(kind=self.model, hidden_dim=self.hidden_dim,
+                              epochs=self.epochs,
+                              learning_rate=self.learning_rate,
+                              weight_decay=self.weight_decay,
+                              seed=derive_sample_seed(self.master_seed, _MODEL_STREAM))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -215,14 +229,6 @@ def _echo_config(config: RunConfig) -> dict:
     return echoed
 
 
-def _classifier_spec(config: RunConfig) -> ClassifierSpec:
-    return ClassifierSpec(kind=config.model, hidden_dim=config.hidden_dim,
-                          epochs=config.epochs,
-                          learning_rate=config.learning_rate,
-                          weight_decay=config.weight_decay,
-                          seed=derive_sample_seed(config.master_seed, _MODEL_STREAM))
-
-
 def _load_graph(config: RunConfig) -> Graph:
     return load_node_classification_dataset(config.dataset_edges,
                                             config.dataset_nodes)
@@ -249,7 +255,7 @@ def _run_certify_nodes(config: RunConfig) -> dict:
     graph = _load_graph(config)
     split = seeded_split(graph, config.master_seed)
     params = SmoothingParams(p_e=config.p_e, p_n=config.p_n)
-    spec = _classifier_spec(config)
+    spec = config.classifier_spec()
     num_samples = config.resolved_num_samples()
     votes_seed = derive_sample_seed(config.master_seed, _VOTES_STREAM)
 
@@ -294,7 +300,7 @@ def _run_empirical_attack(config: RunConfig) -> dict:
     graph = _load_graph(config)
     split = seeded_split(graph, config.master_seed)
     params = SmoothingParams(p_e=config.p_e, p_n=config.p_n)
-    spec = _classifier_spec(config)
+    spec = config.classifier_spec()
     num_samples = config.resolved_num_samples()
     tau = config.tau[0]
     budget = PerturbationBudget(rho=config.rho, tau=tau)
@@ -335,16 +341,12 @@ def run(config: RunConfig) -> int:
     started = time.perf_counter()
     metadata = {"config": _echo_config(config), "version": __version__}
 
-    if config.command in ("certify-evasion", "certify-poison"):
-        result = _run_certify_nodes(config)
-        metadata["test_nodes"] = result["test_nodes"]
-        paths = write_report(result["curves"], metadata, config.out_dir)
-        report = Path(paths[-1]).read_text(encoding="utf-8")
-    elif config.command == "certify-recsys":
-        result = _run_certify_recsys(config)
-        metadata["evaluated_users"] = result["evaluated_users"]
-        paths = write_recommender_report(result["curves"], metadata,
-                                         config.out_dir)
+    if config.command.startswith("certify-"):
+        result = (_run_certify_recsys(config) if config.command == "certify-recsys"
+                  else _run_certify_nodes(config))
+        curves = result.pop("curves")
+        metadata.update(result)
+        paths = write_report(curves, metadata, config.out_dir)
         report = Path(paths[-1]).read_text(encoding="utf-8")
     else:
         if config.command == "gen-synth":

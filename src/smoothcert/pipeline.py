@@ -60,6 +60,13 @@ class BaseVoteTable:
         if np.any(voted < 0) or np.any(self.counts > voted[:, None]):
             raise ValueError("a row has more votes than samples it voted in")
 
+    def checked_rows(self, ids) -> np.ndarray:
+        """``ids`` as an int64 array of row ids, each in ``[0, rows)``."""
+        ids, rows = np.asarray(ids, dtype=np.int64), self.counts.shape[0]
+        if np.any((ids < 0) | (ids >= rows)):
+            raise ValueError(f"row ids must lie in [0, {rows})")
+        return ids
+
     def merged(self, other: "BaseVoteTable") -> "BaseVoteTable":
         """Combine adjacent sample ranges of the same run into one table.
 
@@ -130,8 +137,9 @@ def accumulate_parallel(num_samples: int, first_index: int, threads: int,
     if workers <= 1:
         return worker(first_index, first_index + num_samples)
     chunk_count = min(num_samples, workers * 4)
-    bounds = np.linspace(first_index, first_index + num_samples,
-                         chunk_count + 1).astype(np.int64)
+    # Python integers, so the bounds stay exact at any first_index.
+    bounds = [first_index + num_samples * c // chunk_count
+              for c in range(chunk_count + 1)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = pool.map(worker, bounds[:-1], bounds[1:])
         counts, abstains = next(parts)
@@ -239,6 +247,27 @@ def collect_votes_poisoning(spec: ClassifierSpec, graph: Graph, split: DataSplit
 
 
 @dataclass(frozen=True)
+class Curve:
+    """A certificate over a dense grid of the injected-node budget rho, from
+    0, at edge budget ``tau``. A subclass names its ``point_type``, whose
+    fields are ``rho`` and then the certified share, which lies in [0, 1]
+    and does not grow with rho; the ``csv_prefix`` of its file; and the
+    ``summary()`` it adds to ``report.json``."""
+
+    tau: int
+    points: tuple
+
+    def __post_init__(self):
+        certified = fields(self.point_type)[1].name
+        values = [getattr(p, certified) for p in self.points]
+        label = certified.replace("_", " ")
+        if any(not 0.0 <= v <= 1.0 for v in values):
+            raise ValueError(f"{label} must lie in [0, 1]")
+        if any(a > b + 1e-15 for a, b in zip(values[1:], values[:-1])):
+            raise ValueError(f"{label} must be non-increasing in rho")
+
+
+@dataclass(frozen=True)
 class CurvePoint:
     rho: int
     certified_accuracy: float
@@ -246,27 +275,29 @@ class CurvePoint:
 
 
 @dataclass(frozen=True)
-class CertCurve:
+class CertCurve(Curve):
     """Certified accuracy as a function of the injected-node budget."""
 
-    tau: int
-    points: tuple
     clean_accuracy: float
 
-    def __post_init__(self):
-        values = [p.certified_accuracy for p in self.points]
-        if any(not 0.0 <= v <= 1.0 for v in values):
-            raise ValueError("certified accuracy must lie in [0, 1]")
-        if any(a > b + 1e-15 for a, b in zip(values[1:], values[:-1])):
-            raise ValueError("certified accuracy must be non-increasing in rho")
+    point_type = CurvePoint
+    csv_prefix = "curve_tau"
+
+    def summary(self) -> dict:
+        return {
+            "clean_accuracy": self.clean_accuracy,
+            "average_certified_radius": average_certified_radius(self),
+            "abstain_rate": self.points[0].abstain_rate if self.points else 0.0,
+            "max_rho": self.points[-1].rho if self.points else 0,
+        }
 
 
-def _labeled_nodes(labels, nodes):
-    """The labels and the evaluated node ids, each of which must be labeled."""
+def _labeled_nodes(table, labels, nodes):
+    """The labels and the evaluated node ids: labeled rows of the table."""
     labels = np.asarray(labels, dtype=np.int64)
     if nodes is None:
         nodes = np.flatnonzero(labels >= 0)
-    nodes = np.asarray(nodes, dtype=np.int64)
+    nodes = table.checked_rows(nodes)
     if nodes.size == 0:
         raise ValueError("no nodes to evaluate")
     if np.any(labels[nodes] < 0):
@@ -293,7 +324,7 @@ def certified_radii(table: VoteTable, tau: int, alpha: float, nodes):
         raise ValueError("alpha must lie in (0, 1)")
     if table.counts.shape[1] < 2:
         raise ValueError("certification needs at least two classes")
-    nodes = np.asarray(nodes, dtype=np.int64)
+    nodes = table.checked_rows(nodes)
     exclude = table.mode == "exclude"
     node_degrees = table.degrees[nodes]
     counts = table.counts[nodes]
@@ -339,7 +370,7 @@ def certified_accuracy_curve(table: VoteTable, labels, tau: int, alpha: float,
     accuracy but are reported separately as the abstain rate; clean accuracy
     is majority-vote correctness ignoring certification.
     """
-    labels, nodes = _labeled_nodes(labels, nodes)
+    labels, nodes = _labeled_nodes(table, labels, nodes)
     abstained, majority, radius = certified_radii(table, tau, alpha, nodes)
     correct = majority == labels[nodes]
     rho_cut = 1
@@ -362,7 +393,7 @@ def certified_accuracy_curve(table: VoteTable, labels, tau: int, alpha: float,
 def certified_accuracy_at(table: VoteTable, labels, budget: PerturbationBudget,
                           alpha: float, nodes=None) -> float:
     """Certified accuracy at a single budget: one point of the curve."""
-    labels, nodes = _labeled_nodes(labels, nodes)
+    labels, nodes = _labeled_nodes(table, labels, nodes)
     _, majority, radius = certified_radii(table, budget.tau, alpha, nodes)
     return float(np.mean((majority == labels[nodes]) & (radius >= budget.rho)))
 
@@ -385,7 +416,7 @@ def render_json(obj, indent: int = 0) -> str:
 
     pad = "  " * indent
     inner = "  " * (indent + 1)
-    if obj is None or isinstance(obj, bool):
+    if obj is None or isinstance(obj, (bool, str)):
         return _json.dumps(obj)
     if isinstance(obj, (np.integer, int)):
         return str(int(obj))
@@ -394,8 +425,6 @@ def render_json(obj, indent: int = 0) -> str:
         if not math.isfinite(value):
             raise ValueError("reports may not contain non-finite numbers")
         return format_float(value)
-    if isinstance(obj, str):
-        return _json.dumps(obj)
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
@@ -413,37 +442,31 @@ def render_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def write_report(curves: Sequence[CertCurve], metadata: dict, out_dir) -> list[Path]:
+def write_report(curves: Sequence[Curve], metadata: dict, out_dir) -> list[Path]:
     """Write one CSV per curve plus a JSON summary.
 
-    Each ``curve_tau<tau>.csv`` has the header
-    ``rho,certified_accuracy,abstain_rate``. The JSON carries the caller's
-    metadata (settings, seeds, timing) and per-curve summaries. Output is a
-    pure function of the inputs, so identical runs produce identical bytes.
+    Each ``<csv_prefix><tau>.csv`` has the curve's point fields as its
+    header, e.g. ``rho,certified_accuracy,abstain_rate`` in
+    ``curve_tau5.csv``. The JSON carries the caller's metadata (settings,
+    seeds) and each curve's summary. Output is a pure function of the
+    inputs, so identical runs produce identical bytes.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    summaries = []
+    written, summaries = [], []
     for curve in curves:
-        csv_path = out / f"curve_tau{curve.tau}.csv"
-        lines = ["rho,certified_accuracy,abstain_rate"]
-        lines += [f"{p.rho},{format_float(p.certified_accuracy)},"
-                  f"{format_float(p.abstain_rate)}" for p in curve.points]
+        csv_path = out / f"{curve.csv_prefix}{curve.tau}.csv"
+        names = [f.name for f in fields(curve.point_type)]
+        lines = [",".join(names)] + [
+            ",".join([str(p.rho)] + [format_float(getattr(p, n)) for n in names[1:]])
+            for p in curve.points]
         csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(csv_path)
-        summaries.append({
-            "tau": curve.tau,
-            "clean_accuracy": curve.clean_accuracy,
-            "average_certified_radius": average_certified_radius(curve),
-            "abstain_rate": curve.points[0].abstain_rate if curve.points else 0.0,
-            "max_rho": curve.points[-1].rho if curve.points else 0,
-            "csv": csv_path.name,
-        })
+        summaries.append({"tau": curve.tau, **curve.summary(),
+                          "csv": csv_path.name})
     report_path = out / "report.json"
     report_path.write_text(
         render_json({"metadata": metadata, "curves": summaries}) + "\n",
         encoding="utf-8")
     written.append(report_path)
     return written
-

@@ -5,14 +5,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .graph import InteractionMatrix, PerturbationBudget
-from .pipeline import BaseVoteTable, accumulate_parallel, format_float, render_json
+from .pipeline import BaseVoteTable, Curve, accumulate_parallel, write_report
 from .sampling import SmoothingParams, derive_sample_seed, sample_smoothed_ratings
 from .certify import (RHO_CAP, clopper_pearson_lower, clopper_pearson_upper,
                       prob_all_removed_recsys)
@@ -225,18 +224,6 @@ def certify_user_overlap(table: ItemVoteTable, user: int, ground_truth, k: int,
     return int((radii >= budget.rho).sum())
 
 
-def _precision_recall(radii: np.ndarray, rho: int, k: int,
-                      ground_truths: Mapping[int, Sequence[int]]):
-    """Mean certified precision and recall at rho, added in user order.
-
-    ``cumsum`` adds one user at a time; ``np.sum`` would add pairwise.
-    """
-    overlaps = (radii >= rho).sum(axis=1)
-    sizes = np.array([np.unique(list(gt)).size for gt in ground_truths.values()])
-    return (float(np.cumsum(overlaps / k)[-1]) / overlaps.size,
-            float(np.cumsum(overlaps / sizes)[-1]) / overlaps.size)
-
-
 @dataclass(frozen=True)
 class RecommenderCurvePoint:
     rho: int
@@ -245,14 +232,22 @@ class RecommenderCurvePoint:
 
 
 @dataclass(frozen=True)
-class RecommenderCurve:
-    tau: int
-    points: tuple
+class RecommenderCurve(Curve):
+    """Certified precision and recall as functions of the injected-user
+    budget."""
 
-    def __post_init__(self):
-        prec = [p.certified_precision for p in self.points]
-        if any(a > b + 1e-15 for a, b in zip(prec[1:], prec[:-1])):
-            raise ValueError("certified precision must be non-increasing in rho")
+    point_type = RecommenderCurvePoint
+    csv_prefix = "recsys_curve_tau"
+
+    def summary(self) -> dict:
+        tail = [p for p in self.points if p.rho >= 1]
+        return {
+            "acr_precision": math.fsum(p.certified_precision for p in tail),
+            "acr_recall": math.fsum(p.certified_recall for p in tail),
+            "clean_certified_precision": self.points[0].certified_precision,
+            "clean_certified_recall": self.points[0].certified_recall,
+            "max_rho": self.points[-1].rho,
+        }
 
 
 def recommender_curve(table: ItemVoteTable,
@@ -260,43 +255,21 @@ def recommender_curve(table: ItemVoteTable,
                       tau: int, alpha: float) -> RecommenderCurve:
     """Certified precision/recall over a dense rho grid until both reach zero.
 
-    Each point counts the overlap radii (:func:`certified_overlap_radii`).
+    Each point counts the overlap radii (:func:`certified_overlap_radii`)
+    and takes the means in user order: ``cumsum`` adds one user at a time,
+    where ``np.sum`` would add pairwise.
     """
     radii = certified_overlap_radii(table, ground_truths, k, tau, alpha)
-    last = min(RHO_CAP, int(radii.max(initial=-1)) + 1)
-    return RecommenderCurve(tau=tau, points=tuple(
-        RecommenderCurvePoint(rho, *_precision_recall(radii, rho, k, ground_truths))
-        for rho in range(last + 1)))
+    sizes = np.array([np.unique(list(gt)).size for gt in ground_truths.values()])
+    points = []
+    for rho in range(min(RHO_CAP, int(radii.max(initial=-1)) + 1) + 1):
+        overlaps = (radii >= rho).sum(axis=1)
+        points.append(RecommenderCurvePoint(
+            rho, float(np.cumsum(overlaps / k)[-1]) / overlaps.size,
+            float(np.cumsum(overlaps / sizes)[-1]) / overlaps.size))
+    return RecommenderCurve(tau=tau, points=tuple(points))
 
 
-def write_recommender_report(curves: Sequence[RecommenderCurve], metadata: dict,
-                             out_dir) -> list[Path]:
-    """Write ``recsys_curve_tau<tau>.csv`` per curve plus a JSON summary."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    summaries = []
-    for curve in curves:
-        csv_path = out / f"recsys_curve_tau{curve.tau}.csv"
-        lines = ["rho,certified_precision,certified_recall"]
-        lines += [f"{p.rho},{format_float(p.certified_precision)},"
-                  f"{format_float(p.certified_recall)}" for p in curve.points]
-        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(csv_path)
-        summaries.append({
-            "tau": curve.tau,
-            "acr_precision": math.fsum(p.certified_precision
-                                       for p in curve.points if p.rho >= 1),
-            "acr_recall": math.fsum(p.certified_recall
-                                    for p in curve.points if p.rho >= 1),
-            "clean_certified_precision": curve.points[0].certified_precision,
-            "clean_certified_recall": curve.points[0].certified_recall,
-            "max_rho": curve.points[-1].rho,
-            "csv": csv_path.name,
-        })
-    report_path = out / "report.json"
-    report_path.write_text(
-        render_json({"metadata": metadata, "curves": summaries}) + "\n",
-        encoding="utf-8")
-    written.append(report_path)
-    return written
+# The benchmark's traced run (perfbench/traced.py) wraps this name in the
+# CLI module; it goes when the benchmark's hooks are next revised.
+write_recommender_report = write_report

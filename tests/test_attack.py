@@ -3,7 +3,8 @@ import pytest
 
 from oracles import plan_degrees, plan_from_json
 from smoothcert import (AttackPlan, ClassifierSpec, PerturbationBudget,
-                        SmoothingParams, apply_attack, collect_votes_evasion,
+                        SmoothingParams, VoteTable, apply_attack,
+                        collect_votes_evasion,
                         craft_injection, empirical_accuracy,
                         train_with_noise)
 
@@ -90,6 +91,15 @@ class TestApplyAttack:
 
 
 class TestEmpiricalAccuracy:
+    @pytest.mark.parametrize("node", [-1, 2])
+    def test_rejects_node_ids_out_of_range(self, node):
+        # -1 used to score the last node.
+        table = VoteTable(counts=[[3, 0], [0, 3]], abstains=[0, 0],
+                          num_samples=3, params=SmoothingParams(0.1, 0.8),
+                          degrees=[1, 1], provenance={})
+        with pytest.raises(ValueError, match="row ids"):
+            empirical_accuracy(table, table, [0, 1], [0, node])
+
     def test_zero_budget_keeps_accuracy(self, sbm_fixture):
         graph, split = sbm_fixture
         spec = ClassifierSpec(hidden_dim=8, epochs=40, seed=3)

@@ -76,6 +76,33 @@ class TestParseConfig:
         with pytest.raises(UsageError, match="dataset"):
             parse_config(["certify-evasion", "--out", "x", "--p-n", "0.9"])
 
+    NODE_RUN = ["--out", "x", "--p-n", "0.9", "--dataset-edges", "e",
+                "--dataset-nodes", "n"]
+
+    @pytest.mark.parametrize("command", ["certify-evasion", "certify-poison",
+                                         "empirical-attack"])
+    @pytest.mark.parametrize("flag, message", [("--epochs", "epochs"),
+                                               ("--hidden-dim", "hidden_dim")])
+    def test_untrainable_model_is_usage_error(self, capsys, command, flag,
+                                              message):
+        # Decided before any file is read, so the missing dataset is not
+        # what fails.
+        assert main([command, *self.NODE_RUN, flag, "0"]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["certify-evasion", *NODE_RUN],
+        ["certify-poison", *NODE_RUN],
+        ["certify-recsys", "--out", "x", "--p-n", "0.9", "--ratings", "r"],
+    ], ids=["evasion", "poison", "recsys"])
+    def test_repeated_tau_is_usage_error(self, capsys, argv):
+        assert main(argv + ["--tau", "5", "2", "5"]) == 2
+        assert "distinct" in capsys.readouterr().err
+
+    def test_empirical_attack_takes_one_tau(self, capsys):
+        assert main(["empirical-attack", *self.NODE_RUN, "--tau", "2", "3"]) == 2
+        assert "one tau" in capsys.readouterr().err
+
 
 class TestGenSynth:
     def test_emits_loadable_dataset(self, tmp_path):

@@ -121,3 +121,8 @@ def test_stats_import_is_detected(tmp_path):
                       "import scipy.special\n"
                       "from scipy import special\n")
     assert stats_imports(source) == [1, 2, 3]
+
+
+def test_one_report_writer():
+    # The recommender name stays only as an alias of the one writer.
+    assert smoothcert.write_recommender_report is smoothcert.write_report

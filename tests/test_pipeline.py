@@ -201,7 +201,7 @@ class TestVoteProvenance:
 class TestAccumulateParallel:
     """Worker counts, with a serial stand-in for the thread pool."""
 
-    def run(self, monkeypatch, cpus, threads):
+    def run(self, monkeypatch, cpus, threads, num_samples=1000, first=5):
         pools, chunks = [], []
 
         class SerialPool:
@@ -224,9 +224,10 @@ class TestAccumulateParallel:
         monkeypatch.setattr(pipeline, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(pipeline.os, "sched_getaffinity",
                             lambda pid: set(range(cpus)), raising=False)
-        counts, _ = pipeline.accumulate_parallel(1000, 5, threads, worker)
-        assert counts.tolist() == [1000]
-        assert chunks[0][0] == 5 and chunks[-1][1] == 1005
+        counts, _ = pipeline.accumulate_parallel(num_samples, first, threads,
+                                                 worker)
+        assert counts.tolist() == [num_samples]
+        assert chunks[0][0] == first and chunks[-1][1] == first + num_samples
         assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
         return pools, len(chunks)
 
@@ -236,6 +237,11 @@ class TestAccumulateParallel:
 
     def test_one_cpu_runs_serially(self, monkeypatch):
         assert self.run(monkeypatch, cpus=1, threads=4) == ([], 1)
+
+    def test_chunk_bounds_are_exact_past_float_precision(self, monkeypatch):
+        # Float bounds would round 2**53 + 1 down and run [2**53, 2**53 + 8).
+        assert self.run(monkeypatch, cpus=2, threads=2, num_samples=7,
+                        first=2**53 + 1) == ([2], 7)
 
 
 class TestBatchedEvasionVotes:
@@ -458,6 +464,18 @@ class TestCertifiedAccuracyAt:
         with pytest.raises(ValueError, match="labels"):
             certified_accuracy_at(self.table, self.labels, self.budget, 0.01,
                                   nodes=[0, 1])
+
+    @pytest.mark.parametrize("node", [-1, 3])
+    def test_rejects_node_ids_out_of_range(self, node):
+        # -1 used to index the last node and score its certificate.
+        labels = np.array([0, 1, 1])
+        with pytest.raises(ValueError, match=r"row ids must lie in \[0, 3\)"):
+            certified_radii(self.table, 2, 0.01, [0, node])
+        with pytest.raises(ValueError, match="row ids"):
+            certified_accuracy_at(self.table, labels, self.budget, 0.01,
+                                  nodes=[node])
+        with pytest.raises(ValueError, match="row ids"):
+            certified_accuracy_curve(self.table, labels, 2, 0.01, nodes=[node])
 
 
 class TestReferenceCurve:

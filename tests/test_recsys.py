@@ -13,7 +13,7 @@ from smoothcert import (InteractionMatrix, PerturbationBudget, SmoothingParams,
                         recommend_topk, recommender_curve, top_items,
                         write_recommender_report)
 from smoothcert import recsys
-from smoothcert.recsys import ItemVoteTable
+from smoothcert.recsys import ItemVoteTable, RecommenderCurve, RecommenderCurvePoint
 
 
 @pytest.fixture
@@ -433,6 +433,15 @@ class TestCertifiedPrecisionRecall:
 
 
 class TestRecommenderCurve:
+    @pytest.mark.parametrize("precisions, message", [
+        ([1.5, 0.0], "certified precision must lie in"),
+        ([0.2, 0.5, 0.0], "certified precision must be non-increasing")])
+    def test_type_checks_the_certified_precision(self, precisions, message):
+        points = tuple(RecommenderCurvePoint(rho, p, 0.0)
+                       for rho, p in enumerate(precisions))
+        with pytest.raises(ValueError, match=message):
+            RecommenderCurve(tau=2, points=points)
+
     def test_curve_is_monotone_and_reaches_zero(self):
         freqs = np.array([[0.85, 0.80, 0.02, 0.0, 0.0, 0.0]])
         table = table_from_frequencies(freqs, [0.1], 20_000, k_prime=3,
