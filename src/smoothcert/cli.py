@@ -12,16 +12,16 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 from . import __version__
-from .attack import apply_attack, craft_injection, empirical_accuracy
-from .graph import (Graph, PerturbationBudget, generate_sbm,
+from .attack import STRATEGIES, apply_attack, craft_injection, empirical_accuracy
+from .graph import (PerturbationBudget, generate_sbm,
                     load_interaction_dataset, load_node_classification_dataset,
                     save_node_classification_dataset, seeded_split)
-from .models import ClassifierSpec, train_with_noise
+from .models import KINDS, ClassifierSpec, train_with_noise
 from .pipeline import (certified_accuracy_at, certified_accuracy_curve,
                        collect_votes_evasion, collect_votes_poisoning,
                        render_json, write_report)
@@ -90,12 +90,14 @@ class RunConfig:
             raise UsageError("sample count must be >= 1")
         if self.threads < 1:
             raise UsageError("threads must be >= 1")
-        if any(t < 1 for t in self.tau):
-            raise UsageError("every tau must be >= 1")
+        if not self.tau or any(t < 1 for t in self.tau):
+            raise UsageError("tau needs one or more values, each >= 1")
         if len(set(self.tau)) != len(self.tau):
             raise UsageError("tau values must be distinct")
         if self.mode not in ("include", "exclude"):
             raise UsageError("mode must be include or exclude")
+        if self.strategy not in STRATEGIES:
+            raise UsageError(f"strategy must be one of {STRATEGIES}")
         if self.command != "gen-synth" and self.p_e == 0.0 and self.p_n == 0.0:
             raise UsageError("certification needs p_e > 0 or p_n > 0")
         if self.command in ("certify-evasion", "certify-poison", "empirical-attack"):
@@ -153,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
         n.add_argument("--alpha", type=float, help="significance level")
         n.add_argument("--mode", choices=["include", "exclude"])
         m = p.add_argument_group("base model")
-        m.add_argument("--model", choices=["message_passing_2layer", "feature_mlp"])
+        m.add_argument("--model", choices=KINDS)
         m.add_argument("--hidden-dim", dest="hidden_dim", type=int)
         m.add_argument("--epochs", type=int)
         m.add_argument("--lr", dest="learning_rate", type=float)
@@ -175,12 +177,29 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--synth-d", dest="synth_d", type=int)
         if name == "empirical-attack":
             p.add_argument("--rho", type=int, help="injected node count")
-            p.add_argument("--strategy", choices=["random", "centroid_flip"])
+            p.add_argument("--strategy", choices=STRATEGIES)
         if name == "certify-recsys":
             p.add_argument("--k", type=int, help="smoothed recommendation size")
             p.add_argument("--k-prime", dest="k_prime", type=int,
                            help="base recommendation size")
     return parser
+
+
+def _check_file_values(values: dict) -> None:
+    """Config-file keys must name fields and values have the field's type:
+    tau is a non-empty list of integers, and a float field takes integers."""
+    hints = get_type_hints(RunConfig)
+    unknown = set(values) - set(hints)
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in values.items():
+        if key == "tau":
+            ok = type(value) is list and value and all(type(t) is int for t in value)
+        else:
+            types = get_args(hints[key]) or (hints[key],)
+            ok = type(value) in types or (float in types and type(value) is int)
+        if not ok:
+            raise UsageError(f"config key {key!r} has the wrong type: {value!r}")
 
 
 def parse_config(argv) -> RunConfig:
@@ -201,22 +220,16 @@ def parse_config(argv) -> RunConfig:
             raise UsageError(f"cannot read config file: {exc}") from exc
         if not isinstance(file_values, dict):
             raise UsageError("config file must hold a JSON object")
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(file_values) - known
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
         file_values.pop("command", None)
+        _check_file_values(file_values)
         merged.update(file_values)
     merged.update(provided)
 
     if "out_dir" not in merged or not merged["out_dir"]:
         raise UsageError("--out is required")
     if "tau" in merged:
-        merged["tau"] = tuple(int(t) for t in merged["tau"])
-    try:
-        config = RunConfig(**merged)
-    except TypeError as exc:
-        raise UsageError(str(exc)) from exc
+        merged["tau"] = tuple(merged["tau"])
+    config = RunConfig(**merged)
     config.validate()
     return config
 
@@ -224,14 +237,8 @@ def parse_config(argv) -> RunConfig:
 def _echo_config(config: RunConfig) -> dict:
     """Resolved configuration, reusable verbatim as a --config file."""
     echoed = asdict(config)
-    echoed["tau"] = list(config.tau)
     echoed["num_samples"] = config.resolved_num_samples()
     return echoed
-
-
-def _load_graph(config: RunConfig) -> Graph:
-    return load_node_classification_dataset(config.dataset_edges,
-                                            config.dataset_nodes)
 
 
 def _log(message: str) -> None:
@@ -252,7 +259,8 @@ def _run_gen_synth(config: RunConfig) -> dict:
 
 
 def _run_certify_nodes(config: RunConfig) -> dict:
-    graph = _load_graph(config)
+    graph = load_node_classification_dataset(config.dataset_edges,
+                                             config.dataset_nodes)
     split = seeded_split(graph, config.master_seed)
     params = SmoothingParams(p_e=config.p_e, p_n=config.p_n)
     spec = config.classifier_spec()
@@ -297,7 +305,8 @@ def _run_certify_recsys(config: RunConfig) -> dict:
 
 
 def _run_empirical_attack(config: RunConfig) -> dict:
-    graph = _load_graph(config)
+    graph = load_node_classification_dataset(config.dataset_edges,
+                                             config.dataset_nodes)
     split = seeded_split(graph, config.master_seed)
     params = SmoothingParams(p_e=config.p_e, p_n=config.p_n)
     spec = config.classifier_spec()

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -28,15 +28,15 @@ _TRAIN_STREAM = (1 << 40) + 1
 # 64 hidden units each activation block of a batch stays near 512 KiB.
 _BATCH_ROWS = 1024
 
-_MERGE_IGNORED_KEYS = ("first_index", "num_samples")  # of the provenance
-_MERGED_APART = ("counts", "abstains", "num_samples", "degrees", "provenance")
+_MERGED_APART = ("counts", "abstains", "num_samples", "first_index", "degrees")
 
 
 @dataclass(eq=False)
 class BaseVoteTable:
-    """Monte-Carlo vote counts of one smoothing run and every input a
-    certificate over them needs: the smoothing noise that drew the samples
-    and each row's degree in the graph or rating matrix that was voted on."""
+    """Monte-Carlo vote counts of samples ``[first_index, first_index +
+    num_samples)`` of one smoothing run and every input a certificate over
+    them needs: the smoothing noise that drew the samples and each row's
+    degree in the graph or rating matrix that was voted on."""
 
     counts: np.ndarray    # (rows, columns) int64
     abstains: np.ndarray  # (rows,) int64, samples in which the row did not vote
@@ -44,6 +44,7 @@ class BaseVoteTable:
     params: SmoothingParams
     degrees: np.ndarray   # (rows,) int64
     provenance: dict
+    first_index: int = field(default=0, kw_only=True)
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
@@ -59,6 +60,18 @@ class BaseVoteTable:
         voted = self.num_samples - self.abstains
         if np.any(voted < 0) or np.any(self.counts > voted[:, None]):
             raise ValueError("a row has more votes than samples it voted in")
+
+    @classmethod
+    def collect(cls, worker: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
+                num_samples: int, first_index: int, threads: int, **fields):
+        """The table of samples ``[first_index, first_index + num_samples)``,
+        counted by ``worker(lo, hi)`` over chunks of the range."""
+        if num_samples < 1:
+            raise ValueError("num_samples must be >= 1")
+        counts, abstains = accumulate_parallel(num_samples, first_index, threads,
+                                               worker)
+        return cls(counts=counts, abstains=abstains, num_samples=num_samples,
+                   first_index=first_index, **fields)
 
     def checked_rows(self, ids) -> np.ndarray:
         """``ids`` as an int64 array of row ids, each in ``[0, rows)``."""
@@ -81,15 +94,12 @@ class BaseVoteTable:
             raise ValueError("cannot merge a vote table with itself")
         if self.counts.shape != other.counts.shape:
             raise ValueError("vote tables cover different graphs")
-        a = {k: v for k, v in self.provenance.items() if k not in _MERGE_IGNORED_KEYS}
-        b = {k: v for k, v in other.provenance.items() if k not in _MERGE_IGNORED_KEYS}
-        if (type(other) is not type(self) or a != b
+        if (type(other) is not type(self)
                 or not np.array_equal(self.degrees, other.degrees)
                 or any(getattr(self, f.name) != getattr(other, f.name)
                        for f in fields(self) if f.name not in _MERGED_APART)):
             raise ValueError("vote tables come from different runs")
-        lo_a = self.provenance.get("first_index", 0)
-        lo_b = other.provenance.get("first_index", 0)
+        lo_a, lo_b = self.first_index, other.first_index
         hi_a, hi_b = lo_a + self.num_samples, lo_b + other.num_samples
         if lo_a < hi_b and lo_b < hi_a:
             raise ValueError(f"sample ranges [{lo_a}, {hi_a}) and [{lo_b}, {hi_b}) "
@@ -97,12 +107,10 @@ class BaseVoteTable:
         if hi_a != lo_b and hi_b != lo_a:
             raise ValueError(f"sample ranges [{lo_a}, {hi_a}) and [{lo_b}, {hi_b}) "
                              "leave a gap")
-        num_samples = self.num_samples + other.num_samples
         return replace(self, counts=self.counts + other.counts,
                        abstains=self.abstains + other.abstains,
-                       num_samples=num_samples,
-                       provenance=dict(self.provenance, num_samples=num_samples,
-                                       first_index=min(lo_a, lo_b)))
+                       num_samples=self.num_samples + other.num_samples,
+                       first_index=min(lo_a, lo_b))
 
 
 @dataclass(eq=False)
@@ -158,8 +166,6 @@ def collect_votes_evasion(model: TrainedModel, graph: Graph, num_samples: int,
     Sample ``i`` uses the seed derived from ``(master_seed, i)``, so disjoint
     index ranges can be collected independently and merged.
     """
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
     n = graph.n
     num_classes = model.num_classes
     transformed = feature_transform(model, graph.features)
@@ -194,15 +200,12 @@ def collect_votes_evasion(model: TrainedModel, graph: Graph, num_samples: int,
         counts[np.arange(n), isolated] += (hi - lo) - counts.sum(axis=1)
         return counts, np.zeros(n, dtype=np.int64)
 
-    counts, abstains = accumulate_parallel(num_samples, first_index, threads, worker)
-    provenance = {
-        "kind": "evasion", "master_seed": int(master_seed),
-        "first_index": int(first_index), "num_samples": int(num_samples),
-        "graph": graph.fingerprint(),
-        "model_graph": model.graph_fingerprint, "model_spec": asdict(model.spec),
-    }
-    return VoteTable(counts=counts, abstains=abstains, num_samples=num_samples,
-                     params=params, degrees=graph.degrees, provenance=provenance)
+    provenance = {"kind": "evasion", "master_seed": int(master_seed),
+                  "graph": graph.fingerprint(), "model_graph": model.graph_fingerprint,
+                  "model_spec": asdict(model.spec)}
+    return VoteTable.collect(worker, num_samples, first_index, threads,
+                             params=params, degrees=graph.degrees,
+                             provenance=provenance)
 
 
 def collect_votes_poisoning(spec: ClassifierSpec, graph: Graph, split: DataSplit,
@@ -215,8 +218,6 @@ def collect_votes_poisoning(spec: ClassifierSpec, graph: Graph, split: DataSplit
     derived from the sample seed) and predicts on it. In exclude mode nodes
     isolated in a sample abstain instead of voting.
     """
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
     n = graph.n
     num_classes = graph.num_classes
 
@@ -234,37 +235,33 @@ def collect_votes_poisoning(spec: ClassifierSpec, graph: Graph, split: DataSplit
             abstains[abstain] += 1
         return counts, abstains
 
-    counts, abstains = accumulate_parallel(num_samples, first_index, threads, worker)
-    provenance = {
-        "kind": "poisoning", "master_seed": int(master_seed),
-        "first_index": int(first_index), "num_samples": int(num_samples),
-        "graph": graph.fingerprint(),
-        "split": split.fingerprint(), "model_spec": asdict(spec),
-    }
-    return VoteTable(counts=counts, abstains=abstains, num_samples=num_samples,
-                     params=params, degrees=graph.degrees, provenance=provenance,
-                     mode=mode)
+    provenance = {"kind": "poisoning", "master_seed": int(master_seed),
+                  "graph": graph.fingerprint(), "split": split.fingerprint(),
+                  "model_spec": asdict(spec)}
+    return VoteTable.collect(worker, num_samples, first_index, threads,
+                             params=params, degrees=graph.degrees,
+                             provenance=provenance, mode=mode)
 
 
 @dataclass(frozen=True)
 class Curve:
     """A certificate over a dense grid of the injected-node budget rho, from
     0, at edge budget ``tau``. A subclass names its ``point_type``, whose
-    fields are ``rho`` and then the certified share, which lies in [0, 1]
-    and does not grow with rho; the ``csv_prefix`` of its file; and the
+    fields are ``rho`` and then shares, each of which lies in [0, 1] and
+    does not grow with rho; the ``csv_prefix`` of its file; and the
     ``summary()`` it adds to ``report.json``."""
 
     tau: int
     points: tuple
 
     def __post_init__(self):
-        certified = fields(self.point_type)[1].name
-        values = [getattr(p, certified) for p in self.points]
-        label = certified.replace("_", " ")
-        if any(not 0.0 <= v <= 1.0 for v in values):
-            raise ValueError(f"{label} must lie in [0, 1]")
-        if any(a > b + 1e-15 for a, b in zip(values[1:], values[:-1])):
-            raise ValueError(f"{label} must be non-increasing in rho")
+        for column in fields(self.point_type)[1:]:
+            values = [getattr(p, column.name) for p in self.points]
+            label = column.name.replace("_", " ")
+            if any(not 0.0 <= v <= 1.0 for v in values):
+                raise ValueError(f"{label} must lie in [0, 1]")
+            if any(a > b + 1e-15 for a, b in zip(values[1:], values[:-1])):
+                raise ValueError(f"{label} must be non-increasing in rho")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import InteractionMatrix, PerturbationBudget
-from .pipeline import BaseVoteTable, Curve, accumulate_parallel, write_report
+from .pipeline import BaseVoteTable, Curve, write_report
 from .sampling import SmoothingParams, derive_sample_seed, sample_smoothed_ratings
 from .certify import (RHO_CAP, clopper_pearson_lower, clopper_pearson_upper,
                       prob_all_removed_recsys)
@@ -100,8 +100,6 @@ def collect_item_votes(matrix: InteractionMatrix, num_samples: int,
     and ranks all users still holding a rating at once (:func:`top_items`);
     users left without ratings abstain for that sample.
     """
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
     if k_prime < 1:
         raise ValueError("k_prime must be >= 1")
 
@@ -119,16 +117,11 @@ def collect_item_votes(matrix: InteractionMatrix, num_samples: int,
             counts[active[row], top[row, rank]] += 1
         return counts, abstains
 
-    counts, abstains = accumulate_parallel(num_samples, first_index, threads, worker)
-    provenance = {
-        "kind": "recommender", "matrix": matrix.fingerprint(),
-        "master_seed": int(master_seed), "first_index": int(first_index),
-        "num_samples": int(num_samples),
-    }
-    return ItemVoteTable(counts=counts, abstains=abstains,
-                         num_samples=num_samples, params=params,
-                         degrees=matrix.user_degrees, provenance=provenance,
-                         k_prime=k_prime)
+    provenance = {"kind": "recommender", "matrix": matrix.fingerprint(),
+                  "master_seed": int(master_seed)}
+    return ItemVoteTable.collect(worker, num_samples, first_index, threads,
+                                 params=params, degrees=matrix.user_degrees,
+                                 provenance=provenance, k_prime=k_prime)
 
 
 def _certifies_overlap(p_r: np.ndarray, sums: np.ndarray, take: np.ndarray,

@@ -103,6 +103,42 @@ class TestParseConfig:
         assert main(["empirical-attack", *self.NODE_RUN, "--tau", "2", "3"]) == 2
         assert "one tau" in capsys.readouterr().err
 
+    def run_with_file(self, tmp_path, command, values):
+        config_file = tmp_path / "run.json"
+        config_file.write_text(json.dumps(values))
+        # The dataset files do not exist, so reading them would exit 1.
+        return main([command, "--config", str(config_file), "--out",
+                     str(tmp_path / "out"), "--p-n", "0.9", "--dataset-edges",
+                     str(tmp_path / "e"), "--dataset-nodes", str(tmp_path / "n")])
+
+    @pytest.mark.parametrize("values", [
+        {"tau": 5}, {"tau": []}, {"tau": [2.7]}, {"p_e": "0.1"},
+        {"threads": "2"}, {"num_samples": 2.5}, {"epochs": True}],
+        ids=["tau-number", "tau-empty", "tau-float", "p_e-string",
+             "threads-string", "num_samples-float", "epochs-bool"])
+    def test_config_value_of_the_wrong_type_is_usage_error(self, tmp_path,
+                                                           capsys, values):
+        assert self.run_with_file(tmp_path, "certify-evasion", values) == 2
+        assert next(iter(values)) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_values_of_the_field_type_pass(self, tmp_path):
+        config_file = tmp_path / "run.json"
+        config_file.write_text(json.dumps({
+            "p_e": 0, "alpha": 0.05, "tau": [2, 4], "num_samples": None,
+            "ratings": None, "threads": 2, "out_dir": "x",
+            "dataset_edges": "e", "dataset_nodes": "n"}))
+        config = parse_config(["certify-evasion", "--config", str(config_file),
+                               "--p-n", "0.9"])
+        assert (config.p_e, config.tau, config.threads) == (0, (2, 4), 2)
+        assert config.resolved_num_samples() == 100_000
+
+    def test_unknown_strategy_in_config_is_usage_error(self, tmp_path, capsys):
+        code = self.run_with_file(tmp_path, "empirical-attack",
+                                  {"strategy": "bogus"})
+        assert code == 2
+        assert "strategy" in capsys.readouterr().err
+
 
 class TestGenSynth:
     def test_emits_loadable_dataset(self, tmp_path):

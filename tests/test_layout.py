@@ -4,7 +4,8 @@ No module imports another module's private helpers, only ``certify.py``
 imports ``scipy.stats``, and the API that lives in ``tests/oracles.py`` (the
 single-budget certificate and the accessors only tests use) is not exported.
 Certificates read the smoothing noise, mode and degrees from the vote table,
-so no certify entry point takes them again.
+so no certify entry point takes them again. Every vote table is counted by
+one constructor, ``BaseVoteTable.collect``.
 """
 import ast
 import inspect
@@ -54,6 +55,26 @@ def stats_imports(path):
         if any(name == "scipy.stats" or name.startswith("scipy.stats.")
                for name in names):
             found.append(node.lineno)
+    return found
+
+
+def calls_of(path, name):
+    """``(line, "Class.function")`` scope of every call of ``name``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and name in (
+                    getattr(child.func, "id", None),
+                    getattr(child.func, "attr", None)):
+                found.append((child.lineno, ".".join(scope)))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), ())
     return found
 
 
@@ -126,3 +147,23 @@ def test_stats_import_is_detected(tmp_path):
 def test_one_report_writer():
     # The recommender name stays only as an alias of the one writer.
     assert smoothcert.write_recommender_report is smoothcert.write_report
+
+
+def test_votes_are_counted_only_by_collect():
+    scopes = [scope for path in SOURCES
+              for _, scope in calls_of(path, "accumulate_parallel")]
+    assert scopes == ["BaseVoteTable.collect"]
+
+
+def test_stray_vote_counting_is_detected(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("from . import pipeline\n"
+                      "class BaseVoteTable:\n"
+                      "    def collect(cls, worker):\n"
+                      "        return accumulate_parallel(1, 0, 1, worker)\n"
+                      "def collect_votes(worker):\n"
+                      "    def inner():\n"
+                      "        return pipeline.accumulate_parallel(1, 0, 1, worker)\n"
+                      "    return inner()\n")
+    assert calls_of(source, "accumulate_parallel") == [
+        (4, "BaseVoteTable.collect"), (7, "collect_votes.inner")]

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from oracles import enumerate_graph_votes, read_curve_csv, reference_curve
-from smoothcert import (ClassifierSpec, DataSplit, Graph,
+from smoothcert import (ClassifierSpec, DataSplit, Graph, InteractionMatrix,
                         PerturbationBudget, SmoothingParams, TrainedModel,
                         VoteTable, average_certified_radius,
                         certified_accuracy_at, certified_accuracy_curve,
                         certified_radii,
-                        collect_votes_evasion, collect_votes_poisoning,
-                        derive_sample_seed, generate_sbm, predict,
-                        sample_smoothed_graph, write_report)
+                        collect_item_votes, collect_votes_evasion,
+                        collect_votes_poisoning, derive_sample_seed,
+                        generate_sbm, predict, sample_smoothed_graph,
+                        write_report)
 from smoothcert import pipeline
 from smoothcert.pipeline import CertCurve, CurvePoint
 
@@ -85,8 +86,7 @@ class TestCollectVotesEvasion:
         hi = self.collect(two_clique_graph, identity_model, 30, 20)
         for merged in (lo.merged(hi), hi.merged(lo)):
             assert merged.num_samples == 50
-            assert merged.provenance["first_index"] == 0
-            assert merged.provenance["num_samples"] == 50
+            assert merged.first_index == 0
 
     def test_merge_rejects_self(self, two_clique_graph, identity_model):
         a = self.collect(two_clique_graph, identity_model, 50, 0)
@@ -196,6 +196,39 @@ class TestVoteProvenance:
                        collect(spec=replace(spec, epochs=4), first=10)):
             with pytest.raises(ValueError, match="different runs"):
                 first.merged(second)
+
+    def collectors(self):
+        model = random_model("message_passing_2layer", 4, 2, seed=1)
+        spec = ClassifierSpec(hidden_dim=4, epochs=3, seed=6)
+        return {
+            "evasion": lambda n, seed, first: collect_votes_evasion(
+                model, self.graph, n, self.params, master_seed=seed,
+                first_index=first),
+            "poisoning": lambda n, seed, first: collect_votes_poisoning(
+                spec, self.graph, self.split, n, self.params, "include",
+                master_seed=seed, first_index=first),
+        }
+
+    @pytest.mark.parametrize("kind", ["evasion", "poisoning"])
+    def test_another_master_seed_never_merges(self, kind):
+        # Adjacent ranges, everything else equal: only the seed tells them apart.
+        collect = self.collectors()[kind]
+        first, second = collect(10, 5, 0), collect(10, 6, 10)
+        assert first.merged(collect(10, 5, 10)).num_samples == 20
+        with pytest.raises(ValueError, match="different runs"):
+            first.merged(second)
+        with pytest.raises(ValueError, match="different runs"):
+            second.merged(first)
+
+    def test_the_sample_range_is_a_field_not_provenance(self):
+        ratings = InteractionMatrix(4, 5, [(0, 1), (0, 2), (1, 2), (2, 3),
+                                           (3, 1), (3, 4)])
+        tables = [collect(4, 7, 3) for collect in self.collectors().values()]
+        tables.append(collect_item_votes(ratings, 4, self.params, 2,
+                                         master_seed=7, first_index=3))
+        for table in tables:
+            assert (table.first_index, table.num_samples) == (3, 4)
+            assert not {"first_index", "num_samples"} & set(table.provenance)
 
 
 class TestAccumulateParallel:
@@ -557,6 +590,11 @@ class TestAverageCertifiedRadius:
     def test_monotonicity_enforced_by_type(self):
         with pytest.raises(ValueError, match="non-increasing"):
             self.make_curve([0.5, 0.9, 0.0])
+
+    def test_abstain_rate_checked_by_type(self):
+        points = (CurvePoint(0, 0.5, 1.7), CurvePoint(1, 0.0, 1.7))
+        with pytest.raises(ValueError, match="abstain rate must lie in"):
+            CertCurve(tau=5, points=points, clean_accuracy=0.5)
 
 
 class TestWriteReport:

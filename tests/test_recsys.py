@@ -435,10 +435,15 @@ class TestCertifiedPrecisionRecall:
 class TestRecommenderCurve:
     @pytest.mark.parametrize("precisions, message", [
         ([1.5, 0.0], "certified precision must lie in"),
-        ([0.2, 0.5, 0.0], "certified precision must be non-increasing")])
+        ([0.2, 0.5, 0.0], "certified precision must be non-increasing"),
+        ([1.5, 0.0], "certified recall must lie in"),
+        ([0.2, 0.5, 0.0], "certified recall must be non-increasing")])
     def test_type_checks_the_certified_precision(self, precisions, message):
-        points = tuple(RecommenderCurvePoint(rho, p, 0.0)
-                       for rho, p in enumerate(precisions))
+        # The values fill the column the message names; the other one is 0.
+        recall = "recall" in message
+        points = tuple(RecommenderCurvePoint(rho, 0.0 if recall else v,
+                                             v if recall else 0.0)
+                       for rho, v in enumerate(precisions))
         with pytest.raises(ValueError, match=message):
             RecommenderCurve(tau=2, points=points)
 
