@@ -24,13 +24,13 @@ from .graph import (PerturbationBudget, generate_sbm,
 from .models import KINDS, ClassifierSpec, train_with_noise
 from .pipeline import (certified_accuracy_at, certified_accuracy_curve,
                        collect_votes_evasion, collect_votes_poisoning,
-                       render_json, write_report)
+                       write_report)
 from .recsys import collect_item_votes, recommender_curve
 from .recsys import write_recommender_report  # noqa: F401 (perfbench/traced.py hook)
 from .sampling import SmoothingParams, derive_sample_seed
 
-COMMANDS = ("gen-synth", "certify-evasion", "certify-poison", "certify-recsys",
-            "empirical-attack")
+# Monte-Carlo sample count of a command run without --n; 1 000 otherwise.
+_DEFAULT_SAMPLES = {"certify-evasion": 100_000, "certify-recsys": 100_000}
 
 # Seed substreams for the independent stages of a run.
 _MODEL_STREAM = 10
@@ -52,7 +52,7 @@ class RunConfig:
     p_e: float = 0.0
     p_n: float = 0.0
     tau: tuple = (5,)
-    num_samples: Optional[int] = None
+    num_samples: Optional[int] = None  # parse_config sets the default
     alpha: float = 0.01
     mode: str = "include"
     master_seed: int = 0
@@ -73,12 +73,6 @@ class RunConfig:
     synth_p_out: float = 0.01
     synth_d: int = 8
 
-    def resolved_num_samples(self) -> int:
-        if self.num_samples is not None:
-            return self.num_samples
-        return {"certify-evasion": 100_000, "certify-poison": 1_000,
-                "certify-recsys": 100_000}.get(self.command, 1_000)
-
     def validate(self) -> None:
         if self.command not in COMMANDS:
             raise UsageError(f"unknown command {self.command!r}")
@@ -86,7 +80,7 @@ class RunConfig:
             raise UsageError("p_e and p_n must lie in [0, 1)")
         if not 0.0 < self.alpha < 1.0:
             raise UsageError("alpha must lie in (0, 1)")
-        if self.resolved_num_samples() < 1:
+        if self.num_samples < 1:
             raise UsageError("sample count must be >= 1")
         if self.threads < 1:
             raise UsageError("threads must be >= 1")
@@ -229,23 +223,18 @@ def parse_config(argv) -> RunConfig:
         raise UsageError("--out is required")
     if "tau" in merged:
         merged["tau"] = tuple(merged["tau"])
+    if merged.get("num_samples") is None:
+        merged["num_samples"] = _DEFAULT_SAMPLES.get(merged["command"], 1_000)
     config = RunConfig(**merged)
     config.validate()
     return config
-
-
-def _echo_config(config: RunConfig) -> dict:
-    """Resolved configuration, reusable verbatim as a --config file."""
-    echoed = asdict(config)
-    echoed["num_samples"] = config.resolved_num_samples()
-    return echoed
 
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _run_gen_synth(config: RunConfig) -> dict:
+def _run_gen_synth(config: RunConfig) -> tuple[list, dict]:
     graph, _ = generate_sbm(config.synth_n, config.synth_classes,
                             config.synth_p_in, config.synth_p_out,
                             config.synth_d, config.master_seed)
@@ -253,18 +242,18 @@ def _run_gen_synth(config: RunConfig) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     save_node_classification_dataset(graph, out / "edges.tsv", out / "nodes.csv")
     _log(f"wrote synthetic dataset: {graph}")
-    return {"nodes": graph.n, "edges": graph.num_edges,
-            "classes": graph.num_classes,
-            "files": ["edges.tsv", "nodes.csv"]}
+    return [], {"nodes": graph.n, "edges": graph.num_edges,
+                "classes": graph.num_classes,
+                "files": ["edges.tsv", "nodes.csv"]}
 
 
-def _run_certify_nodes(config: RunConfig) -> dict:
+def _run_certify_nodes(config: RunConfig) -> tuple[list, dict]:
     graph = load_node_classification_dataset(config.dataset_edges,
                                              config.dataset_nodes)
     split = seeded_split(graph, config.master_seed)
     params = SmoothingParams(p_e=config.p_e, p_n=config.p_n)
     spec = config.classifier_spec()
-    num_samples = config.resolved_num_samples()
+    num_samples = config.num_samples
     votes_seed = derive_sample_seed(config.master_seed, _VOTES_STREAM)
 
     if config.command == "certify-evasion":
@@ -282,17 +271,16 @@ def _run_certify_nodes(config: RunConfig) -> dict:
     curves = [certified_accuracy_curve(table, graph.labels, tau, config.alpha,
                                        nodes=split.test)
               for tau in config.tau]
-    return {"curves": curves, "test_nodes": int(split.test.size)}
+    return curves, {"test_nodes": int(split.test.size)}
 
 
-def _run_certify_recsys(config: RunConfig) -> dict:
+def _run_certify_recsys(config: RunConfig) -> tuple[list, dict]:
     matrix, held_out = load_interaction_dataset(config.ratings,
                                                 config.split_fraction)
     params = SmoothingParams(p_e=config.p_e, p_n=config.p_n)
-    num_samples = config.resolved_num_samples()
-    _log(f"collecting {num_samples} recommendation votes over "
+    _log(f"collecting {config.num_samples} recommendation votes over "
          f"{matrix.users} users / {matrix.items} items")
-    table = collect_item_votes(matrix, num_samples, params, config.k_prime,
+    table = collect_item_votes(matrix, config.num_samples, params, config.k_prime,
                                derive_sample_seed(config.master_seed, _VOTES_STREAM),
                                threads=config.threads)
     ground_truths = {u: held_out[u] for u in range(matrix.users)
@@ -301,16 +289,16 @@ def _run_certify_recsys(config: RunConfig) -> dict:
         raise ValueError("no user has both training ratings and held-out items")
     curves = [recommender_curve(table, ground_truths, config.k, tau, config.alpha)
               for tau in config.tau]
-    return {"curves": curves, "evaluated_users": len(ground_truths)}
+    return curves, {"evaluated_users": len(ground_truths)}
 
 
-def _run_empirical_attack(config: RunConfig) -> dict:
+def _run_empirical_attack(config: RunConfig) -> tuple[list, dict]:
     graph = load_node_classification_dataset(config.dataset_edges,
                                              config.dataset_nodes)
     split = seeded_split(graph, config.master_seed)
     params = SmoothingParams(p_e=config.p_e, p_n=config.p_n)
     spec = config.classifier_spec()
-    num_samples = config.resolved_num_samples()
+    num_samples = config.num_samples
     tau = config.tau[0]
     budget = PerturbationBudget(rho=config.rho, tau=tau)
 
@@ -335,10 +323,20 @@ def _run_empirical_attack(config: RunConfig) -> dict:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "attack_plan.json").write_text(plan.to_json() + "\n", encoding="utf-8")
-    return {"clean_accuracy": clean_acc, "attacked_accuracy": attacked_acc,
-            "certified_accuracy_at_budget": certified,
-            "rho": config.rho, "tau": tau, "strategy": config.strategy,
-            "files": ["attack_plan.json"]}
+    return [], {"clean_accuracy": clean_acc, "attacked_accuracy": attacked_acc,
+                "certified_accuracy_at_budget": certified,
+                "rho": config.rho, "tau": tau, "strategy": config.strategy,
+                "files": ["attack_plan.json"]}
+
+
+# Each handler runs one command and returns its curves (none for gen-synth
+# and empirical-attack) and the report metadata it adds.
+_HANDLERS = {"gen-synth": _run_gen_synth,
+             "certify-evasion": _run_certify_nodes,
+             "certify-poison": _run_certify_nodes,
+             "certify-recsys": _run_certify_recsys,
+             "empirical-attack": _run_empirical_attack}
+COMMANDS = tuple(_HANDLERS)
 
 
 def run(config: RunConfig) -> int:
@@ -348,26 +346,11 @@ def run(config: RunConfig) -> int:
     run time goes to stderr only.
     """
     started = time.perf_counter()
-    metadata = {"config": _echo_config(config), "version": __version__}
-
-    if config.command.startswith("certify-"):
-        result = (_run_certify_recsys(config) if config.command == "certify-recsys"
-                  else _run_certify_nodes(config))
-        curves = result.pop("curves")
-        metadata.update(result)
-        paths = write_report(curves, metadata, config.out_dir)
-        report = Path(paths[-1]).read_text(encoding="utf-8")
-    else:
-        if config.command == "gen-synth":
-            result = _run_gen_synth(config)
-            metadata.update(result)
-        else:
-            result = _run_empirical_attack(config)
-            metadata.update({k: v for k, v in result.items() if k != "files"})
-        report = render_json({"metadata": metadata}) + "\n"
-        (Path(config.out_dir) / "report.json").write_text(report, encoding="utf-8")
+    curves, metadata = _HANDLERS[config.command](config)
+    metadata.update(config=asdict(config), version=__version__)
+    report = write_report(curves, metadata, config.out_dir)[-1]
     _log(f"{config.command} finished in {time.perf_counter() - started:.2f} s")
-    print(report, end="")
+    print(report.read_text(encoding="utf-8"), end="")
     return 0
 
 

@@ -417,6 +417,16 @@ def load_interaction_dataset(path, split_fraction: float):
     return matrix, np.split(held % num_items, bounds) if num_users else []
 
 
+def _split(ids: np.ndarray, rng: np.random.Generator) -> DataSplit:
+    """Permute ``ids``; cut 20 % train and 10 % validation (>= 1 each), rest test."""
+    perm = ids[rng.permutation(ids.size)]
+    n_train = max(1, int(round(0.2 * ids.size)))
+    n_val = max(1, int(round(0.1 * ids.size)))
+    return DataSplit(train=perm[:n_train],
+                     validation=perm[n_train:n_train + n_val],
+                     test=perm[n_train + n_val:])
+
+
 def generate_sbm(n: int, classes: int, p_in: float, p_out: float, d: int,
                  seed: int) -> tuple[Graph, DataSplit]:
     """Generate a planted-partition graph with noisy one-hot features.
@@ -448,27 +458,12 @@ def generate_sbm(n: int, classes: int, p_in: float, p_out: float, d: int,
     features[np.arange(n), labels] = 1.0
     features += _rng(seed, 1).standard_normal((n, d))
 
-    graph = Graph(n, edges, features, labels)
-    perm = _rng(seed, 2).permutation(n)
-    n_train = max(1, int(round(0.2 * n)))
-    n_val = max(1, int(round(0.1 * n)))
-    split = DataSplit(train=perm[:n_train],
-                      validation=perm[n_train:n_train + n_val],
-                      test=perm[n_train + n_val:])
-    return graph, split
+    return Graph(n, edges, features, labels), _split(np.arange(n), _rng(seed, 2))
 
 
-def seeded_split(graph: Graph, seed: int,
-                 fractions: tuple[float, float] = (0.2, 0.1)) -> DataSplit:
-    """Seeded train/validation/test partition of the labeled nodes."""
-    labeled = np.flatnonzero(graph.labeled_mask)
-    if labeled.size == 0:
-        raise ValueError("graph has no labeled nodes to split")
-    perm = labeled[_rng(seed, 3).permutation(labeled.size)]
-    n_train = max(1, int(round(fractions[0] * labeled.size)))
-    n_val = max(1, int(round(fractions[1] * labeled.size)))
-    if n_train + n_val >= labeled.size:
+def seeded_split(graph: Graph, seed: int) -> DataSplit:
+    """Seeded 20/10/70 train/validation/test partition of the labeled nodes."""
+    split = _split(np.flatnonzero(graph.labeled_mask), _rng(seed, 3))
+    if split.test.size == 0:
         raise ValueError("too few labeled nodes for a 3-way split")
-    return DataSplit(train=perm[:n_train],
-                     validation=perm[n_train:n_train + n_val],
-                     test=perm[n_train + n_val:])
+    return split

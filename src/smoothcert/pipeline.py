@@ -60,6 +60,9 @@ class BaseVoteTable:
         voted = self.num_samples - self.abstains
         if np.any(voted < 0) or np.any(self.counts > voted[:, None]):
             raise ValueError("a row has more votes than samples it voted in")
+        # derive_sample_seed is a bijection in the index on [0, 2**64 - 1).
+        if self.first_index < 0 or self.first_index + self.num_samples > 2**64 - 1:
+            raise ValueError("sample range must lie in [0, 2**64 - 1)")
 
     @classmethod
     def collect(cls, worker: Callable[[int, int], tuple[np.ndarray, np.ndarray]],

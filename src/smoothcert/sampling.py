@@ -68,6 +68,20 @@ class SmoothedSample:
     deleted_nodes: np.ndarray
 
 
+def _draw_keep_mask(num_nodes: int, endpoints: np.ndarray, params: SmoothingParams,
+                    seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only node-deletion mask and the keep mask of the pairs whose node
+    ids are the columns of ``endpoints``, a (k, pairs) array."""
+    node_rng = np.random.default_rng(derive_sample_seed(seed, _NODE_STREAM))
+    deleted = node_rng.random(num_nodes) < params.p_n
+    edge_rng = np.random.default_rng(derive_sample_seed(seed, _EDGE_STREAM))
+    dropped = edge_rng.random(endpoints.shape[1]) < params.p_e
+    for nodes in endpoints:
+        dropped |= deleted[nodes]
+    deleted.flags.writeable = False
+    return deleted, ~dropped
+
+
 def sample_smoothed_graph(graph: Graph, params: SmoothingParams,
                           seed: int) -> SmoothedSample:
     """Draw one smoothed graph.
@@ -77,18 +91,10 @@ def sample_smoothed_graph(graph: Graph, params: SmoothingParams,
     independently deleted with probability ``p_e``. Features and labels are
     unchanged. Deterministic given the seed.
     """
-    n = graph.n
-    node_rng = np.random.default_rng(derive_sample_seed(seed, _NODE_STREAM))
-    deleted = node_rng.random(n) < params.p_n
-
     edges = graph.edges
-    edge_rng = np.random.default_rng(derive_sample_seed(seed, _EDGE_STREAM))
-    coin = edge_rng.random(edges.shape[0]) < params.p_e
-    keep = ~(deleted[edges[:, 0]] | deleted[edges[:, 1]] | coin)
-
-    smoothed = Graph(n, edges[keep], graph.features, graph.labels,
+    deleted, keep = _draw_keep_mask(graph.n, edges.T, params, seed)
+    smoothed = Graph(graph.n, edges[keep], graph.features, graph.labels,
                      num_classes=graph.num_classes)
-    deleted.flags.writeable = False
     return SmoothedSample(graph=smoothed, deleted_nodes=deleted)
 
 
@@ -101,15 +107,8 @@ def sample_smoothed_ratings(matrix: InteractionMatrix, params: SmoothingParams,
     with probability ``p_e``. Items are never deleted. Returns the smoothed
     matrix and the user-deletion mask.
     """
-    user_rng = np.random.default_rng(derive_sample_seed(seed, _NODE_STREAM))
-    deleted = user_rng.random(matrix.users) < params.p_n
-
     pairs = matrix.pairs
-    rating_rng = np.random.default_rng(derive_sample_seed(seed, _EDGE_STREAM))
-    coin = rating_rng.random(pairs.shape[0]) < params.p_e
-    keep = ~(deleted[pairs[:, 0]] | coin)
-
+    deleted, keep = _draw_keep_mask(matrix.users, pairs[:, :1].T, params, seed)
     smoothed = InteractionMatrix(users=matrix.users, items=matrix.items,
                                  pairs=pairs[keep])
-    deleted.flags.writeable = False
     return smoothed, deleted

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,68 @@ def make_tiny_dataset(tmp_path, seed=0):
     return out / "edges.tsv", out / "nodes.csv"
 
 
+def make_tiny_ratings(tmp_path):
+    # 8 users in two taste groups of four, each group over its own six
+    # items. Every user rates all six; the two it rates last are held
+    # out by the 0.7 split and were rated in training by two other
+    # members of its group, so the recommender can recommend them.
+    lines = []
+    for u in range(8):
+        base = 0 if u < 4 else 10
+        late = {u % 4, (u + 1) % 4}
+        for j in range(6):
+            lines.append(f"{u}\t{base + j}\t4\t{100 + j if j in late else j}")
+    ratings = tmp_path / "u.data"
+    ratings.write_text("\n".join(sorted(set(lines))) + "\n")
+    return ratings
+
+
 FAST_MODEL = ["--hidden-dim", "8", "--epochs", "25"]
+
+
+def tiny_run(tmp_path, command):
+    """Flags of a seconds-long run of ``command``, without ``--n``."""
+    if command == "gen-synth":
+        return ["--synth-n", "40", "--synth-d", "4"]
+    if command == "certify-recsys":
+        return ["--ratings", str(make_tiny_ratings(tmp_path)), "--p-e", "0.2",
+                "--p-n", "0.4", "--tau", "3", "--k", "2", "--k-prime", "4",
+                "--split-fraction", "0.7"]
+    edges, nodes = make_tiny_dataset(tmp_path)
+    flags = ["--dataset-edges", str(edges), "--dataset-nodes", str(nodes),
+             "--p-e", "0.1", "--p-n", "0.3", "--tau", "2", "--hidden-dim", "4",
+             "--epochs", "10"]
+    return flags + ["--rho", "2"] if command == "empirical-attack" else flags
+
+
+DEFAULT_SAMPLES = {"gen-synth": 1_000, "certify-evasion": 100_000,
+                   "certify-poison": 1_000, "certify-recsys": 100_000,
+                   "empirical-attack": 1_000}
+
+
+@pytest.mark.parametrize("command", DEFAULT_SAMPLES)
+def test_every_command_writes_its_report_through_one_path(tmp_path, capsys,
+                                                          command):
+    null_file = tmp_path / "null.json"
+    null_file.write_text(json.dumps({"num_samples": None}))
+    argv = [command, "--config", str(null_file), "--out", str(tmp_path / "out"),
+            "--seed", "3", *tiny_run(tmp_path, command)]
+    assert parse_config(argv).num_samples == DEFAULT_SAMPLES[command]
+
+    argv += ["--n", "20"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert stdout == (tmp_path / "out" / "report.json").read_text(encoding="utf-8")
+    report = json.loads(stdout)
+    config = asdict(parse_config(argv))
+    assert report["metadata"]["config"] == json.loads(json.dumps(config))
+    assert config["num_samples"] == 20
+    for name in report["metadata"].get("files", []):
+        assert (tmp_path / "out" / name).is_file()
+    certifies = command.startswith("certify-")
+    assert bool(report["curves"]) == certifies
+    assert ("files" in report["metadata"]) != certifies
 
 
 class TestParseConfig:
@@ -43,7 +105,7 @@ class TestParseConfig:
         }))
         config = parse_config(["certify-evasion", "--config", str(config_file),
                                "--n", "500"])
-        assert config.resolved_num_samples() == 500  # flag wins
+        assert config.num_samples == 500  # flag wins
         assert config.p_n == 0.9                     # file fills the rest
 
     def test_unknown_config_key_rejected(self, tmp_path):
@@ -56,13 +118,11 @@ class TestParseConfig:
     def test_defaults_follow_command(self):
         base = ["--out", "x", "--p-n", "0.9", "--dataset-edges", "e",
                 "--dataset-nodes", "n"]
-        assert parse_config(["certify-evasion"] + base).resolved_num_samples() \
-            == 100_000
-        assert parse_config(["certify-poison"] + base).resolved_num_samples() \
-            == 1_000
+        assert parse_config(["certify-evasion"] + base).num_samples == 100_000
+        assert parse_config(["certify-poison"] + base).num_samples == 1_000
         config = parse_config(["certify-recsys", "--out", "x", "--p-n", "0.9",
                                "--ratings", "r"])
-        assert config.resolved_num_samples() == 100_000
+        assert config.num_samples == 100_000
         assert config.alpha == 0.01
         assert config.tau == (5,)
 
@@ -131,7 +191,7 @@ class TestParseConfig:
         config = parse_config(["certify-evasion", "--config", str(config_file),
                                "--p-n", "0.9"])
         assert (config.p_e, config.tau, config.threads) == (0, (2, 4), 2)
-        assert config.resolved_num_samples() == 100_000
+        assert config.num_samples == 100_000
 
     def test_unknown_strategy_in_config_is_usage_error(self, tmp_path, capsys):
         code = self.run_with_file(tmp_path, "empirical-attack",
@@ -243,18 +303,7 @@ class TestCertifyPoisonCommand:
 
 class TestCertifyRecsysCommand:
     def test_smoke_run(self, tmp_path):
-        lines = []
-        # 8 users in two taste groups of four, each group over its own six
-        # items. Every user rates all six; the two it rates last are held
-        # out by the 0.7 split and were rated in training by two other
-        # members of its group, so the recommender can recommend them.
-        for u in range(8):
-            base = 0 if u < 4 else 10
-            late = {u % 4, (u + 1) % 4}
-            for j in range(6):
-                lines.append(f"{u}\t{base + j}\t4\t{100 + j if j in late else j}")
-        ratings = tmp_path / "u.data"
-        ratings.write_text("\n".join(sorted(set(lines))) + "\n")
+        ratings = make_tiny_ratings(tmp_path)
         out = tmp_path / "rec"
         code = main(["certify-recsys", "--out", str(out), "--ratings",
                      str(ratings), "--p-e", "0.2", "--p-n", "0.4",

@@ -297,6 +297,15 @@ class TestSplits:
         again = seeded_split(graph, 9)
         assert np.array_equal(split.test, again.test)
 
+    @pytest.mark.parametrize("labels", [[-1, -1, -1, -1], [0, 1, -1, -1]],
+                             ids=["unlabeled", "two-labeled"])
+    def test_seeded_split_needs_a_test_node(self, labels):
+        # One training and one validation node at least, so two labeled
+        # nodes leave none to test on.
+        graph = Graph(4, [(0, 1)], np.zeros((4, 2)), labels, num_classes=2)
+        with pytest.raises(ValueError, match="too few labeled nodes"):
+            seeded_split(graph, 0)
+
 
 class TestInteractionMatrix:
     def test_duplicate_pair_rejected(self):

@@ -5,7 +5,8 @@ imports ``scipy.stats``, and the API that lives in ``tests/oracles.py`` (the
 single-budget certificate and the accessors only tests use) is not exported.
 Certificates read the smoothing noise, mode and degrees from the vote table,
 so no certify entry point takes them again. Every vote table is counted by
-one constructor, ``BaseVoteTable.collect``.
+one constructor, ``BaseVoteTable.collect``, and every report is rendered by
+one writer, ``write_report``.
 """
 import ast
 import inspect
@@ -145,8 +146,15 @@ def test_stats_import_is_detected(tmp_path):
 
 
 def test_one_report_writer():
-    # The recommender name stays only as an alias of the one writer.
+    # Every report.json comes from write_report (see the test below); the
+    # recommender name is only an alias of it, kept for the benchmark's hook.
     assert smoothcert.write_recommender_report is smoothcert.write_report
+
+
+def test_reports_are_rendered_only_by_write_report():
+    scopes = {scope for path in SOURCES
+              for _, scope in calls_of(path, "render_json")}
+    assert scopes == {"write_report", "render_json"}
 
 
 def test_votes_are_counted_only_by_collect():

@@ -220,6 +220,25 @@ class TestCollectItemVotes:
             with pytest.raises(ValueError, match=reason):
                 b.merged(a)
 
+    @pytest.mark.parametrize("first_index, refused", [
+        (-2, True), (2**64 - 3, True), (2**64 - 4, False)],
+        ids=["negative", "past-the-last-seed", "up-to-the-last-seed"])
+    def test_sample_range_stays_where_seeds_are_distinct(self, first_index,
+                                                          refused):
+        # derive_sample_seed is a bijection in the index on [0, 2**64 - 1), so
+        # a range outside it could draw one sample twice: index -1 draws the
+        # sample of index 2**64 - 1.
+        def collect():
+            return collect_item_votes(InteractionMatrix(3, 3, [(0, 1), (1, 2)]),
+                                      3, SmoothingParams(0.1, 0.1), 1,
+                                      master_seed=1, first_index=first_index)
+
+        if refused:
+            with pytest.raises(ValueError, match="sample range"):
+                collect()
+        else:
+            assert collect().first_index + 3 == 2**64 - 1
+
     def test_table_rejects_impossible_votes(self):
         fields = dict(params=SmoothingParams(0.1, 0.1), degrees=[2],
                       provenance={}, k_prime=1)
