@@ -227,9 +227,8 @@ def train_predict_end_to_end(spec: ClassifierSpec, sample: SmoothedSample,
 
     Nodes isolated in the sample are bypassed by the training loss. In
     exclude mode every zero-degree node is marked abstaining; in include mode
-    all nodes receive predictions. If every training node is isolated,
-    exclude mode returns an all-abstain result while include mode refuses to
-    train on nothing.
+    all nodes receive predictions. If every training node is isolated, there
+    is nothing to train on and both modes return an all-abstain result.
 
     Returns
     -------
@@ -246,10 +245,7 @@ def train_predict_end_to_end(spec: ClassifierSpec, sample: SmoothedSample,
     _check_train_nodes(graph, train_idx)
     train_idx = train_idx[~isolated[train_idx]]
     if train_idx.size == 0:
-        if mode == "exclude":
-            return (np.zeros(graph.n, dtype=np.int64),
-                    np.ones(graph.n, dtype=bool))
-        raise ValueError("every training node is isolated in this sample")
+        return np.zeros(graph.n, dtype=np.int64), np.ones(graph.n, dtype=bool)
 
     agg = (normalized_operator(graph.n, graph.edges)
            if spec.kind == "message_passing_2layer" else None)

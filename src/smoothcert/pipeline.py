@@ -14,8 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .certify import (RHO_CAP, abstain_test,
-                      clopper_pearson_lower, clopper_pearson_upper, margin_exclude,
+from .certify import (RHO_CAP, abstain_test, clopper_pearson_lower,
+                      clopper_pearson_upper, largest_certified_rho, margin_exclude,
                       margin_include, node_retention_probs, prob_all_removed)
 from .graph import Graph, DataSplit, PerturbationBudget
 from .models import (ClassifierSpec, TrainedModel, feature_transform, predict,
@@ -29,6 +29,12 @@ _TRAIN_STREAM = (1 << 40) + 1
 _BATCH_ROWS = 1024
 
 _MERGED_APART = ("counts", "abstains", "num_samples", "first_index", "degrees")
+
+
+def _check_sample_range(first_index: int, num_samples: int) -> None:
+    # derive_sample_seed is a bijection in the index on [0, 2**64 - 1).
+    if first_index < 0 or first_index + num_samples > 2**64 - 1:
+        raise ValueError("sample range must lie in [0, 2**64 - 1)")
 
 
 @dataclass(eq=False)
@@ -60,9 +66,7 @@ class BaseVoteTable:
         voted = self.num_samples - self.abstains
         if np.any(voted < 0) or np.any(self.counts > voted[:, None]):
             raise ValueError("a row has more votes than samples it voted in")
-        # derive_sample_seed is a bijection in the index on [0, 2**64 - 1).
-        if self.first_index < 0 or self.first_index + self.num_samples > 2**64 - 1:
-            raise ValueError("sample range must lie in [0, 2**64 - 1)")
+        _check_sample_range(self.first_index, self.num_samples)
 
     @classmethod
     def collect(cls, worker: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
@@ -71,6 +75,7 @@ class BaseVoteTable:
         counted by ``worker(lo, hi)`` over chunks of the range."""
         if num_samples < 1:
             raise ValueError("num_samples must be >= 1")
+        _check_sample_range(first_index, num_samples)
         counts, abstains = accumulate_parallel(num_samples, first_index, threads,
                                                worker)
         return cls(counts=counts, abstains=abstains, num_samples=num_samples,
@@ -311,12 +316,12 @@ def certified_radii(table: VoteTable, tau: int, alpha: float, nodes):
     Returns three arrays over ``nodes``: the abstain flag, the majority class
     and the radius, the largest rho at which the majority is certified. A
     margin positive at some rho is positive at every smaller rho, so a node
-    is certified at exactly the budgets ``0..radius``; the scan stops at the
-    first margin <= 0 and at ``RHO_CAP``. The smoothing noise, the mode and
-    the degrees come from the table, and the bounds are taken at level
-    ``alpha`` over its class count. The radius is -1 for abstaining nodes,
-    for nodes not certified even at rho = 0 and, in exclude mode, for nodes
-    isolated in the voted graph.
+    is certified at exactly the budgets ``0..radius``, which
+    :func:`largest_certified_rho` finds from the margin. The smoothing noise,
+    the mode and the degrees come from the table, and the bounds are taken
+    at level ``alpha`` over its class count. The radius is -1 for abstaining
+    nodes, for nodes not certified even at rho = 0 and, in exclude mode, for
+    nodes isolated in the voted graph.
     """
     params = table.params
     params.require_certifiable()
@@ -338,23 +343,19 @@ def certified_radii(table: VoteTable, tau: int, alpha: float, nodes):
     uppers = clopper_pearson_upper(runner, table.num_samples, level)
 
     margin = margin_exclude if exclude else margin_include
-    removed = []  # prob_all_removed at rho = 0, 1, ...
-    abstained = np.empty(nodes.size, dtype=bool)
+    abstained = np.array([abstain_test(int(t), int(r), alpha)
+                          for t, r in zip(top, runner)], dtype=bool)
+    candidates = np.flatnonzero(~abstained & ((node_degrees >= 1) | (not exclude)))
+    retention = [node_retention_probs(params, int(node_degrees[j]))
+                 if exclude else () for j in candidates]
+
+    def holds(rho, live):
+        return [margin(lowers[j], uppers[j], prob_all_removed(params, tau, int(r)),
+                       *retention[i]) > 0.0
+                for r, i, j in zip(rho, live, candidates[live])]
+
     radius = np.full(nodes.size, -1, dtype=np.int64)
-    for j in range(nodes.size):
-        abstained[j] = abstain_test(int(top[j]), int(runner[j]), alpha)
-        if abstained[j] or (exclude and node_degrees[j] < 1):
-            continue
-        retention = (node_retention_probs(params, int(node_degrees[j]))
-                     if exclude else ())
-        rho = 0
-        while rho <= RHO_CAP:
-            if rho == len(removed):
-                removed.append(prob_all_removed(params, tau, rho))
-            if margin(lowers[j], uppers[j], removed[rho], *retention) <= 0.0:
-                break
-            rho += 1
-        radius[j] = rho - 1
+    radius[candidates] = largest_certified_rho(holds, candidates.size)
     return abstained, majority, radius
 
 
@@ -373,10 +374,10 @@ def certified_accuracy_curve(table: VoteTable, labels, tau: int, alpha: float,
     labels, nodes = _labeled_nodes(table, labels, nodes)
     abstained, majority, radius = certified_radii(table, tau, alpha, nodes)
     correct = majority == labels[nodes]
-    rho_cut = 1
-    while (prob_all_removed(table.params, tau, rho_cut) > 0.5
-           and rho_cut < RHO_CAP):
-        rho_cut += 1
+    # The first rho at which the all-removed probability is at most 1/2.
+    rho_cut = 1 + int(largest_certified_rho(
+        lambda rho, _: [prob_all_removed(table.params, tau, int(r)) > 0.5
+                        for r in rho], 1)[0])
     reached = radius[correct]
     last = min(RHO_CAP, max(rho_cut, int(reached.max(initial=-1)) + 1))
     # Correct nodes with radius exactly r, then with radius >= r.

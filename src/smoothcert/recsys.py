@@ -14,7 +14,7 @@ from .graph import InteractionMatrix, PerturbationBudget
 from .pipeline import BaseVoteTable, Curve, write_report
 from .sampling import SmoothingParams, derive_sample_seed, sample_smoothed_ratings
 from .certify import (RHO_CAP, clopper_pearson_lower, clopper_pearson_upper,
-                      prob_all_removed_recsys)
+                      largest_certified_rho, prob_all_removed_recsys)
 
 
 _RANK_ROWS = 256  # rows per block: top_items scores, build_similarity's Jaccard
@@ -125,7 +125,7 @@ def collect_item_votes(matrix: InteractionMatrix, num_samples: int,
 
 
 def _certifies_overlap(p_r: np.ndarray, sums: np.ndarray, take: np.ndarray,
-                       k_prime: int, p_hat: float,
+                       k_prime: int, p_hat: np.ndarray,
                        p_isolated: np.ndarray) -> np.ndarray:
     """Check the worst-case condition for at least r ground-truth hits, per row.
 
@@ -133,12 +133,12 @@ def _certifies_overlap(p_r: np.ndarray, sums: np.ndarray, take: np.ndarray,
     average over the bottom-c of the top-(k - r + 1) candidate upper bounds
     (prefix sums ``S_c``, the first ``take`` columns of ``sums``), inflated by
     the mass the adversary moves through samples where the user still votes
-    but an injected rating survives. It only gets harder as ``p_hat`` falls.
+    but an injected rating survives. It only gets harder as a row's ``p_hat`` falls.
     """
     slack = k_prime * (1.0 - p_hat) * (1.0 - p_isolated)
     cs = np.arange(1, sums.shape[1] + 1)
-    bounds = np.where(cs <= take[:, None], (p_hat * sums + slack[:, None]) / cs,
-                      np.inf)
+    bounds = np.where(cs <= take[:, None],
+                      (p_hat[:, None] * sums + slack[:, None]) / cs, np.inf)
     best = np.where(take == 0, slack, bounds.min(axis=1))
     return p_hat * p_r - best > 0.0
 
@@ -190,15 +190,14 @@ def certified_overlap_radii(table: ItemVoteTable,
                                            table.num_samples, np.repeat(level, take))
     lowers = clopper_pearson_lower(gt_counts, table.num_samples, level)
     sums = np.cumsum(uppers, axis=1)
+
+    def holds(rho, live):
+        p_hat = np.array([prob_all_removed_recsys(params, tau, int(b)) for b in rho])
+        return _certifies_overlap(lowers[live], sums[live], take[live],
+                                  table.k_prime, p_hat, p_isolated[live])
+
     radii = np.full((len(ground_truths), k), -1, dtype=np.int64)
-    alive = np.arange(r.size)
-    rho = 0
-    while alive.size and rho <= RHO_CAP:
-        p_hat = prob_all_removed_recsys(params, tau, rho)
-        alive = alive[_certifies_overlap(lowers[alive], sums[alive], take[alive],
-                                         table.k_prime, p_hat, p_isolated[alive])]
-        radii[user[alive], r[alive] - 1] = rho
-        rho += 1
+    radii[user, r - 1] = largest_certified_rho(holds, r.size)
     # At least r hits are certified wherever r' >= r hits are.
     return np.maximum.accumulate(radii[:, ::-1], axis=1)[:, ::-1]
 
@@ -254,8 +253,9 @@ def recommender_curve(table: ItemVoteTable,
     """
     radii = certified_overlap_radii(table, ground_truths, k, tau, alpha)
     sizes = np.array([np.unique(list(gt)).size for gt in ground_truths.values()])
+    last = min(RHO_CAP, int(radii.max(initial=-1)) + 1)
     points = []
-    for rho in range(min(RHO_CAP, int(radii.max(initial=-1)) + 1) + 1):
+    for rho in range(last + 1):
         overlaps = (radii >= rho).sum(axis=1)
         points.append(RecommenderCurvePoint(
             rho, float(np.cumsum(overlaps / k)[-1]) / overlaps.size,

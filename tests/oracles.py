@@ -9,7 +9,9 @@ margins, ``reference_certify_node`` is one node's certificate at one budget,
 probability bounds, ``reference_curve`` is the per-rho, per-node curve loop and
 ``reference_recommender_curve`` the per-rho, per-user, per-r recommender
 curve loop, and ``reference_item_votes`` the per-sample, per-user
-recommender vote loop.
+recommender vote loop. ``reference_radii`` and ``reference_overlap_radii``
+are the two radius functions as they were before they searched: each scans
+rho one step at a time up to the first failure.
 
 ``reference_predict``, ``reference_train_with_noise`` and
 ``reference_train_predict`` are the single-graph forward pass and the two
@@ -28,10 +30,11 @@ import scipy.sparse as sp
 from scipy import stats
 
 from smoothcert import (AttackPlan, CurvePoint, Graph, InteractionMatrix,
-                        TrainedModel, derive_sample_seed, margin_exclude,
-                        margin_include, node_retention_probs, prob_all_removed,
-                        prob_all_removed_recsys, sample_smoothed_graph,
-                        sample_smoothed_ratings)
+                        TrainedModel, abstain_test, clopper_pearson_lower,
+                        clopper_pearson_upper, derive_sample_seed,
+                        margin_exclude, margin_include, node_retention_probs,
+                        prob_all_removed, prob_all_removed_recsys,
+                        sample_smoothed_graph, sample_smoothed_ratings)
 from smoothcert.models import normalized_operator
 from smoothcert.recsys import RecommenderCurvePoint
 
@@ -298,13 +301,12 @@ def reference_train_with_noise(spec, graph, split, params):
 def reference_train_predict(spec, sample, split, mode):
     """Train on one smoothed sample, bypassing its isolated training nodes,
     and predict on it. Returns the predictions, the abstain mask and the
-    weights (None when every training node is isolated in exclude mode)."""
+    weights (None when every training node is isolated: all abstain)."""
     graph = sample.graph
     isolated = graph.degrees == 0
     train_idx = np.asarray(split.train, dtype=np.int64)
     train_idx = train_idx[~isolated[train_idx]]
     if train_idx.size == 0:
-        assert mode == "exclude"
         return (np.zeros(graph.n, dtype=np.int64), np.ones(graph.n, dtype=bool),
                 None)
     weights = _reference_init(spec, graph.num_features, graph.num_classes)
@@ -602,3 +604,86 @@ def reference_recommender_curve(table, ground_truths, k, params, tau, alpha):
         if (precision == 0.0 and recall == 0.0) or rho >= _RHO_HARD_CAP:
             return tuple(points)
         rho += 1
+
+
+def reference_radii(table, tau, alpha, nodes):
+    """``certified_radii`` by a scan: each node's margin at rho = 0, 1, ...
+    up to its first margin <= 0 or ``_RHO_HARD_CAP``."""
+    params = table.params
+    nodes = np.asarray(nodes, dtype=np.int64)
+    exclude = table.mode == "exclude"
+    node_degrees = table.degrees[nodes]
+    counts = table.counts[nodes]
+    rows = np.arange(nodes.size)
+    majority = np.argmax(counts, axis=1)
+    top = counts[rows, majority]
+    counts[rows, majority] = -1
+    runner = counts.max(axis=1)
+    level = alpha / table.counts.shape[1]
+    lowers = clopper_pearson_lower(top, table.num_samples, level)
+    uppers = clopper_pearson_upper(runner, table.num_samples, level)
+    margin = margin_exclude if exclude else margin_include
+    removed = []  # prob_all_removed at rho = 0, 1, ...
+    abstained = np.empty(nodes.size, dtype=bool)
+    radius = np.full(nodes.size, -1, dtype=np.int64)
+    for j in range(nodes.size):
+        abstained[j] = abstain_test(int(top[j]), int(runner[j]), alpha)
+        if abstained[j] or (exclude and node_degrees[j] < 1):
+            continue
+        retention = (node_retention_probs(params, int(node_degrees[j]))
+                     if exclude else ())
+        rho = 0
+        while rho <= _RHO_HARD_CAP:
+            if rho == len(removed):
+                removed.append(prob_all_removed(params, tau, rho))
+            if margin(lowers[j], uppers[j], removed[rho], *retention) <= 0.0:
+                break
+            rho += 1
+        radius[j] = rho - 1
+    return abstained, majority, radius
+
+
+def _scanned_overlap_holds(p_r, sums, take, k_prime, p_hat, p_isolated):
+    """The overlap condition of every row at one all-removed probability."""
+    slack = k_prime * (1.0 - p_hat) * (1.0 - p_isolated)
+    cs = np.arange(1, sums.shape[1] + 1)
+    bounds = np.where(cs <= take[:, None], (p_hat * sums + slack[:, None]) / cs,
+                      np.inf)
+    best = np.where(take == 0, slack, bounds.min(axis=1))
+    return p_hat * p_r - best > 0.0
+
+
+def reference_overlap_radii(table, ground_truths, k, tau, alpha):
+    """``certified_overlap_radii`` by a scan: every (user, r) pair still
+    certified is tested at rho = 0, 1, ... until none is or rho passes
+    ``_RHO_HARD_CAP``."""
+    params = table.params
+    rows = []  # (user position, r, gt count, level, p_isolated, candidate counts)
+    for i, (user, gt) in enumerate(ground_truths.items()):
+        gt = np.unique(np.asarray(list(gt), dtype=np.int64))
+        gt_counts = np.sort(table.counts[user, gt])[::-1]
+        others = np.sort(np.delete(table.counts[user], gt))
+        p_isolated = prob_all_removed_recsys(params, int(table.degrees[user]), 1)
+        rows += [(i, r, gt_counts[r - 1], alpha / (gt.size + (k - r + 1)),
+                  p_isolated, others[max(others.size - (k - r + 1), 0):])
+                 for r in range(1, min(k, gt.size) + 1)]
+    *columns, candidates = zip(*rows)
+    user, r, gt_counts, level, p_isolated = map(np.array, columns)
+    take = np.array([c.size for c in candidates])
+    filled = np.arange(k) < take[:, None]
+    uppers = np.zeros(filled.shape)
+    uppers[filled] = clopper_pearson_upper(np.concatenate(candidates),
+                                           table.num_samples, np.repeat(level, take))
+    lowers = clopper_pearson_lower(gt_counts, table.num_samples, level)
+    sums = np.cumsum(uppers, axis=1)
+    radii = np.full((len(ground_truths), k), -1, dtype=np.int64)
+    alive = np.arange(r.size)
+    rho = 0
+    while alive.size and rho <= _RHO_HARD_CAP:
+        p_hat = prob_all_removed_recsys(params, tau, rho)
+        alive = alive[_scanned_overlap_holds(lowers[alive], sums[alive],
+                                             take[alive], table.k_prime, p_hat,
+                                             p_isolated[alive])]
+        radii[user[alive], r[alive] - 1] = rho
+        rho += 1
+    return np.maximum.accumulate(radii[:, ::-1], axis=1)[:, ::-1]

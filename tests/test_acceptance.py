@@ -26,6 +26,7 @@ from smoothcert import (ClassifierSpec, InteractionMatrix,
                         margin_include, node_retention_probs,
                         prob_all_removed, prob_all_removed_recsys,
                         recommender_curve, seeded_split, train_with_noise)
+from smoothcert.certify import largest_certified_rho
 from smoothcert.pipeline import VoteTable
 
 
@@ -176,6 +177,54 @@ def test_confidence_bound_coverage():
                                    for s in successes])
                 assert np.mean(lowers > p) <= level + 3 * sigma
                 assert np.mean(uppers < p) <= level + 3 * sigma
+
+
+# Vote probabilities of the over-claim test, each in both modes, plus a
+# near-tie just below include mode's rho = 1 boundary: there two classes
+# certify rho = 1 when the top probability exceeds 0.5720.
+OVER_CLAIM_PROBS = {"tie": (0.5, 0.5), "sixty-forty": (0.6, 0.4),
+                    "three-near-tie": (0.34, 0.33, 0.33),
+                    "four-equal": (0.25,) * 4, "ten-equal": (0.1,) * 10}
+OVER_CLAIM_CASES = [
+    *[pytest.param(probs, mode, id=f"{name}-{mode}")
+      for mode in ("include", "exclude")
+      for name, probs in OVER_CLAIM_PROBS.items()],
+    pytest.param((0.57, 0.43), "include", id="below-rho-1-include")]
+
+
+@pytest.mark.parametrize("probs, mode", OVER_CLAIM_CASES)
+def test_certified_radius_does_not_over_claim(probs, mode):
+    """Tables drawn from known probabilities certify past the radius those
+    probabilities give at a rate within 3 sigma of alpha."""
+    with criterion(f"over-claim rate at {probs} in {mode} mode"):
+        params, tau, alpha, num_samples, rows, degree = (
+            SmoothingParams(0.1, 0.8), 5, 0.05, 1000, 5000, 2)
+        # In exclude mode a node abstains whenever smoothing isolates it.
+        p_isolated = (prob_all_removed(params, degree, 1) if mode == "exclude"
+                      else 0.0)
+        true = np.array(probs) * (1.0 - p_isolated)
+        rng = np.random.default_rng([len(probs), mode == "exclude"])
+        draws = rng.multinomial(num_samples, np.append(true, p_isolated),
+                                size=rows)
+        table = VoteTable(counts=draws[:, :-1], abstains=draws[:, -1],
+                          num_samples=num_samples, params=params,
+                          degrees=np.full(rows, degree), provenance={},
+                          mode=mode)
+        _, majority, radius = certified_radii(table, tau, alpha, np.arange(rows))
+
+        # Each class's radius if its bounds were the true probabilities.
+        runner = [np.delete(true, c).max() for c in range(true.size)]
+        margin = margin_exclude if mode == "exclude" else margin_include
+        retention = (node_retention_probs(params, degree) if mode == "exclude"
+                     else ())
+
+        def holds(rho, classes):
+            return [margin(true[c], runner[c], prob_all_removed(params, tau, int(r)),
+                           *retention) > 0.0 for r, c in zip(rho, classes)]
+
+        true_radius = largest_certified_rho(holds, true.size)
+        over_claimed = np.mean(radius > true_radius[majority])
+        assert over_claimed <= alpha + 3 * math.sqrt(alpha * (1 - alpha) / rows)
 
 
 def test_exhaustive_enumeration_equivalence(two_clique_graph, identity_model):

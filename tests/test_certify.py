@@ -6,14 +6,15 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from oracles import (Region, exclude_mode_regions, include_mode_regions,
-                     reference_certify_node, solve_worst_case_margin,
-                     worst_case_probabilities)
+                     reference_certify_node, reference_radii,
+                     solve_worst_case_margin, worst_case_probabilities)
 from smoothcert import (PerturbationBudget, SmoothingParams,
                         VoteTable, abstain_test, certified_radii,
                         clopper_pearson_lower, clopper_pearson_upper,
                         majority_pvalue, margin_exclude, margin_include,
-                        node_retention_probs, prob_all_removed,
+                        node_retention_probs, pipeline, prob_all_removed,
                         prob_all_removed_recsys)
+from smoothcert.certify import RHO_CAP, largest_certified_rho
 
 probs = st.floats(min_value=0.0, max_value=0.99)
 unit = st.floats(min_value=0.0, max_value=1.0)
@@ -524,6 +525,80 @@ class TestMaxCertifiedRho:
                       params=self.params, degrees=[0, 0], provenance={},
                       mode="exclude")
 
+    @given(p_e=probs, p_n=probs, tau=st.integers(1, 8),
+           mode=st.sampled_from(["include", "exclude"]),
+           nodes=st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 1000),
+                                    st.integers(0, 10)), min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_radii_equal_the_scan_oracle(self, p_e, p_n, tau, mode, nodes):
+        # Each node votes a for class 0, then up to b for class 1 and the
+        # rest for class 2, and has the given degree.
+        counts = [[a, min(b, 1000 - a), 1000 - a - min(b, 1000 - a)]
+                  for a, b, _ in nodes]
+        table = VoteTable(counts=counts, abstains=np.zeros(len(nodes)),
+                          num_samples=1000, params=SmoothingParams(p_e, p_n),
+                          degrees=[d for _, _, d in nodes], provenance={},
+                          mode=mode)
+        rows = np.arange(len(nodes))
+        for got, expected in zip(certified_radii(table, tau, 0.01, rows),
+                                 reference_radii(table, tau, 0.01, rows)):
+            assert np.array_equal(got, expected)
+
+    def test_large_radius_takes_a_logarithmic_search(self, monkeypatch):
+        # 960 and 20 of 1000 votes, 20 abstentions: the radius runs to
+        # hundreds of thousands, which a scan reaches one margin at a time.
+        table = VoteTable(counts=[[960, 20]], abstains=[20], num_samples=1000,
+                          params=SmoothingParams(0.99, 0.99), degrees=[1],
+                          provenance={})
+        margins = []
+        margin = pipeline.margin_include
+        monkeypatch.setattr(pipeline, "margin_include",
+                            lambda *args: margins.append(args) or margin(*args))
+        radius = certified_radii(table, 1, 0.01, [0])[2]
+        assert radius.tolist() == reference_radii(table, 1, 0.01, [0])[2].tolist()
+        assert radius[0] > 10**5
+        assert len(margins) <= 2 * math.ceil(math.log2(radius[0] + 2)) + 2
+
     def test_ties_go_to_the_lower_class(self):
         assert one_node({0: 5, 1: 7, 2: 7}, 19, self.params, 5,
                         4) == (True, 1, -1)
+
+
+GRID = np.arange(RHO_CAP + 1)
+# Each row's last passing budget: small, anywhere, or at the cap's edges,
+# where -1 fails at rho = 0 and 2 * RHO_CAP always holds.
+last_passing = st.one_of(st.integers(-3, 40), st.integers(-1, RHO_CAP + 3),
+                         st.sampled_from([-1, 0, RHO_CAP - 1, RHO_CAP,
+                                          2 * RHO_CAP]))
+
+
+class TestLargestCertifiedRho:
+    """The radius search against a scan of the same monotone predicate."""
+
+    @staticmethod
+    def scan(holds, row):
+        """The budget before the first failing one of 0..RHO_CAP."""
+        ok = np.asarray(holds(GRID, row))
+        return RHO_CAP if ok.all() else int(np.argmin(ok)) - 1
+
+    @given(last=st.lists(last_passing, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_a_scan(self, last):
+        last = np.array(last, dtype=np.int64)
+        calls = np.zeros(last.size, dtype=np.int64)
+
+        def threshold(rho, live):
+            return rho <= last[live]
+
+        def holds(rho, live):
+            assert np.all((rho >= 0) & (rho <= RHO_CAP))
+            assert np.unique(live).size == live.size
+            # Every row's first test is at rho = 0.
+            assert np.all((calls[live] > 0) | (rho == 0))
+            calls[live] += 1
+            return threshold(rho, live)
+
+        radius = largest_certified_rho(holds, last.size)
+        assert radius.tolist() == [self.scan(threshold, j)
+                                   for j in range(last.size)]
+        assert np.all(calls <= 2 * np.ceil(np.log2(radius + 2)) + 2)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from smoothcert import cli
 from smoothcert.cli import UsageError, main, parse_config
 
 
@@ -299,6 +300,23 @@ class TestCertifyPoisonCommand:
         points = (out / "curve_tau2.csv").read_text().strip().splitlines()[1:]
         accuracies = [float(r.split(",")[1]) for r in points]
         assert all(a >= b for a, b in zip(accuracies, accuracies[1:]))
+
+    def test_include_run_keeps_samples_without_training_nodes(self, tmp_path,
+                                                              monkeypatch):
+        # At p_n = 0.8 some of these samples delete or isolate every training
+        # node; they count as abstentions instead of ending the run.
+        edges, nodes = make_tiny_dataset(tmp_path)
+        tables = []
+        collect = cli.collect_votes_poisoning
+        monkeypatch.setattr(cli, "collect_votes_poisoning",
+                            lambda *a, **k: tables.append(collect(*a, **k))
+                            or tables[-1])
+        code = main(["certify-poison", "--out", str(tmp_path / "poison"),
+                     "--dataset-edges", str(edges), "--dataset-nodes", str(nodes),
+                     "--p-e", "0.1", "--p-n", "0.8", "--tau", "2", "--n", "20",
+                     "--seed", "3", "--hidden-dim", "4", "--epochs", "10"])
+        assert code == 0
+        assert tables[0].mode == "include" and tables[0].abstains.sum() > 0
 
 
 class TestCertifyRecsysCommand:

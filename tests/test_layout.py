@@ -6,7 +6,9 @@ single-budget certificate and the accessors only tests use) is not exported.
 Certificates read the smoothing noise, mode and degrees from the vote table,
 so no certify entry point takes them again. Every vote table is counted by
 one constructor, ``BaseVoteTable.collect``, and every report is rendered by
-one writer, ``write_report``.
+one writer, ``write_report``. Every radius is found by one search,
+``largest_certified_rho``: no other function loops over the budget up to
+``RHO_CAP``.
 """
 import ast
 import inspect
@@ -59,8 +61,8 @@ def stats_imports(path):
     return found
 
 
-def calls_of(path, name):
-    """``(line, "Class.function")`` scope of every call of ``name``."""
+def scoped(path, match):
+    """``(line, "Class.function")`` scope of every node ``match`` accepts."""
     found = []
 
     def visit(node, scope):
@@ -69,14 +71,38 @@ def calls_of(path, name):
                                   ast.AsyncFunctionDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Call) and name in (
-                    getattr(child.func, "id", None),
-                    getattr(child.func, "attr", None)):
+            if match(child):
                 found.append((child.lineno, ".".join(scope)))
             visit(child, scope)
 
     visit(ast.parse(path.read_text(encoding="utf-8")), ())
     return found
+
+
+def names(node, name):
+    """Whether ``name`` appears in ``node`` as a name or an attribute."""
+    return any(getattr(n, "id", None) == name or getattr(n, "attr", None) == name
+               for n in ast.walk(node))
+
+
+def calls_of(path, name):
+    """``(line, "Class.function")`` scope of every call of ``name``."""
+    return scoped(path, lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+LOOPS = (ast.While, ast.For, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def rho_cap_loops(path):
+    """``(line, scope)`` of every loop or comprehension naming ``RHO_CAP``."""
+    return scoped(path, lambda node: isinstance(node, LOOPS)
+                  and names(node, "RHO_CAP"))
+
+
+def while_loops(path):
+    return scoped(path, lambda node: isinstance(node, ast.While))
 
 
 def test_sources_found():
@@ -175,3 +201,34 @@ def test_stray_vote_counting_is_detected(tmp_path):
                       "    return inner()\n")
     assert calls_of(source, "accumulate_parallel") == [
         (4, "BaseVoteTable.collect"), (7, "collect_votes.inner")]
+
+
+RADIUS_FUNCTIONS = ("certified_radii", "certified_overlap_radii",
+                    "certified_accuracy_curve")
+
+
+def test_radii_are_searched_not_scanned():
+    scans = {scope.split(".")[0] for path in SOURCES
+             for _, scope in while_loops(path)}
+    assert not scans & set(RADIUS_FUNCTIONS)
+    scopes = [scope for path in SOURCES for _, scope in rho_cap_loops(path)]
+    assert scopes == ["largest_certified_rho"]
+    assert smoothcert.certify.RHO_CAP == 10**6
+
+
+def test_stray_scan_is_detected(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("def certified_radii(table):\n"
+                      "    def holds(rho):\n"
+                      "        while rho <= RHO_CAP:\n"
+                      "            rho += 1\n"
+                      "    return holds(0)\n"
+                      "def curve(radii):\n"
+                      "    return [rho for rho in range(certify.RHO_CAP)]\n"
+                      "def largest_certified_rho(holds):\n"
+                      "    for step in range(3):\n"
+                      "        holds(min(step, RHO_CAP))\n"
+                      "    return [holds(rho) for rho in range(3)]\n")
+    assert while_loops(source) == [(3, "certified_radii.holds")]
+    assert rho_cap_loops(source) == [(3, "certified_radii.holds"),
+                                     (7, "curve"), (9, "largest_certified_rho")]

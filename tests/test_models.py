@@ -177,11 +177,13 @@ class TestTrainPredictEndToEnd:
             ClassifierSpec(epochs=1), sample, split4, mode="exclude")
         assert abstain.all()
 
-    def test_all_deleted_include_refuses(self, two_clique_graph, split4):
+    def test_all_deleted_include_abstains_everywhere(self, two_clique_graph,
+                                                     split4):
+        # With every node deleted, no training node is left to train on.
         sample = sample_smoothed_graph(two_clique_graph, SmoothingParams(0, 1), 3)
-        with pytest.raises(ValueError, match="isolated"):
-            train_predict_end_to_end(ClassifierSpec(epochs=1), sample, split4,
-                                     mode="include")
+        preds, abstain = train_predict_end_to_end(
+            ClassifierSpec(epochs=1), sample, split4, mode="include")
+        assert abstain.all() and preds.shape == (4,)
 
     def test_single_isolated_node_abstains_alone(self, two_clique_graph, split4):
         # Drop only the (0, 1) edge: nodes 0 and 1 are isolated.

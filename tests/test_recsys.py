@@ -6,7 +6,8 @@ import scipy.sparse as sp
 
 from oracles import (enumerate_item_probs, reference_cooccurrence,
                      reference_item_votes, reference_overlap_from_bounds,
-                     reference_recommender_curve, reference_topk)
+                     reference_overlap_radii, reference_recommender_curve,
+                     reference_topk)
 from smoothcert import (InteractionMatrix, PerturbationBudget, SmoothingParams,
                         build_similarity, certified_overlap_radii,
                         certify_user_overlap, collect_item_votes,
@@ -233,11 +234,27 @@ class TestCollectItemVotes:
                                       3, SmoothingParams(0.1, 0.1), 1,
                                       master_seed=1, first_index=first_index)
 
+        # The range is refused before the first sample is drawn.
+        calls = []
+
+        def spy(lo, hi):
+            calls.append((lo, hi))
+            return np.zeros((1, 2), dtype=np.int64), np.zeros(1, dtype=np.int64)
+
+        def collect_spied():
+            return ItemVoteTable.collect(spy, 3, first_index, 1,
+                                         params=SmoothingParams(0.1, 0.1),
+                                         degrees=[1], provenance={}, k_prime=1)
+
         if refused:
-            with pytest.raises(ValueError, match="sample range"):
-                collect()
+            for run in (collect, collect_spied):
+                with pytest.raises(ValueError, match="sample range"):
+                    run()
+            assert calls == []
         else:
             assert collect().first_index + 3 == 2**64 - 1
+            assert collect_spied().first_index == first_index
+            assert calls == [(first_index, first_index + 3)]
 
     def test_table_rejects_impossible_votes(self):
         fields = dict(params=SmoothingParams(0.1, 0.1), degrees=[2],
@@ -513,9 +530,11 @@ class TestCertifiedOverlapRadii:
             assert curve.points == expected
             certifying += len(curve.points) > 1
             rho = int(rng.integers(0, len(expected) + 1))
+            radii = certified_overlap_radii(table, ground_truths, k, tau, alpha)
+            assert np.array_equal(radii, reference_overlap_radii(
+                table, ground_truths, k, tau, alpha))
             # One point of the curve is a count of the radii, in user order.
-            hits = (certified_overlap_radii(table, ground_truths, k, tau,
-                                            alpha) >= rho).sum(axis=1)
+            hits = (radii >= rho).sum(axis=1)
             last = expected[min(rho, len(expected) - 1)]
             assert last.certified_precision == sum(h / k for h in hits) / hits.size
             budget = PerturbationBudget(rho=rho, tau=tau)
@@ -524,6 +543,15 @@ class TestCertifiedOverlapRadii:
                 alone = precision_recall_at(table, {user: gt}, k, budget, alpha)
                 assert single == hit and alone[0] == single / k
         assert 10 <= certifying <= 70
+
+    def test_radii_equal_the_scan_at_high_noise(self):
+        # Both pairs certify past rho = 200, far beyond the random tables.
+        table = table_from_frequencies([[0.95, 0.9, 0.02, 0.0, 0.0, 0.0]], [0.0],
+                                       10000, 3, [3], SmoothingParams(0.9, 0.9))
+        radii = certified_overlap_radii(table, {0: [0, 1]}, 2, 1, 0.01)
+        assert np.array_equal(radii, reference_overlap_radii(table, {0: [0, 1]},
+                                                             2, 1, 0.01))
+        assert radii.min() > 200
 
     def test_radii_shape_and_order(self):
         freqs = np.array([[0.85, 0.80, 0.02, 0.0, 0.0, 0.0],
