@@ -1,10 +1,12 @@
 """Command-line front end for reproducible certification runs.
 
 Subcommands: gen-synth, certify-evasion, certify-poison, certify-recsys,
-empirical-attack. Flag values override config-file values, which override
-defaults; the fully resolved configuration is echoed into report.json so any
-run can be reproduced bit-identically. Progress goes to stderr, summaries to
-stdout. Exit codes: 0 success, 1 runtime failure, 2 usage error.
+empirical-attack. Each takes the flags and config-file keys of the settings
+it reads, and no others. Flag values override config-file values, which
+override defaults; the command and its resolved settings are echoed into
+report.json so any run can be reproduced bit-identically. Progress goes to
+stderr, summaries to stdout. Exit codes: 0 success, 1 runtime failure, 2
+usage error.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
 
@@ -42,40 +44,60 @@ class UsageError(ValueError):
     """Configuration problem that should exit with status 2."""
 
 
+# The commands that read a setting.
+_SYNTH, _RECSYS, _ATTACK = ("gen-synth",), ("certify-recsys",), ("empirical-attack",)
+_GRAPH = ("certify-evasion", "certify-poison") + _ATTACK
+_CERTIFY = _GRAPH + _RECSYS
+_RUNS = _SYNTH + _CERTIFY
+
+
+def _setting(default, flag, commands, **options):
+    """A RunConfig field set by ``flag``, with any further argparse
+    ``options``, and read by ``commands``. A None default means required."""
+    return field(default=default, metadata={"flag": flag, "commands": commands,
+                                            "options": options})
+
+
 @dataclass
 class RunConfig:
     command: str
-    out_dir: str
-    dataset_edges: Optional[str] = None
-    dataset_nodes: Optional[str] = None
-    ratings: Optional[str] = None
-    p_e: float = 0.0
-    p_n: float = 0.0
-    tau: tuple = (5,)
-    num_samples: Optional[int] = None  # parse_config sets the default
-    alpha: float = 0.01
-    mode: str = "include"
-    master_seed: int = 0
-    threads: int = 1
-    model: str = "message_passing_2layer"
-    hidden_dim: int = 64
-    epochs: int = 200
-    learning_rate: float = 0.01
-    weight_decay: float = 5e-4
-    rho: int = 5
-    strategy: str = "centroid_flip"
-    k: int = 10
-    k_prime: int = 10
-    split_fraction: float = 0.85
-    synth_n: int = 300
-    synth_classes: int = 2
-    synth_p_in: float = 0.1
-    synth_p_out: float = 0.01
-    synth_d: int = 8
+    out_dir: Optional[str] = _setting(None, "--out", _RUNS, help="output directory")
+    master_seed: int = _setting(0, "--seed", _RUNS)
+    threads: int = _setting(1, "--threads", _CERTIFY)
+    dataset_edges: Optional[str] = _setting(None, "--dataset-edges", _GRAPH)
+    dataset_nodes: Optional[str] = _setting(None, "--dataset-nodes", _GRAPH)
+    ratings: Optional[str] = _setting(None, "--ratings", _RECSYS)
+    split_fraction: float = _setting(0.85, "--split-fraction", _RECSYS)
+    p_e: float = _setting(0.0, "--p-e", _CERTIFY, help="edge deletion probability")
+    p_n: float = _setting(0.0, "--p-n", _CERTIFY, help="node deletion probability")
+    tau: tuple = _setting((5,), "--tau", _CERTIFY, type=int, nargs="+",
+                          help="edge budgets per injected node (one curve each)")
+    # A file may give null; parse_config then sets the command's default.
+    num_samples: Optional[int] = _setting(1_000, "--n", _CERTIFY,
+                                          help="Monte-Carlo sample count")
+    alpha: float = _setting(0.01, "--alpha", _CERTIFY, help="significance level")
+    mode: str = _setting("include", "--mode", ("certify-poison",),
+                         choices=("include", "exclude"))
+    model: str = _setting("message_passing_2layer", "--model", _GRAPH, choices=KINDS)
+    hidden_dim: int = _setting(64, "--hidden-dim", _GRAPH)
+    epochs: int = _setting(200, "--epochs", _GRAPH)
+    learning_rate: float = _setting(0.01, "--lr", _GRAPH)
+    weight_decay: float = _setting(5e-4, "--weight-decay", _GRAPH)
+    rho: int = _setting(5, "--rho", _ATTACK, help="injected node count")
+    strategy: str = _setting("centroid_flip", "--strategy", _ATTACK, choices=STRATEGIES)
+    k: int = _setting(10, "--k", _RECSYS, help="smoothed recommendation size")
+    k_prime: int = _setting(10, "--k-prime", _RECSYS, help="base recommendation size")
+    synth_n: int = _setting(300, "--synth-n", _SYNTH)
+    synth_classes: int = _setting(2, "--synth-classes", _SYNTH)
+    synth_p_in: float = _setting(0.1, "--synth-p-in", _SYNTH)
+    synth_p_out: float = _setting(0.01, "--synth-p-out", _SYNTH)
+    synth_d: int = _setting(8, "--synth-d", _SYNTH)
 
     def validate(self) -> None:
-        if self.command not in COMMANDS:
-            raise UsageError(f"unknown command {self.command!r}")
+        missing = [f.metadata["flag"] for f in _settings(self.command)
+                   if f.default is None and not getattr(self, f.name)]
+        if missing:
+            raise UsageError(f"{' and '.join(missing)} required")
         if not 0.0 <= self.p_e < 1.0 or not 0.0 <= self.p_n < 1.0:
             raise UsageError("p_e and p_n must lie in [0, 1)")
         if not 0.0 < self.alpha < 1.0:
@@ -94,23 +116,15 @@ class RunConfig:
             raise UsageError(f"strategy must be one of {STRATEGIES}")
         if self.command != "gen-synth" and self.p_e == 0.0 and self.p_n == 0.0:
             raise UsageError("certification needs p_e > 0 or p_n > 0")
-        if self.command in ("certify-evasion", "certify-poison", "empirical-attack"):
-            if not self.dataset_edges or not self.dataset_nodes:
-                raise UsageError("--dataset-edges and --dataset-nodes are required")
-            try:
-                self.classifier_spec()
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
-        if self.command == "certify-evasion" and self.mode != "include":
-            raise UsageError("exclude mode applies to per-sample training runs only")
-        if self.command == "certify-recsys":
-            if not self.ratings:
-                raise UsageError("--ratings is required")
-            if not 0 < self.split_fraction <= 1:
-                raise UsageError("split fraction must lie in (0, 1]")
-            if self.k < 1 or self.k_prime < self.k:
-                raise UsageError("need 1 <= k <= k_prime")
-        if self.command == "empirical-attack" and self.rho < 0:
+        try:
+            self.classifier_spec()
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        if not 0 < self.split_fraction <= 1:
+            raise UsageError("split fraction must lie in (0, 1]")
+        if self.k < 1 or self.k_prime < self.k:
+            raise UsageError("need 1 <= k <= k_prime")
+        if self.rho < 0:
             raise UsageError("rho must be >= 0")
         if self.command == "empirical-attack" and len(self.tau) != 1:
             raise UsageError("empirical-attack takes one tau")
@@ -122,75 +136,51 @@ class RunConfig:
                               weight_decay=self.weight_decay,
                               seed=derive_sample_seed(self.master_seed, _MODEL_STREAM))
 
+    def settings(self) -> dict:
+        """The command and every setting it reads: what report.json echoes,
+        and a --config file that reruns the same run."""
+        return {"command": self.command,
+                **{f.name: getattr(self, f.name) for f in _settings(self.command)}}
+
+
+_TYPES = get_type_hints(RunConfig)
+
+
+def _settings(command: str) -> list:
+    """The RunConfig fields ``command`` reads."""
+    return [f for f in fields(RunConfig) if command in f.metadata.get("commands", ())]
+
 
 def _build_parser() -> argparse.ArgumentParser:
+    # No abbreviations: a prefix such as --mode would stand for --model.
     parser = argparse.ArgumentParser(
-        prog="smoothcert",
+        prog="smoothcert", allow_abbrev=False,
         description="Robustness certification of graph classifiers and "
                     "recommenders under node injection.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
-
-    def add_common(p):
-        g = p.add_argument_group("run")
-        g.add_argument("--out", dest="out_dir", help="output directory")
-        g.add_argument("--config", help="JSON config file (flags override it)")
-        g.add_argument("--seed", dest="master_seed", type=int)
-        g.add_argument("--threads", type=int)
-        n = p.add_argument_group("noise and certification")
-        n.add_argument("--p-e", dest="p_e", type=float,
-                       help="edge deletion probability")
-        n.add_argument("--p-n", dest="p_n", type=float,
-                       help="node deletion probability")
-        n.add_argument("--tau", type=int, nargs="+",
-                       help="edge budgets per injected node (one curve each)")
-        n.add_argument("--n", dest="num_samples", type=int,
-                       help="Monte-Carlo sample count")
-        n.add_argument("--alpha", type=float, help="significance level")
-        n.add_argument("--mode", choices=["include", "exclude"])
-        m = p.add_argument_group("base model")
-        m.add_argument("--model", choices=KINDS)
-        m.add_argument("--hidden-dim", dest="hidden_dim", type=int)
-        m.add_argument("--epochs", type=int)
-        m.add_argument("--lr", dest="learning_rate", type=float)
-        m.add_argument("--weight-decay", dest="weight_decay", type=float)
-        d = p.add_argument_group("data")
-        d.add_argument("--dataset-edges", dest="dataset_edges")
-        d.add_argument("--dataset-nodes", dest="dataset_nodes")
-        d.add_argument("--ratings")
-        d.add_argument("--split-fraction", dest="split_fraction", type=float)
-
     for name in COMMANDS:
-        p = sub.add_parser(name)
-        add_common(p)
-        if name == "gen-synth":
-            p.add_argument("--synth-n", dest="synth_n", type=int)
-            p.add_argument("--synth-classes", dest="synth_classes", type=int)
-            p.add_argument("--synth-p-in", dest="synth_p_in", type=float)
-            p.add_argument("--synth-p-out", dest="synth_p_out", type=float)
-            p.add_argument("--synth-d", dest="synth_d", type=int)
-        if name == "empirical-attack":
-            p.add_argument("--rho", type=int, help="injected node count")
-            p.add_argument("--strategy", choices=STRATEGIES)
-        if name == "certify-recsys":
-            p.add_argument("--k", type=int, help="smoothed recommendation size")
-            p.add_argument("--k-prime", dest="k_prime", type=int,
-                           help="base recommendation size")
+        p = sub.add_parser(name, allow_abbrev=False)
+        p.add_argument("--config", help="JSON config file (flags override it)")
+        for f in _settings(name):
+            kind = get_args(_TYPES[f.name]) or (_TYPES[f.name],)  # Optional[X]: X
+            p.add_argument(f.metadata["flag"], dest=f.name,
+                           **{"type": kind[0], **f.metadata["options"]})
     return parser
 
 
-def _check_file_values(values: dict) -> None:
-    """Config-file keys must name fields and values have the field's type:
-    tau is a non-empty list of integers, and a float field takes integers."""
-    hints = get_type_hints(RunConfig)
-    unknown = set(values) - set(hints)
+def _check_file_values(command: str, values: dict) -> None:
+    """Config-file keys must name settings the command reads and values have
+    the field's type: tau is a non-empty list of integers, and a float field
+    takes integers."""
+    unknown = set(values) - {f.name for f in _settings(command)}
     if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        raise UsageError(f"unknown config keys for {command}: {sorted(unknown)}")
     for key, value in values.items():
         if key == "tau":
             ok = type(value) is list and value and all(type(t) is int for t in value)
         else:
-            types = get_args(hints[key]) or (hints[key],)
+            types = get_args(_TYPES[key]) or (_TYPES[key],)
             ok = type(value) in types or (float in types and type(value) is int)
         if not ok:
             raise UsageError(f"config key {key!r} has the wrong type: {value!r}")
@@ -215,12 +205,10 @@ def parse_config(argv) -> RunConfig:
         if not isinstance(file_values, dict):
             raise UsageError("config file must hold a JSON object")
         file_values.pop("command", None)
-        _check_file_values(file_values)
+        _check_file_values(merged["command"], file_values)
         merged.update(file_values)
     merged.update(provided)
 
-    if "out_dir" not in merged or not merged["out_dir"]:
-        raise UsageError("--out is required")
     if "tau" in merged:
         merged["tau"] = tuple(merged["tau"])
     if merged.get("num_samples") is None:
@@ -347,7 +335,7 @@ def run(config: RunConfig) -> int:
     """
     started = time.perf_counter()
     curves, metadata = _HANDLERS[config.command](config)
-    metadata.update(config=asdict(config), version=__version__)
+    metadata.update(config=config.settings(), version=__version__)
     report = write_report(curves, metadata, config.out_dir)[-1]
     _log(f"{config.command} finished in {time.perf_counter() - started:.2f} s")
     print(report.read_text(encoding="utf-8"), end="")

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import DataSplit, Graph
-from .sampling import SmoothedSample, SmoothingParams, derive_sample_seed, sample_smoothed_graph
+from .sampling import SmoothingParams, derive_sample_seed, sample_smoothed_graph
 
 KINDS = ("message_passing_2layer", "feature_mlp")
 
@@ -220,12 +220,11 @@ def predict_rows(model: TrainedModel, transformed: np.ndarray, nodes: np.ndarray
     return np.argmax(logits, axis=1)
 
 
-def train_predict_end_to_end(spec: ClassifierSpec, sample: SmoothedSample,
-                             split: DataSplit,
+def train_predict_end_to_end(spec: ClassifierSpec, graph: Graph, split: DataSplit,
                              mode: str = "include") -> tuple[np.ndarray, np.ndarray]:
-    """Train on one smoothed sample and predict on it (no extra noise).
+    """Train on one smoothed graph and predict on it (no extra noise).
 
-    Nodes isolated in the sample are bypassed by the training loss. In
+    Nodes isolated in the graph are bypassed by the training loss. In
     exclude mode every zero-degree node is marked abstaining; in include mode
     all nodes receive predictions. If every training node is isolated, there
     is nothing to train on and both modes return an all-abstain result.
@@ -238,7 +237,6 @@ def train_predict_end_to_end(spec: ClassifierSpec, sample: SmoothedSample,
     """
     if mode not in ("include", "exclude"):
         raise ValueError("mode must be 'include' or 'exclude'")
-    graph = sample.graph
     isolated = graph.degrees == 0
 
     train_idx = np.asarray(split.train, dtype=np.int64)

@@ -186,11 +186,10 @@ def collect_votes_evasion(model: TrainedModel, graph: Graph, num_samples: int,
         votes = np.zeros(n * num_classes, dtype=np.int64)
         rows_of = np.empty(n, dtype=np.int64)
         nodes, edges, rows = [], [], 0
-        for i in range(lo, hi):
+        # Without aggregation every node votes as if isolated: no sample needed.
+        for i in range(lo, hi if aggregates else lo):
             sample = sample_smoothed_graph(graph, params,
                                            derive_sample_seed(master_seed, i))
-            if not aggregates:
-                continue
             touched = np.flatnonzero(sample.graph.degrees)
             rows_of[touched] = np.arange(rows, rows + touched.size)
             nodes.append(touched)
@@ -237,7 +236,8 @@ def collect_votes_poisoning(spec: ClassifierSpec, graph: Graph, split: DataSplit
             seed_i = derive_sample_seed(master_seed, i)
             sample = sample_smoothed_graph(graph, params, seed_i)
             spec_i = replace(spec, seed=derive_sample_seed(seed_i, _TRAIN_STREAM))
-            preds, abstain = train_predict_end_to_end(spec_i, sample, split, mode)
+            preds, abstain = train_predict_end_to_end(spec_i, sample.graph, split,
+                                                      mode)
             voting = ~abstain
             counts[rows[voting], preds[voting]] += 1
             abstains[abstain] += 1
@@ -350,9 +350,10 @@ def certified_radii(table: VoteTable, tau: int, alpha: float, nodes):
                  if exclude else () for j in candidates]
 
     def holds(rho, live):
-        return [margin(lowers[j], uppers[j], prob_all_removed(params, tau, int(r)),
-                       *retention[i]) > 0.0
-                for r, i, j in zip(rho, live, candidates[live])]
+        budgets, at = np.unique(rho, return_inverse=True)
+        removed = [prob_all_removed(params, tau, int(b)) for b in budgets]
+        return [margin(lowers[j], uppers[j], removed[a], *retention[i]) > 0.0
+                for a, i, j in zip(at, live, candidates[live])]
 
     radius = np.full(nodes.size, -1, dtype=np.int64)
     radius[candidates] = largest_certified_rho(holds, candidates.size)

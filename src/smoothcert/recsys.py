@@ -192,7 +192,9 @@ def certified_overlap_radii(table: ItemVoteTable,
     sums = np.cumsum(uppers, axis=1)
 
     def holds(rho, live):
-        p_hat = np.array([prob_all_removed_recsys(params, tau, int(b)) for b in rho])
+        budgets, at = np.unique(rho, return_inverse=True)
+        p_hat = np.array([prob_all_removed_recsys(params, tau, int(b))
+                          for b in budgets])[at]
         return _certifies_overlap(lowers[live], sums[live], take[live],
                                   table.k_prime, p_hat, p_isolated[live])
 

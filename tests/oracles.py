@@ -298,11 +298,10 @@ def reference_train_with_noise(spec, graph, split, params):
                         graph_fingerprint=graph.fingerprint())
 
 
-def reference_train_predict(spec, sample, split, mode):
-    """Train on one smoothed sample, bypassing its isolated training nodes,
+def reference_train_predict(spec, graph, split, mode):
+    """Train on one smoothed graph, bypassing its isolated training nodes,
     and predict on it. Returns the predictions, the abstain mask and the
     weights (None when every training node is isolated: all abstain)."""
-    graph = sample.graph
     isolated = graph.degrees == 0
     train_idx = np.asarray(split.train, dtype=np.int64)
     train_idx = train_idx[~isolated[train_idx]]

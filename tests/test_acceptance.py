@@ -17,8 +17,8 @@ from oracles import (certified_at, enumerate_graph_votes,
 from smoothcert import (ClassifierSpec, InteractionMatrix,
                         PerturbationBudget, SmoothingParams, apply_attack,
                         average_certified_radius, certified_accuracy_at,
-                        certified_accuracy_curve, certified_radii,
-                        certify_user_overlap,
+                        certified_accuracy_curve, certified_overlap_radii,
+                        certified_radii, certify_user_overlap,
                         clopper_pearson_lower, clopper_pearson_upper,
                         collect_item_votes, collect_votes_evasion,
                         craft_injection, empirical_accuracy,
@@ -28,6 +28,7 @@ from smoothcert import (ClassifierSpec, InteractionMatrix,
                         recommender_curve, seeded_split, train_with_noise)
 from smoothcert.certify import largest_certified_rho
 from smoothcert.pipeline import VoteTable
+from smoothcert.recsys import ItemVoteTable
 
 
 @contextmanager
@@ -225,6 +226,56 @@ def test_certified_radius_does_not_over_claim(probs, mode):
         true_radius = largest_certified_rho(holds, true.size)
         over_claimed = np.mean(radius > true_radius[majority])
         assert over_claimed <= alpha + 3 * math.sqrt(alpha * (1 - alpha) / rows)
+
+
+# Per-item inclusion probabilities of the recommender over-claim test, as
+# (k, k_prime, ground-truth items, other items). Each vector sums to at most
+# k_prime, the items a sample can include.
+RECSYS_OVER_CLAIM = {
+    # A ground-truth item tied with another at the K' = 3 cut (ranks 3 and
+    # 4); the tie decides r = 2.
+    "tie-at-cut": (3, 3, (0.6, 0.45, 0.2), (0.9, 0.45, 0.3, 0.1)),
+    # r = 2 compares 0.46 with 0.44: certified at rho = 0 only.
+    "near-tie": (3, 3, (0.6, 0.46, 0.2), (0.9, 0.44, 0.3, 0.1)),
+    # r = 2 certifies rho = 1 from 0.587 on; 0.57 sits just below.
+    "below-rho-1": (3, 3, (0.7, 0.57, 0.15), (0.9, 0.44, 0.1, 0.05)),
+    "k-below-k-prime": (2, 4, (0.8, 0.5, 0.4), (0.7, 0.5, 0.5, 0.3, 0.2, 0.1)),
+}
+
+
+@pytest.mark.parametrize("case", RECSYS_OVER_CLAIM)
+def test_certified_overlap_does_not_over_claim(case):
+    """Tables drawn from known inclusion probabilities certify an overlap of
+    r past the radius those probabilities give at a rate within 3 sigma of
+    alpha, for every r."""
+    with criterion(f"recommender over-claim rate at {case}"):
+        k, k_prime, gt, others = RECSYS_OVER_CLAIM[case]
+        params, tau, alpha, num_samples, users, degree = (
+            SmoothingParams(0.1, 0.8), 5, 0.05, 1000, 3000, 3)
+        true = np.array(gt + others)
+        assert true.sum() <= k_prime
+        rng = np.random.default_rng([len(gt), len(others), k])
+        table = ItemVoteTable(counts=rng.binomial(num_samples, true,
+                                                  size=(users, true.size)),
+                              abstains=np.zeros(users), num_samples=num_samples,
+                              params=params, degrees=np.full(users, degree),
+                              provenance={}, k_prime=k_prime)
+        ground_truths = {u: range(len(gt)) for u in range(users)}
+        radii = certified_overlap_radii(table, ground_truths, k, tau, alpha)
+
+        # The radius of each r if the bounds were the true probabilities.
+        p_isolated = prob_all_removed_recsys(params, degree, 1)
+
+        def holds(rho, rs):
+            return [reference_overlap_from_bounds(
+                        gt, others, k, k_prime,
+                        prob_all_removed_recsys(params, tau, int(b)),
+                        p_isolated) >= r + 1 for b, r in zip(rho, rs)]
+
+        true_radius = largest_certified_rho(holds, k)
+        over_claimed = np.mean(radii > true_radius, axis=0)
+        assert np.all(over_claimed
+                      <= alpha + 3 * math.sqrt(alpha * (1 - alpha) / users))
 
 
 def test_exhaustive_enumeration_equivalence(two_clique_graph, identity_model):

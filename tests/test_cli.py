@@ -1,5 +1,4 @@
 import json
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -52,34 +51,151 @@ def tiny_run(tmp_path, command):
     return flags + ["--rho", "2"] if command == "empirical-attack" else flags
 
 
-DEFAULT_SAMPLES = {"gen-synth": 1_000, "certify-evasion": 100_000,
-                   "certify-poison": 1_000, "certify-recsys": 100_000,
-                   "empirical-attack": 1_000}
+DEFAULT_SAMPLES = {"certify-evasion": 100_000, "certify-poison": 1_000,
+                   "certify-recsys": 100_000, "empirical-attack": 1_000}
+COMMANDS = ["gen-synth", *DEFAULT_SAMPLES]
 
 
-@pytest.mark.parametrize("command", DEFAULT_SAMPLES)
+@pytest.mark.parametrize("command", COMMANDS)
 def test_every_command_writes_its_report_through_one_path(tmp_path, capsys,
                                                           command):
-    null_file = tmp_path / "null.json"
-    null_file.write_text(json.dumps({"num_samples": None}))
-    argv = [command, "--config", str(null_file), "--out", str(tmp_path / "out"),
-            "--seed", "3", *tiny_run(tmp_path, command)]
-    assert parse_config(argv).num_samples == DEFAULT_SAMPLES[command]
-
-    argv += ["--n", "20"]
+    argv = [command, "--out", str(tmp_path / "out"), "--seed", "3",
+            *tiny_run(tmp_path, command)]
+    sampled = command in DEFAULT_SAMPLES
+    if sampled:  # gen-synth takes neither num_samples nor --n
+        null_file = tmp_path / "null.json"
+        null_file.write_text(json.dumps({"num_samples": None}))
+        argv += ["--config", str(null_file)]
+        assert parse_config(argv).num_samples == DEFAULT_SAMPLES[command]
+        argv += ["--n", "20"]
     capsys.readouterr()
     assert main(argv) == 0
     stdout = capsys.readouterr().out
     assert stdout == (tmp_path / "out" / "report.json").read_text(encoding="utf-8")
     report = json.loads(stdout)
-    config = asdict(parse_config(argv))
+    config = parse_config(argv).settings()
     assert report["metadata"]["config"] == json.loads(json.dumps(config))
-    assert config["num_samples"] == 20
+    assert config.get("num_samples") == (20 if sampled else None)
     for name in report["metadata"].get("files", []):
         assert (tmp_path / "out" / name).is_file()
     certifies = command.startswith("certify-")
     assert bool(report["curves"]) == certifies
     assert ("files" in report["metadata"]) != certifies
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_echoed_config_replays_the_run(tmp_path, command):
+    # The echoed settings alone, as a config file, rerun the same run.
+    orig, replay = tmp_path / "orig", tmp_path / "replay"
+    argv = [command, "--out", str(orig), "--seed", "3",
+            *tiny_run(tmp_path, command)]
+    assert main(argv + (["--n", "20"] if command in DEFAULT_SAMPLES else [])) == 0
+    echoed = json.loads((orig / "report.json").read_text())["metadata"]["config"]
+    echoed["out_dir"] = str(replay)
+    (tmp_path / "replay.json").write_text(json.dumps(echoed))
+    assert main([command, "--config", str(tmp_path / "replay.json")]) == 0
+    names = sorted(p.name for p in orig.iterdir())
+    assert names == sorted(p.name for p in replay.iterdir())
+    for name in names:
+        if name != "report.json":
+            assert (orig / name).read_bytes() == (replay / name).read_bytes()
+    reports = [json.loads((out / "report.json").read_text()) for out in (orig, replay)]
+    for report in reports:
+        del report["metadata"]["config"]["out_dir"]
+    assert reports[0] == reports[1]
+
+
+# The settings each command reads, by flag and config key; the README's
+# "CLI" table.
+RUN = {"--out": "out_dir", "--seed": "master_seed"}
+CERTIFY = {**RUN, "--threads": "threads", "--p-e": "p_e", "--p-n": "p_n",
+           "--tau": "tau", "--n": "num_samples", "--alpha": "alpha"}
+GRAPH = {**CERTIFY, "--dataset-edges": "dataset_edges",
+         "--dataset-nodes": "dataset_nodes", "--model": "model",
+         "--hidden-dim": "hidden_dim", "--epochs": "epochs",
+         "--lr": "learning_rate", "--weight-decay": "weight_decay"}
+TAKES = {
+    "gen-synth": {**RUN, "--synth-n": "synth_n", "--synth-classes": "synth_classes",
+                  "--synth-p-in": "synth_p_in", "--synth-p-out": "synth_p_out",
+                  "--synth-d": "synth_d"},
+    "certify-evasion": GRAPH,
+    "certify-poison": {**GRAPH, "--mode": "mode"},
+    "certify-recsys": {**CERTIFY, "--ratings": "ratings",
+                       "--split-fraction": "split_fraction", "--k": "k",
+                       "--k-prime": "k_prime"},
+    "empirical-attack": {**GRAPH, "--rho": "rho", "--strategy": "strategy"},
+}
+KEYS = {flag: key for takes in TAKES.values() for flag, key in takes.items()}
+UNREAD = [(command, flag) for command, takes in TAKES.items()
+          for flag in KEYS if flag not in takes]
+# A valid value for each setting other than its default.
+VALUES = {"--out": "o", "--seed": 3, "--threads": 2, "--p-e": 0.1, "--p-n": 0.2,
+          "--tau": (4, 6), "--n": 7, "--alpha": 0.05, "--dataset-edges": "e",
+          "--dataset-nodes": "n", "--model": "feature_mlp", "--hidden-dim": 3,
+          "--epochs": 4, "--lr": 0.5, "--weight-decay": 0.001, "--mode": "exclude",
+          "--rho": 2, "--strategy": "random", "--ratings": "r",
+          "--split-fraction": 0.5, "--k": 2, "--k-prime": 3, "--synth-n": 20,
+          "--synth-classes": 3, "--synth-p-in": 0.3, "--synth-p-out": 0.03,
+          "--synth-d": 5}
+
+
+def flag_argv(flag):
+    value = VALUES[flag]
+    return [flag, *map(str, value if isinstance(value, tuple) else [value])]
+
+
+class TestCommandSurface:
+    def test_each_command_takes_exactly_its_settings(self):
+        assert sum(map(len, TAKES.values())) == 67 and len(UNREAD) == 68
+        for command, takes in TAKES.items():
+            argv = [command] + [a for flag in takes for a in flag_argv(flag)]
+            if command == "empirical-attack":
+                argv += ["--tau", "4"]  # it takes one tau
+            settings = parse_config(argv).settings()
+            assert settings.pop("command") == command
+            expected = {key: VALUES[flag] for flag, key in takes.items()}
+            if command == "empirical-attack":
+                expected["tau"] = (4,)
+            assert settings == expected
+
+    @pytest.mark.parametrize("command, flag", UNREAD)
+    def test_a_flag_the_command_does_not_read_exits_two(self, tmp_path, capsys,
+                                                        command, flag):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--out", str(tmp_path / "out"), *flag_argv(flag)])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flag", UNREAD)
+    def test_a_config_key_the_command_does_not_read_is_a_usage_error(
+            self, tmp_path, capsys, command, flag):
+        config_file = tmp_path / "run.json"
+        config_file.write_text(json.dumps({KEYS[flag]: VALUES[flag]}))
+        argv = [command, "--config", str(config_file), "--out",
+                str(tmp_path / "out")]
+        message = f"unknown config keys for {command}: ['{KEYS[flag]}']"
+        with pytest.raises(UsageError) as err:
+            parse_config(argv)
+        assert str(err.value) == message
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["certify-recsys", "--out", "x", "--p-n", "0.9", "--ratings", "r",
+         "--ep", "3"],
+        ["certify-recsys", "--out", "x", "--p-n", "0.9", "--rat", "r"],
+        ["certify-poison", "--out", "x", "--p-n", "0.9", "--dataset-edges", "e",
+         "--dataset-nodes", "n", "--hidden", "3"],
+        ["gen-synth", "--out", "x", "--synth-p-i", "0.3"]],
+        ids=["another-commands-flag", "recsys-flag", "poison-flag", "synth-flag"])
+    def test_abbreviations_exit_two(self, capsys, argv):
+        # Each is a unique prefix of one flag, which argparse would accept.
+        with pytest.raises(SystemExit) as err:
+            parse_config(argv)
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestParseConfig:
@@ -127,11 +243,13 @@ class TestParseConfig:
         assert config.alpha == 0.01
         assert config.tau == (5,)
 
-    def test_evasion_rejects_exclude(self):
-        with pytest.raises(UsageError, match="exclude"):
+    def test_evasion_rejects_exclude(self, capsys):
+        with pytest.raises(SystemExit) as err:
             parse_config(["certify-evasion", "--out", "x", "--p-n", "0.9",
                           "--mode", "exclude", "--dataset-edges", "e",
                           "--dataset-nodes", "n"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --mode" in capsys.readouterr().err
 
     def test_missing_dataset_flags(self):
         with pytest.raises(UsageError, match="dataset"):
@@ -187,7 +305,7 @@ class TestParseConfig:
         config_file = tmp_path / "run.json"
         config_file.write_text(json.dumps({
             "p_e": 0, "alpha": 0.05, "tau": [2, 4], "num_samples": None,
-            "ratings": None, "threads": 2, "out_dir": "x",
+            "threads": 2, "out_dir": "x",
             "dataset_edges": "e", "dataset_nodes": "n"}))
         config = parse_config(["certify-evasion", "--config", str(config_file),
                                "--p-n", "0.9"])

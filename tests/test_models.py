@@ -3,8 +3,7 @@ import pytest
 
 from oracles import (neighbors, normalized_adjacency, reference_predict,
                      reference_train_predict, reference_train_with_noise)
-from smoothcert import (ClassifierSpec, Graph, SmoothedSample, SmoothingParams,
-                        derive_sample_seed, generate_sbm, predict,
+from smoothcert import (ClassifierSpec, Graph, SmoothingParams, derive_sample_seed, generate_sbm, predict,
                         sample_smoothed_graph, train_predict_end_to_end,
                         train_with_noise)
 from smoothcert import models
@@ -20,11 +19,6 @@ def append_isolated(graph, count, rng):
     labels = np.concatenate([graph.labels, np.full(count, -1, dtype=np.int64)])
     return Graph(graph.n + count, graph.edges, features, labels,
                  num_classes=graph.num_classes)
-
-
-def clean_sample(graph):
-    return SmoothedSample(graph=graph,
-                          deleted_nodes=np.zeros(graph.n, dtype=bool))
 
 
 class TestPredict:
@@ -119,7 +113,7 @@ class TestTrainWithNoise:
         graph, split = sbm_fixture
         spec = ClassifierSpec(hidden_dim=8, epochs=15, seed=2)
         noisy = train_with_noise(spec, graph, split, SmoothingParams(0, 0))
-        preds, abstain = train_predict_end_to_end(spec, clean_sample(graph), split)
+        preds, abstain = train_predict_end_to_end(spec, graph, split)
         assert np.array_equal(predict(noisy, graph), preds)
         assert not abstain.any()
 
@@ -174,7 +168,7 @@ class TestTrainPredictEndToEnd:
     def test_all_deleted_exclude_abstains_everywhere(self, two_clique_graph, split4):
         sample = sample_smoothed_graph(two_clique_graph, SmoothingParams(0, 1), 3)
         preds, abstain = train_predict_end_to_end(
-            ClassifierSpec(epochs=1), sample, split4, mode="exclude")
+            ClassifierSpec(epochs=1), sample.graph, split4, mode="exclude")
         assert abstain.all()
 
     def test_all_deleted_include_abstains_everywhere(self, two_clique_graph,
@@ -182,26 +176,22 @@ class TestTrainPredictEndToEnd:
         # With every node deleted, no training node is left to train on.
         sample = sample_smoothed_graph(two_clique_graph, SmoothingParams(0, 1), 3)
         preds, abstain = train_predict_end_to_end(
-            ClassifierSpec(epochs=1), sample, split4, mode="include")
+            ClassifierSpec(epochs=1), sample.graph, split4, mode="include")
         assert abstain.all() and preds.shape == (4,)
 
     def test_single_isolated_node_abstains_alone(self, two_clique_graph, split4):
         # Drop only the (0, 1) edge: nodes 0 and 1 are isolated.
         pruned = Graph(4, [(2, 3)], two_clique_graph.features,
                        two_clique_graph.labels)
-        sample = SmoothedSample(graph=pruned,
-                                deleted_nodes=np.zeros(4, dtype=bool))
         preds, abstain = train_predict_end_to_end(
-            ClassifierSpec(epochs=5, seed=3), sample, split4, mode="exclude")
+            ClassifierSpec(epochs=5, seed=3), pruned, split4, mode="exclude")
         assert abstain.tolist() == [True, True, False, False]
 
     def test_include_mode_never_abstains(self, two_clique_graph, split4):
         pruned = Graph(4, [(2, 3)], two_clique_graph.features,
                        two_clique_graph.labels)
-        sample = SmoothedSample(graph=pruned,
-                                deleted_nodes=np.zeros(4, dtype=bool))
         preds, abstain = train_predict_end_to_end(
-            ClassifierSpec(epochs=5, seed=3), sample, split4, mode="include")
+            ClassifierSpec(epochs=5, seed=3), pruned, split4, mode="include")
         assert not abstain.any()
         assert preds.shape == (4,)
 
@@ -246,8 +236,8 @@ class TestMatchesReferenceLoops:
         bypassed = 0
         for i in range(6):
             sample = sample_smoothed_graph(graph, SmoothingParams(0.3, 0.4),
-                                           derive_sample_seed(seed, i))
-            bypassed += (sample.graph.degrees[split.train] == 0).any()
+                                           derive_sample_seed(seed, i)).graph
+            bypassed += (sample.degrees[split.train] == 0).any()
             preds, abstain = train_predict_end_to_end(spec, sample, split, mode)
             ref_preds, ref_abstain, ref_weights = reference_train_predict(
                 spec, sample, split, mode)

@@ -317,6 +317,23 @@ class TestBatchedEvasionVotes:
         assert sorted(seeds) == sorted(derive_sample_seed(3, i)
                                        for i in range(2, 55))
 
+    def test_a_model_without_aggregation_draws_no_sample(self, monkeypatch):
+        # The MLP predicts every node as in the edgeless graph, so the votes
+        # are the per-sample replay's without a single sampler call.
+        model = random_model("feature_mlp", self.graph.num_features, 3, seed=11)
+        params = SmoothingParams(0.1, 0.8)
+        expected = replay_votes(model, self.graph, 53, params, 3, first_index=2)
+        calls = []
+        monkeypatch.setattr(pipeline, "sample_smoothed_graph",
+                            lambda *args: calls.append(args))
+        for threads in (1, 3):
+            table = collect_votes_evasion(model, self.graph, 53, params,
+                                          master_seed=3, threads=threads,
+                                          first_index=2)
+            assert np.array_equal(table.counts, expected)
+            assert not table.abstains.any()
+        assert calls == []
+
 
 class TestCollectVotesPoisoning:
     spec = ClassifierSpec(hidden_dim=4, epochs=5, seed=6)
