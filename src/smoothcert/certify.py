@@ -1,12 +1,17 @@
 """Closed-form certification margins and statistical bounds on Monte-Carlo
 vote probabilities.
 
-Every function here is pure and safe for unrestricted concurrent use.
+Every function here is pure and safe for unrestricted concurrent use. The
+statistics use ``scipy.special`` only: importing ``scipy.stats`` took
+0.4-0.9 s and about 43 MB per process on a 2-vCPU machine. The bounds call
+``betaincinv``, which agrees with ``stats.beta.ppf`` bit for bit, and the
+p-value calls the binomial CDF kernel that ``stats.binom.cdf`` calls.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+from scipy import special
+from scipy.special._ufuncs import _binom_cdf
 
 from .sampling import SmoothingParams
 
@@ -138,8 +143,7 @@ def clopper_pearson_lower(successes, trials: int, level):
     out = np.zeros(successes.shape)
     some = successes > 0
     s = successes[some]
-    if s.size:  # scipy costs as much on an empty array as on a short one
-        out[some] = stats.beta.ppf(level[some], s, trials - s + 1)
+    out[some] = special.betaincinv(s, trials - s + 1, level[some])
     return float(out) if out.ndim == 0 else out
 
 
@@ -152,8 +156,7 @@ def clopper_pearson_upper(successes, trials: int, level):
     out = np.ones(successes.shape)
     some = successes < trials
     s = successes[some]
-    if s.size:
-        out[some] = stats.beta.ppf(1.0 - level[some], s + 1, trials - s)
+    out[some] = special.betaincinv(s + 1, trials - s, 1.0 - level[some])
     return float(out) if out.ndim == 0 else out
 
 
@@ -165,8 +168,12 @@ def majority_pvalue(top_votes: int, runner_votes: int) -> float:
     """
     if top_votes < runner_votes:
         raise ValueError("top_votes must be >= runner_votes")
-    tail = stats.binom.cdf(runner_votes, top_votes + runner_votes, 0.5)
-    return min(1.0, 2.0 * float(tail))
+    if runner_votes < 0:
+        raise ValueError("runner_votes must be >= 0")
+    trials = top_votes + runner_votes
+    if runner_votes >= trials:  # no votes: the CDF is 1 at its support's end
+        return 1.0
+    return min(1.0, 2.0 * float(_binom_cdf(runner_votes, trials, 0.5)))
 
 
 def abstain_test(top_votes: int, runner_votes: int, alpha: float) -> bool:

@@ -151,7 +151,8 @@ def _settings(command: str) -> list:
     return [f for f in fields(RunConfig) if command in f.metadata.get("commands", ())]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top parser, and each command's parser by name."""
     # No abbreviations: a prefix such as --mode would stand for --model.
     parser = argparse.ArgumentParser(
         prog="smoothcert", allow_abbrev=False,
@@ -166,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
             kind = get_args(_TYPES[f.name]) or (_TYPES[f.name],)  # Optional[X]: X
             p.add_argument(f.metadata["flag"], dest=f.name,
                            **{"type": kind[0], **f.metadata["options"]})
-    return parser
+    return parser, sub.choices
 
 
 def _check_file_values(command: str, values: dict) -> None:
@@ -188,8 +189,11 @@ def _check_file_values(command: str, values: dict) -> None:
 
 def parse_config(argv) -> RunConfig:
     """Parse flags (and an optional JSON file) into a validated RunConfig."""
-    parser = _build_parser()
-    namespace = parser.parse_args(argv)
+    parser, commands = _build_parser()
+    namespace, unknown = parser.parse_known_args(argv)
+    if unknown:  # refused by the command's parser, so its usage lists its flags
+        (commands.get(namespace.command) or parser).error(
+            f"unrecognized arguments: {' '.join(unknown)}")
     if namespace.command is None:
         parser.print_usage(sys.stderr)
         raise UsageError("a command is required")

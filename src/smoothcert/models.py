@@ -101,8 +101,17 @@ def _forward(weights: dict, agg: Optional[sp.csr_matrix], t1: np.ndarray):
 
     Features are transformed before aggregation (same map by associativity),
     so ``t1`` can be cached across smoothing samples.
+
+    The hidden-layer temporaries (n x hidden float64, above glibc's default
+    128 KiB mmap threshold at a few hundred nodes) are updated in place where
+    they are fresh: each one fewer is one fewer block mapped and returned to
+    the OS, and its pages faulted in again, on every training epoch.
     """
-    z1 = (agg @ t1 if agg is not None else t1) + weights["b1"]
+    if agg is not None:
+        z1 = agg @ t1
+        z1 += weights["b1"]
+    else:
+        z1 = t1 + weights["b1"]  # t1 may be the caller's cached array
     h1 = np.maximum(z1, 0.0)
     t2 = h1 @ weights["w2"]
     logits = (agg @ t2 if agg is not None else t2) + weights["b2"]
@@ -121,8 +130,8 @@ def _gradients(weights, agg, agg_t, features, labels, train_idx, weight_decay):
     d_t2 = agg_t @ d_logits if agg is not None else d_logits
     g_w2 = h1.T @ d_t2 + weight_decay * weights["w2"]
     g_b2 = d_logits.sum(axis=0)
-    d_h1 = d_t2 @ weights["w2"].T
-    d_z1 = d_h1 * (z1 > 0.0)
+    d_z1 = d_t2 @ weights["w2"].T
+    d_z1 *= (z1 > 0.0)
     d_t1 = agg_t @ d_z1 if agg is not None else d_z1
     g_w1 = features.T @ d_t1 + weight_decay * weights["w1"]
     g_b1 = d_z1.sum(axis=0)

@@ -276,9 +276,10 @@ class TestVoteBounds:
                 hi = mid
         assert clopper_pearson_upper(k, n, level) == pytest.approx(lo, abs=1e-9)
 
-    @pytest.mark.parametrize("trials", [1, 7, 1000])
-    def test_arrays_match_scalar_calls(self, trials):
-        level = 0.003
+    @pytest.mark.parametrize("level", [1e-6, 1e-4, 0.003, 0.05, 0.5])
+    @pytest.mark.parametrize("trials", [1, 7, 1000, 10**5])
+    def test_arrays_match_scalar_calls(self, trials, level):
+        # Bit for bit against scipy.stats, which the package does not import.
         successes = np.unique(np.linspace(0, trials, 23).astype(np.int64))
         assert successes[0] == 0 and successes[-1] == trials
         lowers = clopper_pearson_lower(successes, trials, level)
@@ -325,6 +326,23 @@ class TestAbstainTest:
 
     def test_no_votes_abstains(self):
         assert abstain_test(0, 0, 0.01)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="runner_votes"):
+            majority_pvalue(3, -1)
+
+    def test_matches_scipy_stats_bit_for_bit(self):
+        # Every pair with top + runner <= 300, then a spread of pairs up to
+        # n = 10**5, (0, 0) and (k, 0) among them.
+        pairs = [(n - r, r) for n in range(301) for r in range(n // 2 + 1)]
+        rng = np.random.default_rng(0)
+        for n in [1000, 4097, 30_001, 99_999, 10**5]:
+            runners = {0, 1, n // 2, n // 2 - 1, *rng.integers(0, n // 2 + 1, 60)}
+            pairs += [(n - int(r), int(r)) for r in runners]
+        top, runner = np.array(pairs).T
+        expected = np.minimum(1.0, 2.0 * stats.binom.cdf(runner, top + runner, 0.5))
+        closed = np.array([majority_pvalue(int(t), int(r)) for t, r in pairs])
+        assert closed.tobytes() == expected.tobytes()
 
     def test_closed_form_matches_binomtest_decisions(self):
         # Every (top, runner) pair with top + runner <= 160.

@@ -167,6 +167,15 @@ class TestCommandSurface:
         assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_an_unread_flag_is_refused_with_the_commands_usage(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["certify-recsys", "--out", "x", "--ep", "3"])
+        assert err.value.code == 2
+        usage, message = capsys.readouterr().err.split("\nsmoothcert ")
+        assert usage.startswith("usage: smoothcert certify-recsys [-h]")
+        assert "--ratings RATINGS" in usage and "--epochs" not in usage
+        assert message == "certify-recsys: error: unrecognized arguments: --ep 3\n"
+
     @pytest.mark.parametrize("command, flag", UNREAD)
     def test_a_config_key_the_command_does_not_read_is_a_usage_error(
             self, tmp_path, capsys, command, flag):

@@ -1,7 +1,7 @@
 """Layout rules of the package source.
 
-No module imports another module's private helpers, only ``certify.py``
-imports ``scipy.stats``, and the API that lives in ``tests/oracles.py`` (the
+No module imports another module's private helpers, no module imports
+``scipy.stats`` (nor does ``import smoothcert`` load it), and the API that lives in ``tests/oracles.py`` (the
 single-budget certificate and the accessors only tests use) is not exported.
 Certificates read the smoothing noise, mode and degrees from the vote table,
 so no certify entry point takes them again. Every vote table is counted by
@@ -12,6 +12,9 @@ one writer, ``write_report``. Every radius is found by one search,
 """
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -157,8 +160,19 @@ def test_vote_table_has_no_stats_for():
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_only_certify_imports_scipy_stats(path):
-    assert bool(stats_imports(path)) == (path.name == "certify.py")
+def test_no_module_imports_scipy_stats(path):
+    assert stats_imports(path) == []
+
+
+def test_importing_the_package_leaves_scipy_stats_unloaded():
+    # A fresh interpreter: this one has loaded scipy.stats for the tests.
+    root = str(Path(smoothcert.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+    check = ("import sys, smoothcert; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    out = subprocess.run([sys.executable, "-c", check], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"
 
 
 def test_stats_import_is_detected(tmp_path):
