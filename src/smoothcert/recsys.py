@@ -17,7 +17,7 @@ from .certify import (RHO_CAP, clopper_pearson_lower, clopper_pearson_upper,
                       largest_certified_rho, prob_all_removed_recsys)
 
 
-_RANK_ROWS = 256  # rows per block: top_items scores, build_similarity's Jaccard
+_RANK_COLUMNS = 256  # item columns per block of top_items' similarity and scores
 
 
 def _histories(matrix: InteractionMatrix) -> sp.csr_matrix:
@@ -26,51 +26,104 @@ def _histories(matrix: InteractionMatrix) -> sp.csr_matrix:
                          shape=(matrix.users, matrix.items))
 
 
-def build_similarity(matrix: InteractionMatrix) -> sp.csr_matrix:
-    """Item x item Jaccard similarity, written over the co-occurrence counts:
-    ``both / ((count[j] + count[i]) - both)`` at ``(i, j)``."""
-    a = _histories(matrix)
-    similarity = a.T.tocsr() @ a
-    counts = similarity.diagonal()
-    for lo in range(0, counts.size, _RANK_ROWS):
-        bounds = similarity.indptr[lo:lo + _RANK_ROWS + 1]
-        part = slice(bounds[0], bounds[-1])
-        denominator = counts[similarity.indices[part]]
-        denominator += np.repeat(counts[lo:lo + _RANK_ROWS], np.diff(bounds))
-        denominator -= similarity.data[part]
-        similarity.data[part] /= denominator
+def _by_item(histories: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Items x users CSR of ``histories`` and each item's rating count."""
+    by_item = histories.T.tocsr()
+    return by_item, np.asarray(by_item.sum(axis=1), dtype=np.float64).ravel()
+
+
+def _jaccard_columns(by_item: sp.csr_matrix, counts: np.ndarray, lo: int,
+                     rated: np.ndarray) -> np.ndarray:
+    """Columns ``lo:lo + width`` of the item x item Jaccard similarity, dense,
+    where ``rated`` is ``histories[:, lo:lo + width]`` as a dense 0/1 array.
+
+    The similarity at ``(i, j)`` is ``both / ((count[i] + count[j]) - both)``
+    over the co-occurrence counts; all three are integer sums, exact in any
+    order. Where both counts are 0 the floor of 1 on the denominator gives
+    0 / 1 = 0; everywhere else it is already >= 1.
+    """
+    similarity = by_item @ rated
+    union = np.add.outer(counts, counts[lo:lo + rated.shape[1]])
+    union -= similarity
+    np.maximum(union, 1.0, out=union)
+    similarity /= union
     return similarity
 
 
-def top_items(similarity: sp.csr_matrix, histories: sp.csr_matrix,
-              k_prime: int) -> np.ndarray:
-    """Each user's top ``k_prime`` items by summed similarity to the history.
+def _running_top(scored_blocks, rows: int, k_prime: int) -> np.ndarray:
+    """Each row's ``k_prime`` highest positive scores over the ``(lo, score)``
+    column blocks, ties toward the lower item id; rows are padded with -1.
 
-    ``histories`` is a users x items CSR with each row's items ascending, so
-    the product adds a user's similarities in history order. History items
-    and zero-score items are never ranked and ties break toward the lower
-    item id; rows are padded with -1.
+    Each block is merged with the running top-K': ``np.partition`` finds the
+    K'-th score and only the candidates at or above it are sorted.
     """
     if k_prime < 1:
         raise ValueError("k_prime must be >= 1")
-    top = np.full((histories.shape[0], k_prime), -1, dtype=np.int64)
-    for lo in range(0, histories.shape[0], _RANK_ROWS):
-        block = histories[lo:lo + _RANK_ROWS]
-        score = (block @ similarity).toarray()
-        score[block.nonzero()] = 0.0
-        order = np.argsort(-score, axis=1, kind="stable")[:, :k_prime]
-        top[lo:lo + block.shape[0], :order.shape[1]] = np.where(
-            np.take_along_axis(score, order, axis=1) > 0.0, order, -1)
+    best = np.zeros((rows, k_prime))
+    top = np.full((rows, k_prime), -1, dtype=np.int64)
+    for lo, score in scored_blocks:
+        scores = np.hstack([best, score])
+        items = np.hstack([top, np.broadcast_to(
+            np.arange(lo, lo + score.shape[1]), score.shape)])
+        cut = np.partition(scores, -k_prime, axis=1)[:, -k_prime]
+        row, col = np.nonzero((scores >= cut[:, None]) & (scores > 0.0))
+        order = np.lexsort((items[row, col], -scores[row, col], row))
+        row, col = row[order], col[order]
+        rank = np.arange(row.size) - np.searchsorted(row, row)
+        kept = rank < k_prime
+        row, col, rank = row[kept], col[kept], rank[kept]
+        best.fill(0.0)
+        top.fill(-1)
+        best[row, rank] = scores[row, col]
+        top[row, rank] = items[row, col]
     return top
+
+
+def top_items(histories: sp.csr_matrix, k_prime: int) -> np.ndarray:
+    """Each user's top ``k_prime`` items by summed Jaccard similarity to the
+    history, the similarity taken over these same histories.
+
+    ``histories`` is a users x items 0/1 CSR with each row's items ascending.
+    Each block of scores is one CSR @ dense product, which adds a user's
+    similarities in history order (the absent entries add +0.0). History
+    items and zero-score items are never ranked and ties break toward the
+    lower item id; rows are padded with -1. Memory is O((users + items) x
+    block), never items x items.
+    """
+    by_item, counts = _by_item(histories)
+
+    def scored():
+        for lo in range(0, counts.size, _RANK_COLUMNS):
+            rated = by_item[lo:lo + _RANK_COLUMNS].T.toarray()
+            score = histories @ _jaccard_columns(by_item, counts, lo, rated)
+            score[rated > 0.0] = 0.0
+            yield lo, score
+
+    return _running_top(scored(), histories.shape[0], k_prime)
+
+
+def build_similarity(matrix: InteractionMatrix) -> sp.csr_matrix:
+    """The whole item x item Jaccard similarity of :func:`top_items`."""
+    by_item, counts = _by_item(_histories(matrix))
+    blocks = [sp.csr_matrix(_jaccard_columns(
+        by_item, counts, lo, by_item[lo:lo + _RANK_COLUMNS].T.toarray()))
+        for lo in range(0, counts.size, _RANK_COLUMNS)]
+    return sp.hstack([sp.csr_matrix((counts.size, 0)), *blocks], format="csr")
 
 
 def recommend_topk(similarity: sp.csr_matrix, user_history,
                    k_prime: int) -> np.ndarray:
-    """One row of :func:`top_items`, over the sorted distinct history items."""
+    """One user's :func:`top_items` on a prebuilt ``similarity``, over the
+    sorted distinct history items."""
     history = np.unique(np.asarray(user_history, dtype=np.int64))
-    row = sp.csr_matrix((np.ones(history.size), (np.zeros_like(history), history)),
-                        shape=(1, similarity.shape[0]))
-    top = top_items(similarity, row, k_prime)[0]
+    items = similarity.shape[0]
+    if history.size and (history[0] < 0 or history[-1] >= items):
+        raise ValueError("history item index out of range")
+    row = sp.csr_matrix((np.ones(history.size), history, [0, history.size]),
+                        shape=(1, items))
+    score = (row @ similarity).toarray()
+    score[0, history] = 0.0
+    top = _running_top([(0, score)], 1, k_prime)[0]
     return top[top >= 0]
 
 
@@ -96,9 +149,9 @@ def collect_item_votes(matrix: InteractionMatrix, num_samples: int,
                        threads: int = 1, first_index: int = 0) -> ItemVoteTable:
     """Count how often each item enters each user's smoothed top-K'.
 
-    Every sample rebuilds the similarity on its own smoothed rating matrix
-    and ranks all users still holding a rating at once (:func:`top_items`);
-    users left without ratings abstain for that sample.
+    Every sample ranks all users still holding a rating at once on the
+    similarity of its own smoothed rating matrix (:func:`top_items`); users
+    left without ratings abstain for that sample.
     """
     if k_prime < 1:
         raise ValueError("k_prime must be >= 1")
@@ -111,8 +164,7 @@ def collect_item_votes(matrix: InteractionMatrix, num_samples: int,
                 matrix, params, derive_sample_seed(master_seed, i))
             active = np.flatnonzero(smoothed.user_degrees)
             abstains += smoothed.user_degrees == 0
-            top = top_items(build_similarity(smoothed),
-                            _histories(smoothed)[active], k_prime)
+            top = top_items(_histories(smoothed)[active], k_prime)
             row, rank = np.nonzero(top >= 0)
             counts[active[row], top[row, rank]] += 1
         return counts, abstains

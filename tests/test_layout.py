@@ -8,7 +8,10 @@ so no certify entry point takes them again. Every vote table is counted by
 one constructor, ``BaseVoteTable.collect``, and every report is rendered by
 one writer, ``write_report``. Every radius is found by one search,
 ``largest_certified_rho``: no other function loops over the budget up to
-``RHO_CAP``.
+``RHO_CAP``. The recommender ranks through ``top_items`` only: the
+whole-matrix ``build_similarity`` and the one-user ``recommend_topk`` are
+kept for the benchmark's fixture and hooks, and nothing in the package
+calls them.
 """
 import ast
 import inspect
@@ -215,6 +218,11 @@ def test_stray_vote_counting_is_detected(tmp_path):
                       "    return inner()\n")
     assert calls_of(source, "accumulate_parallel") == [
         (4, "BaseVoteTable.collect"), (7, "collect_votes.inner")]
+
+
+@pytest.mark.parametrize("name", ["build_similarity", "recommend_topk"])
+def test_the_ranking_wrappers_have_no_caller_in_the_package(name):
+    assert [call for path in SOURCES for call in calls_of(path, name)] == []
 
 
 RADIUS_FUNCTIONS = ("certified_radii", "certified_overlap_radii",

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -143,12 +144,14 @@ class TestRecommendTopK:
             with pytest.raises(ValueError):
                 recommend_topk(similarity, [0, item], 2)
 
-    def test_rows_are_padded_to_k_prime(self, two_user_matrix):
-        similarity = build_similarity(two_user_matrix)
+    def test_rows_are_padded_to_k_prime(self):
+        # The two users of two_user_matrix and one without any rating.
         histories = sp.csr_matrix(np.array([[1.0, 1.0, 0.0, 0.0],
+                                            [0.0, 1.0, 1.0, 0.0],
                                             [0.0, 0.0, 0.0, 0.0]]))
-        top = top_items(similarity, histories, 6)
-        assert top.tolist() == [[2, -1, -1, -1, -1, -1], [-1] * 6]
+        top = top_items(histories, 6)
+        assert top.tolist() == [[2, -1, -1, -1, -1, -1],
+                                [0, -1, -1, -1, -1, -1], [-1] * 6]
 
     def test_matches_the_reference_per_user(self):
         rng = np.random.default_rng(77)
@@ -163,6 +166,57 @@ class TestRecommendTopK:
                 shuffled = rng.permutation(np.concatenate([history, history[:1]]))
                 assert np.array_equal(
                     recommend_topk(similarity, shuffled, k_prime), expected)
+
+
+def assert_ranked_as_reference(matrix, k_prime):
+    """``top_items`` over the whole matrix against the per-user oracle."""
+    top = top_items(recsys._histories(matrix), k_prime)
+    cooccurrence = reference_cooccurrence(matrix)
+    for u in range(matrix.users):
+        expected = np.full(k_prime, -1)
+        ranked = reference_topk(cooccurrence, matrix.items_of(u), k_prime)
+        expected[:ranked.size] = ranked
+        assert top[u].tolist() == expected.tolist()
+    return top
+
+
+class TestTopItems:
+    """The column-blocked ranking against the per-user oracle, with 3-item
+    blocks so that every case below spans several of them."""
+
+    @pytest.fixture(autouse=True)
+    def three_item_blocks(self, monkeypatch):
+        monkeypatch.setattr(recsys, "_RANK_COLUMNS", 3)
+
+    def test_tie_at_the_cut_spans_a_block_boundary(self):
+        # User 0 rated item 0 only; items 2 | 3, 4, 5 all score 1/3 for it,
+        # on both sides of the boundary between blocks {0, 1, 2} and {3, 4, 5}.
+        matrix = InteractionMatrix(users=3, items=6,
+                                   pairs=[(0, 0), (1, 0), (1, 2), (1, 4),
+                                          (2, 0), (2, 3), (2, 5)])
+        for k_prime in (1, 2, 3):
+            top = assert_ranked_as_reference(matrix, k_prime)
+            assert top[0].tolist() == [2, 3, 4][:k_prime]
+
+    def test_k_prime_beyond_the_positive_scores(self, two_user_matrix):
+        top = assert_ranked_as_reference(two_user_matrix, 7)
+        assert top.tolist() == [[2] + [-1] * 6, [0] + [-1] * 6]
+
+    def test_history_covering_every_item(self):
+        matrix = InteractionMatrix(users=2, items=7,
+                                   pairs=[(0, i) for i in range(7)]
+                                   + [(1, 1), (1, 5)])
+        top = assert_ranked_as_reference(matrix, 4)
+        assert top[0].tolist() == [-1] * 4
+        assert top[1].tolist() == [0, 2, 3, 4]
+
+    def test_never_rated_item_is_never_ranked(self, two_user_matrix):
+        # Item 3 has no rating: its column is 0 / 0 without the floor.
+        with np.errstate(divide="raise", invalid="raise"):
+            top = assert_ranked_as_reference(two_user_matrix, 3)
+            similarity = build_similarity(two_user_matrix).toarray()
+        assert not (top == 3).any()
+        assert np.isfinite(similarity).all() and not similarity[:, 3].any()
 
 
 class TestCollectItemVotes:
@@ -276,10 +330,10 @@ class TestCollectItemVotes:
         assert np.array_equal(serial.counts, parallel.counts)
         assert np.array_equal(serial.abstains, parallel.abstains)
 
-    @pytest.mark.parametrize("block_rows", [recsys._RANK_ROWS, 3])
-    def test_bit_equal_to_the_reference_loop(self, monkeypatch, block_rows):
-        # A 3-row block splits the users and the items into several blocks.
-        monkeypatch.setattr(recsys, "_RANK_ROWS", block_rows)
+    @pytest.mark.parametrize("block_columns", [recsys._RANK_COLUMNS, 3])
+    def test_bit_equal_to_the_reference_loop(self, monkeypatch, block_columns):
+        # A 3-column block splits the items into several blocks.
+        monkeypatch.setattr(recsys, "_RANK_COLUMNS", block_columns)
         rng = np.random.default_rng(5150)
         voted = 0
         for case in range(64):
@@ -298,6 +352,21 @@ class TestCollectItemVotes:
                 assert table.abstains.tobytes() == abstains.tobytes()
             voted += bool(counts.any())
         assert voted >= 40
+
+    def test_one_sample_never_holds_the_item_similarity(self):
+        # 50 users rating about 600 of 3000 items each: most item pairs
+        # co-occur, so a whole similarity matrix would take about 100 MB.
+        rng = np.random.default_rng(3000)
+        matrix = InteractionMatrix(users=50, items=3000,
+                                   pairs=np.argwhere(rng.random((50, 3000)) < 0.2))
+        tracemalloc.start()
+        try:
+            collect_item_votes(matrix, 1, SmoothingParams(0, 0), k_prime=10,
+                               master_seed=0, threads=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_frequencies_match_enumeration(self, enum_matrix):
         params = SmoothingParams(p_e=0.35, p_n=0.25)
