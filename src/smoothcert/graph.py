@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -252,9 +253,10 @@ def load_node_classification_dataset(edge_path, node_path) -> Graph:
 
     The edge file holds one ``u<TAB>v`` pair per line (0-indexed). The node
     file is a CSV with header ``node_id,label,f_1,...,f_d``; an empty label
-    cell marks an unlabeled node. The node count is ``max node_id + 1``; edge
-    endpoints must stay below it. Self-loops and repeated edges are rejected
-    with the offending line number.
+    cell marks an unlabeled node, and every feature cell must be a finite
+    number (``nan`` and ``inf`` are rejected). The node count is ``max
+    node_id + 1``; edge endpoints must stay below it. Self-loops and
+    repeated edges are rejected with the offending line number.
     """
     node_path = Path(node_path)
     with open(node_path, newline="", encoding="utf-8") as fh:
@@ -287,6 +289,8 @@ def load_node_classification_dataset(edge_path, node_path) -> Graph:
                 raise ParseError(node_path, line_no, "malformed label or feature") from None
             if label < -1:
                 raise ParseError(node_path, line_no, f"negative label {label}")
+            if not all(map(math.isfinite, feats)):
+                raise ParseError(node_path, line_no, "non-finite feature")
             rows[node_id] = (label, feats)
 
     n = (max(rows) + 1) if rows else 0

@@ -20,6 +20,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .graph import DataSplit, Graph
 from .sampling import SmoothingParams, derive_sample_seed, sample_smoothed_graph
@@ -48,6 +49,8 @@ class ClassifierSpec:
             raise ValueError("hidden_dim must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if not (np.isfinite(self.learning_rate) and np.isfinite(self.weight_decay)):
+            raise ValueError("learning_rate and weight_decay must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,31 +98,68 @@ def _init_weights(spec: ClassifierSpec, num_features: int, num_classes: int) -> 
     }
 
 
-def _forward(weights: dict, agg: Optional[sp.csr_matrix], t1: np.ndarray):
-    """Forward pass from the first-layer product ``t1 = features @ w1``;
-    ``agg`` is None for the MLP.
+def _sparse_product_into(op, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``op @ x`` for a CSR or CSC ``op`` and a 2-d ``x``, written into the
+    C-contiguous float64 ``out`` and returned.
+
+    Runs the kernel that ``op @ x`` runs (``_cs_matrix._matmul_vector`` for
+    one column, ``_matmul_multivector`` otherwise, scipy 1.17.1) on a zeroed
+    ``out`` instead of a fresh ``np.zeros``, so every sum runs in the same
+    order and the result is bit for bit the same.
+    """
+    rows, cols = op.shape
+    out.fill(0.0)
+    if x.shape[1] == 1:
+        kernel = getattr(_sparsetools, op.format + "_matvec")
+        kernel(rows, cols, op.indptr, op.indices, op.data, x.ravel(), out.ravel())
+    else:
+        kernel = getattr(_sparsetools, op.format + "_matvecs")
+        kernel(rows, cols, x.shape[1], op.indptr, op.indices, op.data,
+               x.ravel(), out.ravel())
+    return out
+
+
+class _Workspace:
+    """The n x hidden buffers of one training, written in place by every epoch.
+
+    At n = 3000 and hidden 64 each float64 buffer is 1.5 MB, above glibc's
+    mmap threshold: a fresh array per epoch maps new pages and faults them
+    in again. ``t1`` holds ``features @ w1`` in the forward pass and, once
+    that is spent, ``agg.T @ d_z1`` in the backward pass; ``h1`` holds
+    ``agg @ t1 + b1`` and then its relu; ``positive`` is the relu mask.
+    """
+
+    def __init__(self, rows: int, hidden: int):
+        self.t1 = np.empty((rows, hidden))
+        self.h1 = np.empty((rows, hidden))
+        self.d_z1 = np.empty((rows, hidden))
+        self.positive = np.empty((rows, hidden), dtype=bool)
+
+
+def _forward(weights: dict, agg: Optional[sp.csr_matrix], t1: np.ndarray,
+             h1: np.ndarray) -> np.ndarray:
+    """Logits from the first-layer product ``t1 = features @ w1``; ``agg`` is
+    None for the MLP. The hidden activations are written into ``h1``, a
+    C-contiguous float64 array of ``t1``'s shape that shares no memory with it.
 
     Features are transformed before aggregation (same map by associativity),
-    so ``t1`` can be cached across smoothing samples.
-
-    The hidden-layer temporaries (n x hidden float64, above glibc's default
-    128 KiB mmap threshold at a few hundred nodes) are updated in place where
-    they are fresh: each one fewer is one fewer block mapped and returned to
-    the OS, and its pages faulted in again, on every training epoch.
+    so ``t1`` can be cached across smoothing samples; it is only read.
     """
     if agg is not None:
-        z1 = agg @ t1
-        z1 += weights["b1"]
+        _sparse_product_into(agg, t1, h1)
+        h1 += weights["b1"]
     else:
-        z1 = t1 + weights["b1"]  # t1 may be the caller's cached array
-    h1 = np.maximum(z1, 0.0)
+        np.add(t1, weights["b1"], out=h1)
+    np.maximum(h1, 0.0, out=h1)
     t2 = h1 @ weights["w2"]
-    logits = (agg @ t2 if agg is not None else t2) + weights["b2"]
-    return z1, h1, logits
+    return (agg @ t2 if agg is not None else t2) + weights["b2"]
 
 
-def _gradients(weights, agg, agg_t, features, labels, train_idx, weight_decay):
-    z1, h1, logits = _forward(weights, agg, features @ weights["w1"])
+def _gradients(weights, agg, agg_t, features, labels, train_idx, weight_decay,
+               work: _Workspace):
+    t1 = np.matmul(features, weights["w1"], out=work.t1)
+    h1 = work.h1
+    logits = _forward(weights, agg, t1, h1)
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs = e / e.sum(axis=1, keepdims=True)  # softmax
     d_logits = np.zeros_like(probs)
@@ -130,9 +170,10 @@ def _gradients(weights, agg, agg_t, features, labels, train_idx, weight_decay):
     d_t2 = agg_t @ d_logits if agg is not None else d_logits
     g_w2 = h1.T @ d_t2 + weight_decay * weights["w2"]
     g_b2 = d_logits.sum(axis=0)
-    d_z1 = d_t2 @ weights["w2"].T
-    d_z1 *= (z1 > 0.0)
-    d_t1 = agg_t @ d_z1 if agg is not None else d_z1
+    d_z1 = np.matmul(d_t2, weights["w2"].T, out=work.d_z1)
+    # relu(z1) > 0 exactly where z1 > 0 (NaN is neither).
+    d_z1 *= np.greater(h1, 0.0, out=work.positive)
+    d_t1 = _sparse_product_into(agg_t, d_z1, t1) if agg is not None else d_z1
     g_w1 = features.T @ d_t1 + weight_decay * weights["w1"]
     g_b1 = d_z1.sum(axis=0)
     return {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2}
@@ -154,18 +195,30 @@ def _check_train_nodes(graph: Graph, train_idx: np.ndarray) -> None:
 def _fit(spec: ClassifierSpec, graph: Graph, train_idx: np.ndarray,
          operators: Iterable[Optional[sp.csr_matrix]]) -> dict:
     """Trained weights after one Adagrad step per operator in ``operators``
-    (None for the MLP); each distinct operator is transposed once."""
+    (None for the MLP); each distinct operator is transposed once.
+
+    Raises ``FloatingPointError`` if training leaves a weight that is not
+    finite: such a model would put every vote on class 0. That check is the
+    one report of an overflow, so numpy's per-operation warnings are off.
+    """
     if graph.num_classes < 2:
         raise ValueError("training requires at least 2 classes")
     weights = _init_weights(spec, graph.num_features, graph.num_classes)
     cache = {k: np.zeros_like(v) for k, v in weights.items()}
+    work = _Workspace(graph.n, spec.hidden_dim)
     agg = agg_t = None  # the MLP's None operator never needs a transpose
-    for operator in operators:
-        if operator is not agg:
-            agg, agg_t = operator, operator.T
-        grads = _gradients(weights, agg, agg_t, graph.features, graph.labels,
-                           train_idx, spec.weight_decay)
-        _adagrad_step(weights, grads, cache, spec.learning_rate)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for operator in operators:
+            if operator is not agg:
+                agg, agg_t = operator, operator.T
+            grads = _gradients(weights, agg, agg_t, graph.features, graph.labels,
+                               train_idx, spec.weight_decay, work)
+            _adagrad_step(weights, grads, cache, spec.learning_rate)
+    if not all(np.isfinite(w).all() for w in weights.values()):
+        raise FloatingPointError(
+            f"{spec.kind} training diverged: weights are not finite after "
+            f"{spec.epochs} epochs (learning rate {spec.learning_rate}, "
+            f"weight decay {spec.weight_decay})")
     return weights
 
 
@@ -225,8 +278,8 @@ def predict_rows(model: TrainedModel, transformed: np.ndarray, nodes: np.ndarray
     """
     agg = (normalized_operator(len(nodes), edges)
            if model.spec.kind == "message_passing_2layer" else None)
-    logits = _forward(model.weights, agg, transformed[nodes])[-1]
-    return np.argmax(logits, axis=1)
+    t1 = transformed[nodes]
+    return np.argmax(_forward(model.weights, agg, t1, np.empty_like(t1)), axis=1)
 
 
 def train_predict_end_to_end(spec: ClassifierSpec, graph: Graph, split: DataSplit,
@@ -257,7 +310,7 @@ def train_predict_end_to_end(spec: ClassifierSpec, graph: Graph, split: DataSpli
     agg = (normalized_operator(graph.n, graph.edges)
            if spec.kind == "message_passing_2layer" else None)
     weights = _fit(spec, graph, train_idx, repeat(agg, spec.epochs))
-    logits = _forward(weights, agg, graph.features @ weights["w1"])[-1]
-    preds = np.argmax(logits, axis=1)
+    t1 = graph.features @ weights["w1"]
+    preds = np.argmax(_forward(weights, agg, t1, np.empty_like(t1)), axis=1)
     abstain = isolated.copy() if mode == "exclude" else np.zeros(graph.n, dtype=bool)
     return preds, abstain

@@ -278,6 +278,17 @@ class TestParseConfig:
         assert main([command, *self.NODE_RUN, flag, "0"]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["certify-evasion", "certify-poison",
+                                         "empirical-attack"])
+    @pytest.mark.parametrize("flag, value", [("--lr", "nan"),
+                                             ("--weight-decay", "inf")])
+    def test_non_finite_optimizer_setting_is_usage_error(self, capsys, command,
+                                                         flag, value):
+        # Refused before any file is read, so the missing dataset is not
+        # what fails.
+        assert main([command, *self.NODE_RUN, flag, value]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["certify-evasion", *NODE_RUN],
         ["certify-poison", *NODE_RUN],
@@ -410,6 +421,30 @@ class TestCertifyEvasionCommand:
                      "--p-n", "0.8", "--n", "10"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["certify-evasion", "certify-poison"])
+    def test_diverged_training_is_runtime_error(self, tmp_path, capsys, command):
+        edges, nodes = make_tiny_dataset(tmp_path)
+        code = main([command, "--out", str(tmp_path / "o"),
+                     "--dataset-edges", str(edges), "--dataset-nodes", str(nodes),
+                     "--p-n", "0.5", "--n", "4", "--hidden-dim", "4",
+                     "--epochs", "5", "--lr", "1e300"])
+        assert code == 1
+        assert "error: message_passing_2layer training diverged" in (
+            capsys.readouterr().err.splitlines()[-1])
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_is_runtime_error(self, tmp_path, capsys, cell):
+        edges, nodes = make_tiny_dataset(tmp_path)
+        lines = nodes.read_text().splitlines()
+        lines[3] = ",".join(lines[3].split(",")[:-1] + [cell])
+        nodes.write_text("\n".join(lines) + "\n")
+        code = main(["certify-evasion", "--out", str(tmp_path / "o"),
+                     "--dataset-edges", str(edges), "--dataset-nodes", str(nodes),
+                     "--p-n", "0.5", "--n", "4"])
+        assert code == 1
+        assert "nodes.csv:4: non-finite feature" in capsys.readouterr().err
 
 
 class TestCertifyPoisonCommand:

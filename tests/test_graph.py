@@ -109,6 +109,20 @@ class TestNodeClassificationLoader:
         with pytest.raises(ParseError, match="duplicate node id"):
             load_node_classification_dataset(*paths)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity",
+                                      "1e309"])
+    def test_non_finite_feature_names_its_line(self, tmp_path, cell):
+        nodes = f"node_id,label,f_1,f_2\n0,0,1.0,2.0\n1,1,{cell},0.5\n"
+        paths = write_dataset(tmp_path, "0\t1\n", nodes)
+        with pytest.raises(ParseError, match=r"nodes\.csv:3: non-finite feature"):
+            load_node_classification_dataset(*paths)
+
+    def test_largest_finite_features_load(self, tmp_path):
+        nodes = "node_id,label,f_1,f_2\n0,0,1e308,-1e308\n1,1,0.5,0.5\n"
+        graph = load_node_classification_dataset(
+            *write_dataset(tmp_path, "0\t1\n", nodes))
+        assert graph.features[0].tolist() == [1e308, -1e308]
+
     def test_round_trip(self, tmp_path):
         graph, _ = generate_sbm(30, 3, 0.4, 0.1, 5, seed=3)
         edge_path = tmp_path / "e.tsv"

@@ -11,7 +11,8 @@ one writer, ``write_report``. Every radius is found by one search,
 ``RHO_CAP``. The recommender ranks through ``top_items`` only: the
 whole-matrix ``build_similarity`` and the one-user ``recommend_topk`` are
 kept for the benchmark's fixture and hooks, and nothing in the package
-calls them.
+calls them. The only private scipy names the package imports are pinned,
+since each one ties it to the scipy floor in ``pyproject.toml``.
 """
 import ast
 import inspect
@@ -64,6 +65,22 @@ def stats_imports(path):
         if any(name == "scipy.stats" or name.startswith("scipy.stats.")
                for name in names):
             found.append(node.lineno)
+    return found
+
+
+def private_scipy_imports(path):
+    """Dotted path of every imported scipy name with a private component."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [name for name in names if name.split(".")[0] == "scipy"
+                  and any(part.startswith("_") and not part.endswith("__")
+                          for part in name.split("."))]
     return found
 
 
@@ -186,6 +203,32 @@ def test_stats_import_is_detected(tmp_path):
                       "import scipy.special\n"
                       "from scipy import special\n")
     assert stats_imports(source) == [1, 2, 3]
+
+
+def test_private_scipy_names_are_pinned():
+    # Both are checked against scipy 1.17.1: the binomial CDF ufunc behind
+    # certify.majority_pvalue and the sparse kernels behind
+    # models._sparse_product_into.
+    found = {path.name: private_scipy_imports(path) for path in SOURCES}
+    assert {name: imports for name, imports in found.items() if imports} == {
+        "certify.py": ["scipy.special._ufuncs._binom_cdf"],
+        "models.py": ["scipy.sparse._sparsetools"]}
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert '"scipy>=1.17.1"' in pyproject.read_text(encoding="utf-8")
+
+
+def test_private_scipy_import_is_detected(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("import scipy._lib\n"
+                      "import scipy.sparse\n"
+                      "from scipy import special, _lib\n"
+                      "from scipy.sparse import _sparsetools, csr_matrix\n"
+                      "from scipy.special._ufuncs import _binom_cdf\n"
+                      "from scipy import __version__\n"
+                      "from numpy import _NoValue\n")
+    assert private_scipy_imports(source) == [
+        "scipy._lib", "scipy._lib", "scipy.sparse._sparsetools",
+        "scipy.special._ufuncs._binom_cdf"]
 
 
 def test_one_report_writer():

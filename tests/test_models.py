@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -247,3 +249,101 @@ class TestMatchesReferenceLoops:
             for key, value in ref_weights.items():
                 assert np.array_equal(weights[key], value)
         assert bypassed  # some sample must leave a training node isolated
+
+
+class TestSparseProductInto:
+    """The in-place sparse product equals ``op @ x`` bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(op, x):
+        out = np.full((op.shape[0], x.shape[1]), np.nan)
+        assert models._sparse_product_into(op, x, out) is out
+        expected = op @ x
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 64])
+    def test_operator_and_its_transpose(self, sbm_fixture, width):
+        graph, _ = sbm_fixture
+        op = normalized_operator(graph.n, graph.edges)
+        assert op.format == "csr" and op.T.format == "csc"
+        x = np.random.default_rng(width).standard_normal((graph.n, width))
+        self.assert_same_bits(op, x)
+        self.assert_same_bits(op.T, x)
+
+    def test_isolated_rows(self, sbm_fixture):
+        graph, _ = sbm_fixture
+        rng = np.random.default_rng(5)
+        sample = sample_smoothed_graph(graph, SmoothingParams(0.3, 0.6), 1).graph
+        extended = append_isolated(sample, 4, rng)
+        assert (extended.degrees == 0).sum() > 4
+        op = normalized_operator(extended.n, extended.edges)
+        x = rng.standard_normal((extended.n, 5))
+        self.assert_same_bits(op, x)
+        self.assert_same_bits(op.T, x)
+
+    @pytest.mark.parametrize("layout", ["strided", "fortran", "column"])
+    def test_non_contiguous_input(self, sbm_fixture, layout):
+        graph, _ = sbm_fixture
+        op = normalized_operator(graph.n, graph.edges)
+        wide = np.random.default_rng(9).standard_normal((graph.n, 12))
+        x = {"strided": wide[:, ::3], "fortran": np.asfortranarray(wide),
+             "column": wide[:, 4:5]}[layout]
+        assert not x.flags.c_contiguous
+        self.assert_same_bits(op, x)
+        self.assert_same_bits(op.T, x)
+
+
+class TestTrainingWorkspace:
+    """Every epoch writes its n x hidden arrays into one workspace."""
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        return generate_sbm(3000, 2, 0.01, 0.001, 8, seed=0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_epochs_after_the_first_allocate_no_hidden_array(self, large, kind):
+        graph, split = large
+        spec = ClassifierSpec(kind=kind, hidden_dim=64, epochs=5)
+        one_array = graph.n * spec.hidden_dim * 8  # 1.536 MB of float64
+        params = SmoothingParams(0.1, 0.8)
+        rises = []
+
+        def operators():
+            for epoch in range(spec.epochs):
+                agg = (normalized_operator(graph.n, sample_smoothed_graph(
+                    graph, params, epoch).graph.edges)
+                    if kind == "message_passing_2layer" else None)
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                yield agg
+                rises.append(tracemalloc.get_traced_memory()[1] - start)
+
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            models._fit(spec, graph, np.asarray(split.train), operators())
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(rises) == spec.epochs
+        assert max(rises[1:]) < one_array, rises
+
+
+class TestNonFiniteTraining:
+    @pytest.mark.parametrize("setting", ["learning_rate", "weight_decay"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_spec_rejects_non_finite_settings(self, setting, value):
+        with pytest.raises(ValueError, match="finite"):
+            ClassifierSpec(**{setting: value})
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_diverged_weights_raise(self, sbm_fixture, kind):
+        graph, split = sbm_fixture
+        spec = ClassifierSpec(kind=kind, hidden_dim=4, epochs=7, learning_rate=1e300)
+        with pytest.raises(FloatingPointError,
+                           match=f"{kind} training .* after 7 epochs"):
+            train_with_noise(spec, graph, split, SmoothingParams(0.1, 0.5))
+        with pytest.raises(FloatingPointError):
+            train_predict_end_to_end(spec, graph, split)
