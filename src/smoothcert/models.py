@@ -245,25 +245,29 @@ def train_with_noise(spec: ClassifierSpec, graph: Graph, split: DataSplit,
 
 
 def feature_transform(model: TrainedModel, features: np.ndarray) -> np.ndarray:
-    """First-layer feature product, cacheable across smoothing samples."""
+    """First-layer feature product, cacheable across smoothing samples.
+
+    Raises ``ValueError`` naming the first node whose product is not finite:
+    that node's logits would not be finite, and NaN logits vote for class 0.
+    """
     if features.shape[1] != model.num_features:
         raise ValueError(
             f"feature dimension {features.shape[1]} does not match "
             f"the trained model ({model.num_features})")
-    return features @ model.weights["w1"]
+    # The check below is the one report of an overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        transformed = features @ model.weights["w1"]
+    bad = np.flatnonzero(~np.isfinite(transformed).all(axis=1))
+    if bad.size:
+        raise ValueError(f"features of node {bad[0]} give a first-layer product "
+                         "that is not finite")
+    return transformed
 
 
-def predict(model: TrainedModel, graph: Graph,
-            transformed: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per-node class predictions (argmax, ties to the lower class id).
-
-    ``transformed`` may carry a cached :func:`feature_transform` result when
-    many graphs share the same feature matrix.
-    """
-    # feature_transform also rejects features of the wrong dimension.
-    if transformed is None or graph.num_features != model.num_features:
-        transformed = feature_transform(model, graph.features)
-    return predict_rows(model, transformed, np.arange(graph.n), graph.edges)
+def predict(model: TrainedModel, graph: Graph) -> np.ndarray:
+    """Per-node class predictions (argmax, ties to the lower class id)."""
+    return predict_rows(model, feature_transform(model, graph.features),
+                        np.arange(graph.n), graph.edges)
 
 
 def predict_rows(model: TrainedModel, transformed: np.ndarray, nodes: np.ndarray,

@@ -5,6 +5,7 @@ not depend on how sample indices are chunked across worker threads.
 """
 from __future__ import annotations
 
+import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -179,7 +180,7 @@ def collect_votes_evasion(model: TrainedModel, graph: Graph, num_samples: int,
     transformed = feature_transform(model, graph.features)
     # A node without kept edges sees only its self-loop, so its prediction
     # is the one it gets in the edgeless graph, whatever the sample.
-    isolated = predict(model, Graph(n, (), graph.features), transformed)
+    isolated = predict(model, Graph(n, (), graph.features))
     aggregates = model.spec.kind == "message_passing_2layer"
 
     def worker(lo, hi):
@@ -407,51 +408,16 @@ def average_certified_radius(curve: CertCurve) -> float:
     return math.fsum(p.certified_accuracy for p in curve.points if p.rho >= 1)
 
 
-def format_float(x: float) -> str:
-    """Render a float with 17 significant digits (lossless round-trip)."""
-    return "%.17g" % float(x)
-
-
-def render_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON with sorted keys and 17-significant-digit floats."""
-    import json as _json
-
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None or isinstance(obj, (bool, str)):
-        return _json.dumps(obj)
-    if isinstance(obj, (np.integer, int)):
-        return str(int(obj))
-    if isinstance(obj, (np.floating, float)):
-        value = float(obj)
-        if not math.isfinite(value):
-            raise ValueError("reports may not contain non-finite numbers")
-        return format_float(value)
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(inner + render_json(v, indent + 1) for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{_json.dumps(str(k))}: {render_json(v, indent + 1)}"
-            for k, v in sorted(obj.items(), key=lambda kv: str(kv[0])))
-        return "{\n" + items + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def write_report(curves: Sequence[Curve], metadata: dict, out_dir) -> list[Path]:
     """Write one CSV per curve plus a JSON summary.
 
     Each ``<csv_prefix><tau>.csv`` has the curve's point fields as its
     header, e.g. ``rho,certified_accuracy,abstain_rate`` in
     ``curve_tau5.csv``. The JSON carries the caller's metadata (settings,
-    seeds) and each curve's summary. Output is a pure function of the
-    inputs, so identical runs produce identical bytes.
+    seeds) and each curve's summary. CSV floats have 17 significant digits;
+    JSON floats the shortest spelling that reads back as the same double.
+    Output is a pure function of the inputs, so identical runs produce
+    identical bytes.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -460,15 +426,16 @@ def write_report(curves: Sequence[Curve], metadata: dict, out_dir) -> list[Path]
         csv_path = out / f"{curve.csv_prefix}{curve.tau}.csv"
         names = [f.name for f in fields(curve.point_type)]
         lines = [",".join(names)] + [
-            ",".join([str(p.rho)] + [format_float(getattr(p, n)) for n in names[1:]])
+            ",".join([str(p.rho)] + ["%.17g" % getattr(p, n) for n in names[1:]])
             for p in curve.points]
         csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(csv_path)
         summaries.append({"tau": curve.tau, **curve.summary(),
                           "csv": csv_path.name})
     report_path = out / "report.json"
+    report = {"metadata": metadata, "curves": summaries}
     report_path.write_text(
-        render_json({"metadata": metadata, "curves": summaries}) + "\n",
+        json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n",
         encoding="utf-8")
     written.append(report_path)
     return written

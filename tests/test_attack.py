@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,19 @@ class TestApplyAttack:
                          edges=np.array([[0, graph.n + 5]]), strategy="random")
         with pytest.raises(ValueError, match="target"):
             apply_attack(graph, bad)
+
+    def test_nan_injected_feature_is_refused_before_voting(self, sbm_fixture):
+        graph, split = sbm_fixture
+        params = SmoothingParams(0.1, 0.3)
+        model = train_with_noise(ClassifierSpec(hidden_dim=8, epochs=5, seed=3),
+                                 graph, split, params)
+        plan = craft_injection(graph, PerturbationBudget(rho=3, tau=2),
+                               "random", seed=4)
+        features = plan.features.copy()
+        features[1, 0] = np.nan
+        attacked = apply_attack(graph, replace(plan, features=features))
+        with pytest.raises(ValueError, match=f"node {graph.n + 1} .* not finite"):
+            collect_votes_evasion(model, attacked, 20, params, master_seed=7)
 
 
 class TestEmpiricalAccuracy:

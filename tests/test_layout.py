@@ -6,7 +6,8 @@ single-budget certificate and the accessors only tests use) is not exported.
 Certificates read the smoothing noise, mode and degrees from the vote table,
 so no certify entry point takes them again. Every vote table is counted by
 one constructor, ``BaseVoteTable.collect``, and every report is rendered by
-one writer, ``write_report``. Every radius is found by one search,
+one writer, ``write_report``: it and ``AttackPlan.to_json`` are the only
+callers of the JSON encoder. Every radius is found by one search,
 ``largest_certified_rho``: no other function loops over the budget up to
 ``RHO_CAP``. The recommender ranks through ``top_items`` only: the
 whole-matrix ``build_similarity`` and the one-user ``recommend_topk`` are
@@ -237,10 +238,25 @@ def test_one_report_writer():
     assert smoothcert.write_recommender_report is smoothcert.write_report
 
 
+def json_encodes(path):
+    """``(line, scope)`` of every call of ``json.dumps`` or ``json.dump``."""
+    return calls_of(path, "dumps") + calls_of(path, "dump")
+
+
 def test_reports_are_rendered_only_by_write_report():
-    scopes = {scope for path in SOURCES
-              for _, scope in calls_of(path, "render_json")}
-    assert scopes == {"write_report", "render_json"}
+    # attack_plan.json is the one JSON file that is not a report.
+    scopes = sorted(scope for path in SOURCES for _, scope in json_encodes(path))
+    assert scopes == ["AttackPlan.to_json", "write_report"]
+
+
+def test_stray_renderer_is_detected(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("import json\n"
+                      "def write_report(report):\n"
+                      "    return json.dumps(report)\n"
+                      "def render(obj, fh):\n"
+                      "    json.dump(obj, fh)\n")
+    assert json_encodes(source) == [(3, "write_report"), (5, "render")]
 
 
 def test_votes_are_counted_only_by_collect():

@@ -4,7 +4,7 @@
 their callers look up, and reads their arguments and results. A refactor
 that renames such a function, or changes how it is called, breaks the
 traced run, which nothing else in the suite executes. These are tiny runs
-of three benchmark workloads through the same hooks.
+of every benchmark workload through the same hooks.
 """
 import sys
 from dataclasses import replace
@@ -48,8 +48,8 @@ def ratings_dir(tmp_path):
     return tmp_path
 
 
-@pytest.mark.parametrize("name", ["evasion-small", "poison-exclude",
-                                  "recsys-ml100k"])
+@pytest.mark.parametrize("name", ["evasion-small", "evasion-large",
+                                  "poison-exclude", "recsys-ml100k"])
 def test_traced_run_yields_every_metric(perfbench, sbm_dir, tmp_path, name):
     run, traced = perfbench
     workload = replace(run.WORKLOADS[name], samples=20, check_samples=4)

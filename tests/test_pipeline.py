@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -54,6 +55,18 @@ class TestCollectVotesEvasion:
         assert np.array_equal(table.majority_classes, clean)
         assert table.counts.sum() == two_clique_graph.n
         assert not table.abstains.any()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_are_refused(self, two_clique_graph,
+                                             identity_model, value):
+        # NaN logits would put every vote of the node on class 0.
+        features = two_clique_graph.features.copy()
+        features[2, 1] = value
+        graph = Graph(4, two_clique_graph.edges, features,
+                      two_clique_graph.labels)
+        with pytest.raises(ValueError, match="node 2 .* not finite"):
+            collect_votes_evasion(identity_model, graph, 20,
+                                  SmoothingParams(0.1, 0.2), master_seed=5)
 
     def test_disjoint_ranges_merge_to_full_run(self, two_clique_graph, identity_model):
         params = SmoothingParams(0.3, 0.2)
@@ -645,6 +658,29 @@ class TestWriteReport:
         body = (tmp_path / "report.json").read_text()
         assert '"note": "empty"' in body
         assert '"curves": []' in body
+
+    def test_floats_read_back_as_the_same_doubles(self, tmp_path):
+        values = [1 / 3, 0.1, 5e-4, 1.0, 0.0, 1e-300, 5e-324]
+
+        def curve(tau, value):
+            # Its clean accuracy, abstain rate and area all equal ``value``.
+            points = (CurvePoint(0, value, value), CurvePoint(1, value, value),
+                      CurvePoint(2, 0.0, value))
+            return CertCurve(tau=tau, points=points, clean_accuracy=value)
+
+        curves = [curve(tau, value) for tau, value in enumerate(values, start=1)]
+        write_report(curves, {"values": values}, tmp_path)
+        body = (tmp_path / "report.json").read_text()
+        report = json.loads(body)
+        summaries = report["curves"]
+        read = [report["metadata"]["values"]] + [
+            [s[key] for s in summaries] for key in
+            ("clean_accuracy", "abstain_rate", "average_certified_radius")]
+        for column in read:
+            assert column == values
+            assert all(type(v) is float for v in column)
+        assert '"clean_accuracy": 0.1,' in body
+        assert '"clean_accuracy": 0.0,' in body
 
     def test_report_contains_acr(self, tmp_path):
         write_report([self.make_curve()], {}, tmp_path)
