@@ -254,9 +254,10 @@ def load_node_classification_dataset(edge_path, node_path) -> Graph:
     The edge file holds one ``u<TAB>v`` pair per line (0-indexed). The node
     file is a CSV with header ``node_id,label,f_1,...,f_d``; an empty label
     cell marks an unlabeled node, and every feature cell must be a finite
-    number (``nan`` and ``inf`` are rejected). The node count is ``max
-    node_id + 1``; edge endpoints must stay below it. Self-loops and
-    repeated edges are rejected with the offending line number.
+    number (``nan`` and ``inf`` are rejected). The node count is the number
+    of node rows; node ids, labels and edge endpoints must lie below it, so
+    the ids are exactly ``0..n-1``. Blank lines are skipped in both files.
+    Self-loops and repeated edges are rejected with the offending line number.
     """
     node_path = Path(node_path)
     with open(node_path, newline="", encoding="utf-8") as fh:
@@ -267,9 +268,15 @@ def load_node_classification_dataset(edge_path, node_path) -> Graph:
             raise ParseError(node_path, 1, "missing header") from None
         if len(header) < 2 or header[0] != "node_id" or header[1] != "label":
             raise ParseError(node_path, 1, "header must start with node_id,label")
-        dim = len(header) - 2
-        rows = {}
-        for line_no, row in enumerate(reader, start=2):
+        # Blank lines are skipped. The rest give the node count before any
+        # row is parsed, so no array is sized by a stray id or label.
+        rows = [(line_no, row) for line_no, row in enumerate(reader, start=2)
+                if len(row) > 1 or "".join(row).strip()]
+        dim, n = len(header) - 2, len(rows)
+        features = np.zeros((n, dim), dtype=np.float64)
+        labels = np.full(n, -1, dtype=np.int64)
+        ids = set()
+        for line_no, row in rows:
             if len(row) != dim + 2:
                 raise ParseError(node_path, line_no,
                                  f"expected {dim + 2} columns, found {len(row)}")
@@ -277,28 +284,25 @@ def load_node_classification_dataset(edge_path, node_path) -> Graph:
                 node_id = int(row[0])
             except ValueError:
                 raise ParseError(node_path, line_no, f"bad node id {row[0]!r}") from None
-            if node_id < 0:
-                raise ParseError(node_path, line_no, "negative node id")
-            if node_id in rows:
+            if not 0 <= node_id < n:
+                raise ParseError(node_path, line_no,
+                                 f"node id {node_id} outside [0, {n}) ({n} node rows)")
+            if node_id in ids:
                 raise ParseError(node_path, line_no, f"duplicate node id {node_id}")
+            ids.add(node_id)
             label_cell = row[1].strip()
             try:
                 label = -1 if label_cell == "" else int(label_cell)
                 feats = [float(x) for x in row[2:]]
             except ValueError:
                 raise ParseError(node_path, line_no, "malformed label or feature") from None
-            if label < -1:
-                raise ParseError(node_path, line_no, f"negative label {label}")
+            if not -1 <= label < n:
+                raise ParseError(node_path, line_no,
+                                 f"label {label} outside [-1, {n}) ({n} node rows)")
             if not all(map(math.isfinite, feats)):
                 raise ParseError(node_path, line_no, "non-finite feature")
-            rows[node_id] = (label, feats)
-
-    n = (max(rows) + 1) if rows else 0
-    features = np.zeros((n, dim), dtype=np.float64)
-    labels = np.full(n, -1, dtype=np.int64)
-    for node_id, (label, feats) in rows.items():
-        labels[node_id] = label
-        features[node_id] = feats
+            labels[node_id] = label
+            features[node_id] = feats
 
     edge_path = Path(edge_path)
     edges = []

@@ -52,6 +52,11 @@ class ClassifierSpec:
         if not (np.isfinite(self.learning_rate) and np.isfinite(self.weight_decay)):
             raise ValueError("learning_rate and weight_decay must be finite")
 
+    @property
+    def aggregates(self) -> bool:
+        """Whether the model averages over edges; the MLP ignores them."""
+        return self.kind == "message_passing_2layer"
+
 
 @dataclass(frozen=True, eq=False)
 class TrainedModel:
@@ -236,7 +241,7 @@ def train_with_noise(spec: ClassifierSpec, graph: Graph, split: DataSplit,
     operators = (
         normalized_operator(graph.n, sample_smoothed_graph(
             graph, params, derive_sample_seed(spec.seed, epoch)).graph.edges)
-        if spec.kind == "message_passing_2layer" else None
+        if spec.aggregates else None
         for epoch in range(spec.epochs))
     return TrainedModel(spec=spec, weights=_fit(spec, graph, train_idx, operators),
                         num_classes=graph.num_classes,
@@ -280,41 +285,25 @@ def predict_rows(model: TrainedModel, transformed: np.ndarray, nodes: np.ndarray
     whose rows equal :func:`predict` on each graph for those nodes.
     ``transformed`` is the :func:`feature_transform` of every node.
     """
-    agg = (normalized_operator(len(nodes), edges)
-           if model.spec.kind == "message_passing_2layer" else None)
+    agg = normalized_operator(len(nodes), edges) if model.spec.aggregates else None
     t1 = transformed[nodes]
     return np.argmax(_forward(model.weights, agg, t1, np.empty_like(t1)), axis=1)
 
 
-def train_predict_end_to_end(spec: ClassifierSpec, graph: Graph, split: DataSplit,
-                             mode: str = "include") -> tuple[np.ndarray, np.ndarray]:
+def train_predict_end_to_end(spec: ClassifierSpec, graph: Graph,
+                             split: DataSplit) -> Optional[np.ndarray]:
     """Train on one smoothed graph and predict on it (no extra noise).
 
-    Nodes isolated in the graph are bypassed by the training loss. In
-    exclude mode every zero-degree node is marked abstaining; in include mode
-    all nodes receive predictions. If every training node is isolated, there
-    is nothing to train on and both modes return an all-abstain result.
-
-    Returns
-    -------
-    (predictions, abstain_mask)
-        Class ids of shape (n,) and a boolean abstention mask; predictions at
-        abstaining positions are meaningless placeholders.
+    Training nodes isolated in the graph are bypassed by the loss. Returns
+    every node's class id, or None when every training node is isolated:
+    there is nothing to train on.
     """
-    if mode not in ("include", "exclude"):
-        raise ValueError("mode must be 'include' or 'exclude'")
-    isolated = graph.degrees == 0
-
     train_idx = np.asarray(split.train, dtype=np.int64)
     _check_train_nodes(graph, train_idx)
-    train_idx = train_idx[~isolated[train_idx]]
+    train_idx = train_idx[graph.degrees[train_idx] > 0]
     if train_idx.size == 0:
-        return np.zeros(graph.n, dtype=np.int64), np.ones(graph.n, dtype=bool)
-
-    agg = (normalized_operator(graph.n, graph.edges)
-           if spec.kind == "message_passing_2layer" else None)
+        return None
+    agg = normalized_operator(graph.n, graph.edges) if spec.aggregates else None
     weights = _fit(spec, graph, train_idx, repeat(agg, spec.epochs))
     t1 = graph.features @ weights["w1"]
-    preds = np.argmax(_forward(weights, agg, t1, np.empty_like(t1)), axis=1)
-    abstain = isolated.copy() if mode == "exclude" else np.zeros(graph.n, dtype=bool)
-    return preds, abstain
+    return np.argmax(_forward(weights, agg, t1, np.empty_like(t1)), axis=1)

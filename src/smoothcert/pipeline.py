@@ -181,14 +181,13 @@ def collect_votes_evasion(model: TrainedModel, graph: Graph, num_samples: int,
     # A node without kept edges sees only its self-loop, so its prediction
     # is the one it gets in the edgeless graph, whatever the sample.
     isolated = predict(model, Graph(n, (), graph.features))
-    aggregates = model.spec.kind == "message_passing_2layer"
 
     def worker(lo, hi):
         votes = np.zeros(n * num_classes, dtype=np.int64)
         rows_of = np.empty(n, dtype=np.int64)
         nodes, edges, rows = [], [], 0
         # Without aggregation every node votes as if isolated: no sample needed.
-        for i in range(lo, hi if aggregates else lo):
+        for i in range(lo, hi if model.spec.aggregates else lo):
             sample = sample_smoothed_graph(graph, params,
                                            derive_sample_seed(master_seed, i))
             touched = np.flatnonzero(sample.graph.degrees)
@@ -223,25 +222,30 @@ def collect_votes_poisoning(spec: ClassifierSpec, graph: Graph, split: DataSplit
     """Vote over ``num_samples`` independent train-and-predict runs.
 
     Each sample trains a fresh model on its own smoothed graph (training seed
-    derived from the sample seed) and predicts on it. In exclude mode nodes
-    isolated in a sample abstain instead of voting.
+    derived from the sample seed) and predicts on it. A sample that leaves
+    no training node an edge trains nothing, so every node abstains in it;
+    in exclude mode each node isolated in a sample abstains as well.
     """
+    if mode not in ("include", "exclude"):  # refused before any sample
+        raise ValueError("mode must be 'include' or 'exclude'")
     n = graph.n
     num_classes = graph.num_classes
+    include = mode == "include"
 
     def worker(lo, hi):
         counts = np.zeros((n, num_classes), dtype=np.int64)
         abstains = np.zeros(n, dtype=np.int64)
-        rows = np.arange(n)
         for i in range(lo, hi):
             seed_i = derive_sample_seed(master_seed, i)
             sample = sample_smoothed_graph(graph, params, seed_i)
             spec_i = replace(spec, seed=derive_sample_seed(seed_i, _TRAIN_STREAM))
-            preds, abstain = train_predict_end_to_end(spec_i, sample.graph, split,
-                                                      mode)
-            voting = ~abstain
-            counts[rows[voting], preds[voting]] += 1
-            abstains[abstain] += 1
+            preds = train_predict_end_to_end(spec_i, sample.graph, split)
+            if preds is None:  # nothing to train on
+                abstains += 1
+                continue
+            voting = (sample.graph.degrees > 0) | include
+            counts[voting, preds[voting]] += 1
+            abstains += ~voting
         return counts, abstains
 
     provenance = {"kind": "poisoning", "master_seed": int(master_seed),

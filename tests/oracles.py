@@ -298,24 +298,21 @@ def reference_train_with_noise(spec, graph, split, params):
                         graph_fingerprint=graph.fingerprint())
 
 
-def reference_train_predict(spec, graph, split, mode):
+def reference_train_predict(spec, graph, split):
     """Train on one smoothed graph, bypassing its isolated training nodes,
-    and predict on it. Returns the predictions, the abstain mask and the
-    weights (None when every training node is isolated: all abstain)."""
-    isolated = graph.degrees == 0
+    and predict on it. Returns the predictions and the weights (both None
+    when every training node is isolated)."""
     train_idx = np.asarray(split.train, dtype=np.int64)
-    train_idx = train_idx[~isolated[train_idx]]
+    train_idx = train_idx[graph.degrees[train_idx] > 0]
     if train_idx.size == 0:
-        return (np.zeros(graph.n, dtype=np.int64), np.ones(graph.n, dtype=bool),
-                None)
+        return None, None
     weights = _reference_init(spec, graph.num_features, graph.num_classes)
     cache = {k: np.zeros_like(v) for k, v in weights.items()}
     agg = _operator(spec.kind, graph)
     for _ in range(spec.epochs):
         _reference_step(weights, cache, agg, graph, train_idx, spec)
     preds = np.argmax(_reference_forward(weights, agg, graph.features)[-1], axis=1)
-    abstain = isolated if mode == "exclude" else np.zeros(graph.n, dtype=bool)
-    return preds, abstain, weights
+    return preds, weights
 
 
 def enumerate_graph_votes(graph, params, model):

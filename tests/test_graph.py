@@ -109,6 +109,44 @@ class TestNodeClassificationLoader:
         with pytest.raises(ParseError, match="duplicate node id"):
             load_node_classification_dataset(*paths)
 
+    def test_ids_in_any_order_load(self, tmp_path):
+        nodes = "node_id,label,f_1\n1,1,2.0\n0,0,1.0\n"
+        graph = load_node_classification_dataset(
+            *write_dataset(tmp_path, "0\t1\n", nodes))
+        assert graph.labels.tolist() == [0, 1]
+        assert graph.features.ravel().tolist() == [1.0, 2.0]
+
+    def test_gap_in_node_ids_names_its_line(self, tmp_path):
+        nodes = "node_id,label,f_1\n0,0,1.0\n2,1,2.0\n"
+        paths = write_dataset(tmp_path, "", nodes)
+        with pytest.raises(ParseError, match=r"nodes\.csv:3: node id 2 outside "
+                                             r"\[0, 2\) \(2 node rows\)"):
+            load_node_classification_dataset(*paths)
+
+    @pytest.mark.parametrize("row, message", [
+        ("10000000000,0,3.0", r"node id 10000000000 outside \[0, 3\)"),
+        ("12345678901234567890,0,3.0", r"node id 12345678901234567890 outside"),
+        ("-1,0,3.0", r"node id -1 outside \[0, 3\)"),
+        ("2,10000000,3.0", r"label 10000000 outside \[-1, 3\)"),
+        ("2,12345678901234567890,3.0", r"label 12345678901234567890 outside"),
+        ("2,3,3.0", r"label 3 outside \[-1, 3\)"),
+        ("2,-2,3.0", r"label -2 outside \[-1, 3\)")])
+    def test_id_or_label_out_of_range_is_refused(self, tmp_path, row, message):
+        # Three rows: ids lie in [0, 3) and labels in [-1, 3). The first bad
+        # row is named in file order, and no array is sized by its value.
+        nodes = f"node_id,label,f_1\n0,0,1.0\n{row}\n1,9,2.0\n"
+        paths = write_dataset(tmp_path, "", nodes)
+        with pytest.raises(ParseError, match=rf"nodes\.csv:3: {message}"):
+            load_node_classification_dataset(*paths)
+
+    @pytest.mark.parametrize("blank", ["\n", "   \n", "\t\n"],
+                             ids=["empty", "spaces", "tab"])
+    def test_blank_node_lines_are_skipped(self, tmp_path, blank):
+        nodes = f"node_id,label,f_1\n0,0,1.0\n{blank}1,1,2.0\n{blank}"
+        paths = write_dataset(tmp_path, "0\t1\n\n", nodes)
+        graph = load_node_classification_dataset(*paths)
+        assert graph.n == 2 and graph.labels.tolist() == [0, 1]
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity",
                                       "1e309"])
     def test_non_finite_feature_names_its_line(self, tmp_path, cell):

@@ -13,7 +13,10 @@ callers of the JSON encoder. Every radius is found by one search,
 whole-matrix ``build_similarity`` and the one-user ``recommend_topk`` are
 kept for the benchmark's fixture and hooks, and nothing in the package
 calls them. The only private scipy names the package imports are pinned,
-since each one ties it to the scipy floor in ``pyproject.toml``.
+since each one ties it to the scipy floor in ``pyproject.toml``. The models
+train and predict: abstention is the vote collectors' rule, so no function
+in ``models.py`` takes a ``mode``, and only ``ClassifierSpec.aggregates``
+compares a model kind with its name.
 """
 import ast
 import inspect
@@ -313,3 +316,75 @@ def test_stray_scan_is_detected(tmp_path):
     assert while_loops(source) == [(3, "certified_radii.holds")]
     assert rho_cap_loops(source) == [(3, "certified_radii.holds"),
                                      (7, "curve"), (9, "largest_certified_rho")]
+
+
+MODELS = next(path for path in SOURCES if path.name == "models.py")
+KIND_NAMES = ("message_passing_2layer", "feature_mlp")
+
+
+def mode_parameters(path):
+    """``(line, name)`` of every function with a parameter named ``mode``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            if "mode" in [a.arg for a in params]:
+                found.append((node.lineno, getattr(node, "name", "<lambda>")))
+    return sorted(found)
+
+
+def names_a_kind(node):
+    """Whether ``node`` is a model-kind string or a literal collection of one."""
+    items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+    return any(isinstance(item, ast.Constant) and item.value in KIND_NAMES
+               for item in items)
+
+
+def kind_comparisons(path):
+    """``(line, scope)`` of every ``==``, ``!=``, ``in`` or ``not in`` with a
+    model-kind string on either side."""
+    return scoped(path, lambda node: isinstance(node, ast.Compare)
+                  and any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn))
+                          for op in node.ops)
+                  and any(names_a_kind(side)
+                          for side in [node.left] + node.comparators))
+
+
+def test_models_take_no_mode():
+    assert mode_parameters(MODELS) == []
+
+
+def test_mode_parameter_is_detected(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("def train(spec, graph):\n"
+                      "    return spec\n"
+                      "def train_predict(spec, graph, split, mode='include'):\n"
+                      "    return lambda *, mode: mode\n"
+                      "class Model:\n"
+                      "    def predict(self, graph, *, mode=None):\n"
+                      "        return graph\n")
+    assert mode_parameters(source) == [(3, "train_predict"), (4, "<lambda>"),
+                                       (6, "predict")]
+
+
+def test_one_place_decides_whether_a_kind_aggregates():
+    scopes = [scope for path in SOURCES for _, scope in kind_comparisons(path)]
+    assert scopes == ["ClassifierSpec.aggregates"]
+    assert smoothcert.ClassifierSpec().aggregates
+    assert not smoothcert.ClassifierSpec(kind="feature_mlp").aggregates
+
+
+def test_kind_comparison_is_detected(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("KINDS = ('message_passing_2layer', 'feature_mlp')\n"
+                      "class ClassifierSpec:\n"
+                      "    kind: str = 'message_passing_2layer'\n"
+                      "    def aggregates(self):\n"
+                      "        return self.kind == 'message_passing_2layer'\n"
+                      "def collect(spec):\n"
+                      "    a = 'feature_mlp' != spec.kind\n"
+                      "    b = spec.kind in ('feature_mlp',)\n"
+                      "    return a, b, spec.kind in KINDS, spec.kind == 'gcn'\n")
+    assert kind_comparisons(source) == [(5, "ClassifierSpec.aggregates"),
+                                        (7, "collect"), (8, "collect")]

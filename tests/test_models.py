@@ -5,7 +5,8 @@ import pytest
 
 from oracles import (neighbors, normalized_adjacency, reference_predict,
                      reference_train_predict, reference_train_with_noise)
-from smoothcert import (ClassifierSpec, Graph, SmoothingParams, derive_sample_seed, generate_sbm, predict,
+from smoothcert import (ClassifierSpec, DataSplit, Graph, SmoothingParams,
+                        derive_sample_seed, generate_sbm, predict,
                         sample_smoothed_graph, train_predict_end_to_end,
                         train_with_noise)
 from smoothcert import models
@@ -116,9 +117,8 @@ class TestTrainWithNoise:
         graph, split = sbm_fixture
         spec = ClassifierSpec(hidden_dim=8, epochs=15, seed=2)
         noisy = train_with_noise(spec, graph, split, SmoothingParams(0, 0))
-        preds, abstain = train_predict_end_to_end(spec, graph, split)
+        preds = train_predict_end_to_end(spec, graph, split)
         assert np.array_equal(predict(noisy, graph), preds)
-        assert not abstain.any()
 
     def test_separable_fixture_reaches_high_accuracy(self, sbm_fixture):
         graph, split = sbm_fixture
@@ -146,7 +146,6 @@ class TestTrainWithNoise:
 
     def test_empty_split_rejected(self, sbm_fixture):
         graph, _ = sbm_fixture
-        from smoothcert import DataSplit
         empty = DataSplit(train=[], validation=[0], test=[1])
         with pytest.raises(ValueError, match="empty"):
             train_with_noise(ClassifierSpec(epochs=1), graph, empty,
@@ -155,7 +154,6 @@ class TestTrainWithNoise:
     def test_unlabeled_training_node_rejected(self):
         graph = Graph(4, [(0, 1), (2, 3)], np.zeros((4, 2)),
                       labels=[0, -1, 1, 1])
-        from smoothcert import DataSplit
         split = DataSplit(train=[0, 1], validation=[2], test=[3])
         with pytest.raises(ValueError, match="label"):
             train_with_noise(ClassifierSpec(epochs=1), graph, split,
@@ -163,40 +161,12 @@ class TestTrainWithNoise:
 
 
 class TestTrainPredictEndToEnd:
-    @pytest.fixture
-    def split4(self):
-        from smoothcert import DataSplit
-        return DataSplit(train=[0, 2], validation=[1], test=[3])
-
-    def test_all_deleted_exclude_abstains_everywhere(self, two_clique_graph, split4):
+    def test_nothing_to_train_on_gives_no_predictions(self, two_clique_graph):
+        # Every node deleted: no training node keeps an edge.
         sample = sample_smoothed_graph(two_clique_graph, SmoothingParams(0, 1), 3)
-        preds, abstain = train_predict_end_to_end(
-            ClassifierSpec(epochs=1), sample.graph, split4, mode="exclude")
-        assert abstain.all()
-
-    def test_all_deleted_include_abstains_everywhere(self, two_clique_graph,
-                                                     split4):
-        # With every node deleted, no training node is left to train on.
-        sample = sample_smoothed_graph(two_clique_graph, SmoothingParams(0, 1), 3)
-        preds, abstain = train_predict_end_to_end(
-            ClassifierSpec(epochs=1), sample.graph, split4, mode="include")
-        assert abstain.all() and preds.shape == (4,)
-
-    def test_single_isolated_node_abstains_alone(self, two_clique_graph, split4):
-        # Drop only the (0, 1) edge: nodes 0 and 1 are isolated.
-        pruned = Graph(4, [(2, 3)], two_clique_graph.features,
-                       two_clique_graph.labels)
-        preds, abstain = train_predict_end_to_end(
-            ClassifierSpec(epochs=5, seed=3), pruned, split4, mode="exclude")
-        assert abstain.tolist() == [True, True, False, False]
-
-    def test_include_mode_never_abstains(self, two_clique_graph, split4):
-        pruned = Graph(4, [(2, 3)], two_clique_graph.features,
-                       two_clique_graph.labels)
-        preds, abstain = train_predict_end_to_end(
-            ClassifierSpec(epochs=5, seed=3), pruned, split4, mode="include")
-        assert not abstain.any()
-        assert preds.shape == (4,)
+        split = DataSplit(train=[0, 2], validation=[1], test=[3])
+        assert train_predict_end_to_end(ClassifierSpec(epochs=1), sample.graph,
+                                        split) is None
 
 
 class TestMatchesReferenceLoops:
@@ -228,9 +198,8 @@ class TestMatchesReferenceLoops:
             assert np.array_equal(
                 predict_rows(model, transformed, np.arange(g.n), g.edges), expected)
 
-    @pytest.mark.parametrize("mode", ["include", "exclude"])
     @pytest.mark.parametrize("kind", KINDS)
-    def test_train_predict(self, seeded, kind, mode, monkeypatch):
+    def test_train_predict(self, seeded, kind, monkeypatch):
         seed, graph, split = seeded
         spec = ClassifierSpec(kind=kind, hidden_dim=6, epochs=12, seed=seed)
         fitted = []
@@ -242,11 +211,9 @@ class TestMatchesReferenceLoops:
             sample = sample_smoothed_graph(graph, SmoothingParams(0.3, 0.4),
                                            derive_sample_seed(seed, i)).graph
             bypassed += (sample.degrees[split.train] == 0).any()
-            preds, abstain = train_predict_end_to_end(spec, sample, split, mode)
-            ref_preds, ref_abstain, ref_weights = reference_train_predict(
-                spec, sample, split, mode)
+            preds = train_predict_end_to_end(spec, sample, split)
+            ref_preds, ref_weights = reference_train_predict(spec, sample, split)
             assert np.array_equal(preds, ref_preds)
-            assert np.array_equal(abstain, ref_abstain)
             weights = fitted.pop()
             for key, value in ref_weights.items():
                 assert np.array_equal(weights[key], value)

@@ -358,12 +358,48 @@ class TestCollectVotesPoisoning:
         assert table.counts.sum() == two_clique_graph.n
         assert table.counts.max() == 1
 
-    def test_full_deletion_excludes_everyone(self, two_clique_graph, split4):
+    @pytest.mark.parametrize("mode", ["include", "exclude"])
+    def test_full_deletion_abstains_everywhere(self, two_clique_graph, split4,
+                                               mode):
+        # With every node deleted, no training node is left to train on.
         table = collect_votes_poisoning(self.spec, two_clique_graph, split4, 7,
-                                        SmoothingParams(0, 1), "exclude",
+                                        SmoothingParams(0, 1), mode,
                                         master_seed=4)
         assert np.all(table.abstains == 7)
         assert table.counts.sum() == 0
+
+    @staticmethod
+    def pruned(two_clique_graph):
+        """The two-clique graph without its (0, 1) edge: nodes 0 and 1 are
+        isolated, and training node 2 keeps its edge."""
+        return Graph(4, [(2, 3)], two_clique_graph.features,
+                     two_clique_graph.labels)
+
+    def test_exclude_mode_abstains_on_isolated_nodes_alone(self, two_clique_graph,
+                                                           split4):
+        table = collect_votes_poisoning(self.spec, self.pruned(two_clique_graph),
+                                        split4, 5, SmoothingParams(0, 0), "exclude",
+                                        master_seed=4)
+        assert table.abstains.tolist() == [5, 5, 0, 0]
+        assert table.counts.sum(axis=1).tolist() == [0, 0, 5, 5]
+
+    def test_include_mode_never_abstains(self, two_clique_graph, split4):
+        table = collect_votes_poisoning(self.spec, self.pruned(two_clique_graph),
+                                        split4, 5, SmoothingParams(0, 0), "include",
+                                        master_seed=4)
+        assert not table.abstains.any()
+        assert table.counts.sum(axis=1).tolist() == [5, 5, 5, 5]
+
+    def test_bad_mode_is_refused_before_any_sample(self, two_clique_graph,
+                                                   split4, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipeline, "sample_smoothed_graph",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="mode"):
+            collect_votes_poisoning(self.spec, two_clique_graph, split4, 3,
+                                    SmoothingParams(0, 1), "bogus",
+                                    master_seed=4)
+        assert calls == []
 
     def test_include_and_exclude_differ_only_on_isolated_nodes(
             self, sbm_fixture):
