@@ -34,6 +34,10 @@ from .sampling import SmoothingParams, derive_sample_seed
 # Monte-Carlo sample count of a command run without --n; 1 000 otherwise.
 _DEFAULT_SAMPLES = {"certify-evasion": 100_000, "certify-recsys": 100_000}
 
+# Settings that size an array axis. numpy refuses an axis longer than its
+# index type holds: sys.maxsize, 2**63 - 1 on 64-bit platforms.
+_DIMENSIONS = ("hidden_dim", "synth_d", "k_prime")
+
 # Seed substreams for the independent stages of a run.
 _MODEL_STREAM = 10
 _VOTES_STREAM = 11
@@ -102,6 +106,13 @@ class RunConfig:
             raise UsageError("p_e and p_n must lie in [0, 1)")
         if not 0.0 < self.alpha < 1.0:
             raise UsageError("alpha must lie in (0, 1)")
+        if not 0 <= self.master_seed < 2**64:
+            # Seeds are mixed modulo 2**64, so any other would alias one.
+            raise UsageError("--seed must lie in [0, 2**64)")
+        for f in _settings(self.command):
+            if f.name in _DIMENSIONS and getattr(self, f.name) > sys.maxsize:
+                raise UsageError(f"{f.metadata['flag']} must be at most {sys.maxsize}, "
+                                 "numpy's largest array dimension")
         if self.num_samples < 1:
             raise UsageError("sample count must be >= 1")
         if self.threads < 1:

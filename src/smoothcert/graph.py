@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -248,6 +250,37 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=(stream,)))
 
 
+# ASCII bytes that numpy's text reader skips as whitespace around a number
+# and that int() and float() refuse.
+_READER_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _read_columns(raw: bytes, dtype, ndmin: int):
+    """The tab-separated file of bytes ``raw`` parsed whole by ``np.loadtxt``,
+    or None for the per-line parser to decide.
+
+    None when the file is not ASCII, holds a byte of ``_READER_ONLY_SPACE``,
+    or ``np.loadtxt`` raises or warns (an empty file warns). Outside ASCII,
+    numpy's integer reader reads some letters as digits (U+01FE followed by
+    5 reads as 4625). On the rest of ASCII it accepts a subset of the cells
+    that ``int()`` and ``float()`` accept, with the same values, and skips
+    only empty lines, which the per-line parsers skip too: a file it parses
+    is one they accept, read into the same arrays.
+    """
+    if not raw.isascii() or any(byte in raw for byte in _READER_ONLY_SPACE):
+        return None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            # newline=None turns "\r\n" and "\r" into "\n", as open() does.
+            table = np.loadtxt(io.StringIO(raw.decode("ascii"), newline=None),
+                               dtype=dtype, delimiter="\t", comments=None,
+                               quotechar=None, ndmin=ndmin)
+        except (ValueError, OverflowError):
+            return None
+    return None if caught else table
+
+
 def load_node_classification_dataset(edge_path, node_path) -> Graph:
     """Load a graph from an edge list and a node attribute table.
 
@@ -304,34 +337,53 @@ def load_node_classification_dataset(edge_path, node_path) -> Graph:
             labels[node_id] = label
             features[node_id] = feats
 
-    edge_path = Path(edge_path)
+    return Graph(n, _read_edges(Path(edge_path), n), features, labels)
+
+
+def _read_edges(path: Path, n: int) -> np.ndarray:
+    """The edges of an edge file with ``n`` nodes, as (smaller, larger) id rows.
+
+    The whole-file reader parses a valid file; any other goes to
+    :func:`_parse_edge_lines`, which names the first bad line.
+    """
+    pairs = _read_columns(path.read_bytes(), np.int64, ndmin=2)
+    if pairs is not None and pairs.shape[1] == 2:
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        if (lo < hi).all() and (lo >= 0).all() and (hi < n).all():
+            edges, dup = _canonical_pairs(lo, hi, n)
+            if dup is None:
+                return edges
+    return _parse_edge_lines(path, n)
+
+
+def _parse_edge_lines(path: Path, n: int) -> np.ndarray:
+    """The edge file parsed line by line: the parser that reports errors."""
     edges = []
     seen = {}
-    with open(edge_path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
-                raise ParseError(edge_path, line_no, f"expected 'u<TAB>v', got {line!r}")
+                raise ParseError(path, line_no, f"expected 'u<TAB>v', got {line!r}")
             try:
                 u, v = int(parts[0]), int(parts[1])
             except ValueError:
-                raise ParseError(edge_path, line_no, f"non-integer endpoint in {line!r}") from None
+                raise ParseError(path, line_no, f"non-integer endpoint in {line!r}") from None
             if u == v:
-                raise ParseError(edge_path, line_no, f"self-loop at node {u}")
+                raise ParseError(path, line_no, f"self-loop at node {u}")
             if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(edge_path, line_no,
+                raise ParseError(path, line_no,
                                  f"endpoint out of range [0, {n}) in {line!r}")
             key = (min(u, v), max(u, v))
             if key in seen:
-                raise ParseError(edge_path, line_no,
+                raise ParseError(path, line_no,
                                  f"duplicate edge {key} (first at line {seen[key]})")
             seen[key] = line_no
             edges.append(key)
-
-    return Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2), features, labels)
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
 def save_node_classification_dataset(graph: Graph, edge_path, node_path) -> None:
@@ -349,25 +401,15 @@ def save_node_classification_dataset(graph: Graph, edge_path, node_path) -> None
             writer.writerow(row)
 
 
-def load_interaction_dataset(path, split_fraction: float):
-    """Load a tab-separated rating log and split it per user by time.
+_RATING_FIELDS = [("user", np.int64), ("item", np.int64),
+                  ("rating", np.float64), ("timestamp", np.int64)]
 
-    Each line is ``user<TAB>item<TAB>rating<TAB>timestamp``. Ratings are
-    binarized to implicit feedback. Per user, the earliest ``split_fraction``
-    of records (ordered by timestamp, ties by item id) become training
-    interactions; the rest are held out. Users with fewer than two records go
-    wholly to training. User and item ids are remapped to dense 0-based
-    indices in ascending id order.
 
-    Returns
-    -------
-    (InteractionMatrix, list[np.ndarray])
-        Training interactions and, per dense user index, the held-out item
-        indices.
+def _parse_rating_lines(path: Path):
+    """The rating log parsed line by line: the parser that reports errors.
+
+    Returns the user, item, timestamp and line number columns.
     """
-    if not 0 < split_fraction <= 1:
-        raise ValueError("split_fraction must be in (0, 1]")
-    path = Path(path)
     records = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -393,7 +435,34 @@ def load_interaction_dataset(path, split_fraction: float):
                 if not -2**63 <= value < 2**63:
                     raise ParseError(path, line_no,
                                      f"{name} {value} is outside int64") from None
-    users, items, ts, line_nos = parsed.reshape(-1, 4).T
+    return parsed.reshape(-1, 4).T
+
+
+def load_interaction_dataset(path, split_fraction: float):
+    """Load a tab-separated rating log and split it per user by time.
+
+    Each line is ``user<TAB>item<TAB>rating<TAB>timestamp``. Ratings are
+    binarized to implicit feedback. Per user, the earliest ``split_fraction``
+    of records (ordered by timestamp, ties by item id) become training
+    interactions; the rest are held out. Users with fewer than two records go
+    wholly to training. User and item ids are remapped to dense 0-based
+    indices in ascending id order.
+
+    Returns
+    -------
+    (InteractionMatrix, list[np.ndarray])
+        Training interactions and, per dense user index, the held-out item
+        indices.
+    """
+    if not 0 < split_fraction <= 1:
+        raise ValueError("split_fraction must be in (0, 1]")
+    path = Path(path)
+    table = _read_columns(path.read_bytes(), _RATING_FIELDS, ndmin=1)
+    if table is None:
+        users, items, ts, line_nos = _parse_rating_lines(path)
+    else:
+        users, items, ts = table["user"], table["item"], table["timestamp"]
+        line_nos = None
     user_ids, u = np.unique(users, return_inverse=True)
     item_ids, i = np.unique(items, return_inverse=True)
     num_users, num_items = len(user_ids), len(item_ids)
@@ -403,6 +472,8 @@ def load_interaction_dataset(path, split_fraction: float):
     sorted_keys = keys[order]
     repeats = order[1:][sorted_keys[1:] == sorted_keys[:-1]]
     if repeats.size:
+        if line_nos is None:  # the whole-file parse numbers no line
+            line_nos = _parse_rating_lines(path)[3]
         at = repeats.min()  # the repeat that comes first in the file
         first = order[np.searchsorted(sorted_keys, keys[at])]
         raise ParseError(path, int(line_nos[at]),

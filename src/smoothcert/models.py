@@ -103,7 +103,7 @@ def _init_weights(spec: ClassifierSpec, num_features: int, num_classes: int) -> 
     }
 
 
-def _sparse_product_into(op, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+def sparse_product_into(op, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``op @ x`` for a CSR or CSC ``op`` and a 2-d ``x``, written into the
     C-contiguous float64 ``out`` and returned.
 
@@ -151,7 +151,7 @@ def _forward(weights: dict, agg: Optional[sp.csr_matrix], t1: np.ndarray,
     so ``t1`` can be cached across smoothing samples; it is only read.
     """
     if agg is not None:
-        _sparse_product_into(agg, t1, h1)
+        sparse_product_into(agg, t1, h1)
         h1 += weights["b1"]
     else:
         np.add(t1, weights["b1"], out=h1)
@@ -178,7 +178,7 @@ def _gradients(weights, agg, agg_t, features, labels, train_idx, weight_decay,
     d_z1 = np.matmul(d_t2, weights["w2"].T, out=work.d_z1)
     # relu(z1) > 0 exactly where z1 > 0 (NaN is neither).
     d_z1 *= np.greater(h1, 0.0, out=work.positive)
-    d_t1 = _sparse_product_into(agg_t, d_z1, t1) if agg is not None else d_z1
+    d_t1 = sparse_product_into(agg_t, d_z1, t1) if agg is not None else d_z1
     g_w1 = features.T @ d_t1 + weight_decay * weights["w1"]
     g_b1 = d_z1.sum(axis=0)
     return {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2}

@@ -11,6 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import InteractionMatrix, PerturbationBudget
+from .models import sparse_product_into
 from .pipeline import BaseVoteTable, Curve, write_report
 from .sampling import SmoothingParams, derive_sample_seed, sample_smoothed_ratings
 from .certify import (RHO_CAP, clopper_pearson_lower, clopper_pearson_upper,
@@ -33,50 +34,78 @@ def _by_item(histories: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
 
 
 def _jaccard_columns(by_item: sp.csr_matrix, counts: np.ndarray, lo: int,
-                     rated: np.ndarray) -> np.ndarray:
-    """Columns ``lo:lo + width`` of the item x item Jaccard similarity, dense,
-    where ``rated`` is ``histories[:, lo:lo + width]`` as a dense 0/1 array.
+                     rated: np.ndarray, similarity: np.ndarray,
+                     union: np.ndarray) -> np.ndarray:
+    """Columns ``lo:lo + width`` of the item x item Jaccard similarity,
+    written into ``similarity`` and returned, where ``rated`` is
+    ``histories[:, lo:lo + width]`` as a dense 0/1 array and ``union`` is an
+    items x width buffer.
 
     The similarity at ``(i, j)`` is ``both / ((count[i] + count[j]) - both)``
     over the co-occurrence counts; all three are integer sums, exact in any
     order. Where both counts are 0 the floor of 1 on the denominator gives
     0 / 1 = 0; everywhere else it is already >= 1.
     """
-    similarity = by_item @ rated
-    union = np.add.outer(counts, counts[lo:lo + rated.shape[1]])
+    sparse_product_into(by_item, rated, similarity)
+    np.add.outer(counts, counts[lo:lo + rated.shape[1]], out=union)
     union -= similarity
     np.maximum(union, 1.0, out=union)
     similarity /= union
     return similarity
 
 
-def _running_top(scored_blocks, rows: int, k_prime: int) -> np.ndarray:
-    """Each row's ``k_prime`` highest positive scores over the ``(lo, score)``
-    column blocks, ties toward the lower item id; rows are padded with -1.
+class _RunningTop:
+    """Each row's ``k_prime`` highest positive scores over column blocks
+    merged one at a time, ties toward the lower item id; ``top`` holds the
+    items so far, padded with -1.
 
-    Each block is merged with the running top-K': ``np.partition`` finds the
-    K'-th score and only the candidates at or above it are sorted.
+    Each block is merged with the running top-K' in one reused buffer:
+    ``np.partition`` finds the K'-th score and only the candidates at or
+    above it are sorted.
     """
-    if k_prime < 1:
-        raise ValueError("k_prime must be >= 1")
-    best = np.zeros((rows, k_prime))
-    top = np.full((rows, k_prime), -1, dtype=np.int64)
-    for lo, score in scored_blocks:
-        scores = np.hstack([best, score])
-        items = np.hstack([top, np.broadcast_to(
-            np.arange(lo, lo + score.shape[1]), score.shape)])
-        cut = np.partition(scores, -k_prime, axis=1)[:, -k_prime]
-        row, col = np.nonzero((scores >= cut[:, None]) & (scores > 0.0))
-        order = np.lexsort((items[row, col], -scores[row, col], row))
-        row, col = row[order], col[order]
+
+    def __init__(self, rows: int, k_prime: int, width: int):
+        if k_prime < 1:
+            raise ValueError("k_prime must be >= 1")
+        self.k_prime = k_prime
+        self.top = np.full((rows, k_prime), -1, dtype=np.int64)
+        # The running top-K' scores, then the block's: one row per user.
+        self.scores = np.zeros((rows, k_prime + width))
+        self.partitioned = np.empty_like(self.scores)
+        self.candidate = np.empty(self.scores.shape, dtype=bool)
+
+    def merge(self, lo: int, score: np.ndarray) -> None:
+        """Merge the scores of item columns ``lo:lo + score.shape[1]``."""
+        k = self.k_prime
+        width = k + score.shape[1]
+        scores = self.scores[:, :width]
+        scores[:, k:] = score
+        partitioned = self.partitioned[:, :width]
+        partitioned[...] = scores
+        partitioned.partition(width - k, axis=1)
+        # Scores are >= 0, so at least the smallest positive float is > 0.
+        cut = np.maximum(partitioned[:, width - k:width - k + 1], 5e-324,
+                         out=partitioned[:, width - k:width - k + 1])
+        row, col = np.nonzero(np.greater_equal(scores, cut,
+                                               out=self.candidate[:, :width]))
+        value = scores[row, col]
+        item = col + (lo - k)  # a block column's item, or the running
+        running = col < k      # top-K' item that a first column holds
+        item[running] = self.top[row[running], col[running]]
+        order = np.lexsort((item, -value, row))
+        row = row[order]
         rank = np.arange(row.size) - np.searchsorted(row, row)
-        kept = rank < k_prime
-        row, col, rank = row[kept], col[kept], rank[kept]
-        best.fill(0.0)
-        top.fill(-1)
-        best[row, rank] = scores[row, col]
-        top[row, rank] = items[row, col]
-    return top
+        kept = rank < k
+        row, rank = row[kept], rank[kept]
+        scores[:, :k] = 0.0
+        self.top.fill(-1)
+        scores[row, rank] = value[order][kept]
+        self.top[row, rank] = item[order][kept]
+
+
+def _block(buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """The head of the flat ``buffer`` as a C-contiguous rows x width array."""
+    return buffer[:rows * width].reshape(rows, width)
 
 
 def top_items(histories: sp.csr_matrix, k_prime: int) -> np.ndarray:
@@ -88,26 +117,45 @@ def top_items(histories: sp.csr_matrix, k_prime: int) -> np.ndarray:
     similarities in history order (the absent entries add +0.0). History
     items and zero-score items are never ranked and ties break toward the
     lower item id; rows are padded with -1. Memory is O((users + items) x
-    block), never items x items.
+    block), never items x items, and every block writes into the buffers
+    the call allocates once.
     """
     by_item, counts = _by_item(histories)
-
-    def scored():
-        for lo in range(0, counts.size, _RANK_COLUMNS):
-            rated = by_item[lo:lo + _RANK_COLUMNS].T.toarray()
-            score = histories @ _jaccard_columns(by_item, counts, lo, rated)
-            score[rated > 0.0] = 0.0
-            yield lo, score
-
-    return _running_top(scored(), histories.shape[0], k_prime)
+    users, items = histories.shape
+    width = min(_RANK_COLUMNS, items)
+    ranking = _RunningTop(users, k_prime, width)
+    rated, score = np.empty(users * width), np.empty(users * width)
+    similarity, union = np.empty(items * width), np.empty(items * width)
+    # Each rating's column within its block of by_item's rows.
+    column = np.repeat(np.arange(items) % _RANK_COLUMNS, np.diff(by_item.indptr))
+    for lo in range(0, items, _RANK_COLUMNS):
+        hi = min(lo + _RANK_COLUMNS, items)
+        a, b = by_item.indptr[lo], by_item.indptr[hi]
+        # The block's ratings as flat indices into a users x block array.
+        cells = np.multiply(by_item.indices[a:b], hi - lo, dtype=np.int64)
+        cells += column[a:b]
+        block = _block(rated, users, hi - lo)
+        block.fill(0.0)
+        block.ravel()[cells] = 1.0
+        similar = _jaccard_columns(by_item, counts, lo, block,
+                                   _block(similarity, items, hi - lo),
+                                   _block(union, items, hi - lo))
+        scored = sparse_product_into(histories, similar,
+                                     _block(score, users, hi - lo))
+        scored.ravel()[cells] = 0.0
+        ranking.merge(lo, scored)
+    return ranking.top
 
 
 def build_similarity(matrix: InteractionMatrix) -> sp.csr_matrix:
     """The whole item x item Jaccard similarity of :func:`top_items`."""
     by_item, counts = _by_item(_histories(matrix))
-    blocks = [sp.csr_matrix(_jaccard_columns(
-        by_item, counts, lo, by_item[lo:lo + _RANK_COLUMNS].T.toarray()))
-        for lo in range(0, counts.size, _RANK_COLUMNS)]
+    blocks = []
+    for lo in range(0, counts.size, _RANK_COLUMNS):
+        rated = by_item[lo:lo + _RANK_COLUMNS].T.toarray()
+        blocks.append(sp.csr_matrix(_jaccard_columns(
+            by_item, counts, lo, rated, np.empty((counts.size, rated.shape[1])),
+            np.empty((counts.size, rated.shape[1])))))
     return sp.hstack([sp.csr_matrix((counts.size, 0)), *blocks], format="csr")
 
 
@@ -123,7 +171,9 @@ def recommend_topk(similarity: sp.csr_matrix, user_history,
                         shape=(1, items))
     score = (row @ similarity).toarray()
     score[0, history] = 0.0
-    top = _running_top([(0, score)], 1, k_prime)[0]
+    ranking = _RunningTop(1, k_prime, items)
+    ranking.merge(0, score)
+    top = ranking.top[0]
     return top[top >= 0]
 
 
@@ -195,6 +245,99 @@ def _certifies_overlap(p_r: np.ndarray, sums: np.ndarray, take: np.ndarray,
     return p_hat * p_r - best > 0.0
 
 
+def _overlap_radii(table: ItemVoteTable,
+                   ground_truths: Mapping[int, Sequence[int]], k: int,
+                   tau: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`certified_overlap_radii` and the number of distinct
+    ground-truth items of each user, from one pass over the users."""
+    if not ground_truths:
+        raise ValueError("no users to evaluate")
+    params = table.params
+    params.require_certifiable()
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie in (0, 1)")
+    if k < 1 or k > table.k_prime:
+        raise ValueError("need 1 <= k <= k_prime")
+    users, position, gt = _ground_truth_items(table, ground_truths)
+    sizes = np.bincount(position, minlength=users.size)
+    # Each user's ground-truth counts in descending order, one run per user.
+    gt_counts = table.counts[users[position], gt]
+    gt_counts = gt_counts[np.lexsort((-gt_counts, position))]
+    # Each user's top min(k, items) other counts in descending order. The
+    # counts are negated, so that the partition's kth is small: a kth near
+    # the end of rows that are mostly zeros took over 10x longer. The
+    # ground truths are masked with 1, above every negated count, and so
+    # come out as -1 past the user's last other count.
+    others = table.counts[users]
+    np.negative(others, out=others)
+    others[position, gt] = 1
+    top = min(k, table.items)
+    others.partition(top - 1, axis=1)
+    others = -np.sort(others[:, :top], axis=1)
+
+    # Rows (user, r) for r = 1 .. min(k, |gt|), in user order.
+    per_user = np.minimum(k, sizes)
+    user = np.repeat(np.arange(users.size), per_user)
+    r = np.arange(user.size) - np.repeat(np.cumsum(per_user) - per_user, per_user) + 1
+    candidates = k - r + 1
+    level = alpha / (sizes[user] + candidates)
+    gt_count = gt_counts[np.repeat(np.cumsum(sizes) - sizes, per_user) + r - 1]
+    degrees, at = np.unique(table.degrees[users], return_inverse=True)
+    p_isolated = np.array([prob_all_removed_recsys(params, int(d), 1)
+                           for d in degrees])[at][user]
+    # Row (user, r) bounds the top k - r + 1 other counts, or all of them,
+    # in ascending order.
+    take = np.minimum(candidates, table.items - sizes[user])
+    filled = np.arange(k) < take[:, None]
+    column = np.maximum(take[:, None] - 1 - np.arange(k), 0)
+    uppers = np.zeros(filled.shape)
+    uppers[filled] = clopper_pearson_upper(others[user[:, None], column][filled],
+                                           table.num_samples,
+                                           np.repeat(level, take))
+    lowers = clopper_pearson_lower(gt_count, table.num_samples, level)
+    sums = np.cumsum(uppers, axis=1)
+
+    def holds(rho, live):
+        budgets, at = np.unique(rho, return_inverse=True)
+        p_hat = np.array([prob_all_removed_recsys(params, tau, int(b))
+                          for b in budgets])[at]
+        return _certifies_overlap(lowers[live], sums[live], take[live],
+                                  table.k_prime, p_hat, p_isolated[live])
+
+    radii = np.full((users.size, k), -1, dtype=np.int64)
+    radii[user, r - 1] = largest_certified_rho(holds, r.size)
+    # At least r hits are certified wherever r' >= r hits are.
+    return np.maximum.accumulate(radii[:, ::-1], axis=1)[:, ::-1], sizes
+
+
+def _ground_truth_items(table: ItemVoteTable,
+                        ground_truths: Mapping[int, Sequence[int]]):
+    """The users of ``ground_truths`` in its order, and their distinct
+    ground-truth items as (user position, item) columns sorted by position,
+    then item, from one ``np.unique``.
+    """
+    users = list(ground_truths)
+    items = [np.asarray(gt, dtype=np.int64) for gt in ground_truths.values()]
+    lengths = np.array([gt.size for gt in items])
+    flat = np.concatenate(items)
+    position = np.repeat(np.arange(len(users)), lengths)
+    in_range = (flat >= 0) & (flat < table.items)
+    bad_items = np.zeros(len(users), dtype=bool)
+    bad_items[position[~in_range]] = True
+    # The first user that fails a check raises that check's error.
+    for user, length, bad in zip(users, lengths.tolist(), bad_items.tolist()):
+        if length == 0:
+            raise ValueError(f"user {user} has empty ground truth")
+        if not 0 <= user < table.users:
+            raise ValueError("user index out of range")
+        if table.degrees[user] < 1:
+            raise ValueError("certification requires at least one training rating")
+        if bad:
+            raise ValueError("ground-truth item index out of range")
+    keys = np.unique(position * table.items + flat)
+    return np.array(users, dtype=np.int64), *np.divmod(keys, table.items)
+
+
 def certified_overlap_radii(table: ItemVoteTable,
                             ground_truths: Mapping[int, Sequence[int]], k: int,
                             tau: int, alpha: float) -> np.ndarray:
@@ -207,53 +350,7 @@ def certified_overlap_radii(table: ItemVoteTable,
     it. Bounds rise with the count, so each (user, r) bounds only the r-th
     largest ground-truth count and the top ``k - r + 1`` other counts, once.
     """
-    if not ground_truths:
-        raise ValueError("no users to evaluate")
-    params = table.params
-    params.require_certifiable()
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    if k < 1 or k > table.k_prime:
-        raise ValueError("need 1 <= k <= k_prime")
-    rows = []  # (user position, r, gt count, level, p_isolated, candidate counts)
-    for i, (user, gt) in enumerate(ground_truths.items()):
-        gt = np.unique(np.asarray(list(gt), dtype=np.int64))
-        if gt.size == 0:
-            raise ValueError(f"user {user} has empty ground truth")
-        if not 0 <= user < table.users:
-            raise ValueError("user index out of range")
-        d_u = int(table.degrees[user])
-        if d_u < 1:
-            raise ValueError("certification requires at least one training rating")
-        if gt.min() < 0 or gt.max() >= table.items:
-            raise ValueError("ground-truth item index out of range")
-        gt_counts = np.sort(table.counts[user, gt])[::-1]
-        others = np.sort(np.delete(table.counts[user], gt))
-        p_isolated = prob_all_removed_recsys(params, d_u, 1)
-        rows += [(i, r, gt_counts[r - 1], alpha / (gt.size + (k - r + 1)),
-                  p_isolated, others[max(others.size - (k - r + 1), 0):])
-                 for r in range(1, min(k, gt.size) + 1)]
-    *columns, candidates = zip(*rows)
-    user, r, gt_counts, level, p_isolated = map(np.array, columns)
-    take = np.array([c.size for c in candidates])
-    filled = np.arange(k) < take[:, None]
-    uppers = np.zeros(filled.shape)
-    uppers[filled] = clopper_pearson_upper(np.concatenate(candidates),
-                                           table.num_samples, np.repeat(level, take))
-    lowers = clopper_pearson_lower(gt_counts, table.num_samples, level)
-    sums = np.cumsum(uppers, axis=1)
-
-    def holds(rho, live):
-        budgets, at = np.unique(rho, return_inverse=True)
-        p_hat = np.array([prob_all_removed_recsys(params, tau, int(b))
-                          for b in budgets])[at]
-        return _certifies_overlap(lowers[live], sums[live], take[live],
-                                  table.k_prime, p_hat, p_isolated[live])
-
-    radii = np.full((len(ground_truths), k), -1, dtype=np.int64)
-    radii[user, r - 1] = largest_certified_rho(holds, r.size)
-    # At least r hits are certified wherever r' >= r hits are.
-    return np.maximum.accumulate(radii[:, ::-1], axis=1)[:, ::-1]
+    return _overlap_radii(table, ground_truths, k, tau, alpha)[0]
 
 
 def certify_user_overlap(table: ItemVoteTable, user: int, ground_truth, k: int,
@@ -305,8 +402,7 @@ def recommender_curve(table: ItemVoteTable,
     and takes the means in user order: ``cumsum`` adds one user at a time,
     where ``np.sum`` would add pairwise.
     """
-    radii = certified_overlap_radii(table, ground_truths, k, tau, alpha)
-    sizes = np.array([np.unique(list(gt)).size for gt in ground_truths.values()])
+    radii, sizes = _overlap_radii(table, ground_truths, k, tau, alpha)
     last = min(RHO_CAP, int(radii.max(initial=-1)) + 1)
     points = []
     for rho in range(last + 1):

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -288,6 +289,34 @@ class TestParseConfig:
         # what fails.
         assert main([command, *self.NODE_RUN, flag, value]) == 2
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_seed_outside_uint64_is_usage_error(self, tmp_path, seed):
+        # Seeds are mixed modulo 2**64: 2**64 would rerun seed 0.
+        with pytest.raises(UsageError, match=r"--seed must lie in \[0, 2\*\*64\)"):
+            parse_config(["gen-synth", "--out", "x", "--seed", str(seed)])
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"master_seed": seed}))
+        with pytest.raises(UsageError, match="--seed must lie in"):
+            parse_config(["gen-synth", "--out", "x", "--config", str(config)])
+
+    def test_seed_range_ends_are_accepted(self):
+        for seed in (0, 2**64 - 1):
+            assert parse_config(["gen-synth", "--out", "x", "--seed",
+                                 str(seed)]).master_seed == seed
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["certify-evasion", *NODE_RUN], "--hidden-dim"),
+        (["gen-synth", "--out", "x"], "--synth-d"),
+        (["certify-recsys", "--out", "x", "--p-n", "0.9", "--ratings", "r"],
+         "--k-prime")])
+    def test_axis_beyond_numpy_is_usage_error(self, capsys, argv, flag):
+        # Refused before any file is read, naming the flag and its limit.
+        assert main(argv + [flag, str(sys.maxsize + 1)]) == 2
+        assert f"error: {flag} must be at most {sys.maxsize}" in \
+            capsys.readouterr().err
+        assert getattr(parse_config(argv + [flag, str(sys.maxsize)]),
+                       flag[2:].replace("-", "_")) == sys.maxsize
 
     @pytest.mark.parametrize("argv", [
         ["certify-evasion", *NODE_RUN],

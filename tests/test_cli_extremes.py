@@ -6,7 +6,8 @@ setting to ``nan``, ``inf`` and ``-inf``, and each integer setting to
 (``--epochs``, ``--rho``, ``--synth-n``). Each numeric cell of the three
 dataset files is set to ``1e308``, ``-1e308``, ``-0`` and a 20-digit
 number. A run either exits 0 with finite values in every CSV it writes, or
-exits 1 or 2 with one ``error:`` line on stderr and no traceback.
+exits 1 or 2 with one ``error:`` line on stderr and no traceback; the runs
+of ``USAGE_ERRORS`` must exit 2 with their message.
 """
 import csv
 import json
@@ -55,6 +56,18 @@ SETTINGS = {
         "--k": ["0", "5", BIG],
         "--k-prime": ["1", BIG],
     },
+}
+
+
+# Runs that must exit 2 with a message that names the setting. A seed is
+# mixed modulo 2**64 and would otherwise alias another; an axis longer than
+# numpy's largest dimension would fail with numpy's message alone.
+USAGE_ERRORS = {
+    "--seed=-1": "--seed must lie in [0, 2**64)",
+    f"--seed={BIG}": "--seed must lie in [0, 2**64)",
+    f"--hidden-dim={BIG}": "--hidden-dim must be at most",
+    f"--synth-d={BIG}": "--synth-d must be at most",
+    f"--k-prime={BIG}": "--k-prime must be at most",
 }
 
 
@@ -162,4 +175,13 @@ def test_extreme_values_exit_cleanly(datasets, tmp_path, capsys, command):
                 failures.append(f"{label}: exit 0 with a value that is not finite")
         elif code not in (1, 2) or len(errors) != 1 or "Traceback" in err:
             failures.append(f"{label}: exit {code}, stderr {err!r}")
+        if label in USAGE_ERRORS and (code != 2 or USAGE_ERRORS[label] not in err):
+            failures.append(f"{label}: expected exit 2 naming the setting, "
+                            f"got exit {code}, stderr {err!r}")
     assert failures == []
+
+
+def test_every_expected_usage_error_is_swept(datasets, tmp_path):
+    labels = {label for command in SETTINGS
+              for label, _, _ in cases(command, datasets, tmp_path)}
+    assert set(USAGE_ERRORS) <= labels

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import degree, has_edge, neighbors, reference_ratings_split
+from smoothcert import graph as graph_module
 from smoothcert import (Graph, DataSplit, InteractionMatrix, ParseError,
                         generate_sbm, load_interaction_dataset,
                         load_node_classification_dataset,
@@ -284,6 +285,181 @@ def test_reference_ratings_dataset():
     assert matrix.users == 943
     assert matrix.items == 1682
     assert matrix.nnz + sum(len(h) for h in held) == 100_000
+
+
+# Cells that int() or float() may read differently from numpy's text reader:
+# signs, padding, digit separators, comment marks, non-finite ratings,
+# overflow, and non-ASCII or separator characters that numpy's reader alone
+# takes for digits or whitespace.
+ODD_CELLS = ["+5", " 5 ", "1_0", "#5", "nan", "inf", "-inf", "x", "", "5.0",
+             "1e3", "-0", "9223372036854775807", "9223372036854775808",
+             "-9223372036854775809", "99999999999999999999", "\u01fe5",
+             "\x1c5", "5\x1f", "\xa05", "\u0665", "5\x0c"]
+# Whole-line changes: blank and whitespace-only lines, a line of 1, 3 or 5
+# fields and a trailing tab.
+ODD_LINES = ["", "   ", "\t", " \t \t ", "7", "1\t2\t3", "1\t2\t3\t4\t5",
+             "1\t2\t3\t4\t"]
+
+
+def odd_file(rng, lines):
+    """The text of ``lines`` (each a list of cells) after one to three
+    seeded changes, with seeded line ends, final newline and BOM."""
+    lines = [list(line) for line in lines]
+    for _ in range(int(rng.integers(1, 4))):
+        at = int(rng.integers(0, len(lines) + 1))
+        change = rng.integers(0, 4)
+        if change == 0 and lines:  # one odd cell
+            row = lines[min(at, len(lines) - 1)]
+            row[int(rng.integers(0, len(row)))] = str(rng.choice(ODD_CELLS))
+        elif change == 1:  # one odd line
+            lines.insert(at, str(rng.choice(ODD_LINES)).split("\t"))
+        elif change == 2 and lines:  # a repeat, after a blank line
+            lines[at:at] = [[""], list(lines[int(rng.integers(0, len(lines)))])]
+        elif lines:  # a row with the same value in its first two cells
+            row = lines[min(at, len(lines) - 1)]
+            row[1:2] = row[:1]
+    end = str(rng.choice(["\n", "\r\n", "\r"]))
+    text = end.join("\t".join(line) for line in lines)
+    if lines and rng.random() < 0.7:
+        text += end
+    return ("\ufeff" if rng.random() < 0.1 else "") + text
+
+
+def load_both_ways(monkeypatch, load, path):
+    """``load(path)`` with the whole-file reader and with the per-line
+    parser alone: each its result or its ParseError."""
+    outcomes = []
+    for whole_file in (True, False):
+        with monkeypatch.context() as patch:
+            if not whole_file:
+                patch.setattr(graph_module, "_read_columns", lambda *a, **k: None)
+            try:
+                outcomes.append(load(path))
+            except ParseError as exc:
+                outcomes.append((str(exc), exc.line_no))
+    return outcomes
+
+
+class TestWholeFileReader:
+    """The whole-file parse against the per-line parser on a seeded corpus."""
+
+    @staticmethod
+    def count_fast_parses(monkeypatch):
+        parsed = []
+        read = graph_module._read_columns
+
+        def counted(*args, **kwargs):
+            table = read(*args, **kwargs)
+            parsed.append(table is not None)
+            return table
+        monkeypatch.setattr(graph_module, "_read_columns", counted)
+        return parsed
+
+    def test_rating_logs_match_the_per_line_parser(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(19)
+        parsed = self.count_fast_parses(monkeypatch)
+        path = tmp_path / "ratings.tsv"
+
+        def load(p):
+            matrix, held = load_interaction_dataset(p, 0.5)
+            return matrix.pairs.tolist(), matrix.users, matrix.items, \
+                [h.tolist() for h in held]
+        failures = []
+        for case in range(300):
+            keys = rng.choice(24, size=int(rng.integers(0, 9)), replace=False)
+            lines = [[str(k // 6 + 1), str(k % 6 + 10), str(rng.integers(1, 6)),
+                      str(rng.integers(100, 104))] for k in keys]
+            text = odd_file(rng, lines) if case % 10 else "\n".join(
+                "\t".join(line) for line in lines)
+            path.write_text(text, encoding="utf-8", newline="")
+            fast, slow = load_both_ways(monkeypatch, load, path)
+            if fast != slow:
+                failures.append((text, fast, slow))
+        assert failures == []
+        # Both readers were exercised: some files parse whole, some not.
+        assert 40 <= sum(parsed) <= len(parsed) - 100
+
+    def test_edge_lists_match_the_per_line_parser(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(20)
+        parsed = self.count_fast_parses(monkeypatch)
+        edges = tmp_path / "edges.tsv"
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_text("node_id,label,f_1\n"
+                         + "".join(f"{v},{v % 2},0.5\n" for v in range(6)))
+
+        def load(p):
+            graph = load_node_classification_dataset(p, nodes)
+            return graph.edges.tolist(), graph.indptr.tolist()
+        failures = []
+        for case in range(300):
+            pairs = np.argwhere(np.triu(rng.random((6, 6)) < 0.3, k=1))
+            lines = [[str(u), str(v)] if rng.random() < 0.5 else [str(v), str(u)]
+                     for u, v in pairs]
+            text = odd_file(rng, lines) if case % 10 else "\n".join(
+                "\t".join(line) for line in lines)
+            edges.write_text(text, encoding="utf-8", newline="")
+            fast, slow = load_both_ways(monkeypatch, load, edges)
+            if fast != slow:
+                failures.append((text, fast, slow))
+        assert failures == []
+        assert 40 <= sum(parsed) <= len(parsed) - 100
+
+    @pytest.mark.parametrize("dtype, convert", [(np.int64, int),
+                                                (np.float64, float)])
+    def test_ascii_cells_read_as_int_and_float_read_them(self, dtype, convert):
+        # The whole-file parse is exact only while numpy's reader takes no
+        # ASCII cell that int() or float() refuses or reads otherwise.
+        chars = [chr(c) for c in range(128) if chr(c) not in "\t\n\r"]
+        cells = [a + b for a in chars for b in chars]
+        cells += [a + "5" + b for a in chars for b in chars]
+        read = 0
+        for cell in cells:
+            table = graph_module._read_columns(cell.encode() + b"\n", dtype, 1)
+            if table is not None:
+                assert np.array_equal(table, [convert(cell)], equal_nan=True), cell
+                read += 1
+        assert read > 100
+
+    @pytest.mark.parametrize("text, line_no", [
+        ("1\t5\t4\t10\n\n2\t5\t4\t11\n\n   \n1\t5\t3\t12\n", 6),
+        ("\r\n1\t5\t4\t10\r\n1\t5\t3\t12", 3)])
+    def test_a_repeat_found_whole_is_named_by_its_line(self, tmp_path, text,
+                                                         line_no):
+        path = tmp_path / "dup.tsv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with pytest.raises(ParseError, match="duplicate interaction user=1 item=5") \
+                as info:
+            load_interaction_dataset(path, 0.5)
+        assert info.value.line_no == line_no
+
+    def test_a_clean_benchmark_sized_log_is_parsed_whole(self, tmp_path,
+                                                         monkeypatch):
+        # 943 users, 1682 items and 100 000 ratings, as in MovieLens-100k.
+        rng = np.random.default_rng(100)
+        keys = rng.choice(943 * 1682, size=100_000, replace=False)
+        keys[:943] = np.arange(943) * 1682 + rng.integers(0, 1682, size=943)
+        keys[943:943 + 1682] = rng.integers(0, 943, size=1682) * 1682 + np.arange(1682)
+        keys = np.unique(keys)
+        stars = rng.integers(1, 6, size=keys.size)
+        stamps = 874_724_710 + rng.integers(0, 10**7, size=keys.size)
+        path = tmp_path / "u.data"
+        path.write_text("".join(f"{k // 1682 + 1}\t{k % 1682 + 1}\t{s}\t{t}\n"
+                                for k, s, t in zip(keys.tolist(), stars.tolist(),
+                                                   stamps.tolist())))
+        per_line = []
+        for name in ("_parse_rating_lines", "_parse_edge_lines"):
+            parse = getattr(graph_module, name)
+            monkeypatch.setattr(graph_module, name, lambda *a, name=name, parse=parse:
+                                per_line.append(name) or parse(*a))
+        matrix, held = load_interaction_dataset(path, 0.85)
+        assert (matrix.users, matrix.items) == (943, 1682)
+        assert matrix.nnz + sum(h.size for h in held) == keys.size
+        graph, _ = generate_sbm(300, 2, 0.1, 0.01, 4, seed=1)
+        save_node_classification_dataset(graph, tmp_path / "e.tsv",
+                                         tmp_path / "n.csv")
+        assert load_node_classification_dataset(tmp_path / "e.tsv",
+                                                tmp_path / "n.csv") == graph
+        assert per_line == []
 
 
 class TestGenerateSbm:

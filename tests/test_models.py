@@ -226,7 +226,7 @@ class TestSparseProductInto:
     @staticmethod
     def assert_same_bits(op, x):
         out = np.full((op.shape[0], x.shape[1]), np.nan)
-        assert models._sparse_product_into(op, x, out) is out
+        assert models.sparse_product_into(op, x, out) is out
         expected = op @ x
         assert out.dtype == expected.dtype and out.shape == expected.shape
         assert out.tobytes() == expected.tobytes()

@@ -368,6 +368,41 @@ class TestCollectItemVotes:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    def test_ranking_blocks_reuse_one_workspace(self, monkeypatch):
+        # 300 users rating about 6 % of 1500 items, as in MovieLens-100k:
+        # six column blocks. Every block writes into the buffers that the
+        # call allocates before its first block, so each block after it
+        # allocates less than one users x block float64 array.
+        rng = np.random.default_rng(1500)
+        matrix = InteractionMatrix(users=300, items=1500,
+                                   pairs=np.argwhere(rng.random((300, 1500)) < 0.06))
+        histories = recsys._histories(matrix)
+        one_block = matrix.users * recsys._RANK_COLUMNS * 8
+        rises, start = [], []
+        jaccard = recsys._jaccard_columns
+
+        def block_start():
+            if start:
+                rises.append(tracemalloc.get_traced_memory()[1] - start.pop())
+            tracemalloc.reset_peak()
+            start.append(tracemalloc.get_traced_memory()[0])
+
+        def traced(*args):
+            block_start()
+            return jaccard(*args)
+        monkeypatch.setattr(recsys, "_jaccard_columns", traced)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            top_items(histories, 10)
+            block_start()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(rises) == 6
+        assert max(rises[1:]) < one_block, rises
+
     def test_frequencies_match_enumeration(self, enum_matrix):
         params = SmoothingParams(p_e=0.35, p_n=0.25)
         k_prime = 2
