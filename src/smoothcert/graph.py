@@ -438,6 +438,20 @@ def _parse_rating_lines(path: Path):
     return parsed.reshape(-1, 4).T
 
 
+def _by_user_and_time(users: np.ndarray, timestamps: np.ndarray,
+                      order: np.ndarray) -> np.ndarray:
+    """``order`` stably re-sorted by (user, timestamp): records that tie on
+    both keep their order in ``order``.
+
+    One stable sort on the user and the dense rank of the timestamp. With
+    ``order`` sorting distinct (user, item) pairs, this is
+    ``np.lexsort((items, timestamps, users))``.
+    """
+    ranks = np.unique(timestamps, return_inverse=True)[1]
+    keys = users * (ranks.max(initial=0) + 1) + ranks
+    return order[np.argsort(keys[order], kind="stable")]
+
+
 def load_interaction_dataset(path, split_fraction: float):
     """Load a tab-separated rating log and split it per user by time.
 
@@ -481,7 +495,7 @@ def load_interaction_dataset(path, split_fraction: float):
                          f"(first at line {line_nos[first]})")
 
     # Each user's records by timestamp, ties by item id, then ranked.
-    order = np.lexsort((i, ts, u))
+    order = _by_user_and_time(u, ts, order)
     counts = np.bincount(u, minlength=num_users)
     ranks = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
     n_train = np.maximum(1, np.floor(split_fraction * counts)).astype(np.int64)

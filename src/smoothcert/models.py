@@ -67,7 +67,8 @@ class TrainedModel:
     graph_fingerprint: str
 
 
-def normalized_operator(num_nodes: int, edges: np.ndarray) -> sp.csr_matrix:
+def normalized_operator(num_nodes: int, edges: np.ndarray,
+                        rows: Optional[np.ndarray] = None) -> sp.csr_matrix:
     """Row-normalized adjacency with a self-loop on every node.
 
     ``edges`` is a duplicate-free, loop-free edge list such as
@@ -75,16 +76,25 @@ def normalized_operator(num_nodes: int, edges: np.ndarray) -> sp.csr_matrix:
     each neighbor, with columns in descending order. Sparse products sum a
     row in its stored order, so this fixed layout keeps every forward pass
     bit-identical however the operator was assembled.
+
+    With ``rows`` given, a node without an edge keeps its row only if it is
+    in ``rows``; the rows of the other edgeless nodes are left empty.
     """
     n = int(num_nodes)
-    loops = np.arange(n, dtype=np.int64)
+    if rows is None:
+        loops = np.arange(n, dtype=np.int64)
+    else:
+        filled = np.zeros(n, dtype=bool)
+        filled[edges] = True
+        filled[rows] = True
+        loops = np.flatnonzero(filled)
     src = np.concatenate([edges[:, 0], edges[:, 1], loops])
     dst = np.concatenate([edges[:, 1], edges[:, 0], loops])
     # Sorted src * n + (n - 1 - dst) keys run by row, then by descending column.
     indices = (n - 1) - np.sort(src * n + (n - 1 - dst)) % n
     sizes = np.bincount(src, minlength=n)
     indptr = np.concatenate([[0], np.cumsum(sizes)])
-    data = np.repeat(1.0 / sizes, sizes)
+    data = 1.0 / np.repeat(sizes, sizes)
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
@@ -112,16 +122,63 @@ def sparse_product_into(op, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     ``out`` instead of a fresh ``np.zeros``, so every sum runs in the same
     order and the result is bit for bit the same.
     """
-    rows, cols = op.shape
+    return _product_into(op.format, op.shape, op.indptr, op.indices, op.data,
+                         x, out)
+
+
+def _product_into(fmt: str, shape: tuple, indptr: np.ndarray, indices: np.ndarray,
+                  data: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`sparse_product_into` on the arrays of a CSR or CSC matrix."""
+    rows, cols = shape
     out.fill(0.0)
     if x.shape[1] == 1:
-        kernel = getattr(_sparsetools, op.format + "_matvec")
-        kernel(rows, cols, op.indptr, op.indices, op.data, x.ravel(), out.ravel())
+        kernel = getattr(_sparsetools, fmt + "_matvec")
+        kernel(rows, cols, indptr, indices, data, x.ravel(), out.ravel())
     else:
-        kernel = getattr(_sparsetools, op.format + "_matvecs")
-        kernel(rows, cols, x.shape[1], op.indptr, op.indices, op.data,
-               x.ravel(), out.ravel())
+        kernel = getattr(_sparsetools, fmt + "_matvecs")
+        kernel(rows, cols, x.shape[1], indptr, indices, data, x.ravel(), out.ravel())
     return out
+
+
+class _LiveRows:
+    """The rows of one training epoch that its loss can reach.
+
+    ``rows`` are sorted node ids and ``at`` holds each training node's
+    position among them. For the MLP (``operator`` None) they are the
+    training nodes. For the message-passing model they are the filled rows
+    of the epoch's operator, which must include every training node; every
+    other row must be empty, as :func:`normalized_operator` leaves the rows
+    of edgeless nodes outside its ``rows``. Such a node neither feeds nor
+    reads a training row, so it never reaches the loss.
+    """
+
+    def __init__(self, operator: Optional[sp.csr_matrix], train_idx: np.ndarray,
+                 num_classes: int):
+        self.aggregates = operator is not None
+        if not self.aggregates:
+            self.rows = train_idx
+        else:
+            self.rows = np.flatnonzero(np.diff(operator.indptr))
+            self.num_nodes = operator.shape[0]
+            # The other rows are empty, so the filled rows' entries are
+            # contiguous and the operator's own arrays serve.
+            self._arrays = (np.append(operator.indptr[self.rows],
+                                      operator.indptr[-1:]),
+                            operator.indices, operator.data)
+            # d_logits on the live rows: zero off the training rows.
+            self.d_logits = np.zeros((self.rows.size, num_classes))
+        self.at = np.searchsorted(self.rows, train_idx)
+
+    def product_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The live rows of ``operator @ x`` (rows x width) into ``out``."""
+        return _product_into("csr", (self.rows.size, self.num_nodes), *self._arrays,
+                             x, out)
+
+    def transposed_product_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``operator.T @ y`` into the n-row ``out``, for the ``y`` that is
+        ``x`` (rows x width) on the live rows and zero elsewhere."""
+        return _product_into("csc", (self.num_nodes, self.rows.size), *self._arrays,
+                             x, out)
 
 
 class _Workspace:
@@ -129,16 +186,27 @@ class _Workspace:
 
     At n = 3000 and hidden 64 each float64 buffer is 1.5 MB, above glibc's
     mmap threshold: a fresh array per epoch maps new pages and faults them
-    in again. ``t1`` holds ``features @ w1`` in the forward pass and, once
-    that is spent, ``agg.T @ d_z1`` in the backward pass; ``h1`` holds
-    ``agg @ t1 + b1`` and then its relu; ``positive`` is the relu mask.
+    in again. An epoch computes its elementwise and sparse work on its live
+    rows only (:class:`_LiveRows`), in the leading rows of ``live`` and
+    ``positive``: first the hidden activations ``relu(agg @ t1 + b1)`` and
+    their mask, then the masked ``d_z1``.
+
+    The dense products keep n-row operands, each live row at its node's
+    position: OpenBLAS rounds a row of a product differently with the row's
+    position, so a compact product would change the trained weights. ``t1``
+    holds ``features @ w1`` and, once that is spent, ``agg.T @ d_z1``;
+    ``h1`` holds the hidden activations on the live rows and exact zeros on
+    every other row, which therefore meet only the zero rows of ``d_t2``;
+    ``d_z1`` holds ``d_t2 @ w2.T``, masked on the live rows.
     """
 
-    def __init__(self, rows: int, hidden: int):
+    def __init__(self, rows: int, hidden: int, classes: int):
         self.t1 = np.empty((rows, hidden))
-        self.h1 = np.empty((rows, hidden))
+        self.h1 = np.zeros((rows, hidden))
         self.d_z1 = np.empty((rows, hidden))
+        self.live = np.empty((rows, hidden))
         self.positive = np.empty((rows, hidden), dtype=bool)
+        self.d_logits = np.zeros((rows, classes))  # zero off the training rows
 
 
 def _forward(weights: dict, agg: Optional[sp.csr_matrix], t1: np.ndarray,
@@ -160,25 +228,61 @@ def _forward(weights: dict, agg: Optional[sp.csr_matrix], t1: np.ndarray,
     return (agg @ t2 if agg is not None else t2) + weights["b2"]
 
 
-def _gradients(weights, agg, agg_t, features, labels, train_idx, weight_decay,
-               work: _Workspace):
-    t1 = np.matmul(features, weights["w1"], out=work.t1)
-    h1 = work.h1
-    logits = _forward(weights, agg, t1, h1)
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    probs = e / e.sum(axis=1, keepdims=True)  # softmax
-    d_logits = np.zeros_like(probs)
-    d_logits[train_idx] = probs[train_idx]
-    d_logits[train_idx, labels[train_idx]] -= 1.0
-    d_logits /= len(train_idx)
+def _finite_logits(logits: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """``logits`` if every entry is finite; otherwise ``FloatingPointError``
+    naming the node of the first row that is not, whose NaN logits would vote
+    for class 0. Row ``r`` belongs to node ``nodes[r]``."""
+    if not np.isfinite(logits).all():
+        bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))[0]
+        raise FloatingPointError(f"logits of node {nodes[bad]} are not finite")
+    return logits
 
-    d_t2 = agg_t @ d_logits if agg is not None else d_logits
+
+def _gradients(weights, live: _LiveRows, features, train_idx, targets, weight_decay,
+               work: _Workspace):
+    """Gradients of the mean training cross-entropy, computed on the live rows.
+
+    Every row outside ``live`` holds exact zeros in ``h1``, ``d_t2`` and the
+    sparse products' outputs, and ``d_z1`` holds there what the full-row
+    computation gives, so the n-row dense products and sums below yield the
+    same bits as over every row.
+    """
+    rows, at, k = live.rows, live.at, live.rows.size
+    t1 = np.matmul(features, weights["w1"], out=work.t1)
+    h = work.live[:k]  # relu(z1) on the live rows
+    if live.aggregates:
+        live.product_into(t1, h)
+    else:  # mode="clip" writes into out; the default "raise" buffers a copy
+        np.take(t1, rows, axis=0, out=h, mode="clip")
+    h += weights["b1"]
+    np.maximum(h, 0.0, out=h)
+    # relu(z1) > 0 exactly where z1 > 0 (NaN is neither).
+    positive = np.greater(h, 0.0, out=work.positive[:k])
+    h1 = work.h1
+    h1[rows] = h
+    t2 = h1 @ weights["w2"]
+    logits = (live.product_into(t2, np.empty((k, t2.shape[1])))[at] if live.aggregates
+              else t2[train_idx]) + weights["b2"]
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    d_train = e / e.sum(axis=1, keepdims=True)  # softmax
+    d_train[targets] -= 1.0
+    d_train /= len(train_idx)
+    d_logits = work.d_logits
+    d_logits[train_idx] = d_train
+
+    if live.aggregates:
+        live.d_logits[at] = d_train
+        d_t2 = live.transposed_product_into(live.d_logits, np.empty_like(t2))
+    else:
+        d_t2 = d_logits
     g_w2 = h1.T @ d_t2 + weight_decay * weights["w2"]
     g_b2 = d_logits.sum(axis=0)
     d_z1 = np.matmul(d_t2, weights["w2"].T, out=work.d_z1)
-    # relu(z1) > 0 exactly where z1 > 0 (NaN is neither).
-    d_z1 *= np.greater(h1, 0.0, out=work.positive)
-    d_t1 = sparse_product_into(agg_t, d_z1, t1) if agg is not None else d_z1
+    d_z1_live = np.take(d_z1, rows, axis=0, out=h, mode="clip")  # h is spent
+    d_z1_live *= positive
+    d_z1[rows] = d_z1_live
+    d_t1 = (live.transposed_product_into(d_z1_live, t1) if live.aggregates
+            else d_z1)
     g_w1 = features.T @ d_t1 + weight_decay * weights["w1"]
     g_b1 = d_z1.sum(axis=0)
     return {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2}
@@ -200,7 +304,13 @@ def _check_train_nodes(graph: Graph, train_idx: np.ndarray) -> None:
 def _fit(spec: ClassifierSpec, graph: Graph, train_idx: np.ndarray,
          operators: Iterable[Optional[sp.csr_matrix]]) -> dict:
     """Trained weights after one Adagrad step per operator in ``operators``
-    (None for the MLP); each distinct operator is transposed once.
+    (None for the MLP) on the sorted, distinct training nodes ``train_idx``.
+
+    Each step works on the live rows of its operator (:class:`_LiveRows`),
+    found once per distinct operator: its filled rows, which must include
+    every training node. Give an edgeless node that is not a training node
+    an empty row (``normalized_operator(n, edges, train_idx)``) and no step
+    computes it; the weights are the same bits either way.
 
     Raises ``FloatingPointError`` if training leaves a weight that is not
     finite: such a model would put every vote on class 0. That check is the
@@ -210,14 +320,19 @@ def _fit(spec: ClassifierSpec, graph: Graph, train_idx: np.ndarray,
         raise ValueError("training requires at least 2 classes")
     weights = _init_weights(spec, graph.num_features, graph.num_classes)
     cache = {k: np.zeros_like(v) for k, v in weights.items()}
-    work = _Workspace(graph.n, spec.hidden_dim)
-    agg = agg_t = None  # the MLP's None operator never needs a transpose
+    work = _Workspace(graph.n, spec.hidden_dim, graph.num_classes)
+    # Each training row's label column, where softmax - onehot subtracts 1.
+    targets = (np.arange(train_idx.size), graph.labels[train_idx])
+    agg = live = None
     with np.errstate(over="ignore", invalid="ignore"):
         for operator in operators:
-            if operator is not agg:
-                agg, agg_t = operator, operator.T
-            grads = _gradients(weights, agg, agg_t, graph.features, graph.labels,
-                               train_idx, spec.weight_decay, work)
+            if live is None or operator is not agg:
+                if live is not None:
+                    work.h1[live.rows] = 0.0  # rows outside the live ones stay 0
+                agg = operator
+                live = _LiveRows(operator, train_idx, graph.num_classes)
+            grads = _gradients(weights, live, graph.features, train_idx, targets,
+                               spec.weight_decay, work)
             _adagrad_step(weights, grads, cache, spec.learning_rate)
     if not all(np.isfinite(w).all() for w in weights.values()):
         raise FloatingPointError(
@@ -237,12 +352,15 @@ def train_with_noise(spec: ClassifierSpec, graph: Graph, split: DataSplit,
     """
     train_idx = np.asarray(split.train, dtype=np.int64)
     _check_train_nodes(graph, train_idx)
+
+    def operator(epoch):
+        sample = sample_smoothed_graph(graph, params,
+                                       derive_sample_seed(spec.seed, epoch))
+        return normalized_operator(graph.n, sample.graph.edges, train_idx)
+
     # The MLP ignores the edges, so it draws no samples.
-    operators = (
-        normalized_operator(graph.n, sample_smoothed_graph(
-            graph, params, derive_sample_seed(spec.seed, epoch)).graph.edges)
-        if spec.aggregates else None
-        for epoch in range(spec.epochs))
+    operators = (map(operator, range(spec.epochs)) if spec.aggregates
+                 else repeat(None, spec.epochs))
     return TrainedModel(spec=spec, weights=_fit(spec, graph, train_idx, operators),
                         num_classes=graph.num_classes,
                         num_features=graph.num_features,
@@ -284,10 +402,16 @@ def predict_rows(model: TrainedModel, transformed: np.ndarray, nodes: np.ndarray
     graph's edges renumbered to its rows, gives a block-diagonal operator
     whose rows equal :func:`predict` on each graph for those nodes.
     ``transformed`` is the :func:`feature_transform` of every node.
+
+    Raises ``FloatingPointError`` naming the first node whose logits are not
+    finite.
     """
     agg = normalized_operator(len(nodes), edges) if model.spec.aggregates else None
     t1 = transformed[nodes]
-    return np.argmax(_forward(model.weights, agg, t1, np.empty_like(t1)), axis=1)
+    # The check below is the one report of an overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = _forward(model.weights, agg, t1, np.empty_like(t1))
+    return np.argmax(_finite_logits(logits, nodes), axis=1)
 
 
 def train_predict_end_to_end(spec: ClassifierSpec, graph: Graph,
@@ -296,14 +420,21 @@ def train_predict_end_to_end(spec: ClassifierSpec, graph: Graph,
 
     Training nodes isolated in the graph are bypassed by the loss. Returns
     every node's class id, or None when every training node is isolated:
-    there is nothing to train on.
+    there is nothing to train on. Raises ``FloatingPointError`` naming the
+    first node whose logits are not finite.
     """
     train_idx = np.asarray(split.train, dtype=np.int64)
     _check_train_nodes(graph, train_idx)
     train_idx = train_idx[graph.degrees[train_idx] > 0]
     if train_idx.size == 0:
         return None
-    agg = normalized_operator(graph.n, graph.edges) if spec.aggregates else None
+    agg = (normalized_operator(graph.n, graph.edges, train_idx)
+           if spec.aggregates else None)
     weights = _fit(spec, graph, train_idx, repeat(agg, spec.epochs))
-    t1 = graph.features @ weights["w1"]
-    return np.argmax(_forward(weights, agg, t1, np.empty_like(t1)), axis=1)
+    if spec.aggregates:  # every node is predicted, so every row is filled
+        agg = normalized_operator(graph.n, graph.edges)
+    # The check below is the one report of an overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        t1 = graph.features @ weights["w1"]
+        logits = _forward(weights, agg, t1, np.empty_like(t1))
+    return np.argmax(_finite_logits(logits, np.arange(graph.n)), axis=1)

@@ -535,6 +535,22 @@ class TestSplits:
             seeded_split(graph, 0)
 
 
+class TestTimeOrder:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_lexsort_on_logs_heavy_with_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        users, items = int(rng.integers(1, 12)), int(rng.integers(1, 30))
+        keys = np.unique(rng.integers(0, users * items, int(rng.integers(0, 200))))
+        keys = rng.permutation(keys)  # distinct (user, item) pairs, any order
+        u, i = keys // items, keys % items
+        # Few distinct timestamps, some far apart: most records tie.
+        ts = rng.choice([0, 1, 7, 2**40, -3], size=keys.size,
+                        p=[0.4, 0.3, 0.1, 0.1, 0.1]) * int(rng.integers(1, 5))
+        order = np.argsort(keys, kind="stable")
+        got = graph_module._by_user_and_time(u, ts, order)
+        assert got.tobytes() == np.lexsort((i, ts, u)).tobytes()
+
+
 class TestInteractionMatrix:
     def test_duplicate_pair_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):

@@ -16,7 +16,8 @@ calls them. The only private scipy names the package imports are pinned,
 since each one ties it to the scipy floor in ``pyproject.toml``. The models
 train and predict: abstention is the vote collectors' rule, so no function
 in ``models.py`` takes a ``mode``, and only ``ClassifierSpec.aggregates``
-compares a model kind with its name.
+compares a model kind with its name. Every training runs one loop: only
+``models._fit`` calls ``_adagrad_step`` or loops over epochs.
 """
 import ast
 import inspect
@@ -388,3 +389,50 @@ def test_kind_comparison_is_detected(tmp_path):
                       "    return a, b, spec.kind in KINDS, spec.kind == 'gcn'\n")
     assert kind_comparisons(source) == [(5, "ClassifierSpec.aggregates"),
                                         (7, "collect"), (8, "collect")]
+
+
+def loop_iterables(node):
+    """What a loop or comprehension iterates over (a ``while`` loop's test)."""
+    if isinstance(node, ast.For):
+        return [node.iter]
+    if isinstance(node, ast.While):
+        return [node.test]
+    return [generator.iter for generator in node.generators]
+
+
+def training_loops(path):
+    """``(line, scope)`` of every loop or comprehension that iterates over
+    something naming ``epochs`` or calls ``_adagrad_step``."""
+    def steps(node):
+        return any(isinstance(n, ast.Call) and "_adagrad_step" in (
+            getattr(n.func, "id", None), getattr(n.func, "attr", None))
+            for n in ast.walk(node))
+
+    return scoped(path, lambda node: isinstance(node, LOOPS) and (
+        any(names(it, "epochs") for it in loop_iterables(node)) or steps(node)))
+
+
+def test_one_training_loop():
+    assert [scope for path in SOURCES
+            for _, scope in calls_of(path, "_adagrad_step")] == ["_fit"]
+    assert [scope for path in SOURCES
+            for _, scope in training_loops(path)] == ["_fit"]
+
+
+def test_stray_training_loop_is_detected(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("def _fit(spec, operators):\n"
+                      "    for operator in operators:\n"
+                      "        _adagrad_step(operator)\n"
+                      "def _fit_live(spec, weights):\n"
+                      "    for epoch in range(spec.epochs):\n"
+                      "        weights -= step(epoch)\n"
+                      "def train(spec, model):\n"
+                      "    while model.epochs:\n"
+                      "        model.epochs -= 1\n"
+                      "    return [models._adagrad_step(w) for w in model.weights]\n"
+                      "def operators(spec):\n"
+                      "    return map(build, range(spec.epochs))\n")
+    assert training_loops(source) == [(2, "_fit"), (5, "_fit_live"), (8, "train"),
+                                      (10, "train")]
+    assert calls_of(source, "_adagrad_step") == [(3, "_fit"), (10, "train")]

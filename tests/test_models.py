@@ -1,7 +1,9 @@
 import tracemalloc
+from contextlib import suppress
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (neighbors, normalized_adjacency, reference_predict,
                      reference_train_predict, reference_train_with_noise)
@@ -10,8 +12,8 @@ from smoothcert import (ClassifierSpec, DataSplit, Graph, SmoothingParams,
                         sample_smoothed_graph, train_predict_end_to_end,
                         train_with_noise)
 from smoothcert import models
-from smoothcert.models import (feature_transform, normalized_operator,
-                               predict_rows)
+from smoothcert.models import (TrainedModel, feature_transform,
+                               normalized_operator, predict_rows)
 
 KINDS = ("message_passing_2layer", "feature_mlp")
 
@@ -78,6 +80,21 @@ class TestNormalizedOperator:
     @pytest.mark.parametrize("n", [0, 1, 6])
     def test_matches_oracle_without_edges(self, n):
         self.assert_matches_oracle(Graph(n, [], np.zeros((n, 1))))
+
+    def test_rows_keep_only_the_listed_edgeless_nodes(self, sbm_fixture):
+        graph, _ = sbm_fixture
+        sample = sample_smoothed_graph(graph, SmoothingParams(0.3, 0.6), 0).graph
+        listed = np.flatnonzero(sample.degrees == 0)[::2]
+        filled = sample.degrees > 0
+        filled[listed] = True
+        assert 0 < filled.sum() < sample.n
+        built = normalized_operator(sample.n, sample.edges, listed)
+        full = normalized_operator(sample.n, sample.edges)
+        assert built.shape == full.shape
+        assert np.array_equal(np.diff(built.indptr) > 0, filled)
+        rows = np.flatnonzero(filled)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(built[rows], part), getattr(full[rows], part))
 
 
 class TestIsolatedNodeIndependence:
@@ -202,10 +219,7 @@ class TestMatchesReferenceLoops:
     def test_train_predict(self, seeded, kind, monkeypatch):
         seed, graph, split = seeded
         spec = ClassifierSpec(kind=kind, hidden_dim=6, epochs=12, seed=seed)
-        fitted = []
-        fit = models._fit
-        monkeypatch.setattr(models, "_fit",
-                            lambda *args: fitted.append(fit(*args)) or fitted[-1])
+        fitted = capture_fit(monkeypatch)
         bypassed = 0
         for i in range(6):
             sample = sample_smoothed_graph(graph, SmoothingParams(0.3, 0.4),
@@ -218,6 +232,112 @@ class TestMatchesReferenceLoops:
             for key, value in ref_weights.items():
                 assert np.array_equal(weights[key], value)
         assert bypassed  # some sample must leave a training node isolated
+
+
+def capture_fit(monkeypatch):
+    """Patch ``models._fit`` to keep each training's weights; returns the list."""
+    fitted = []
+    fit = models._fit
+    monkeypatch.setattr(models, "_fit",
+                        lambda *args: fitted.append(fit(*args)) or fitted[-1])
+    return fitted
+
+
+def assert_same_bits(weights, reference):
+    assert weights.keys() == reference.keys()
+    for key, value in reference.items():
+        assert weights[key].tobytes() == value.tobytes(), key
+
+
+class TestLiveRowsMatchReferenceLoops:
+    """Training on the rows the loss can reach gives the reference loops'
+    weights, bit for bit, where most rows are isolated. OpenBLAS rounds a
+    product row by its position, and its kernels work in blocks of four
+    rows, so every residue of n mod 4 is covered."""
+
+    @pytest.fixture(params=[0, 1, 2, 3], ids=lambda r: f"n{96 + r}")
+    def graph(self, request):
+        graph, split = generate_sbm(96, 2, 0.2, 0.03, 8, seed=11)
+        rng = np.random.default_rng(request.param)
+        return append_isolated(graph, request.param, rng), split
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_noisy_training(self, graph, kind):
+        graph, split = graph
+        spec = ClassifierSpec(kind=kind, hidden_dim=64, epochs=15, seed=5)
+        params = SmoothingParams(0.2, 0.8)
+        model = train_with_noise(spec, graph, split, params)
+        reference = reference_train_with_noise(spec, graph, split, params)
+        assert_same_bits(model.weights, reference.weights)
+        # Some epoch's sample isolates a training node, which stays live.
+        assert any((sample_smoothed_graph(graph, params, derive_sample_seed(5, epoch))
+                    .graph.degrees[split.train] == 0).any() for epoch in range(15))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_poisoning_training(self, graph, kind, monkeypatch):
+        graph, split = graph
+        spec = ClassifierSpec(kind=kind, hidden_dim=64, epochs=15, seed=5)
+        fitted = capture_fit(monkeypatch)
+        bypassed = 0
+        for i in range(3):
+            sample = sample_smoothed_graph(graph, SmoothingParams(0.2, 0.7), i).graph
+            assert (sample.degrees == 0).mean() > 0.5
+            bypassed += (sample.degrees[split.train] == 0).any()
+            preds = train_predict_end_to_end(spec, sample, split)
+            ref_preds, ref_weights = reference_train_predict(spec, sample, split)
+            assert preds.tobytes() == ref_preds.tobytes()
+            assert_same_bits(fitted.pop(), ref_weights)
+        assert bypassed
+
+
+FINITE_ROWS = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      min_size=32, max_size=32)
+
+
+class TestIsolatedRowsDoNotReachTheWeights:
+    """A node the loss cannot reach may carry any finite features, even
+    ones whose first-layer product overflows."""
+
+    BASE = generate_sbm(48, 2, 0.25, 0.04, 32, seed=3)
+
+    @given(seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 2**16),
+           values=FINITE_ROWS, kind=st.sampled_from(KINDS))
+    @example(seed=0, pick=0, values=[1e308] * 32, kind=KINDS[0])
+    @example(seed=1, pick=3, values=[-1e308] * 32, kind=KINDS[1])
+    @settings(max_examples=30, deadline=None)
+    def test_poisoning(self, seed, pick, values, kind):
+        graph, split = self.BASE
+        sample = sample_smoothed_graph(graph, SmoothingParams(0.1, 0.7), seed).graph
+        lonely = np.setdiff1d(np.flatnonzero(sample.degrees == 0), split.train)
+        v = lonely[pick % lonely.size]
+        features = sample.features.copy()
+        features[v] = values
+        changed = Graph(sample.n, sample.edges, features, sample.labels)
+        spec = ClassifierSpec(kind=kind, hidden_dim=16, epochs=8, seed=seed)
+        with pytest.MonkeyPatch.context() as patch:
+            fitted = capture_fit(patch)
+            for g in (sample, changed):
+                # The prediction of v itself may overflow; its weights came first.
+                with suppress(FloatingPointError):
+                    train_predict_end_to_end(spec, g, split)
+        if (sample.degrees[split.train] > 0).any():  # else nothing is trained
+            assert len(fitted) == 2
+            assert_same_bits(fitted[1], fitted[0])
+
+    @given(values=FINITE_ROWS, kind=st.sampled_from(KINDS))
+    @example(values=[1e308] * 32, kind=KINDS[0])
+    @example(values=[-1e308] * 32, kind=KINDS[1])
+    @settings(max_examples=15, deadline=None)
+    def test_noisy_training(self, values, kind):
+        graph, split = self.BASE
+        edgeless = append_isolated(graph, 1, np.random.default_rng(0))
+        features = edgeless.features.copy()
+        features[-1] = values
+        changed = Graph(edgeless.n, edgeless.edges, features, edgeless.labels)
+        spec = ClassifierSpec(kind=kind, hidden_dim=16, epochs=8, seed=2)
+        params = SmoothingParams(0.1, 0.7)
+        assert_same_bits(train_with_noise(spec, changed, split, params).weights,
+                         train_with_noise(spec, edgeless, split, params).weights)
 
 
 class TestSparseProductInto:
@@ -316,3 +436,45 @@ class TestNonFiniteTraining:
             train_with_noise(spec, graph, split, SmoothingParams(0.1, 0.5))
         with pytest.raises(FloatingPointError):
             train_predict_end_to_end(spec, graph, split)
+
+
+class TestNonFiniteLogits:
+    """A prediction whose logits are not finite raises, naming its node,
+    instead of voting for class 0."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_overflowing_isolated_node_in_a_poisoning_sample(self, kind):
+        graph, split = generate_sbm(48, 2, 0.25, 0.04, 64, seed=3)
+        v = np.setdiff1d(np.arange(graph.n), split.train)[5]
+        features = graph.features.copy()
+        features[v] = 1e308
+        sample = Graph(graph.n, graph.edges[(graph.edges != v).all(axis=1)],
+                       features, graph.labels)
+        spec = ClassifierSpec(kind=kind, hidden_dim=8, epochs=20)
+        with pytest.raises(FloatingPointError,
+                           match=f"^logits of node {v} are not finite$"):
+            train_predict_end_to_end(spec, sample, split)
+
+    @pytest.fixture
+    def overflowing_model(self, identity_model):
+        # Each hidden unit feeds each class with weight 1e308: a row whose
+        # hidden activations add up to more than about 1.8 overflows.
+        weights = dict(identity_model.weights, w2=np.full((2, 2), 1e308))
+        return TrainedModel(identity_model.spec, weights, 2, 2, "fixture")
+
+    def test_predict_rows_names_the_node_of_the_row(self, overflowing_model):
+        features = np.array([[0.5, 0.5]] * 6)
+        features[4] = [2.0, 2.0]
+        transformed = feature_transform(overflowing_model, features)
+        nodes = np.array([1, 4, 4, 0])
+        edges = np.array([[2, 3]])
+        with pytest.raises(FloatingPointError, match="^logits of node 4 are not finite$"):
+            predict_rows(overflowing_model, transformed, nodes, edges)
+        assert predict_rows(overflowing_model, transformed, nodes[[0, 3]],
+                            np.array([[0, 1]])).tolist() == [0, 0]
+
+    def test_predict(self, overflowing_model):
+        features = np.array([[0.5, 0.5], [0.9, 0.9], [2.0, 2.0]])
+        graph = Graph(3, [(0, 1)], features)
+        with pytest.raises(FloatingPointError, match="^logits of node 2 are not finite$"):
+            predict(overflowing_model, graph)
