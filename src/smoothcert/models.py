@@ -90,10 +90,14 @@ def normalized_operator(num_nodes: int, edges: np.ndarray,
         loops = np.flatnonzero(filled)
     src = np.concatenate([edges[:, 0], edges[:, 1], loops])
     dst = np.concatenate([edges[:, 1], edges[:, 0], loops])
+    # int32 where it holds every entry, the index type scipy picks itself,
+    # so csr_matrix does not scan int64 arrays to downcast them.
+    index = np.int32 if src.size + n < 2**31 else np.int64
     # Sorted src * n + (n - 1 - dst) keys run by row, then by descending column.
-    indices = (n - 1) - np.sort(src * n + (n - 1 - dst)) % n
+    indices = ((n - 1) - np.sort(src * n + (n - 1 - dst)) % n).astype(index)
     sizes = np.bincount(src, minlength=n)
-    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(sizes, out=indptr[1:])
     data = 1.0 / np.repeat(sizes, sizes)
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 

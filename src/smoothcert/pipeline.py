@@ -1,13 +1,16 @@
 """Monte-Carlo vote collection, certified-accuracy curves, and report output.
 
-Vote accumulation is an associative, commutative integer merge, so results do
-not depend on how sample indices are chunked across worker threads.
+A run's votes go into one table: ``BaseVoteTable.collect`` allocates it, and
+each chunk of the sample range adds its votes into it under one lock. Integer
+adds commute, so the table does not depend on how the sample indices are
+chunked across worker threads nor on the order the chunks finish in.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -62,23 +65,43 @@ class BaseVoteTable:
         rows = (self.counts.shape[0],)
         if self.abstains.shape != rows or self.degrees.shape != rows:
             raise ValueError("abstains and degrees must hold one value per row")
-        if np.any(self.counts < 0) or np.any(self.abstains < 0):
+        # Row reductions: no rows x columns temporary.
+        if self.counts.min(initial=0) < 0 or self.abstains.min(initial=0) < 0:
             raise ValueError("vote counts must be non-negative")
         voted = self.num_samples - self.abstains
-        if np.any(voted < 0) or np.any(self.counts > voted[:, None]):
+        if (voted.min(initial=0) < 0
+                or np.any(self.counts.max(axis=1, initial=0) > voted)):
             raise ValueError("a row has more votes than samples it voted in")
         _check_sample_range(self.first_index, self.num_samples)
 
     @classmethod
-    def collect(cls, worker: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
-                num_samples: int, first_index: int, threads: int, **fields):
-        """The table of samples ``[first_index, first_index + num_samples)``,
-        counted by ``worker(lo, hi)`` over chunks of the range."""
+    def collect(cls, worker: Callable[[int, int, Callable], None],
+                shape: tuple[int, int], num_samples: int, first_index: int,
+                threads: int, **fields):
+        """The ``shape`` (rows, columns) table of samples ``[first_index,
+        first_index + num_samples)``, counted by ``worker(lo, hi, add)`` over
+        chunks of the range.
+
+        This is the run's one table. ``add(votes, abstained=0, at=...)``
+        adds ``votes`` to ``counts[at]`` and ``abstained`` to the per-row
+        abstain counts, under one lock, so a worker keeps only what it has
+        not yet added. An indexed ``at`` adds once per index: its (row,
+        column) pairs must be distinct.
+        """
         if num_samples < 1:
             raise ValueError("num_samples must be >= 1")
         _check_sample_range(first_index, num_samples)
-        counts, abstains = accumulate_parallel(num_samples, first_index, threads,
-                                               worker)
+        counts = np.zeros(shape, dtype=np.int64)
+        abstains = np.zeros(shape[0], dtype=np.int64)
+        lock = threading.Lock()
+
+        def add(votes, abstained=0, at=...):
+            with lock:
+                counts[at] += votes
+                np.add(abstains, abstained, out=abstains)
+
+        accumulate_parallel(num_samples, first_index, threads,
+                            lambda lo, hi: worker(lo, hi, add))
         return cls(counts=counts, abstains=abstains, num_samples=num_samples,
                    first_index=first_index, **fields)
 
@@ -143,28 +166,28 @@ class VoteTable(BaseVoteTable):
 
 
 def accumulate_parallel(num_samples: int, first_index: int, threads: int,
-                        worker: Callable[[int, int], tuple[np.ndarray, np.ndarray]]):
-    """Run ``worker(lo, hi)`` over a chunked index range and sum the results.
+                        worker: Callable[[int, int], None]) -> None:
+    """Run ``worker(lo, hi)`` over chunks of ``[first_index, first_index +
+    num_samples)``, in any order.
 
-    At most one worker runs per usable CPU, whatever ``threads`` asks for.
+    At most one worker runs per usable CPU, whatever ``threads`` asks for;
+    with one, the whole range is one call on this thread. Workers return
+    nothing: each adds what it counts into the run's table itself.
     """
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(threads, cpus)
     if workers <= 1:
-        return worker(first_index, first_index + num_samples)
+        worker(first_index, first_index + num_samples)
+        return
     chunk_count = min(num_samples, workers * 4)
     # Python integers, so the bounds stay exact at any first_index.
     bounds = [first_index + num_samples * c // chunk_count
               for c in range(chunk_count + 1)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(worker, bounds[:-1], bounds[1:])
-        counts, abstains = next(parts)
-        # Summed as they arrive, so the finished chunks are not all held.
-        for chunk_counts, chunk_abstains in parts:
-            counts += chunk_counts
-            abstains += chunk_abstains
-    return counts, abstains
+        # Draining the results re-raises the first chunk's error, if any.
+        for _ in pool.map(worker, bounds[:-1], bounds[1:]):
+            pass
 
 
 def collect_votes_evasion(model: TrainedModel, graph: Graph, num_samples: int,
@@ -182,7 +205,7 @@ def collect_votes_evasion(model: TrainedModel, graph: Graph, num_samples: int,
     # is the one it gets in the edgeless graph, whatever the sample.
     isolated = predict(model, Graph(n, (), graph.features))
 
-    def worker(lo, hi):
+    def worker(lo, hi, add):
         votes = np.zeros(n * num_classes, dtype=np.int64)
         rows_of = np.empty(n, dtype=np.int64)
         nodes, edges, rows = [], [], 0
@@ -205,13 +228,13 @@ def collect_votes_evasion(model: TrainedModel, graph: Graph, num_samples: int,
         counts = votes.reshape(n, num_classes)
         # Every (sample, node) pair not voted above is an isolated node.
         counts[np.arange(n), isolated] += (hi - lo) - counts.sum(axis=1)
-        return counts, np.zeros(n, dtype=np.int64)
+        add(counts)
 
     provenance = {"kind": "evasion", "master_seed": int(master_seed),
                   "graph": graph.fingerprint(), "model_graph": model.graph_fingerprint,
                   "model_spec": asdict(model.spec)}
-    return VoteTable.collect(worker, num_samples, first_index, threads,
-                             params=params, degrees=graph.degrees,
+    return VoteTable.collect(worker, (n, num_classes), num_samples, first_index,
+                             threads, params=params, degrees=graph.degrees,
                              provenance=provenance)
 
 
@@ -232,7 +255,7 @@ def collect_votes_poisoning(spec: ClassifierSpec, graph: Graph, split: DataSplit
     num_classes = graph.num_classes
     include = mode == "include"
 
-    def worker(lo, hi):
+    def worker(lo, hi, add):
         counts = np.zeros((n, num_classes), dtype=np.int64)
         abstains = np.zeros(n, dtype=np.int64)
         for i in range(lo, hi):
@@ -246,13 +269,13 @@ def collect_votes_poisoning(spec: ClassifierSpec, graph: Graph, split: DataSplit
             voting = (sample.graph.degrees > 0) | include
             counts[voting, preds[voting]] += 1
             abstains += ~voting
-        return counts, abstains
+        add(counts, abstains)
 
     provenance = {"kind": "poisoning", "master_seed": int(master_seed),
                   "graph": graph.fingerprint(), "split": split.fingerprint(),
                   "model_spec": asdict(spec)}
-    return VoteTable.collect(worker, num_samples, first_index, threads,
-                             params=params, degrees=graph.degrees,
+    return VoteTable.collect(worker, (n, num_classes), num_samples, first_index,
+                             threads, params=params, degrees=graph.degrees,
                              provenance=provenance, mode=mode)
 
 

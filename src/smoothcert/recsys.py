@@ -19,6 +19,7 @@ from .certify import (RHO_CAP, clopper_pearson_lower, clopper_pearson_upper,
 
 
 _RANK_COLUMNS = 256  # item columns per block of top_items' similarity and scores
+_OVERLAP_ROWS = 64  # table rows per block of the overlap certificate's counts
 
 
 def _histories(matrix: InteractionMatrix) -> sp.csr_matrix:
@@ -61,18 +62,28 @@ class _RunningTop:
 
     Each block is merged with the running top-K' in one reused buffer:
     ``np.partition`` finds the K'-th score and only the candidates at or
-    above it are sorted.
+    above it are sorted. :meth:`start` ranks afresh on the leading rows.
     """
 
     def __init__(self, rows: int, k_prime: int, width: int):
         if k_prime < 1:
             raise ValueError("k_prime must be >= 1")
         self.k_prime = k_prime
-        self.top = np.full((rows, k_prime), -1, dtype=np.int64)
+        self._top = np.empty((rows, k_prime), dtype=np.int64)
         # The running top-K' scores, then the block's: one row per user.
-        self.scores = np.zeros((rows, k_prime + width))
-        self.partitioned = np.empty_like(self.scores)
-        self.candidate = np.empty(self.scores.shape, dtype=bool)
+        self._scores = np.empty((rows, k_prime + width))
+        self._partitioned = np.empty_like(self._scores)
+        self._candidate = np.empty(self._scores.shape, dtype=bool)
+        self.start(rows)
+
+    def start(self, rows: int) -> None:
+        """Rank the leading ``rows`` rows, with nothing merged yet."""
+        self.top = self._top[:rows]
+        self.top.fill(-1)
+        self.scores = self._scores[:rows]
+        self.scores[:, :self.k_prime] = 0.0
+        self.partitioned = self._partitioned[:rows]
+        self.candidate = self._candidate[:rows]
 
     def merge(self, lo: int, score: np.ndarray) -> None:
         """Merge the scores of item columns ``lo:lo + score.shape[1]``."""
@@ -108,7 +119,22 @@ def _block(buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
     return buffer[:rows * width].reshape(rows, width)
 
 
-def top_items(histories: sp.csr_matrix, k_prime: int) -> np.ndarray:
+class _RankingWorkspace:
+    """The buffers of :func:`top_items` for up to ``users`` users over
+    ``items`` items at ``k_prime``; a call on fewer users uses the leading
+    rows."""
+
+    def __init__(self, users: int, items: int, k_prime: int):
+        width = min(_RANK_COLUMNS, items)
+        self.users, self.items = users, items
+        self.ranking = _RunningTop(users, k_prime, width)
+        self.rated, self.score = np.empty(users * width), np.empty(users * width)
+        self.similarity = np.empty(items * width)
+        self.union = np.empty(items * width)
+
+
+def top_items(histories: sp.csr_matrix, k_prime: int,
+              workspace: _RankingWorkspace | None = None) -> np.ndarray:
     """Each user's top ``k_prime`` items by summed Jaccard similarity to the
     history, the similarity taken over these same histories.
 
@@ -117,15 +143,19 @@ def top_items(histories: sp.csr_matrix, k_prime: int) -> np.ndarray:
     similarities in history order (the absent entries add +0.0). History
     items and zero-score items are never ranked and ties break toward the
     lower item id; rows are padded with -1. Memory is O((users + items) x
-    block), never items x items, and every block writes into the buffers
-    the call allocates once.
+    block), never items x items, and every block writes into the buffers of
+    one workspace: a fresh one, or the ``workspace`` of earlier calls, whose
+    buffers the returned array shares until its next call.
     """
     by_item, counts = _by_item(histories)
     users, items = histories.shape
-    width = min(_RANK_COLUMNS, items)
-    ranking = _RunningTop(users, k_prime, width)
-    rated, score = np.empty(users * width), np.empty(users * width)
-    similarity, union = np.empty(items * width), np.empty(items * width)
+    if workspace is None:
+        workspace = _RankingWorkspace(users, items, k_prime)
+    ranking = workspace.ranking
+    if (users > workspace.users or items != workspace.items
+            or k_prime != ranking.k_prime):
+        raise ValueError("the workspace does not fit these histories")
+    ranking.start(users)
     # Each rating's column within its block of by_item's rows.
     column = np.repeat(np.arange(items) % _RANK_COLUMNS, np.diff(by_item.indptr))
     for lo in range(0, items, _RANK_COLUMNS):
@@ -134,14 +164,14 @@ def top_items(histories: sp.csr_matrix, k_prime: int) -> np.ndarray:
         # The block's ratings as flat indices into a users x block array.
         cells = np.multiply(by_item.indices[a:b], hi - lo, dtype=np.int64)
         cells += column[a:b]
-        block = _block(rated, users, hi - lo)
+        block = _block(workspace.rated, users, hi - lo)
         block.fill(0.0)
         block.ravel()[cells] = 1.0
         similar = _jaccard_columns(by_item, counts, lo, block,
-                                   _block(similarity, items, hi - lo),
-                                   _block(union, items, hi - lo))
+                                   _block(workspace.similarity, items, hi - lo),
+                                   _block(workspace.union, items, hi - lo))
         scored = sparse_product_into(histories, similar,
-                                     _block(score, users, hi - lo))
+                                     _block(workspace.score, users, hi - lo))
         scored.ravel()[cells] = 0.0
         ranking.merge(lo, scored)
     return ranking.top
@@ -201,27 +231,34 @@ def collect_item_votes(matrix: InteractionMatrix, num_samples: int,
 
     Every sample ranks all users still holding a rating at once on the
     similarity of its own smoothed rating matrix (:func:`top_items`); users
-    left without ratings abstain for that sample.
+    left without ratings abstain for that sample. Each sample adds its
+    votes into the run's one table; its (user, item) pairs are distinct.
+    A chunk ranks in an idle workspace of an earlier chunk, if there is
+    one, so at most one workspace per pool thread is ever made, and all of
+    them go when the call returns.
     """
     if k_prime < 1:
         raise ValueError("k_prime must be >= 1")
+    idle = []
 
-    def worker(lo, hi):
-        counts = np.zeros((matrix.users, matrix.items), dtype=np.int64)
-        abstains = np.zeros(matrix.users, dtype=np.int64)
+    def worker(lo, hi, add):
+        try:
+            workspace = idle.pop()
+        except IndexError:
+            workspace = _RankingWorkspace(matrix.users, matrix.items, k_prime)
         for i in range(lo, hi):
             smoothed, _ = sample_smoothed_ratings(
                 matrix, params, derive_sample_seed(master_seed, i))
             active = np.flatnonzero(smoothed.user_degrees)
-            abstains += smoothed.user_degrees == 0
-            top = top_items(_histories(smoothed)[active], k_prime)
+            top = top_items(_histories(smoothed)[active], k_prime, workspace)
             row, rank = np.nonzero(top >= 0)
-            counts[active[row], top[row, rank]] += 1
-        return counts, abstains
+            add(1, smoothed.user_degrees == 0, at=(active[row], top[row, rank]))
+        idle.append(workspace)
 
     provenance = {"kind": "recommender", "matrix": matrix.fingerprint(),
                   "master_seed": int(master_seed)}
-    return ItemVoteTable.collect(worker, num_samples, first_index, threads,
+    return ItemVoteTable.collect(worker, (matrix.users, matrix.items),
+                                 num_samples, first_index, threads,
                                  params=params, degrees=matrix.user_degrees,
                                  provenance=provenance, k_prime=k_prime)
 
@@ -263,17 +300,27 @@ def _overlap_radii(table: ItemVoteTable,
     # Each user's ground-truth counts in descending order, one run per user.
     gt_counts = table.counts[users[position], gt]
     gt_counts = gt_counts[np.lexsort((-gt_counts, position))]
-    # Each user's top min(k, items) other counts in descending order. The
-    # counts are negated, so that the partition's kth is small: a kth near
-    # the end of rows that are mostly zeros took over 10x longer. The
-    # ground truths are masked with 1, above every negated count, and so
-    # come out as -1 past the user's last other count.
-    others = table.counts[users]
-    np.negative(others, out=others)
-    others[position, gt] = 1
+    # Each user's top min(k, items) other counts in descending order, over
+    # blocks of rows in one buffer. The counts are negated, so that the
+    # partition's kth is small: a kth near the end of rows that are mostly
+    # zeros took over 10x longer. The ground truths are masked with 1,
+    # above every negated count, and so come out as -1 past the user's
+    # last other count.
     top = min(k, table.items)
-    others.partition(top - 1, axis=1)
-    others = -np.sort(others[:, :top], axis=1)
+    others = np.empty((users.size, top), dtype=np.int64)
+    block = np.empty((min(_OVERLAP_ROWS, users.size), table.items), dtype=np.int64)
+    for lo in range(0, users.size, _OVERLAP_ROWS):
+        hi = min(lo + _OVERLAP_ROWS, users.size)
+        # The users are checked, and "clip" takes into out without a copy.
+        rows = np.take(table.counts, users[lo:hi], axis=0, out=block[:hi - lo],
+                       mode="clip")
+        np.negative(rows, out=rows)
+        a, b = np.searchsorted(position, (lo, hi))
+        rows[position[a:b] - lo, gt[a:b]] = 1
+        rows.partition(top - 1, axis=1)
+        others[lo:hi] = rows[:, :top]
+    others.sort(axis=1)
+    np.negative(others, out=others)
 
     # Rows (user, r) for r = 1 .. min(k, |gt|), in user order.
     per_user = np.minimum(k, sizes)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smoothcert import ClassifierSpec, Graph, TrainedModel, generate_sbm
+from smoothcert import ClassifierSpec, Graph, TrainedModel, generate_sbm, pipeline
 
 
 @pytest.fixture
@@ -41,3 +41,36 @@ def sbm_fixture():
     graph, split = generate_sbm(n=120, classes=2, p_in=0.35, p_out=0.02,
                                 d=4, seed=7)
     return graph, split
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """``install(cpus, reverse=False)`` makes the vote scheduler see ``cpus``
+    usable CPUs and run its chunks one after another on this thread, last
+    first if ``reverse``. It returns two lists that fill as chunks run: the
+    worker count of each pool made and each chunk's first sample, in the
+    order run."""
+    def install(cpus, reverse=False):
+        pools, ran = [], []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                chunks = list(zip(*iterables))
+                for chunk in chunks[::-1] if reverse else chunks:
+                    ran.append(chunk[0])
+                    yield fn(*chunk)
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        return pools, ran
+    return install

@@ -5,7 +5,8 @@ No module imports another module's private helpers, no module imports
 single-budget certificate and the accessors only tests use) is not exported.
 Certificates read the smoothing noise, mode and degrees from the vote table,
 so no certify entry point takes them again. Every vote table is counted by
-one constructor, ``BaseVoteTable.collect``, and every report is rendered by
+one constructor, ``BaseVoteTable.collect``, into the one table it allocates:
+the workers that count for it return nothing. Every report is rendered by
 one writer, ``write_report``: it and ``AttackPlan.to_json`` are the only
 callers of the JSON encoder. Every radius is found by one search,
 ``largest_certified_rho``: no other function loops over the budget up to
@@ -281,6 +282,66 @@ def test_stray_vote_counting_is_detected(tmp_path):
                       "    return inner()\n")
     assert calls_of(source, "accumulate_parallel") == [
         (4, "BaseVoteTable.collect"), (7, "collect_votes.inner")]
+
+
+def own_nodes(function):
+    """The nodes of ``function``'s body, not those of functions inside it."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def collect_workers(path):
+    """``{"caller.worker": [line of each return with a value]}`` for every
+    function that a caller defines and passes to ``collect`` first."""
+    found = {}
+    for caller in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(caller, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        local = {node.name: node for node in caller.body
+                 if isinstance(node, ast.FunctionDef)}
+        for call in own_nodes(caller):
+            if (isinstance(call, ast.Call) and "collect" in (
+                    getattr(call.func, "id", None), getattr(call.func, "attr", None))
+                    and call.args and getattr(call.args[0], "id", None) in local):
+                worker = local[call.args[0].id]
+                found[f"{caller.name}.{worker.name}"] = [
+                    node.lineno for node in own_nodes(worker)
+                    if isinstance(node, ast.Return) and node.value is not None]
+    return found
+
+
+def test_vote_workers_add_into_the_one_table():
+    # A worker that returned its chunk's table would bring back one table
+    # per chunk beside the run's own.
+    workers = {}
+    for path in SOURCES:
+        workers.update(collect_workers(path))
+    assert workers == {"collect_votes_evasion.worker": [],
+                       "collect_votes_poisoning.worker": [],
+                       "collect_item_votes.worker": []}
+
+
+def test_stray_chunk_table_is_detected(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("def collect_votes(graph):\n"
+                      "    def worker(lo, hi, add):\n"
+                      "        counts = count(graph, lo, hi)\n"
+                      "        if counts is None:\n"
+                      "            return\n"
+                      "        def total():\n"
+                      "            return counts.sum()\n"
+                      "        return counts, total()\n"
+                      "    return VoteTable.collect(worker, (2, 2), 1, 0, 1)\n"
+                      "def tally(worker, lo, hi):\n"
+                      "    def chunk(lo, hi):\n"
+                      "        return worker(lo, hi)\n"
+                      "    return collect(worker, 1), chunk\n")
+    assert collect_workers(source) == {"collect_votes.worker": [8]}
 
 
 @pytest.mark.parametrize("name", ["build_similarity", "recommend_topk"])

@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -247,47 +248,91 @@ class TestVoteProvenance:
 class TestAccumulateParallel:
     """Worker counts, with a serial stand-in for the thread pool."""
 
-    def run(self, monkeypatch, cpus, threads, num_samples=1000, first=5):
-        pools, chunks = [], []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
+    def run(self, serial_pool, cpus, threads, num_samples=1000, first=5):
+        chunks = []
+        counts = np.zeros(1, dtype=np.int64)
 
         def worker(lo, hi):
             chunks.append((int(lo), int(hi)))
-            return np.array([hi - lo]), np.zeros(1, dtype=np.int64)
+            counts[0] += hi - lo
 
-        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(pipeline.os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)), raising=False)
-        counts, _ = pipeline.accumulate_parallel(num_samples, first, threads,
-                                                 worker)
+        pools, _ = serial_pool(cpus)
+        assert pipeline.accumulate_parallel(num_samples, first, threads,
+                                            worker) is None
         assert counts.tolist() == [num_samples]
         assert chunks[0][0] == first and chunks[-1][1] == first + num_samples
         assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
         return pools, len(chunks)
 
-    def test_workers_capped_at_usable_cpus(self, monkeypatch):
-        assert self.run(monkeypatch, cpus=3, threads=5000) == ([3], 12)
-        assert self.run(monkeypatch, cpus=3, threads=2) == ([2], 8)
+    def test_workers_capped_at_usable_cpus(self, serial_pool):
+        assert self.run(serial_pool, cpus=3, threads=5000) == ([3], 12)
+        assert self.run(serial_pool, cpus=3, threads=2) == ([2], 8)
 
-    def test_one_cpu_runs_serially(self, monkeypatch):
-        assert self.run(monkeypatch, cpus=1, threads=4) == ([], 1)
+    def test_one_cpu_runs_serially(self, serial_pool):
+        assert self.run(serial_pool, cpus=1, threads=4) == ([], 1)
 
-    def test_chunk_bounds_are_exact_past_float_precision(self, monkeypatch):
+    def test_chunk_bounds_are_exact_past_float_precision(self, serial_pool):
         # Float bounds would round 2**53 + 1 down and run [2**53, 2**53 + 8).
-        assert self.run(monkeypatch, cpus=2, threads=2, num_samples=7,
+        assert self.run(serial_pool, cpus=2, threads=2, num_samples=7,
                         first=2**53 + 1) == ([2], 7)
+
+    def test_chunk_order_does_not_change_any_table(self, serial_pool):
+        # Every chunk adds into the run's one table: run last chunk first.
+        graph, split = generate_sbm(n=60, classes=2, p_in=0.3, p_out=0.05, d=4,
+                                    seed=2)
+        params = SmoothingParams(0.2, 0.3)
+        model = random_model("message_passing_2layer", 4, 2, seed=1)
+        spec = ClassifierSpec(hidden_dim=4, epochs=3, seed=6)
+        rng = np.random.default_rng(7)
+        ratings = InteractionMatrix(30, 40, np.argwhere(rng.random((30, 40)) < 0.2))
+        collectors = (
+            lambda: collect_votes_evasion(model, graph, 40, params, master_seed=3,
+                                          threads=2, first_index=5),
+            lambda: collect_votes_poisoning(spec, graph, split, 12, params,
+                                            "exclude", master_seed=3, threads=2),
+            lambda: collect_item_votes(ratings, 12, params, 4, master_seed=3,
+                                       threads=2))
+        tables = {}
+        for reverse in (False, True):
+            pools, ran = serial_pool(2, reverse)
+            tables[reverse] = [collect() for collect in collectors]
+            assert pools == [2, 2, 2]
+            # The evasion run's eight chunks, in the order asked for.
+            firsts = list(range(5, 45, 5))
+            assert ran[:8] == (firsts[::-1] if reverse else firsts)
+        for forward, backward in zip(tables[False], tables[True]):
+            assert forward.counts.tobytes() == backward.counts.tobytes()
+            assert forward.abstains.tobytes() == backward.abstains.tobytes()
+        assert tables[False][1].abstains.any() and tables[False][2].counts.any()
+
+    def test_concurrent_adds_lose_no_vote(self, monkeypatch):
+        # Eight threads on fewer cores, switching as often as they can: an
+        # add that read the table before another thread's add wrote it would
+        # drop that thread's votes.
+        graph, _ = generate_sbm(n=60, classes=2, p_in=0.3, p_out=0.05, d=4, seed=2)
+        params = SmoothingParams(0.2, 0.3)
+        model = random_model("message_passing_2layer", 4, 2, seed=1)
+        rng = np.random.default_rng(7)
+        ratings = InteractionMatrix(30, 40, np.argwhere(rng.random((30, 40)) < 0.2))
+
+        def collect(threads):
+            return (collect_votes_evasion(model, graph, 200, params, master_seed=3,
+                                          threads=threads),
+                    collect_item_votes(ratings, 64, params, 4, master_seed=3,
+                                       threads=threads))
+
+        serial = collect(1)
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity",
+                            lambda pid: set(range(8)), raising=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = collect(8)
+        finally:
+            sys.setswitchinterval(interval)
+        for one, many in zip(serial, parallel):
+            assert one.counts.tobytes() == many.counts.tobytes()
+            assert one.abstains.tobytes() == many.abstains.tobytes()
 
 
 class TestBatchedEvasionVotes:

@@ -291,12 +291,12 @@ class TestCollectItemVotes:
         # The range is refused before the first sample is drawn.
         calls = []
 
-        def spy(lo, hi):
+        def spy(lo, hi, add):
             calls.append((lo, hi))
-            return np.zeros((1, 2), dtype=np.int64), np.zeros(1, dtype=np.int64)
+            add(np.zeros((1, 2), dtype=np.int64), np.zeros(1, dtype=np.int64))
 
         def collect_spied():
-            return ItemVoteTable.collect(spy, 3, first_index, 1,
+            return ItemVoteTable.collect(spy, (1, 2), 3, first_index, 1,
                                          params=SmoothingParams(0.1, 0.1),
                                          degrees=[1], provenance={}, k_prime=1)
 
@@ -427,6 +427,101 @@ def precision_recall_at(table, ground_truths, k, budget, alpha):
         return 0.0, 0.0
     point = points[budget.rho]
     return point.certified_precision, point.certified_recall
+
+
+def traced_peak(run):
+    """The tracemalloc peak of ``run()`` over what was traced before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestBoundedVoteMemory:
+    """A recommender run holds its one vote table and one ranking workspace
+    per pool thread, however many samples and chunks it counts."""
+
+    # 200 users with about 60 ratings each of 2000 items, near the median
+    # MovieLens-100k user. The sampler's own arrays grow with the ratings,
+    # the bounds below with the users and items.
+    rng = np.random.default_rng(2000)
+    matrix = InteractionMatrix(users=200, items=2000,
+                               pairs=np.argwhere(rng.random((200, 2000)) < 0.03))
+    params = SmoothingParams(0.1, 0.7)
+    k_prime = 10
+    one_block = matrix.users * recsys._RANK_COLUMNS * 8
+    table = matrix.users * (matrix.items + 1) * 8
+
+    def workspace(self):
+        """Bytes of one top_items workspace, buffer by buffer."""
+        users, items, k = self.matrix.users, self.matrix.items, self.k_prime
+        width = min(recsys._RANK_COLUMNS, items)
+        return (users * k * 8                   # running top items
+                + 2 * users * (k + width) * 8   # scores, partitioned scores
+                + users * (k + width)           # candidate mask
+                + 2 * users * width * 8         # rated and scored blocks
+                + 2 * items * width * 8)        # similarity and union blocks
+
+    def collect(self, num_samples, threads):
+        return collect_item_votes(self.matrix, num_samples, self.params,
+                                  self.k_prime, master_seed=0, threads=threads)
+
+    def test_peak_does_not_grow_with_the_sample_count(self):
+        peaks = [traced_peak(lambda: self.collect(n, 1)) for n in (4, 16)]
+        assert peaks[1] - peaks[0] < self.one_block, peaks
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_peak_is_one_table_and_one_workspace(self, serial_pool, chunked):
+        # Chunked: eight chunks, run one after another on two "CPUs".
+        if chunked:
+            serial_pool(2)
+        peak = traced_peak(lambda: self.collect(16, 2 if chunked else 1))
+        assert peak < self.table + self.workspace() + 2 * self.one_block, peak
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_samples_after_the_first_allocate_no_workspace(self, monkeypatch,
+                                                           serial_pool, chunked):
+        # Each sample, from its draw to the next sample's draw, allocates
+        # less than one users x block float64 array: the workspace is made
+        # once and reused across the samples and chunks.
+        if chunked:
+            serial_pool(2)
+        rises, start = [], []
+        sample = recsys.sample_smoothed_ratings
+
+        def sample_start():
+            if start:
+                rises.append(tracemalloc.get_traced_memory()[1] - start.pop())
+            tracemalloc.reset_peak()
+            start.append(tracemalloc.get_traced_memory()[0])
+
+        def traced(*args):
+            sample_start()
+            return sample(*args)
+        monkeypatch.setattr(recsys, "sample_smoothed_ratings", traced)
+        traced_peak(lambda: (self.collect(16, 2 if chunked else 1), sample_start()))
+        assert len(rises) == 16
+        assert max(rises[1:]) < self.one_block, rises
+
+    def test_overlap_rows_take_no_copy_of_the_table(self):
+        rng = np.random.default_rng(1000)
+        users, items = 1000, 500
+        table = ItemVoteTable(counts=rng.integers(0, 101, size=(users, items)),
+                              abstains=np.zeros(users), num_samples=100,
+                              params=SmoothingParams(0.1, 0.7),
+                              degrees=np.ones(users), provenance={}, k_prime=5)
+        ground_truths = {u: rng.choice(items, size=3, replace=False).tolist()
+                         for u in range(users)}
+        peak = traced_peak(lambda: certified_overlap_radii(
+            table, ground_truths, 5, 2, 0.01))
+        assert peak < users * items * 8, peak
 
 
 class TestCertifyOverlap:
@@ -616,6 +711,21 @@ class TestRecommenderCurve:
 
 class TestCertifiedOverlapRadii:
     noise = SmoothingParams(0.1, 0.55)
+
+    def test_row_blocks_give_the_reference_radii(self, monkeypatch):
+        # Blocks of 3 rows split most tables' users into several blocks.
+        monkeypatch.setattr(recsys, "_OVERLAP_ROWS", 3)
+        rng = np.random.default_rng(2025)
+        certifying = 0
+        for _ in range(40):
+            table, ground_truths = random_item_table(rng)
+            table = replace(table, params=self.noise)
+            k = int(rng.integers(1, table.k_prime + 1))
+            radii = certified_overlap_radii(table, ground_truths, k, 2, 0.1)
+            assert np.array_equal(radii, reference_overlap_radii(
+                table, ground_truths, k, 2, 0.1))
+            certifying += bool((radii >= 1).any())
+        assert certifying >= 10, certifying
 
     def test_curves_match_the_reference_loop(self):
         rng = np.random.default_rng(2024)
