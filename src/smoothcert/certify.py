@@ -48,6 +48,18 @@ def _validate_counts(tau: int, rho: int) -> None:
         raise ValueError("rho must be >= 0")
 
 
+def _all_removed(p_n: float, q: float, tau: int, rho: int) -> float:
+    """``(p_n + (1 - p_n) * q**tau) ** rho``: the probability that each of
+    rho injected nodes is deleted or loses all its (at most tau) edges, an
+    edge being lost with probability ``q``. Scalar powers throughout: numpy's
+    array power rounds some of them differently."""
+    _validate_counts(tau, rho)
+    if rho == 0:
+        return 1.0
+    inner = p_n + (1.0 - p_n) * q**tau
+    return inner**rho
+
+
 def prob_all_removed(params: SmoothingParams, tau: int, rho: int) -> float:
     """Probability that smoothing disconnects every injected node.
 
@@ -57,12 +69,8 @@ def prob_all_removed(params: SmoothingParams, tau: int, rho: int) -> float:
     independent injected nodes the probability is
     ``(p_n + (1 - p_n) * (p_e + p_n - p_e * p_n)**tau) ** rho``.
     """
-    _validate_counts(tau, rho)
-    if rho == 0:
-        return 1.0
     q = params.p_e + params.p_n - params.p_e * params.p_n
-    inner = params.p_n + (1.0 - params.p_n) * q**tau
-    return inner**rho
+    return _all_removed(params.p_n, q, tau, rho)
 
 
 def prob_all_removed_recsys(params: SmoothingParams, tau: int, rho: int) -> float:
@@ -72,11 +80,7 @@ def prob_all_removed_recsys(params: SmoothingParams, tau: int, rho: int) -> floa
     injected rating survives unless its own coin fires:
     ``(p_n + (1 - p_n) * p_e**tau) ** rho``.
     """
-    _validate_counts(tau, rho)
-    if rho == 0:
-        return 1.0
-    inner = params.p_n + (1.0 - params.p_n) * params.p_e**tau
-    return inner**rho
+    return _all_removed(params.p_n, params.p_e, tau, rho)
 
 
 def node_retention_probs(params: SmoothingParams, degree: int) -> tuple[float, float]:

@@ -1,10 +1,10 @@
 """Base classifiers with the isolated-node-independence property.
 
-Two architectures are provided: a two-layer message-passing network (row
-normalized mean aggregation with self-loops, relu in between) and an
-adjacency-blind feature MLP. Both are trained with a momentum-free
-per-parameter scaled gradient step (Adagrad) implemented directly in numpy,
-which keeps training bit-deterministic for a fixed seed.
+Two kinds are provided: a two-layer message-passing network (row
+normalized mean aggregation with self-loops, relu in between) and a feature
+MLP, which is the same network on the edgeless graph. Both are trained with
+a momentum-free per-parameter scaled gradient step (Adagrad) implemented
+directly in numpy, which keeps training bit-deterministic for a fixed seed.
 
 A deleted or isolated node has no incident edges, so its normalized row
 reduces to the self-loop and its prediction depends on its own features only;
@@ -145,33 +145,21 @@ def _product_into(fmt: str, shape: tuple, indptr: np.ndarray, indices: np.ndarra
 
 
 class _LiveRows:
-    """The rows of one training epoch that its loss can reach.
+    """The filled rows of an operator, the only rows a forward pass computes.
 
-    ``rows`` are sorted node ids and ``at`` holds each training node's
-    position among them. For the MLP (``operator`` None) they are the
-    training nodes. For the message-passing model they are the filled rows
-    of the epoch's operator, which must include every training node; every
-    other row must be empty, as :func:`normalized_operator` leaves the rows
-    of edgeless nodes outside its ``rows``. Such a node neither feeds nor
-    reads a training row, so it never reaches the loss.
+    ``rows`` are the sorted ids of the filled rows. Every other row must be
+    empty, as :func:`normalized_operator` leaves the rows of edgeless nodes
+    outside its ``rows``. Such a node neither feeds nor reads a filled row,
+    so a training that gives it an empty row never computes it.
     """
 
-    def __init__(self, operator: Optional[sp.csr_matrix], train_idx: np.ndarray,
-                 num_classes: int):
-        self.aggregates = operator is not None
-        if not self.aggregates:
-            self.rows = train_idx
-        else:
-            self.rows = np.flatnonzero(np.diff(operator.indptr))
-            self.num_nodes = operator.shape[0]
-            # The other rows are empty, so the filled rows' entries are
-            # contiguous and the operator's own arrays serve.
-            self._arrays = (np.append(operator.indptr[self.rows],
-                                      operator.indptr[-1:]),
-                            operator.indices, operator.data)
-            # d_logits on the live rows: zero off the training rows.
-            self.d_logits = np.zeros((self.rows.size, num_classes))
-        self.at = np.searchsorted(self.rows, train_idx)
+    def __init__(self, operator: sp.csr_matrix):
+        self.rows = np.flatnonzero(np.diff(operator.indptr))
+        self.num_nodes = operator.shape[0]
+        # The other rows are empty, so the filled rows' entries are
+        # contiguous and the operator's own arrays serve.
+        self._arrays = (np.append(operator.indptr[self.rows], operator.indptr[-1:]),
+                        operator.indices, operator.data)
 
     def product_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The live rows of ``operator @ x`` (rows x width) into ``out``."""
@@ -204,89 +192,67 @@ class _Workspace:
     ``d_z1`` holds ``d_t2 @ w2.T``, masked on the live rows.
     """
 
-    def __init__(self, rows: int, hidden: int, classes: int):
+    def __init__(self, rows: int, hidden: int):
         self.t1 = np.empty((rows, hidden))
         self.h1 = np.zeros((rows, hidden))
         self.d_z1 = np.empty((rows, hidden))
         self.live = np.empty((rows, hidden))
         self.positive = np.empty((rows, hidden), dtype=bool)
-        self.d_logits = np.zeros((rows, classes))  # zero off the training rows
 
 
-def _forward(weights: dict, agg: Optional[sp.csr_matrix], t1: np.ndarray,
+def _forward(weights: dict, live: _LiveRows, t1: np.ndarray, h: np.ndarray,
              h1: np.ndarray) -> np.ndarray:
-    """Logits from the first-layer product ``t1 = features @ w1``; ``agg`` is
-    None for the MLP. The hidden activations are written into ``h1``, a
-    C-contiguous float64 array of ``t1``'s shape that shares no memory with it.
-
-    Features are transformed before aggregation (same map by associativity),
-    so ``t1`` can be cached across smoothing samples; it is only read.
+    """Logits of the live rows from ``t1 = features @ w1``, which is computed
+    before aggregation (same map by associativity) so that it can be cached
+    across smoothing samples. ``t1`` is read first, so ``h1`` may be a spent
+    ``t1``. The hidden activations go into ``h`` (live rows x hidden) and the
+    live rows of ``h1`` (n x hidden), whose other rows must hold exact zeros:
+    ``h1 @ w2`` keeps its n-row operand (see :class:`_Workspace`).
     """
-    if agg is not None:
-        sparse_product_into(agg, t1, h1)
-        h1 += weights["b1"]
-    else:
-        np.add(t1, weights["b1"], out=h1)
-    np.maximum(h1, 0.0, out=h1)
+    live.product_into(t1, h)
+    h += weights["b1"]
+    np.maximum(h, 0.0, out=h)
+    h1[live.rows] = h
     t2 = h1 @ weights["w2"]
-    return (agg @ t2 if agg is not None else t2) + weights["b2"]
+    logits = live.product_into(t2, np.empty((live.rows.size, t2.shape[1])))
+    return logits + weights["b2"]
 
 
-def _finite_logits(logits: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """``logits`` if every entry is finite; otherwise ``FloatingPointError``
-    naming the node of the first row that is not, whose NaN logits would vote
-    for class 0. Row ``r`` belongs to node ``nodes[r]``."""
-    if not np.isfinite(logits).all():
-        bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))[0]
-        raise FloatingPointError(f"logits of node {nodes[bad]} are not finite")
-    return logits
-
-
-def _gradients(weights, live: _LiveRows, features, train_idx, targets, weight_decay,
+def _gradients(weights, live: _LiveRows, at, features, targets, weight_decay,
                work: _Workspace):
     """Gradients of the mean training cross-entropy, computed on the live rows.
 
-    Every row outside ``live`` holds exact zeros in ``h1``, ``d_t2`` and the
-    sparse products' outputs, and ``d_z1`` holds there what the full-row
-    computation gives, so the n-row dense products and sums below yield the
-    same bits as over every row.
+    ``at`` holds each training node's position among the live rows. Every
+    row outside ``live`` holds exact zeros in ``h1``, ``d_t2``, ``d_z1`` and
+    the sparse products' outputs, so the n-row dense products and sums below
+    yield the same bits as over every row.
     """
-    rows, at, k = live.rows, live.at, live.rows.size
+    rows, k = live.rows, live.rows.size
     t1 = np.matmul(features, weights["w1"], out=work.t1)
     h = work.live[:k]  # relu(z1) on the live rows
-    if live.aggregates:
-        live.product_into(t1, h)
-    else:  # mode="clip" writes into out; the default "raise" buffers a copy
-        np.take(t1, rows, axis=0, out=h, mode="clip")
-    h += weights["b1"]
-    np.maximum(h, 0.0, out=h)
+    logits = _forward(weights, live, t1, h, work.h1)[at]
     # relu(z1) > 0 exactly where z1 > 0 (NaN is neither).
     positive = np.greater(h, 0.0, out=work.positive[:k])
-    h1 = work.h1
-    h1[rows] = h
-    t2 = h1 @ weights["w2"]
-    logits = (live.product_into(t2, np.empty((k, t2.shape[1])))[at] if live.aggregates
-              else t2[train_idx]) + weights["b2"]
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     d_train = e / e.sum(axis=1, keepdims=True)  # softmax
     d_train[targets] -= 1.0
-    d_train /= len(train_idx)
-    d_logits = work.d_logits
-    d_logits[train_idx] = d_train
+    d_train /= at.size
+    d_logits = np.zeros((k, d_train.shape[1]))  # zero off the training rows
+    d_logits[at] = d_train
 
-    if live.aggregates:
-        live.d_logits[at] = d_train
-        d_t2 = live.transposed_product_into(live.d_logits, np.empty_like(t2))
-    else:
-        d_t2 = d_logits
-    g_w2 = h1.T @ d_t2 + weight_decay * weights["w2"]
-    g_b2 = d_logits.sum(axis=0)
+    d_t2 = np.empty((live.num_nodes, d_logits.shape[1]))
+    live.transposed_product_into(d_logits, d_t2)
+    g_w2 = work.h1.T @ d_t2 + weight_decay * weights["w2"]
+    # With two or more columns numpy sums axis 0 a row at a time, so the
+    # zero rows off the training nodes would add nothing.
+    g_b2 = d_train.sum(axis=0)
     d_z1 = np.matmul(d_t2, weights["w2"].T, out=work.d_z1)
     d_z1_live = np.take(d_z1, rows, axis=0, out=h, mode="clip")  # h is spent
     d_z1_live *= positive
+    # A one-column sum (one hidden unit) runs pairwise, where zero rows do
+    # change the bits, so b1's gradient keeps its n rows.
     d_z1[rows] = d_z1_live
-    d_t1 = (live.transposed_product_into(d_z1_live, t1) if live.aggregates
-            else d_z1)
+    d_t1 = live.transposed_product_into(d_z1_live, t1)
     g_w1 = features.T @ d_t1 + weight_decay * weights["w1"]
     g_b1 = d_z1.sum(axis=0)
     return {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2}
@@ -306,9 +272,9 @@ def _check_train_nodes(graph: Graph, train_idx: np.ndarray) -> None:
 
 
 def _fit(spec: ClassifierSpec, graph: Graph, train_idx: np.ndarray,
-         operators: Iterable[Optional[sp.csr_matrix]]) -> dict:
+         operators: Iterable[sp.csr_matrix]) -> dict:
     """Trained weights after one Adagrad step per operator in ``operators``
-    (None for the MLP) on the sorted, distinct training nodes ``train_idx``.
+    on the sorted, distinct training nodes ``train_idx``.
 
     Each step works on the live rows of its operator (:class:`_LiveRows`),
     found once per distinct operator: its filled rows, which must include
@@ -324,18 +290,18 @@ def _fit(spec: ClassifierSpec, graph: Graph, train_idx: np.ndarray,
         raise ValueError("training requires at least 2 classes")
     weights = _init_weights(spec, graph.num_features, graph.num_classes)
     cache = {k: np.zeros_like(v) for k, v in weights.items()}
-    work = _Workspace(graph.n, spec.hidden_dim, graph.num_classes)
+    work = _Workspace(graph.n, spec.hidden_dim)
     # Each training row's label column, where softmax - onehot subtracts 1.
     targets = (np.arange(train_idx.size), graph.labels[train_idx])
     agg = live = None
     with np.errstate(over="ignore", invalid="ignore"):
         for operator in operators:
-            if live is None or operator is not agg:
+            if operator is not agg:
                 if live is not None:
                     work.h1[live.rows] = 0.0  # rows outside the live ones stay 0
-                agg = operator
-                live = _LiveRows(operator, train_idx, graph.num_classes)
-            grads = _gradients(weights, live, graph.features, train_idx, targets,
+                agg, live = operator, _LiveRows(operator)
+                at = np.searchsorted(live.rows, train_idx)
+            grads = _gradients(weights, live, at, graph.features, targets,
                                spec.weight_decay, work)
             _adagrad_step(weights, grads, cache, spec.learning_rate)
     if not all(np.isfinite(w).all() for w in weights.values()):
@@ -344,6 +310,12 @@ def _fit(spec: ClassifierSpec, graph: Graph, train_idx: np.ndarray,
             f"{spec.epochs} epochs (learning rate {spec.learning_rate}, "
             f"weight decay {spec.weight_decay})")
     return weights
+
+
+def _kind_edges(spec: ClassifierSpec, edges: np.ndarray) -> np.ndarray:
+    """The edges a model of ``spec``'s kind aggregates over: ``edges``, or
+    none for the MLP, the two-layer network on the edgeless graph."""
+    return edges if spec.aggregates else np.empty((0, 2), dtype=np.int64)
 
 
 def train_with_noise(spec: ClassifierSpec, graph: Graph, split: DataSplit,
@@ -362,9 +334,10 @@ def train_with_noise(spec: ClassifierSpec, graph: Graph, split: DataSplit,
                                        derive_sample_seed(spec.seed, epoch))
         return normalized_operator(graph.n, sample.graph.edges, train_idx)
 
-    # The MLP ignores the edges, so it draws no samples.
-    operators = (map(operator, range(spec.epochs)) if spec.aggregates
-                 else repeat(None, spec.epochs))
+    # The MLP sees no edges, so it draws no samples: one operator serves.
+    operators = (map(operator, range(spec.epochs)) if spec.aggregates else repeat(
+        normalized_operator(graph.n, _kind_edges(spec, graph.edges), train_idx),
+        spec.epochs))
     return TrainedModel(spec=spec, weights=_fit(spec, graph, train_idx, operators),
                         num_classes=graph.num_classes,
                         num_features=graph.num_features,
@@ -397,6 +370,24 @@ def predict(model: TrainedModel, graph: Graph) -> np.ndarray:
                         np.arange(graph.n), graph.edges)
 
 
+def _predict_all(weights: dict, operator: sp.csr_matrix, t1: np.ndarray,
+                 nodes: np.ndarray) -> np.ndarray:
+    """The class of every row of ``operator``, which must fill every row, from
+    ``t1 = features @ w1``, which it overwrites; row ``r`` is node ``nodes[r]``.
+
+    Raises ``FloatingPointError`` naming the node of the first row whose
+    logits are not finite, as NaN logits would vote for class 0.
+    """
+    # The check below is the one report of an overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        live = _LiveRows(operator)
+        logits = _forward(weights, live, t1, np.empty_like(t1), t1)  # t1 is spent
+    if not np.isfinite(logits).all():
+        bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))[0]
+        raise FloatingPointError(f"logits of node {nodes[bad]} are not finite")
+    return np.argmax(logits, axis=1)
+
+
 def predict_rows(model: TrainedModel, transformed: np.ndarray, nodes: np.ndarray,
                  edges: np.ndarray) -> np.ndarray:
     """Predictions for a stack of node copies joined by ``edges``.
@@ -410,12 +401,8 @@ def predict_rows(model: TrainedModel, transformed: np.ndarray, nodes: np.ndarray
     Raises ``FloatingPointError`` naming the first node whose logits are not
     finite.
     """
-    agg = normalized_operator(len(nodes), edges) if model.spec.aggregates else None
-    t1 = transformed[nodes]
-    # The check below is the one report of an overflow.
-    with np.errstate(over="ignore", invalid="ignore"):
-        logits = _forward(model.weights, agg, t1, np.empty_like(t1))
-    return np.argmax(_finite_logits(logits, nodes), axis=1)
+    operator = normalized_operator(len(nodes), _kind_edges(model.spec, edges))
+    return _predict_all(model.weights, operator, transformed[nodes], nodes)
 
 
 def train_predict_end_to_end(spec: ClassifierSpec, graph: Graph,
@@ -432,13 +419,10 @@ def train_predict_end_to_end(spec: ClassifierSpec, graph: Graph,
     train_idx = train_idx[graph.degrees[train_idx] > 0]
     if train_idx.size == 0:
         return None
-    agg = (normalized_operator(graph.n, graph.edges, train_idx)
-           if spec.aggregates else None)
-    weights = _fit(spec, graph, train_idx, repeat(agg, spec.epochs))
-    if spec.aggregates:  # every node is predicted, so every row is filled
-        agg = normalized_operator(graph.n, graph.edges)
-    # The check below is the one report of an overflow.
-    with np.errstate(over="ignore", invalid="ignore"):
+    edges = _kind_edges(spec, graph.edges)
+    weights = _fit(spec, graph, train_idx,
+                   repeat(normalized_operator(graph.n, edges, train_idx), spec.epochs))
+    with np.errstate(over="ignore", invalid="ignore"):  # _predict_all reports it
         t1 = graph.features @ weights["w1"]
-        logits = _forward(weights, agg, t1, np.empty_like(t1))
-    return np.argmax(_finite_logits(logits, np.arange(graph.n)), axis=1)
+    return _predict_all(weights, normalized_operator(graph.n, edges), t1,
+                        np.arange(graph.n))

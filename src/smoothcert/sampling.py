@@ -61,7 +61,8 @@ class SmoothedSample:
     """A smoothed graph plus the node-deletion mask that produced it.
 
     Deleted nodes are kept as zero-degree rows so downstream classifiers see a
-    constant shape; the mask is carried separately for abstention handling.
+    constant shape. Nothing in the package reads the mask: a deleted node
+    keeps no edge, so abstention handling reads the smoothed graph's degrees.
     """
 
     graph: Graph

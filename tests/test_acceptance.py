@@ -180,9 +180,14 @@ def test_confidence_bound_coverage():
                 assert np.mean(uppers < p) <= level + 3 * sigma
 
 
-# Vote probabilities of the over-claim test, each in both modes, plus a
-# near-tie just below include mode's rho = 1 boundary: there two classes
-# certify rho = 1 when the top probability exceeds 0.5720.
+# Vote probabilities of the over-claim test, each in both modes, plus cases
+# just below a rho = 1 boundary, where the true margin crosses zero between
+# rho = 0 and rho = 1. The top probability certifies rho = 1 from
+#   0.5720 with two classes in include mode,
+#   0.7159 with two classes in exclude mode (of the votes; the isolation
+#          mass, 0.9345 of the samples, is drawn as abstentions),
+#   0.5220 with three classes and a third at 0.1 in include mode,
+#   0.6533 with three classes and a third at 0.1 in exclude mode.
 OVER_CLAIM_PROBS = {"tie": (0.5, 0.5), "sixty-forty": (0.6, 0.4),
                     "three-near-tie": (0.34, 0.33, 0.33),
                     "four-equal": (0.25,) * 4, "ten-equal": (0.1,) * 10}
@@ -190,7 +195,10 @@ OVER_CLAIM_CASES = [
     *[pytest.param(probs, mode, id=f"{name}-{mode}")
       for mode in ("include", "exclude")
       for name, probs in OVER_CLAIM_PROBS.items()],
-    pytest.param((0.57, 0.43), "include", id="below-rho-1-include")]
+    pytest.param((0.57, 0.43), "include", id="below-rho-1-include"),
+    pytest.param((0.714, 0.286), "exclude", id="below-rho-1-exclude"),
+    pytest.param((0.52, 0.38, 0.1), "include", id="three-below-rho-1-include"),
+    pytest.param((0.651, 0.249, 0.1), "exclude", id="three-below-rho-1-exclude")]
 
 
 @pytest.mark.parametrize("probs, mode", OVER_CLAIM_CASES)

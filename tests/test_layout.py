@@ -17,8 +17,12 @@ calls them. The only private scipy names the package imports are pinned,
 since each one ties it to the scipy floor in ``pyproject.toml``. The models
 train and predict: abstention is the vote collectors' rule, so no function
 in ``models.py`` takes a ``mode``, and only ``ClassifierSpec.aggregates``
-compares a model kind with its name. Every training runs one loop: only
-``models._fit`` calls ``_adagrad_step`` or loops over epochs.
+compares a model kind with its name. Every kind is the two-layer network
+over an operator, with no second path for the MLP: ``aggregates`` is read
+only where a kind's edges are chosen and in the two skips that draw no
+samples, and no function in ``models.py`` compares an operator with
+``None``. Every training runs one loop: only ``models._fit`` calls
+``_adagrad_step`` or loops over epochs.
 """
 import ast
 import inspect
@@ -450,6 +454,59 @@ def test_kind_comparison_is_detected(tmp_path):
                       "    return a, b, spec.kind in KINDS, spec.kind == 'gcn'\n")
     assert kind_comparisons(source) == [(5, "ClassifierSpec.aggregates"),
                                         (7, "collect"), (8, "collect")]
+
+
+def aggregates_reads(path):
+    """``(line, scope)`` of every use of an attribute named ``aggregates``."""
+    return scoped(path, lambda node: isinstance(node, ast.Attribute)
+                  and node.attr == "aggregates")
+
+
+OPERATOR_NAMES = ("agg", "op", "operator")
+
+
+def operator_none_checks(path):
+    """``(line, scope)`` of every comparison of a name in ``OPERATOR_NAMES``
+    (or an attribute of that name) with ``None``."""
+    def is_none(node):
+        return isinstance(node, ast.Constant) and node.value is None
+
+    def is_operator(node):
+        return (getattr(node, "id", None) in OPERATOR_NAMES
+                or getattr(node, "attr", None) in OPERATOR_NAMES)
+
+    return scoped(path, lambda node: isinstance(node, ast.Compare)
+                  and any(is_none(side) for side in [node.left] + node.comparators)
+                  and any(is_operator(side) for side in [node.left] + node.comparators))
+
+
+def test_one_model_path():
+    """Every kind is the two-layer network over an operator: the kind only
+    chooses the operator's edges, and whether noisy training and evasion
+    voting draw samples at all."""
+    reads = sorted((path.name, scope) for path in SOURCES
+                   for _, scope in aggregates_reads(path))
+    assert reads == [("models.py", "_kind_edges"), ("models.py", "train_with_noise"),
+                     ("pipeline.py", "collect_votes_evasion.worker")]
+    assert operator_none_checks(MODELS) == []
+
+
+def test_kind_branch_is_detected(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("class _LiveRows:\n"
+                      "    def __init__(self, operator, rows):\n"
+                      "        self.aggregates = operator is not None\n"
+                      "        self.rows = rows if rows is None else None\n"
+                      "def _forward(weights, agg, t1):\n"
+                      "    t2 = t1 @ weights['w2']\n"
+                      "    return agg @ t2 if None != agg else t2\n"
+                      "def predict_rows(model, live):\n"
+                      "    if live.aggregates and live.op is None:\n"
+                      "        return model\n")
+    assert aggregates_reads(source) == [(3, "_LiveRows.__init__"),
+                                        (9, "predict_rows")]
+    assert operator_none_checks(source) == [(3, "_LiveRows.__init__"),
+                                            (7, "_forward"), (9, "predict_rows")]
 
 
 def loop_iterables(node):

@@ -290,6 +290,27 @@ class TestLiveRowsMatchReferenceLoops:
         assert bypassed
 
 
+class TestOneHiddenUnit:
+    """At one hidden unit numpy sums ``d_z1``'s one column pairwise, not a
+    row at a time, so the rows outside the live ones change the bits of
+    ``b1``'s gradient: the sum must keep its n rows."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_weights_match_reference_loops(self, kind, monkeypatch):
+        graph, split = generate_sbm(96, 2, 0.2, 0.03, 8, seed=0)
+        spec = ClassifierSpec(kind=kind, hidden_dim=1, epochs=15, seed=0)
+        params = SmoothingParams(0.2, 0.8)
+        assert_same_bits(train_with_noise(spec, graph, split, params).weights,
+                         reference_train_with_noise(spec, graph, split, params).weights)
+        fitted = capture_fit(monkeypatch)
+        for i in range(4):
+            sample = sample_smoothed_graph(graph, SmoothingParams(0.2, 0.7), i).graph
+            preds = train_predict_end_to_end(spec, sample, split)
+            ref_preds, ref_weights = reference_train_predict(spec, sample, split)
+            assert preds.tobytes() == ref_preds.tobytes()
+            assert_same_bits(fitted.pop(), ref_weights)
+
+
 FINITE_ROWS = st.lists(st.floats(allow_nan=False, allow_infinity=False),
                       min_size=32, max_size=32)
 
@@ -400,9 +421,12 @@ class TestTrainingWorkspace:
 
         def operators():
             for epoch in range(spec.epochs):
+                # The MLP is the message-passing network without edges.
                 agg = (normalized_operator(graph.n, sample_smoothed_graph(
                     graph, params, epoch).graph.edges)
-                    if kind == "message_passing_2layer" else None)
+                    if kind == "message_passing_2layer"
+                    else normalized_operator(graph.n, np.empty((0, 2), dtype=np.int64),
+                                             split.train))
                 tracemalloc.reset_peak()
                 start = tracemalloc.get_traced_memory()[0]
                 yield agg
