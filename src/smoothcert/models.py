@@ -19,7 +19,6 @@ from itertools import repeat
 from typing import Iterable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from .graph import DataSplit, Graph
@@ -67,8 +66,35 @@ class TrainedModel:
     graph_fingerprint: str
 
 
+@dataclass(frozen=True, eq=False)
+class Operator:
+    """A row-normalized operator as the CSR arrays of its filled rows.
+
+    ``rows`` are the sorted ids of the filled rows; every other row of the
+    ``num_nodes`` x ``num_nodes`` operator is empty. Row ``i`` of the arrays
+    is row ``rows[i]``. A forward pass computes the filled rows only, its
+    live rows: an edgeless node with an empty row neither feeds nor reads a
+    filled row.
+    """
+
+    rows: np.ndarray
+    num_nodes: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    def product_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The filled rows of ``operator @ x`` (rows x width) into ``out``."""
+        return _product_into("csr", (self.rows.size, self.num_nodes), self, x, out)
+
+    def transposed_product_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``operator.T @ y`` into the n-row ``out``, for the ``y`` that is
+        ``x`` (rows x width) on the filled rows and zero elsewhere."""
+        return _product_into("csc", (self.num_nodes, self.rows.size), self, x, out)
+
+
 def normalized_operator(num_nodes: int, edges: np.ndarray,
-                        rows: Optional[np.ndarray] = None) -> sp.csr_matrix:
+                        rows: Optional[np.ndarray] = None) -> Operator:
     """Row-normalized adjacency with a self-loop on every node.
 
     ``edges`` is a duplicate-free, loop-free edge list such as
@@ -90,16 +116,15 @@ def normalized_operator(num_nodes: int, edges: np.ndarray,
         loops = np.flatnonzero(filled)
     src = np.concatenate([edges[:, 0], edges[:, 1], loops])
     dst = np.concatenate([edges[:, 1], edges[:, 0], loops])
-    # int32 where it holds every entry, the index type scipy picks itself,
-    # so csr_matrix does not scan int64 arrays to downcast them.
+    # int32 where it holds every entry, the index type scipy picks itself.
     index = np.int32 if src.size + n < 2**31 else np.int64
     # Sorted src * n + (n - 1 - dst) keys run by row, then by descending column.
     indices = ((n - 1) - np.sort(src * n + (n - 1 - dst)) % n).astype(index)
     sizes = np.bincount(src, minlength=n)
-    indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(sizes, out=indptr[1:])
+    indptr = np.zeros(loops.size + 1, dtype=index)
+    np.cumsum(sizes[loops], out=indptr[1:])
     data = 1.0 / np.repeat(sizes, sizes)
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    return Operator(loops, n, indptr, indices, data)
 
 
 def _init_weights(spec: ClassifierSpec, num_features: int, num_classes: int) -> dict:
@@ -126,51 +151,21 @@ def sparse_product_into(op, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     ``out`` instead of a fresh ``np.zeros``, so every sum runs in the same
     order and the result is bit for bit the same.
     """
-    return _product_into(op.format, op.shape, op.indptr, op.indices, op.data,
-                         x, out)
+    return _product_into(op.format, op.shape, op, x, out)
 
 
-def _product_into(fmt: str, shape: tuple, indptr: np.ndarray, indices: np.ndarray,
-                  data: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """:func:`sparse_product_into` on the arrays of a CSR or CSC matrix."""
+def _product_into(fmt: str, shape: tuple, op, x: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """:func:`sparse_product_into` on the ``indptr``, ``indices`` and ``data``
+    of ``op``, read as a ``shape`` matrix in the format ``fmt``."""
     rows, cols = shape
     out.fill(0.0)
+    arrays = (op.indptr, op.indices, op.data, x.ravel(), out.ravel())
     if x.shape[1] == 1:
-        kernel = getattr(_sparsetools, fmt + "_matvec")
-        kernel(rows, cols, indptr, indices, data, x.ravel(), out.ravel())
+        getattr(_sparsetools, fmt + "_matvec")(rows, cols, *arrays)
     else:
-        kernel = getattr(_sparsetools, fmt + "_matvecs")
-        kernel(rows, cols, x.shape[1], indptr, indices, data, x.ravel(), out.ravel())
+        getattr(_sparsetools, fmt + "_matvecs")(rows, cols, x.shape[1], *arrays)
     return out
-
-
-class _LiveRows:
-    """The filled rows of an operator, the only rows a forward pass computes.
-
-    ``rows`` are the sorted ids of the filled rows. Every other row must be
-    empty, as :func:`normalized_operator` leaves the rows of edgeless nodes
-    outside its ``rows``. Such a node neither feeds nor reads a filled row,
-    so a training that gives it an empty row never computes it.
-    """
-
-    def __init__(self, operator: sp.csr_matrix):
-        self.rows = np.flatnonzero(np.diff(operator.indptr))
-        self.num_nodes = operator.shape[0]
-        # The other rows are empty, so the filled rows' entries are
-        # contiguous and the operator's own arrays serve.
-        self._arrays = (np.append(operator.indptr[self.rows], operator.indptr[-1:]),
-                        operator.indices, operator.data)
-
-    def product_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The live rows of ``operator @ x`` (rows x width) into ``out``."""
-        return _product_into("csr", (self.rows.size, self.num_nodes), *self._arrays,
-                             x, out)
-
-    def transposed_product_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``operator.T @ y`` into the n-row ``out``, for the ``y`` that is
-        ``x`` (rows x width) on the live rows and zero elsewhere."""
-        return _product_into("csc", (self.num_nodes, self.rows.size), *self._arrays,
-                             x, out)
 
 
 class _Workspace:
@@ -179,7 +174,7 @@ class _Workspace:
     At n = 3000 and hidden 64 each float64 buffer is 1.5 MB, above glibc's
     mmap threshold: a fresh array per epoch maps new pages and faults them
     in again. An epoch computes its elementwise and sparse work on its live
-    rows only (:class:`_LiveRows`), in the leading rows of ``live`` and
+    rows only (``Operator.rows``), in the leading rows of ``live`` and
     ``positive``: first the hidden activations ``relu(agg @ t1 + b1)`` and
     their mask, then the masked ``d_z1``.
 
@@ -200,37 +195,38 @@ class _Workspace:
         self.positive = np.empty((rows, hidden), dtype=bool)
 
 
-def _forward(weights: dict, live: _LiveRows, t1: np.ndarray, h: np.ndarray,
+def _forward(weights: dict, operator: Operator, t1: np.ndarray, h: np.ndarray,
              h1: np.ndarray) -> np.ndarray:
     """Logits of the live rows from ``t1 = features @ w1``, which is computed
     before aggregation (same map by associativity) so that it can be cached
-    across smoothing samples. ``t1`` is read first, so ``h1`` may be a spent
-    ``t1``. The hidden activations go into ``h`` (live rows x hidden) and the
-    live rows of ``h1`` (n x hidden), whose other rows must hold exact zeros:
-    ``h1 @ w2`` keeps its n-row operand (see :class:`_Workspace`).
+    across smoothing samples. The hidden activations go into ``h`` (live
+    rows x hidden) and the live rows of ``h1`` (n x hidden), whose other
+    rows must hold exact zeros: ``h1 @ w2`` keeps its n-row operand (see
+    :class:`_Workspace`). Where every row is live, ``h`` may be ``h1``.
     """
-    live.product_into(t1, h)
+    operator.product_into(t1, h)
     h += weights["b1"]
     np.maximum(h, 0.0, out=h)
-    h1[live.rows] = h
+    if h is not h1:
+        h1[operator.rows] = h
     t2 = h1 @ weights["w2"]
-    logits = live.product_into(t2, np.empty((live.rows.size, t2.shape[1])))
+    logits = operator.product_into(t2, np.empty((operator.rows.size, t2.shape[1])))
     return logits + weights["b2"]
 
 
-def _gradients(weights, live: _LiveRows, at, features, targets, weight_decay,
+def _gradients(weights, operator: Operator, at, features, targets, weight_decay,
                work: _Workspace):
     """Gradients of the mean training cross-entropy, computed on the live rows.
 
     ``at`` holds each training node's position among the live rows. Every
-    row outside ``live`` holds exact zeros in ``h1``, ``d_t2``, ``d_z1`` and
-    the sparse products' outputs, so the n-row dense products and sums below
-    yield the same bits as over every row.
+    other row holds exact zeros in ``h1``, ``d_t2``, ``d_z1`` and the sparse
+    products' outputs, so the n-row dense products and sums below yield the
+    same bits as over every row.
     """
-    rows, k = live.rows, live.rows.size
+    rows, k = operator.rows, operator.rows.size
     t1 = np.matmul(features, weights["w1"], out=work.t1)
     h = work.live[:k]  # relu(z1) on the live rows
-    logits = _forward(weights, live, t1, h, work.h1)[at]
+    logits = _forward(weights, operator, t1, h, work.h1)[at]
     # relu(z1) > 0 exactly where z1 > 0 (NaN is neither).
     positive = np.greater(h, 0.0, out=work.positive[:k])
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -240,8 +236,8 @@ def _gradients(weights, live: _LiveRows, at, features, targets, weight_decay,
     d_logits = np.zeros((k, d_train.shape[1]))  # zero off the training rows
     d_logits[at] = d_train
 
-    d_t2 = np.empty((live.num_nodes, d_logits.shape[1]))
-    live.transposed_product_into(d_logits, d_t2)
+    d_t2 = np.empty((operator.num_nodes, d_logits.shape[1]))
+    operator.transposed_product_into(d_logits, d_t2)
     g_w2 = work.h1.T @ d_t2 + weight_decay * weights["w2"]
     # With two or more columns numpy sums axis 0 a row at a time, so the
     # zero rows off the training nodes would add nothing.
@@ -252,7 +248,7 @@ def _gradients(weights, live: _LiveRows, at, features, targets, weight_decay,
     # A one-column sum (one hidden unit) runs pairwise, where zero rows do
     # change the bits, so b1's gradient keeps its n rows.
     d_z1[rows] = d_z1_live
-    d_t1 = live.transposed_product_into(d_z1_live, t1)
+    d_t1 = operator.transposed_product_into(d_z1_live, t1)
     g_w1 = features.T @ d_t1 + weight_decay * weights["w1"]
     g_b1 = d_z1.sum(axis=0)
     return {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2}
@@ -272,15 +268,15 @@ def _check_train_nodes(graph: Graph, train_idx: np.ndarray) -> None:
 
 
 def _fit(spec: ClassifierSpec, graph: Graph, train_idx: np.ndarray,
-         operators: Iterable[sp.csr_matrix]) -> dict:
+         operators: Iterable[Operator]) -> dict:
     """Trained weights after one Adagrad step per operator in ``operators``
     on the sorted, distinct training nodes ``train_idx``.
 
-    Each step works on the live rows of its operator (:class:`_LiveRows`),
-    found once per distinct operator: its filled rows, which must include
-    every training node. Give an edgeless node that is not a training node
-    an empty row (``normalized_operator(n, edges, train_idx)``) and no step
-    computes it; the weights are the same bits either way.
+    Each step works on the live rows of its operator, its filled rows,
+    which must include every training node. Give an edgeless node that is
+    not a training node an empty row (``normalized_operator(n, edges,
+    train_idx)``) and no step computes it; the weights are the same bits
+    either way.
 
     Raises ``FloatingPointError`` if training leaves a weight that is not
     finite: such a model would put every vote on class 0. That check is the
@@ -293,13 +289,13 @@ def _fit(spec: ClassifierSpec, graph: Graph, train_idx: np.ndarray,
     work = _Workspace(graph.n, spec.hidden_dim)
     # Each training row's label column, where softmax - onehot subtracts 1.
     targets = (np.arange(train_idx.size), graph.labels[train_idx])
-    agg = live = None
+    live = None
     with np.errstate(over="ignore", invalid="ignore"):
         for operator in operators:
-            if operator is not agg:
+            if operator is not live:
                 if live is not None:
                     work.h1[live.rows] = 0.0  # rows outside the live ones stay 0
-                agg, live = operator, _LiveRows(operator)
+                live = operator
                 at = np.searchsorted(live.rows, train_idx)
             grads = _gradients(weights, live, at, graph.features, targets,
                                spec.weight_decay, work)
@@ -370,18 +366,18 @@ def predict(model: TrainedModel, graph: Graph) -> np.ndarray:
                         np.arange(graph.n), graph.edges)
 
 
-def _predict_all(weights: dict, operator: sp.csr_matrix, t1: np.ndarray,
+def _predict_all(weights: dict, operator: Operator, t1: np.ndarray,
                  nodes: np.ndarray) -> np.ndarray:
     """The class of every row of ``operator``, which must fill every row, from
-    ``t1 = features @ w1``, which it overwrites; row ``r`` is node ``nodes[r]``.
+    ``t1 = features @ w1``; row ``r`` is node ``nodes[r]``.
 
     Raises ``FloatingPointError`` naming the node of the first row whose
     logits are not finite, as NaN logits would vote for class 0.
     """
     # The check below is the one report of an overflow.
     with np.errstate(over="ignore", invalid="ignore"):
-        live = _LiveRows(operator)
-        logits = _forward(weights, live, t1, np.empty_like(t1), t1)  # t1 is spent
+        h1 = np.empty_like(t1)  # every row is live
+        logits = _forward(weights, operator, t1, h1, h1)
     if not np.isfinite(logits).all():
         bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))[0]
         raise FloatingPointError(f"logits of node {nodes[bad]} are not finite")

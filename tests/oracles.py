@@ -35,7 +35,6 @@ from smoothcert import (AttackPlan, CurvePoint, Graph, InteractionMatrix,
                         margin_exclude, margin_include, node_retention_probs,
                         prob_all_removed, prob_all_removed_recsys,
                         sample_smoothed_graph, sample_smoothed_ratings)
-from smoothcert.models import normalized_operator
 from smoothcert.recsys import RecommenderCurvePoint
 
 _MASS_TOL = 1e-9
@@ -225,7 +224,7 @@ def read_curve_csv(path):
 
 
 def _operator(kind, graph):
-    return (normalized_operator(graph.n, graph.edges)
+    return (normalized_adjacency(graph)
             if kind == "message_passing_2layer" else None)
 
 

@@ -188,26 +188,41 @@ def test_confidence_bound_coverage():
 #          mass, 0.9345 of the samples, is drawn as abstentions),
 #   0.5220 with three classes and a third at 0.1 in include mode,
 #   0.6533 with three classes and a third at 0.1 in exclude mode.
+# Those cases smooth a node of degree 2 at p_e = 0.1, p_n = 0.8, so an
+# exclude-mode table has about 65 voting samples of 1000. The voting cases
+# smooth a node of degree 10 at p_e = 0.8, p_n = 0.3, isolated in 0.4549 of
+# the samples: at tau = 5 and degree 2, exclude mode certifies rho = 1 only
+# at an isolation mass of about 0.7 or more. In the voting cases the top
+# probability certifies rho = 1 from
+#   0.8737 with two classes,
+#   0.8258 with three classes, the other two equal.
+ISOLATING = (SmoothingParams(0.1, 0.8), 2)
+VOTING = (SmoothingParams(0.8, 0.3), 10)
 OVER_CLAIM_PROBS = {"tie": (0.5, 0.5), "sixty-forty": (0.6, 0.4),
                     "three-near-tie": (0.34, 0.33, 0.33),
                     "four-equal": (0.25,) * 4, "ten-equal": (0.1,) * 10}
 OVER_CLAIM_CASES = [
-    *[pytest.param(probs, mode, id=f"{name}-{mode}")
+    *[pytest.param(probs, mode, *ISOLATING, id=f"{name}-{mode}")
       for mode in ("include", "exclude")
       for name, probs in OVER_CLAIM_PROBS.items()],
-    pytest.param((0.57, 0.43), "include", id="below-rho-1-include"),
-    pytest.param((0.714, 0.286), "exclude", id="below-rho-1-exclude"),
-    pytest.param((0.52, 0.38, 0.1), "include", id="three-below-rho-1-include"),
-    pytest.param((0.651, 0.249, 0.1), "exclude", id="three-below-rho-1-exclude")]
+    pytest.param((0.57, 0.43), "include", *ISOLATING, id="below-rho-1-include"),
+    pytest.param((0.714, 0.286), "exclude", *ISOLATING, id="below-rho-1-exclude"),
+    pytest.param((0.52, 0.38, 0.1), "include", *ISOLATING,
+                 id="three-below-rho-1-include"),
+    pytest.param((0.651, 0.249, 0.1), "exclude", *ISOLATING,
+                 id="three-below-rho-1-exclude"),
+    pytest.param((0.872, 0.128), "exclude", *VOTING,
+                 id="voting-below-rho-1-exclude"),
+    pytest.param((0.824, 0.088, 0.088), "exclude", *VOTING,
+                 id="voting-three-below-rho-1-exclude")]
 
 
-@pytest.mark.parametrize("probs, mode", OVER_CLAIM_CASES)
-def test_certified_radius_does_not_over_claim(probs, mode):
+@pytest.mark.parametrize("probs, mode, params, degree", OVER_CLAIM_CASES)
+def test_certified_radius_does_not_over_claim(probs, mode, params, degree):
     """Tables drawn from known probabilities certify past the radius those
     probabilities give at a rate within 3 sigma of alpha."""
     with criterion(f"over-claim rate at {probs} in {mode} mode"):
-        params, tau, alpha, num_samples, rows, degree = (
-            SmoothingParams(0.1, 0.8), 5, 0.05, 1000, 5000, 2)
+        tau, alpha, num_samples, rows = 5, 0.05, 1000, 5000
         # In exclude mode a node abstains whenever smoothing isolates it.
         p_isolated = (prob_all_removed(params, degree, 1) if mode == "exclude"
                       else 0.0)

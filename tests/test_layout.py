@@ -21,8 +21,10 @@ compares a model kind with its name. Every kind is the two-layer network
 over an operator, with no second path for the MLP: ``aggregates`` is read
 only where a kind's edges are chosen and in the two skips that draw no
 samples, and no function in ``models.py`` compares an operator with
-``None``. Every training runs one loop: only ``models._fit`` calls
-``_adagrad_step`` or loops over epochs.
+``None``. The operator type is ``models.Operator``, the arrays of its
+filled rows: ``models.py`` builds no scipy sparse matrix. Every training
+runs one loop: only ``models._fit`` calls ``_adagrad_step`` or loops over
+epochs.
 """
 import ast
 import inspect
@@ -40,12 +42,13 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "smoothcert")
 REMOVED = ("certify_node", "CertDecision", "Outcome", "VoteStats",
            "vote_bounds", "certify_overlap", "certified_precision_recall",
            "save_model", "load_model", "read_curve_csv", "CertConfig")
-# Methods and fields whose only callers were tests.
+# Methods and fields whose only callers were tests, and the live-row
+# wrapper that ``models.Operator`` replaced.
 REMOVED_MEMBERS = (("CertCurve", "certified_at"), ("AttackPlan", "from_json"),
                    ("AttackPlan", "degrees"), ("Graph", "indices"),
                    ("Graph", "degree"), ("Graph", "neighbors"),
                    ("Graph", "has_edge"), ("InteractionMatrix", "user_ids"),
-                   ("InteractionMatrix", "item_ids"))
+                   ("InteractionMatrix", "item_ids"), ("models", "_LiveRows"))
 
 
 def private_imports(path):
@@ -507,6 +510,45 @@ def test_kind_branch_is_detected(tmp_path):
                                         (9, "predict_rows")]
     assert operator_none_checks(source) == [(3, "_LiveRows.__init__"),
                                             (7, "_forward"), (9, "predict_rows")]
+
+
+SPARSE_CONSTRUCTORS = ("csr_matrix", "csc_matrix", "coo_matrix", "csr_array",
+                       "csc_array", "coo_array")
+
+
+def sparse_constructions(path):
+    """``(line, scope)`` of every call of a scipy sparse matrix constructor or
+    of any function reached through ``sp.`` or ``scipy.sparse.``."""
+    def builds(func):
+        through = getattr(func, "value", None)
+        return (getattr(func, "id", None) in SPARSE_CONSTRUCTORS
+                or getattr(func, "attr", None) in SPARSE_CONSTRUCTORS
+                or getattr(through, "id", None) == "sp"
+                or getattr(through, "attr", None) == "sparse")
+
+    return scoped(path, lambda node: isinstance(node, ast.Call) and builds(node.func))
+
+
+def test_models_build_no_sparse_matrix():
+    # The network runs on models.Operator; only the scipy kernels are used.
+    assert sparse_constructions(MODELS) == []
+
+
+def test_sparse_matrix_construction_is_detected(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("import scipy.sparse as sp\n"
+                      "from scipy.sparse import csc_matrix, _sparsetools\n"
+                      "def build(a):\n"
+                      "    return sp.csr_matrix(a)\n"
+                      "class Operator:\n"
+                      "    def transposed(self, a):\n"
+                      "        m = csc_matrix(a)\n"
+                      "        t = scipy.sparse.coo_array(a)\n"
+                      "        _sparsetools.csr_matvecs(1, 1, 1, a, a, a, a, a)\n"
+                      "        return m.T, t, sp.diags(a), sp.csr_matrix\n")
+    assert sparse_constructions(source) == [(4, "build"), (7, "Operator.transposed"),
+                                            (8, "Operator.transposed"),
+                                            (10, "Operator.transposed")]
 
 
 def loop_iterables(node):

@@ -55,14 +55,23 @@ class TestPredict:
             predict(identity_model, graph)
 
 
+def assert_same_arrays(built, expected):
+    """Equal values and dtypes."""
+    assert built.dtype == expected.dtype and np.array_equal(built, expected)
+
+
 class TestNormalizedOperator:
-    def assert_matches_oracle(self, graph):
-        built = normalized_operator(graph.n, graph.edges)
-        oracle = normalized_adjacency(graph)
-        assert built.shape == oracle.shape
-        assert np.array_equal(built.indptr, oracle.indptr)
-        assert np.array_equal(built.indices, oracle.indices)
-        assert np.array_equal(built.data, oracle.data)
+    """The operator holds the filled rows of the oracle's adjacency."""
+
+    def assert_matches_oracle(self, graph, rows=None):
+        built = normalized_operator(graph.n, graph.edges, rows)
+        filled = graph.degrees > 0
+        filled[np.arange(graph.n) if rows is None else rows] = True
+        assert built.num_nodes == graph.n
+        assert_same_arrays(built.rows, np.flatnonzero(filled))
+        oracle = normalized_adjacency(graph)[built.rows]
+        for part in ("indptr", "indices", "data"):
+            assert_same_arrays(getattr(built, part), getattr(oracle, part))
 
     def test_matches_oracle_on_fixtures(self, sbm_fixture, two_clique_graph):
         graph, _ = sbm_fixture
@@ -79,22 +88,17 @@ class TestNormalizedOperator:
 
     @pytest.mark.parametrize("n", [0, 1, 6])
     def test_matches_oracle_without_edges(self, n):
-        self.assert_matches_oracle(Graph(n, [], np.zeros((n, 1))))
+        graph = Graph(n, [], np.zeros((n, 1)))
+        self.assert_matches_oracle(graph)
+        self.assert_matches_oracle(graph, np.arange(n)[::2])
 
     def test_rows_keep_only_the_listed_edgeless_nodes(self, sbm_fixture):
         graph, _ = sbm_fixture
         sample = sample_smoothed_graph(graph, SmoothingParams(0.3, 0.6), 0).graph
         listed = np.flatnonzero(sample.degrees == 0)[::2]
-        filled = sample.degrees > 0
-        filled[listed] = True
-        assert 0 < filled.sum() < sample.n
         built = normalized_operator(sample.n, sample.edges, listed)
-        full = normalized_operator(sample.n, sample.edges)
-        assert built.shape == full.shape
-        assert np.array_equal(np.diff(built.indptr) > 0, filled)
-        rows = np.flatnonzero(filled)
-        for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(built[rows], part), getattr(full[rows], part))
+        assert 0 < built.rows.size < sample.n
+        self.assert_matches_oracle(sample, listed)
 
 
 class TestIsolatedNodeIndependence:
@@ -375,7 +379,7 @@ class TestSparseProductInto:
     @pytest.mark.parametrize("width", [1, 2, 7, 64])
     def test_operator_and_its_transpose(self, sbm_fixture, width):
         graph, _ = sbm_fixture
-        op = normalized_operator(graph.n, graph.edges)
+        op = normalized_adjacency(graph)
         assert op.format == "csr" and op.T.format == "csc"
         x = np.random.default_rng(width).standard_normal((graph.n, width))
         self.assert_same_bits(op, x)
@@ -387,7 +391,7 @@ class TestSparseProductInto:
         sample = sample_smoothed_graph(graph, SmoothingParams(0.3, 0.6), 1).graph
         extended = append_isolated(sample, 4, rng)
         assert (extended.degrees == 0).sum() > 4
-        op = normalized_operator(extended.n, extended.edges)
+        op = normalized_adjacency(extended)
         x = rng.standard_normal((extended.n, 5))
         self.assert_same_bits(op, x)
         self.assert_same_bits(op.T, x)
@@ -395,13 +399,41 @@ class TestSparseProductInto:
     @pytest.mark.parametrize("layout", ["strided", "fortran", "column"])
     def test_non_contiguous_input(self, sbm_fixture, layout):
         graph, _ = sbm_fixture
-        op = normalized_operator(graph.n, graph.edges)
+        op = normalized_adjacency(graph)
         wide = np.random.default_rng(9).standard_normal((graph.n, 12))
         x = {"strided": wide[:, ::3], "fortran": np.asfortranarray(wide),
              "column": wide[:, 4:5]}[layout]
         assert not x.flags.c_contiguous
         self.assert_same_bits(op, x)
         self.assert_same_bits(op.T, x)
+
+
+class TestOperatorProducts:
+    """The operator's products equal the oracle's ``A[rows] @ x`` and
+    ``A[rows].T @ y`` byte for byte, ``A`` its full adjacency."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 30),
+           p_edge=st.sampled_from([0.0, 0.02, 0.1, 0.4]), listed=st.booleans(),
+           width=st.sampled_from([1, 2, 5]))
+    @example(seed=0, n=0, p_edge=0.0, listed=False, width=2)
+    @example(seed=1, n=7, p_edge=0.0, listed=True, width=1)
+    @example(seed=2, n=30, p_edge=0.02, listed=True, width=5)
+    @settings(max_examples=60, deadline=None)
+    def test_products_match_oracle(self, seed, n, p_edge, listed, width):
+        rng = np.random.default_rng(seed)
+        pairs = np.argwhere(np.triu(rng.random((n, n)) < p_edge, 1))
+        graph = Graph(n, pairs, np.zeros((n, 1)))
+        rows = np.flatnonzero(rng.random(n) < 0.3) if listed else None
+        op = normalized_operator(n, graph.edges, rows)
+        a = normalized_adjacency(graph)[op.rows]
+        x = rng.standard_normal((n, width))
+        out = np.full((op.rows.size, width), np.nan)
+        assert op.product_into(x, out) is out
+        assert out.tobytes() == (a @ x).tobytes()
+        y = rng.standard_normal((op.rows.size, width))
+        out = np.full((n, width), np.nan)
+        assert op.transposed_product_into(y, out) is out
+        assert out.tobytes() == (a.T @ y).tobytes()
 
 
 class TestTrainingWorkspace:
