@@ -5,6 +5,7 @@ normalized mean aggregation with self-loops, relu in between) and a feature
 MLP, which is the same network on the edgeless graph. Both are trained with
 a momentum-free per-parameter scaled gradient step (Adagrad) implemented
 directly in numpy, which keeps training bit-deterministic for a fixed seed.
+Parameters, gradients and Adagrad cache are each one vector of one layout.
 
 A deleted or isolated node has no incident edges, so its normalized row
 reduces to the self-loop and its prediction depends on its own features only;
@@ -127,19 +128,26 @@ def normalized_operator(num_nodes: int, edges: np.ndarray,
     return Operator(loops, n, indptr, indices, data)
 
 
-def _init_weights(spec: ClassifierSpec, num_features: int, num_classes: int) -> dict:
+def _parameter_views(flat: np.ndarray, spec, num_features, num_classes) -> dict:
+    """``w1, b1, w2, b2`` as views of ``flat``, which holds them in that order,
+    each row-major, along its last axis (C-contiguous views of a vector)."""
+    shapes = {"w1": (num_features, spec.hidden_dim), "b1": (spec.hidden_dim,),
+              "w2": (spec.hidden_dim, num_classes), "b2": (num_classes,)}
+    ends = np.cumsum([np.prod(shape) for shape in shapes.values()])
+    return {key: part.reshape(flat.shape[:-1] + shape) for (key, shape), part
+            in zip(shapes.items(), np.split(flat, ends[:-1], axis=-1))}
+
+
+def _init_weights(spec, num_features: int, num_classes: int) -> np.ndarray:
     rng = np.random.default_rng(derive_sample_seed(spec.seed, _INIT_STREAM))
 
     def glorot(fan_in, fan_out):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+        return rng.uniform(-bound, bound, size=fan_in * fan_out)
 
-    return {
-        "w1": glorot(num_features, spec.hidden_dim),
-        "b1": np.zeros(spec.hidden_dim),
-        "w2": glorot(spec.hidden_dim, num_classes),
-        "b2": np.zeros(num_classes),
-    }
+    h = spec.hidden_dim
+    return np.concatenate([glorot(num_features, h), np.zeros(h),
+                           glorot(h, num_classes), np.zeros(num_classes)])
 
 
 def sparse_product_into(op, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -215,8 +223,8 @@ def _forward(weights: dict, operator: Operator, t1: np.ndarray, h: np.ndarray,
 
 
 def _gradients(weights, operator: Operator, at, features, targets, weight_decay,
-               work: _Workspace):
-    """Gradients of the mean training cross-entropy, computed on the live rows.
+               work: _Workspace, grads: dict) -> None:
+    """Gradients of the mean training cross-entropy into the views ``grads``.
 
     ``at`` holds each training node's position among the live rows. Every
     other row holds exact zeros in ``h1``, ``d_t2``, ``d_z1`` and the sparse
@@ -238,10 +246,11 @@ def _gradients(weights, operator: Operator, at, features, targets, weight_decay,
 
     d_t2 = np.empty((operator.num_nodes, d_logits.shape[1]))
     operator.transposed_product_into(d_logits, d_t2)
-    g_w2 = work.h1.T @ d_t2 + weight_decay * weights["w2"]
+    np.matmul(work.h1.T, d_t2, out=grads["w2"])
+    grads["w2"] += weight_decay * weights["w2"]
     # With two or more columns numpy sums axis 0 a row at a time, so the
     # zero rows off the training nodes would add nothing.
-    g_b2 = d_train.sum(axis=0)
+    d_train.sum(axis=0, out=grads["b2"])
     d_z1 = np.matmul(d_t2, weights["w2"].T, out=work.d_z1)
     d_z1_live = np.take(d_z1, rows, axis=0, out=h, mode="clip")  # h is spent
     d_z1_live *= positive
@@ -249,15 +258,14 @@ def _gradients(weights, operator: Operator, at, features, targets, weight_decay,
     # change the bits, so b1's gradient keeps its n rows.
     d_z1[rows] = d_z1_live
     d_t1 = operator.transposed_product_into(d_z1_live, t1)
-    g_w1 = features.T @ d_t1 + weight_decay * weights["w1"]
-    g_b1 = d_z1.sum(axis=0)
-    return {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2}
+    np.matmul(features.T, d_t1, out=grads["w1"])
+    grads["w1"] += weight_decay * weights["w1"]
+    d_z1.sum(axis=0, out=grads["b1"])
 
 
-def _adagrad_step(weights, grads, cache, learning_rate):
-    for key, grad in grads.items():
-        cache[key] += grad * grad
-        weights[key] -= learning_rate * grad / (np.sqrt(cache[key]) + _ADAGRAD_EPS)
+def _adagrad_step(flat, grads, cache, learning_rate):
+    cache += grads * grads
+    flat -= learning_rate * grads / (np.sqrt(cache) + _ADAGRAD_EPS)
 
 
 def _check_train_nodes(graph: Graph, train_idx: np.ndarray) -> None:
@@ -276,7 +284,9 @@ def _fit(spec: ClassifierSpec, graph: Graph, train_idx: np.ndarray,
     which must include every training node. Give an edgeless node that is
     not a training node an empty row (``normalized_operator(n, edges,
     train_idx)``) and no step computes it; the weights are the same bits
-    either way.
+    either way. Weights, gradients and cache are each one vector laid out by
+    :func:`_parameter_views`. The gradients are written into its views and a
+    step is one elementwise update, so each weight gets the same bits.
 
     Raises ``FloatingPointError`` if training leaves a weight that is not
     finite: such a model would put every vote on class 0. That check is the
@@ -284,8 +294,10 @@ def _fit(spec: ClassifierSpec, graph: Graph, train_idx: np.ndarray,
     """
     if graph.num_classes < 2:
         raise ValueError("training requires at least 2 classes")
-    weights = _init_weights(spec, graph.num_features, graph.num_classes)
-    cache = {k: np.zeros_like(v) for k, v in weights.items()}
+    flat = _init_weights(spec, graph.num_features, graph.num_classes)
+    gradient, cache = np.empty_like(flat), np.zeros_like(flat)
+    weights, grads = (_parameter_views(v, spec, graph.num_features, graph.num_classes)
+                      for v in (flat, gradient))
     work = _Workspace(graph.n, spec.hidden_dim)
     # Each training row's label column, where softmax - onehot subtracts 1.
     targets = (np.arange(train_idx.size), graph.labels[train_idx])
@@ -297,10 +309,10 @@ def _fit(spec: ClassifierSpec, graph: Graph, train_idx: np.ndarray,
                     work.h1[live.rows] = 0.0  # rows outside the live ones stay 0
                 live = operator
                 at = np.searchsorted(live.rows, train_idx)
-            grads = _gradients(weights, live, at, graph.features, targets,
-                               spec.weight_decay, work)
-            _adagrad_step(weights, grads, cache, spec.learning_rate)
-    if not all(np.isfinite(w).all() for w in weights.values()):
+            _gradients(weights, live, at, graph.features, targets,
+                       spec.weight_decay, work, grads)
+            _adagrad_step(flat, gradient, cache, spec.learning_rate)
+    if not np.isfinite(flat).all():
         raise FloatingPointError(
             f"{spec.kind} training diverged: weights are not finite after "
             f"{spec.epochs} epochs (learning rate {spec.learning_rate}, "

@@ -24,7 +24,9 @@ samples, and no function in ``models.py`` compares an operator with
 ``None``. The operator type is ``models.Operator``, the arrays of its
 filled rows: ``models.py`` builds no scipy sparse matrix. Every training
 runs one loop: only ``models._fit`` calls ``_adagrad_step`` or loops over
-epochs.
+epochs. An Adagrad step is one update over the parameter vector:
+``_adagrad_step`` has no loop or comprehension, and ``_gradients`` writes
+into the views of the gradient vector and returns no value.
 """
 import ast
 import inspect
@@ -596,3 +598,40 @@ def test_stray_training_loop_is_detected(tmp_path):
     assert training_loops(source) == [(2, "_fit"), (5, "_fit_live"), (8, "train"),
                                       (10, "train")]
     assert calls_of(source, "_adagrad_step") == [(3, "_fit"), (10, "train")]
+
+
+def per_parameter_updates(path):
+    """``(line, scope)`` of every loop or comprehension in ``_adagrad_step``
+    and every ``return`` of a value from ``_gradients``."""
+    loops = scoped(path, lambda node: isinstance(node, LOOPS))
+    returns = scoped(path, lambda node: isinstance(node, ast.Return)
+                     and node.value is not None)
+    return sorted([(line, scope) for line, scope in loops
+                   if scope.split(".")[0] == "_adagrad_step"]
+                  + [(line, scope) for line, scope in returns
+                     if scope == "_gradients"])
+
+
+def test_adagrad_is_one_update_over_the_vector():
+    assert callable(smoothcert.models._adagrad_step)
+    assert callable(smoothcert.models._gradients)
+    assert per_parameter_updates(MODELS) == []
+
+
+def test_per_parameter_update_is_detected(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("def _adagrad_step(weights, grads, cache, learning_rate):\n"
+                      "    for key, grad in grads.items():\n"
+                      "        cache[key] += grad * grad\n"
+                      "    def each():\n"
+                      "        return [w for w in weights]\n"
+                      "def _gradients(weights, grads):\n"
+                      "    def decay(w):\n"
+                      "        return 5e-4 * w\n"
+                      "    grads['w1'] += decay(weights['w1'])\n"
+                      "    return {'w1': grads['w1']}\n"
+                      "def _fit(weights):\n"
+                      "    return [w for w in weights]\n")
+    assert per_parameter_updates(source) == [(2, "_adagrad_step"),
+                                             (5, "_adagrad_step.each"),
+                                             (10, "_gradients")]

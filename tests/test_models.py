@@ -315,6 +315,73 @@ class TestOneHiddenUnit:
             assert_same_bits(fitted.pop(), ref_weights)
 
 
+class TestPaperWidthMatchesReferenceLoops:
+    """Bit identity at Cora's width (1433 sparse binary features, 7 classes),
+    where the two weight-gradient products write into views of the gradient
+    vector. Every residue of n mod 4 is covered, as OpenBLAS rounds a row of
+    a product by its position."""
+
+    @pytest.fixture(scope="class", params=[0, 1, 2, 3], ids=lambda r: f"n{98 + r}")
+    def graph(self, request):
+        sbm, split = generate_sbm(98, 7, 0.3, 0.01, 7, seed=4)
+        n = sbm.n + request.param  # padded with unlabeled isolated nodes
+        features = (np.random.default_rng(request.param).random((n, 1433))
+                    < 0.013).astype(np.float64)
+        labels = np.concatenate([sbm.labels, np.full(request.param, -1)])
+        return Graph(n, sbm.edges, features, labels, num_classes=7), split
+
+    @pytest.mark.parametrize("p_n", [0.3, 0.8])
+    @pytest.mark.parametrize("hidden", [1, 64])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_weights_and_predictions(self, graph, kind, hidden, p_n, monkeypatch):
+        graph, split = graph
+        spec = ClassifierSpec(kind=kind, hidden_dim=hidden, epochs=6, seed=1)
+        params = SmoothingParams(0.2, p_n)
+        assert_same_bits(train_with_noise(spec, graph, split, params).weights,
+                         reference_train_with_noise(spec, graph, split, params).weights)
+        sample = sample_smoothed_graph(graph, params, 7).graph
+        fitted = capture_fit(monkeypatch)
+        preds = train_predict_end_to_end(spec, sample, split)
+        ref_preds, ref_weights = reference_train_predict(spec, sample, split)
+        assert preds.tobytes() == ref_preds.tobytes()
+        assert_same_bits(fitted.pop(), ref_weights)
+
+
+def assert_one_vector(weights):
+    """``w1, b1, w2, b2`` are C-contiguous views that tile one contiguous
+    float64 vector in that order."""
+    arrays = [weights[key] for key in ("w1", "b1", "w2", "b2")]
+    vector = arrays[0]
+    while vector.base is not None:
+        vector = vector.base
+    assert vector.ndim == 1 and vector.dtype == np.float64
+    assert vector.flags.c_contiguous
+    assert vector.size == sum(array.size for array in arrays)
+    address = vector.__array_interface__["data"][0]
+    for array in arrays:
+        assert array.dtype == np.float64 and array.flags.c_contiguous
+        assert np.shares_memory(array, vector)
+        assert array.__array_interface__["data"][0] == address
+        address += array.nbytes
+
+
+class TestParameterVector:
+    """Both trainers return the parameters as views of one flat vector."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_trained_weights_are_views_of_one_vector(self, sbm_fixture, kind,
+                                                     monkeypatch):
+        graph, split = sbm_fixture
+        spec = ClassifierSpec(kind=kind, hidden_dim=5, epochs=3)
+        model = train_with_noise(spec, graph, split, SmoothingParams(0.1, 0.5))
+        assert_one_vector(model.weights)
+        assert model.weights["w1"].shape == (graph.num_features, 5)
+        assert model.weights["w2"].shape == (5, graph.num_classes)
+        fitted = capture_fit(monkeypatch)
+        assert train_predict_end_to_end(spec, graph, split) is not None
+        assert_one_vector(fitted.pop())
+
+
 FINITE_ROWS = st.lists(st.floats(allow_nan=False, allow_infinity=False),
                       min_size=32, max_size=32)
 
