@@ -255,9 +255,10 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
 _READER_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _read_columns(raw: bytes, dtype, ndmin: int):
-    """The tab-separated file of bytes ``raw`` parsed whole by ``np.loadtxt``,
-    or None for the per-line parser to decide.
+def _read_columns(raw: bytes, dtype, ndmin: int, delimiter: str = "\t",
+                  skiprows: int = 0):
+    """The file of bytes ``raw`` parsed whole by ``np.loadtxt``, or None for
+    the per-line parser to decide.
 
     None when the file is not ASCII, holds a byte of ``_READER_ONLY_SPACE``,
     or ``np.loadtxt`` raises or warns (an empty file warns). Outside ASCII,
@@ -265,17 +266,19 @@ def _read_columns(raw: bytes, dtype, ndmin: int):
     5 reads as 4625). On the rest of ASCII it accepts a subset of the cells
     that ``int()`` and ``float()`` accept, with the same values, and skips
     only empty lines, which the per-line parsers skip too: a file it parses
-    is one they accept, read into the same arrays.
+    is one they accept, read into the same arrays. The bytes are decoded a
+    chunk at a time as numpy reads the lines, never as one string.
     """
     if not raw.isascii() or any(byte in raw for byte in _READER_ONLY_SPACE):
         return None
+    # newline=None turns "\r\n" and "\r" into "\n", as open() does.
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="ascii", newline=None)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            # newline=None turns "\r\n" and "\r" into "\n", as open() does.
-            table = np.loadtxt(io.StringIO(raw.decode("ascii"), newline=None),
-                               dtype=dtype, delimiter="\t", comments=None,
-                               quotechar=None, ndmin=ndmin)
+            table = np.loadtxt(text, dtype=dtype, delimiter=delimiter,
+                               comments=None, quotechar=None, ndmin=ndmin,
+                               skiprows=skiprows)
         except (ValueError, OverflowError):
             return None
     return None if caught else table
@@ -301,43 +304,86 @@ def load_node_classification_dataset(edge_path, node_path) -> Graph:
             raise ParseError(node_path, 1, "missing header") from None
         if len(header) < 2 or header[0] != "node_id" or header[1] != "label":
             raise ParseError(node_path, 1, "header must start with node_id,label")
-        # Blank lines are skipped. The rest give the node count before any
-        # row is parsed, so no array is sized by a stray id or label.
-        rows = [(line_no, row) for line_no, row in enumerate(reader, start=2)
-                if len(row) > 1 or "".join(row).strip()]
-        dim, n = len(header) - 2, len(rows)
-        features = np.zeros((n, dim), dtype=np.float64)
-        labels = np.full(n, -1, dtype=np.int64)
-        ids = set()
-        for line_no, row in rows:
-            if len(row) != dim + 2:
-                raise ParseError(node_path, line_no,
-                                 f"expected {dim + 2} columns, found {len(row)}")
-            try:
-                node_id = int(row[0])
-            except ValueError:
-                raise ParseError(node_path, line_no, f"bad node id {row[0]!r}") from None
-            if not 0 <= node_id < n:
-                raise ParseError(node_path, line_no,
-                                 f"node id {node_id} outside [0, {n}) ({n} node rows)")
-            if node_id in ids:
-                raise ParseError(node_path, line_no, f"duplicate node id {node_id}")
-            ids.add(node_id)
-            label_cell = row[1].strip()
-            try:
-                label = -1 if label_cell == "" else int(label_cell)
-                feats = [float(x) for x in row[2:]]
-            except ValueError:
-                raise ParseError(node_path, line_no, "malformed label or feature") from None
-            if not -1 <= label < n:
-                raise ParseError(node_path, line_no,
-                                 f"label {label} outside [-1, {n}) ({n} node rows)")
-            if not all(map(math.isfinite, feats)):
-                raise ParseError(node_path, line_no, "non-finite feature")
-            labels[node_id] = label
-            features[node_id] = feats
+        dim = len(header) - 2
+        table = _read_node_table(node_path, dim)
+        labels, features = (table if table is not None
+                            else _parse_node_rows(node_path, reader, dim))
+    return Graph(labels.size, _read_edges(Path(edge_path), labels.size),
+                 features, labels)
 
-    return Graph(n, _read_edges(Path(edge_path), n), features, labels)
+
+def _read_node_table(path: Path, dim: int):
+    """The labels and features of a node table with ``dim`` features, in id
+    order, or None for :func:`_parse_node_rows` to decide.
+
+    The whole-file reader's arrays are kept only if the ids are exactly
+    ``0..n-1``, every label lies in ``[-1, n)`` and every feature is finite,
+    the checks the per-line parser makes. An empty label cell fails the
+    whole-file parse, and a file with a quote is not tried: a quoted header
+    cell may span lines, and only one header line is skipped.
+    """
+    raw = path.read_bytes()
+    fields = [("id", np.int64), ("label", np.int64), ("features", np.float64, (dim,))]
+    table = None if b'"' in raw else _read_columns(raw, fields, ndmin=1,
+                                                    delimiter=",", skiprows=1)
+    del raw  # the file's bytes are not needed for the copies below
+    if table is None:
+        return None
+    ids, n = table["id"], table.size
+    if ids.min() < 0 or ids.max() >= n:
+        return None
+    seen = np.zeros(n, dtype=bool)
+    seen[ids] = True
+    labels = table["label"]
+    if not (seen.all() and labels.min() >= -1 and labels.max() < n
+            and np.isfinite(table["features"]).all()):
+        return None
+    ordered_labels = np.empty(n, dtype=np.int64)
+    ordered_labels[ids] = labels
+    features = np.empty((n, dim), dtype=np.float64)
+    features[ids] = table["features"]
+    return ordered_labels, features
+
+
+def _parse_node_rows(path: Path, reader, dim: int):
+    """The node rows after the header, parsed one by one from ``reader``:
+    the parser that reports errors. Returns the labels and the features."""
+    # Blank lines are skipped. The rest give the node count before any
+    # row is parsed, so no array is sized by a stray id or label.
+    rows = [(line_no, row) for line_no, row in enumerate(reader, start=2)
+            if len(row) > 1 or "".join(row).strip()]
+    n = len(rows)
+    features = np.zeros((n, dim), dtype=np.float64)
+    labels = np.full(n, -1, dtype=np.int64)
+    ids = set()
+    for line_no, row in rows:
+        if len(row) != dim + 2:
+            raise ParseError(path, line_no,
+                             f"expected {dim + 2} columns, found {len(row)}")
+        try:
+            node_id = int(row[0])
+        except ValueError:
+            raise ParseError(path, line_no, f"bad node id {row[0]!r}") from None
+        if not 0 <= node_id < n:
+            raise ParseError(path, line_no,
+                             f"node id {node_id} outside [0, {n}) ({n} node rows)")
+        if node_id in ids:
+            raise ParseError(path, line_no, f"duplicate node id {node_id}")
+        ids.add(node_id)
+        label_cell = row[1].strip()
+        try:
+            label = -1 if label_cell == "" else int(label_cell)
+            feats = [float(x) for x in row[2:]]
+        except ValueError:
+            raise ParseError(path, line_no, "malformed label or feature") from None
+        if not -1 <= label < n:
+            raise ParseError(path, line_no,
+                             f"label {label} outside [-1, {n}) ({n} node rows)")
+        if not all(map(math.isfinite, feats)):
+            raise ParseError(path, line_no, "non-finite feature")
+        labels[node_id] = label
+        features[node_id] = feats
+    return labels, features
 
 
 def _read_edges(path: Path, n: int) -> np.ndarray:
@@ -520,6 +566,10 @@ def _split(ids: np.ndarray, rng: np.random.Generator) -> DataSplit:
                      test=perm[n_train + n_val:])
 
 
+# Candidate pairs per block of rows in generate_sbm.
+_PAIR_BLOCK = 1 << 20
+
+
 def generate_sbm(n: int, classes: int, p_in: float, p_out: float, d: int,
                  seed: int) -> tuple[Graph, DataSplit]:
     """Generate a planted-partition graph with noisy one-hot features.
@@ -542,10 +592,21 @@ def generate_sbm(n: int, classes: int, p_in: float, p_out: float, d: int,
     block = n // classes
     labels = np.repeat(np.arange(classes, dtype=np.int64), block)
 
-    iu, iv = np.triu_indices(n, k=1)
-    p = np.where(labels[iu] == labels[iv], p_in, p_out)
-    keep = _rng(seed, 0).random(iu.shape[0]) < p
-    edges = np.stack([iu[keep], iv[keep]], axis=1)
+    # One coin per pair u < v, drawn in row-major pair order, a block of
+    # rows at a time: the pairs of rows [lo, hi) are the next stretch of
+    # the coin stream, so no more than _PAIR_BLOCK pairs are held at once.
+    coins = _rng(seed, 0)
+    rows_per_block = max(1, _PAIR_BLOCK // max(n, 1))
+    columns = np.arange(n)
+    blocks = []
+    for lo in range(0, n, rows_per_block):
+        rows = columns[lo:lo + rows_per_block]
+        iu, iv = np.nonzero(columns > rows[:, None])
+        iu += lo
+        p = np.where(labels[iu] == labels[iv], p_in, p_out)
+        keep = coins.random(iu.shape[0]) < p
+        blocks.append(np.stack([iu[keep], iv[keep]], axis=1))
+    edges = np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
 
     features = np.zeros((n, d), dtype=np.float64)
     features[np.arange(n), labels] = 1.0

@@ -16,7 +16,9 @@ rho one step at a time up to the first failure.
 ``reference_predict``, ``reference_train_with_noise`` and
 ``reference_train_predict`` are the single-graph forward pass and the two
 training loops the models had before they shared one loop; they transpose
-the operator at each use. The remaining helpers stand in for accessors that
+the operator at each use. ``reference_sbm_edges`` is the planted-partition
+generator's edge draw as it was before it went a block of rows at a time:
+every candidate pair at once. The remaining helpers stand in for accessors that
 only tests need: neighbor lists, attack-plan parsing and curve reading.
 """
 import json
@@ -208,6 +210,18 @@ def certified_at(curve, rho):
         if p.rho == rho:
             return p.certified_accuracy
     raise KeyError(f"rho={rho} not on the curve grid")
+
+
+def reference_sbm_edges(n, classes, p_in, p_out, seed):
+    """The edges of ``generate_sbm(n, classes, p_in, p_out, d, seed)``: one
+    coin per pair u < v in ``np.triu_indices`` order, all drawn at once."""
+    labels = np.repeat(np.arange(classes), n // classes)
+    coins = np.random.default_rng(np.random.SeedSequence(
+        entropy=int(seed) & (2**64 - 1), spawn_key=(0,)))
+    iu, iv = np.triu_indices(n, k=1)
+    p = np.where(labels[iu] == labels[iv], p_in, p_out)
+    keep = coins.random(iu.shape[0]) < p
+    return np.stack([iu[keep], iv[keep]], axis=1)
 
 
 def read_curve_csv(path):

@@ -1,10 +1,12 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import degree, has_edge, neighbors, reference_ratings_split
+from oracles import (degree, has_edge, neighbors, reference_ratings_split,
+                     reference_sbm_edges)
 from smoothcert import graph as graph_module
 from smoothcert import (Graph, DataSplit, InteractionMatrix, ParseError,
                         generate_sbm, load_interaction_dataset,
@@ -296,21 +298,25 @@ ODD_CELLS = ["+5", " 5 ", "1_0", "#5", "nan", "inf", "-inf", "x", "", "5.0",
              "-9223372036854775809", "99999999999999999999", "\u01fe5",
              "\x1c5", "5\x1f", "\xa05", "\u0665", "5\x0c"]
 # Whole-line changes: blank and whitespace-only lines, a line of 1, 3 or 5
-# fields and a trailing tab.
+# fields and a trailing separator.
 ODD_LINES = ["", "   ", "\t", " \t \t ", "7", "1\t2\t3", "1\t2\t3\t4\t5",
              "1\t2\t3\t4\t"]
+# Node-table cells besides those: quotes, ids and labels just outside their
+# range, and a feature that overflows to inf.
+ODD_NODE_CELLS = ODD_CELLS + ['"1"', '"', "6", "-1", "-2", "1e999"]
 
 
-def odd_file(rng, lines):
-    """The text of ``lines`` (each a list of cells) after one to three
-    seeded changes, with seeded line ends, final newline and BOM."""
+def odd_file(rng, lines, sep="\t", cells=ODD_CELLS):
+    """The text of ``lines`` (each a list of cells, joined by ``sep``) after
+    one to three seeded changes, with seeded line ends, final newline and
+    BOM."""
     lines = [list(line) for line in lines]
     for _ in range(int(rng.integers(1, 4))):
         at = int(rng.integers(0, len(lines) + 1))
         change = rng.integers(0, 4)
         if change == 0 and lines:  # one odd cell
             row = lines[min(at, len(lines) - 1)]
-            row[int(rng.integers(0, len(row)))] = str(rng.choice(ODD_CELLS))
+            row[int(rng.integers(0, len(row)))] = str(rng.choice(cells))
         elif change == 1:  # one odd line
             lines.insert(at, str(rng.choice(ODD_LINES)).split("\t"))
         elif change == 2 and lines:  # a repeat, after a blank line
@@ -319,7 +325,7 @@ def odd_file(rng, lines):
             row = lines[min(at, len(lines) - 1)]
             row[1:2] = row[:1]
     end = str(rng.choice(["\n", "\r\n", "\r"]))
-    text = end.join("\t".join(line) for line in lines)
+    text = end.join(sep.join(line) for line in lines)
     if lines and rng.random() < 0.7:
         text += end
     return ("\ufeff" if rng.random() < 0.1 else "") + text
@@ -344,15 +350,15 @@ class TestWholeFileReader:
     """The whole-file parse against the per-line parser on a seeded corpus."""
 
     @staticmethod
-    def count_fast_parses(monkeypatch):
+    def count_fast_parses(monkeypatch, name="_read_columns"):
         parsed = []
-        read = graph_module._read_columns
+        read = getattr(graph_module, name)
 
         def counted(*args, **kwargs):
             table = read(*args, **kwargs)
             parsed.append(table is not None)
             return table
-        monkeypatch.setattr(graph_module, "_read_columns", counted)
+        monkeypatch.setattr(graph_module, name, counted)
         return parsed
 
     def test_rating_logs_match_the_per_line_parser(self, tmp_path, monkeypatch):
@@ -404,19 +410,50 @@ class TestWholeFileReader:
         assert failures == []
         assert 40 <= sum(parsed) <= len(parsed) - 100
 
+    def test_node_tables_match_the_per_line_parser(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(21)
+        parsed = self.count_fast_parses(monkeypatch, "_read_node_table")
+        edges = tmp_path / "edges.tsv"
+        nodes = tmp_path / "nodes.csv"
+        edges.write_text("0\t1\n")
+
+        def load(p):
+            graph = load_node_classification_dataset(edges, p)
+            return graph.fingerprint(), graph.num_classes
+        failures = []
+        for case in range(300):
+            ids = rng.permutation(6) if rng.random() < 0.3 else np.arange(6)
+            lines = [["node_id", "label", "f_1", "f_2"]] + [
+                [str(v), str(rng.integers(0, 3)), str(round(rng.normal(), 3)),
+                 str(rng.integers(-2, 3))] for v in ids]
+            text = odd_file(rng, lines, ",", ODD_NODE_CELLS) if case % 10 else \
+                "\n".join(",".join(line) for line in lines)
+            nodes.write_text(text, encoding="utf-8", newline="")
+            fast, slow = load_both_ways(monkeypatch, load, nodes)
+            if fast != slow:
+                failures.append((text, fast, slow))
+        assert failures == []
+        assert 40 <= sum(parsed) <= len(parsed) - 100
+
+    @pytest.mark.parametrize("delimiter", ["\t", ","])
     @pytest.mark.parametrize("dtype, convert", [(np.int64, int),
                                                 (np.float64, float)])
-    def test_ascii_cells_read_as_int_and_float_read_them(self, dtype, convert):
+    def test_ascii_cells_read_as_int_and_float_read_them(self, dtype, convert,
+                                                          delimiter):
         # The whole-file parse is exact only while numpy's reader takes no
-        # ASCII cell that int() or float() refuses or reads otherwise.
-        chars = [chr(c) for c in range(128) if chr(c) not in "\t\n\r"]
+        # ASCII cell that int() or float() refuses or reads otherwise. The
+        # node table's comma delimiter lets a tab into its cells.
+        chars = [chr(c) for c in range(128) if chr(c) not in delimiter + "\n\r"]
         cells = [a + b for a in chars for b in chars]
         cells += [a + "5" + b for a in chars for b in chars]
         read = 0
         for cell in cells:
-            table = graph_module._read_columns(cell.encode() + b"\n", dtype, 1)
+            table = graph_module._read_columns(cell.encode() + b"\n", dtype, 1,
+                                               delimiter=delimiter)
             if table is not None:
-                assert np.array_equal(table, [convert(cell)], equal_nan=True), cell
+                expected = np.array([convert(cell)], dtype=dtype)
+                assert np.array_equal(table, expected, equal_nan=True), cell
+                assert np.signbit(table) == np.signbit(expected), cell
                 read += 1
         assert read > 100
 
@@ -447,22 +484,61 @@ class TestWholeFileReader:
                                 for k, s, t in zip(keys.tolist(), stars.tolist(),
                                                    stamps.tolist())))
         per_line = []
-        for name in ("_parse_rating_lines", "_parse_edge_lines"):
+        for name in ("_parse_rating_lines", "_parse_edge_lines", "_parse_node_rows"):
             parse = getattr(graph_module, name)
             monkeypatch.setattr(graph_module, name, lambda *a, name=name, parse=parse:
                                 per_line.append(name) or parse(*a))
         matrix, held = load_interaction_dataset(path, 0.85)
         assert (matrix.users, matrix.items) == (943, 1682)
         assert matrix.nnz + sum(h.size for h in held) == keys.size
-        graph, _ = generate_sbm(300, 2, 0.1, 0.01, 4, seed=1)
+        # The evasion-large graph: 3000 nodes and 8 features.
+        graph, _ = generate_sbm(3000, 2, 0.01, 0.001, 8, seed=1)
         save_node_classification_dataset(graph, tmp_path / "e.tsv",
                                          tmp_path / "n.csv")
         assert load_node_classification_dataset(tmp_path / "e.tsv",
                                                 tmp_path / "n.csv") == graph
         assert per_line == []
 
+    def test_a_wide_node_table_loads_in_under_twice_its_size(self, tmp_path):
+        # 2000 nodes of 256 features, about 10 MB of text. The arrays it
+        # fills are 4 MB; the file's text is never held as a string.
+        rng = np.random.default_rng(256)
+        graph = Graph(2000, [(0, 1)], rng.standard_normal((2000, 256)),
+                      rng.integers(0, 5, size=2000))
+        edges, nodes = tmp_path / "edges.tsv", tmp_path / "nodes.csv"
+        save_node_classification_dataset(graph, edges, nodes)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            loaded = load_node_classification_dataset(edges, nodes)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert loaded == graph
+        assert peak < 2 * nodes.stat().st_size, (peak, nodes.stat().st_size)
+
 
 class TestGenerateSbm:
+    @pytest.mark.parametrize("pair_block", [None, 1, 100])
+    @pytest.mark.parametrize("n, classes, p_in, p_out, seed", [
+        (7, 7, 0.5, 0.2, 0), (300, 2, 0.1, 0.01, 0), (1001, 7, 0.05, 0.01, 3),
+        (3000, 2, 0.01, 0.001, 5)])
+    def test_row_blocks_draw_the_edges_all_pairs_draw(self, monkeypatch, n,
+                                                      classes, p_in, p_out,
+                                                      seed, pair_block):
+        # 2**20 pairs a block puts 3000 nodes in 9 blocks and 1001 in one.
+        # 1 pair a block puts every size over block boundaries, and 100 pairs
+        # every size but 7.
+        if pair_block is not None:
+            monkeypatch.setattr(graph_module, "_PAIR_BLOCK", pair_block)
+        graph, _ = generate_sbm(n, classes, p_in, p_out, classes, seed=seed)
+        assert graph.edges.tobytes() == \
+            reference_sbm_edges(n, classes, p_in, p_out, seed).tobytes()
+
     def test_cliques_when_forced(self):
         graph, _ = generate_sbm(4, 2, 1.0, 0.0, 2, seed=0)
         assert sorted(map(tuple, graph.edges.tolist())) == [(0, 1), (2, 3)]
