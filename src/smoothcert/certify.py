@@ -128,12 +128,28 @@ def margin_exclude(p_top_lower: float, p_runner_upper: float, p_all_removed: flo
 
 
 def _checked_counts(successes, trials: int, level):
+    """``successes`` as int64, whatever narrower integer type holds them,
+    and ``level`` broadcast to their shape."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     successes = np.asarray(successes)
     if np.any((successes < 0) | (successes > trials)):
         raise ValueError("successes out of range")
-    return successes, np.broadcast_to(level, successes.shape)
+    return (successes.astype(np.int64, copy=False),
+            np.broadcast_to(level, successes.shape))
+
+
+def _once_per_pair(bound, trials: int, s: np.ndarray, level: np.ndarray):
+    """``bound(s, level)`` over 1-d counts ``s`` in ``[0, trials]`` and their
+    levels, evaluated once per distinct (count, level) pair and gathered:
+    a curve's bounds repeat a few hundred pairs over tens of thousands of
+    entries. Each pair goes through the same call, so the bits match an
+    element-wise call."""
+    levels, rank = np.unique(level, return_inverse=True)
+    if (int(trials) + 1) * levels.size > 2**63:  # a key would overflow int64
+        return bound(s, level)
+    pairs, at = np.unique(s * levels.size + rank, return_inverse=True)
+    return bound(pairs // levels.size, levels[pairs % levels.size])[at]
 
 
 def clopper_pearson_lower(successes, trials: int, level):
@@ -146,8 +162,9 @@ def clopper_pearson_lower(successes, trials: int, level):
     successes, level = _checked_counts(successes, trials, level)
     out = np.zeros(successes.shape)
     some = successes > 0
-    s = successes[some]
-    out[some] = special.betaincinv(s, trials - s + 1, level[some])
+    out[some] = _once_per_pair(
+        lambda s, lv: special.betaincinv(s, trials - s + 1, lv),
+        trials, successes[some], level[some])
     return float(out) if out.ndim == 0 else out
 
 
@@ -159,8 +176,9 @@ def clopper_pearson_upper(successes, trials: int, level):
     successes, level = _checked_counts(successes, trials, level)
     out = np.ones(successes.shape)
     some = successes < trials
-    s = successes[some]
-    out[some] = special.betaincinv(s + 1, trials - s, 1.0 - level[some])
+    out[some] = _once_per_pair(
+        lambda s, lv: special.betaincinv(s + 1, trials - s, 1.0 - lv),
+        trials, successes[some], level[some])
     return float(out) if out.ndim == 0 else out
 
 

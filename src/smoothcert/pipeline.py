@@ -4,6 +4,10 @@ A run's votes go into one table: ``BaseVoteTable.collect`` allocates it, and
 each chunk of the sample range adds its votes into it under one lock. Integer
 adds commute, so the table does not depend on how the sample indices are
 chunked across worker threads nor on the order the chunks finish in.
+
+A table's counts lie in ``[0, num_samples]`` and are stored in the narrowest
+signed integer type that holds ``num_samples`` (:func:`_count_dtype`); code
+that reads them widens them to int64 before any arithmetic.
 """
 from __future__ import annotations
 
@@ -35,6 +39,16 @@ _BATCH_ROWS = 1024
 _MERGED_APART = ("counts", "abstains", "num_samples", "first_index", "degrees")
 
 
+def _count_dtype(num_samples: int) -> np.dtype:
+    """The narrowest signed integer type that holds every count of a
+    ``num_samples``-sample table: int8 up to 127 samples, int16 up to
+    32 767, int32 up to 2**31 - 1 and int64 beyond."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if num_samples <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
 def _check_sample_range(first_index: int, num_samples: int) -> None:
     # derive_sample_seed is a bijection in the index on [0, 2**64 - 1).
     if first_index < 0 or first_index + num_samples > 2**64 - 1:
@@ -48,7 +62,7 @@ class BaseVoteTable:
     them needs: the smoothing noise that drew the samples and each row's
     degree in the graph or rating matrix that was voted on."""
 
-    counts: np.ndarray    # (rows, columns) int64
+    counts: np.ndarray    # (rows, columns), in _count_dtype(num_samples)
     abstains: np.ndarray  # (rows,) int64, samples in which the row did not vote
     num_samples: int
     params: SmoothingParams
@@ -57,7 +71,11 @@ class BaseVoteTable:
     first_index: int = field(default=0, kw_only=True)
 
     def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
+        # Validated in the caller's integer type, then narrowed: a count
+        # outside [0, num_samples] is refused, never wrapped.
+        self.counts = np.asarray(self.counts)
+        if self.counts.dtype.kind not in "iu":
+            self.counts = self.counts.astype(np.int64)
         self.abstains = np.asarray(self.abstains, dtype=np.int64)
         self.degrees = np.asarray(self.degrees, dtype=np.int64)
         if self.counts.ndim != 2:
@@ -73,6 +91,8 @@ class BaseVoteTable:
                 or np.any(self.counts.max(axis=1, initial=0) > voted)):
             raise ValueError("a row has more votes than samples it voted in")
         _check_sample_range(self.first_index, self.num_samples)
+        self.counts = self.counts.astype(_count_dtype(self.num_samples),
+                                         copy=False)
 
     @classmethod
     def collect(cls, worker: Callable[[int, int, Callable], None],
@@ -86,12 +106,13 @@ class BaseVoteTable:
         adds ``votes`` to ``counts[at]`` and ``abstained`` to the per-row
         abstain counts, under one lock, so a worker keeps only what it has
         not yet added. An indexed ``at`` adds once per index: its (row,
-        column) pairs must be distinct.
+        column) pairs must be distinct. The table is in
+        :func:`_count_dtype`, so no count may exceed ``num_samples``.
         """
         if num_samples < 1:
             raise ValueError("num_samples must be >= 1")
         _check_sample_range(first_index, num_samples)
-        counts = np.zeros(shape, dtype=np.int64)
+        counts = np.zeros(shape, dtype=_count_dtype(num_samples))
         abstains = np.zeros(shape[0], dtype=np.int64)
         lock = threading.Lock()
 
@@ -139,7 +160,9 @@ class BaseVoteTable:
         if hi_a != lo_b and hi_b != lo_a:
             raise ValueError(f"sample ranges [{lo_a}, {hi_a}) and [{lo_b}, {hi_b}) "
                              "leave a gap")
-        return replace(self, counts=self.counts + other.counts,
+        # Added in int64, then narrowed for the summed sample count.
+        return replace(self, counts=np.add(self.counts, other.counts,
+                                           dtype=np.int64),
                        abstains=self.abstains + other.abstains,
                        num_samples=self.num_samples + other.num_samples,
                        first_index=min(lo_a, lo_b))
@@ -156,7 +179,7 @@ class VoteTable(BaseVoteTable):
         super().__post_init__()
         if self.mode not in ("include", "exclude"):
             raise ValueError("mode must be 'include' or 'exclude'")
-        totals = self.counts.sum(axis=1) + self.abstains
+        totals = self.counts.sum(axis=1, dtype=np.int64) + self.abstains
         if self.counts.shape[0] and not np.all(totals == self.num_samples):
             raise ValueError("per-node counts must sum to num_samples")
 

@@ -18,7 +18,9 @@ from .certify import (RHO_CAP, clopper_pearson_lower, clopper_pearson_upper,
                       largest_certified_rho, prob_all_removed_recsys)
 
 
-_RANK_COLUMNS = 256  # item columns per block of top_items' similarity and scores
+# Item columns per block of top_items' similarity and scores, and item rows
+# per slab of the block's Jaccard denominators.
+_RANK_COLUMNS = 256
 _OVERLAP_ROWS = 64  # table rows per block of the overlap certificate's counts
 
 
@@ -36,22 +38,29 @@ def _by_item(histories: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
 
 def _jaccard_columns(by_item: sp.csr_matrix, counts: np.ndarray, lo: int,
                      rated: np.ndarray, similarity: np.ndarray,
-                     union: np.ndarray) -> np.ndarray:
+                     slab: np.ndarray) -> np.ndarray:
     """Columns ``lo:lo + width`` of the item x item Jaccard similarity,
     written into ``similarity`` and returned, where ``rated`` is
-    ``histories[:, lo:lo + width]`` as a dense 0/1 array and ``union`` is an
-    items x width buffer.
+    ``histories[:, lo:lo + width]`` as a dense 0/1 array and ``slab`` is a
+    flat buffer of at least ``min(_RANK_COLUMNS, items)`` x width floats.
 
     The similarity at ``(i, j)`` is ``both / ((count[i] + count[j]) - both)``
     over the co-occurrence counts; all three are integer sums, exact in any
     order. Where both counts are 0 the floor of 1 on the denominator gives
-    0 / 1 = 0; everywhere else it is already >= 1.
+    0 / 1 = 0; everywhere else it is already >= 1. The denominators are
+    formed ``_RANK_COLUMNS`` item rows at a time in ``slab``, so no second
+    items x width array is held.
     """
     sparse_product_into(by_item, rated, similarity)
-    np.add.outer(counts, counts[lo:lo + rated.shape[1]], out=union)
-    union -= similarity
-    np.maximum(union, 1.0, out=union)
-    similarity /= union
+    width = rated.shape[1]
+    for row in range(0, similarity.shape[0], _RANK_COLUMNS):
+        both = similarity[row:row + _RANK_COLUMNS]
+        union = _block(slab, both.shape[0], width)
+        np.add.outer(counts[row:row + _RANK_COLUMNS], counts[lo:lo + width],
+                     out=union)
+        union -= both
+        np.maximum(union, 1.0, out=union)
+        both /= union
     return similarity
 
 
@@ -130,7 +139,7 @@ class _RankingWorkspace:
         self.ranking = _RunningTop(users, k_prime, width)
         self.rated, self.score = np.empty(users * width), np.empty(users * width)
         self.similarity = np.empty(items * width)
-        self.union = np.empty(items * width)
+        self.slab = np.empty(width * width)
 
 
 def top_items(histories: sp.csr_matrix, k_prime: int,
@@ -169,7 +178,7 @@ def top_items(histories: sp.csr_matrix, k_prime: int,
         block.ravel()[cells] = 1.0
         similar = _jaccard_columns(by_item, counts, lo, block,
                                    _block(workspace.similarity, items, hi - lo),
-                                   _block(workspace.union, items, hi - lo))
+                                   workspace.slab)
         scored = sparse_product_into(histories, similar,
                                      _block(workspace.score, users, hi - lo))
         scored.ravel()[cells] = 0.0
@@ -185,7 +194,7 @@ def build_similarity(matrix: InteractionMatrix) -> sp.csr_matrix:
         rated = by_item[lo:lo + _RANK_COLUMNS].T.toarray()
         blocks.append(sp.csr_matrix(_jaccard_columns(
             by_item, counts, lo, rated, np.empty((counts.size, rated.shape[1])),
-            np.empty((counts.size, rated.shape[1])))))
+            np.empty(_RANK_COLUMNS * rated.shape[1]))))
     return sp.hstack([sp.csr_matrix((counts.size, 0)), *blocks], format="csr")
 
 
@@ -298,7 +307,7 @@ def _overlap_radii(table: ItemVoteTable,
     users, position, gt = _ground_truth_items(table, ground_truths)
     sizes = np.bincount(position, minlength=users.size)
     # Each user's ground-truth counts in descending order, one run per user.
-    gt_counts = table.counts[users[position], gt]
+    gt_counts = table.counts[users[position], gt].astype(np.int64)
     gt_counts = gt_counts[np.lexsort((-gt_counts, position))]
     # Each user's top min(k, items) other counts in descending order, over
     # blocks of rows in one buffer. The counts are negated, so that the
@@ -311,9 +320,9 @@ def _overlap_radii(table: ItemVoteTable,
     block = np.empty((min(_OVERLAP_ROWS, users.size), table.items), dtype=np.int64)
     for lo in range(0, users.size, _OVERLAP_ROWS):
         hi = min(lo + _OVERLAP_ROWS, users.size)
-        # The users are checked, and "clip" takes into out without a copy.
-        rows = np.take(table.counts, users[lo:hi], axis=0, out=block[:hi - lo],
-                       mode="clip")
+        # Widened by assignment: no users x items copy of the table.
+        rows = block[:hi - lo]
+        rows[...] = table.counts[users[lo:hi]]
         np.negative(rows, out=rows)
         a, b = np.searchsorted(position, (lo, hi))
         rows[position[a:b] - lo, gt[a:b]] = 1

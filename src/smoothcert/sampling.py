@@ -94,8 +94,8 @@ def sample_smoothed_graph(graph: Graph, params: SmoothingParams,
     """
     edges = graph.edges
     deleted, keep = _draw_keep_mask(graph.n, edges.T, params, seed)
-    smoothed = Graph(graph.n, edges[keep], graph.features, graph.labels,
-                     num_classes=graph.num_classes)
+    smoothed = Graph(graph.n, edges.compress(keep, axis=0), graph.features,
+                     graph.labels, num_classes=graph.num_classes)
     return SmoothedSample(graph=smoothed, deleted_nodes=deleted)
 
 
@@ -111,5 +111,5 @@ def sample_smoothed_ratings(matrix: InteractionMatrix, params: SmoothingParams,
     pairs = matrix.pairs
     deleted, keep = _draw_keep_mask(matrix.users, pairs[:, :1].T, params, seed)
     smoothed = InteractionMatrix(users=matrix.users, items=matrix.items,
-                                 pairs=pairs[keep])
+                                 pairs=pairs.compress(keep, axis=0))
     return smoothed, deleted

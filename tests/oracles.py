@@ -379,6 +379,14 @@ def reference_cooccurrence(matrix):
     return dense.T @ dense
 
 
+def reference_jaccard(matrix):
+    """The dense item x item Jaccard similarity, ``both / max(1, (count[i] +
+    count[j]) - both)``, from the exact co-occurrence counts."""
+    both = reference_cooccurrence(matrix)
+    counts = np.diag(both)
+    return both / np.maximum((counts[:, None] + counts[None, :]) - both, 1.0)
+
+
 def reference_topk(cooccurrence, history, k_prime):
     """Top ``k_prime`` items for one history, one history item at a time.
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from oracles import (Region, exclude_mode_regions, include_mode_regions,
                      reference_certify_node, reference_radii,
@@ -293,6 +293,42 @@ class TestVoteBounds:
                              if s > 0 else 0.0)
             assert upper == (float(stats.beta.ppf(1 - level, s + 1, trials - s))
                              if s < trials else 1.0)
+
+    @pytest.mark.parametrize("trials", [1, 9, 300, 10**5])
+    def test_repeated_pairs_match_the_element_wise_call(self, trials):
+        # The bounds are evaluated once per distinct (count, level) pair;
+        # the bytes are those of one betaincinv call per element.
+        rng = np.random.default_rng(trials)
+        successes = rng.integers(0, trials + 1, size=5000)
+        successes[:2] = 0, trials
+        level = rng.choice([1e-4, 0.003, 0.01 / 3, 0.05], size=successes.size)
+        lowers = clopper_pearson_lower(successes, trials, level)
+        uppers = clopper_pearson_upper(successes, trials, level)
+        s = successes
+        expected_lower = np.where(
+            s > 0, special.betaincinv(s, trials - s + 1, level), 0.0)
+        expected_upper = np.where(
+            s < trials, special.betaincinv(s + 1, trials - s, 1.0 - level), 1.0)
+        assert lowers.tobytes() == expected_lower.tobytes()
+        assert uppers.tobytes() == expected_upper.tobytes()
+        # One level for every count.
+        assert (clopper_pearson_upper(successes, trials, 0.05).tobytes()
+                == clopper_pearson_upper(successes, trials,
+                                         np.full(s.size, 0.05)).tobytes())
+        assert type(clopper_pearson_lower(int(s[5]), trials, 0.01)) is float
+        assert type(clopper_pearson_upper(int(s[5]), trials, 0.01)) is float
+
+    def test_narrow_counts_are_widened(self):
+        # A vote table's int8 counts: keyed by count x 5 levels, 127 would
+        # wrap in int8, so the bounds take the counts as int64.
+        narrow = np.array([0, 1, 64, 126, 127], dtype=np.int8)
+        wide = narrow.astype(np.int64)
+        level = np.array([0.01, 0.02, 0.03, 0.04, 0.05])
+        for bound in (clopper_pearson_lower, clopper_pearson_upper):
+            assert (bound(narrow, 127, level).tobytes()
+                    == bound(wide, 127, level).tobytes())
+            assert (bound(narrow.astype(np.int16), 1000, level).tobytes()
+                    == bound(wide, 1000, level).tobytes())
 
     def test_array_validation_covers_every_element(self):
         with pytest.raises(ValueError, match="range"):

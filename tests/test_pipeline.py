@@ -10,13 +10,14 @@ from smoothcert import (ClassifierSpec, DataSplit, Graph, InteractionMatrix,
                         PerturbationBudget, SmoothingParams, TrainedModel,
                         VoteTable, average_certified_radius,
                         certified_accuracy_at, certified_accuracy_curve,
-                        certified_radii,
+                        certified_overlap_radii, certified_radii,
                         collect_item_votes, collect_votes_evasion,
                         collect_votes_poisoning, derive_sample_seed,
                         generate_sbm, predict, sample_smoothed_graph,
                         write_report)
 from smoothcert import pipeline
 from smoothcert.pipeline import CertCurve, CurvePoint
+from smoothcert.recsys import ItemVoteTable
 
 
 @pytest.fixture
@@ -517,6 +518,80 @@ class TestVoteTable:
         assert certified_radii(noisier, 5, 0.01, [0])[2].tolist() == [25]
         isolated = replace(three, mode="exclude", degrees=[0])
         assert certified_radii(isolated, 5, 0.01, [0])[2].tolist() == [-1]
+
+
+class TestNarrowCounts:
+    """Counts are stored in the narrowest signed integer type that holds the
+    sample count, and every certificate reads the values an int64 table
+    holds."""
+
+    @pytest.mark.parametrize("num_samples, dtype", [
+        (1, np.int8), (127, np.int8), (128, np.int16), (32_767, np.int16),
+        (32_768, np.int32), (2**31 - 1, np.int32), (2**31, np.int64)])
+    def test_the_documented_dtype(self, num_samples, dtype):
+        table = table_of([[num_samples, 0], [0, num_samples]], num_samples)
+        assert table.counts.dtype == dtype
+        assert table.counts.tolist() == [[num_samples, 0], [0, num_samples]]
+
+    @staticmethod
+    def tables(num_samples):
+        """An evasion table and a recommender table with counts at 0 and at
+        ``num_samples``."""
+        n = num_samples
+        votes = table_of([[n, 0], [0, n], [n - n // 20, n // 20],
+                          [n // 2 + 1, n // 2 - 1]], n, degrees=[3, 1, 2, 5])
+        items = ItemVoteTable(
+            counts=[[n, n, 0, 0, 0], [n, n // 2, n // 50, 0, n // 3],
+                    [0, 0, 0, 0, 0]],
+            abstains=[0, 0, n], num_samples=n, params=NOISE,
+            degrees=[4, 2, 1], provenance={}, k_prime=3)
+        return votes, items
+
+    @pytest.mark.parametrize("num_samples", [127, 128, 32_767, 32_768])
+    def test_certificates_match_an_int64_table(self, monkeypatch, num_samples):
+        def certificates(votes, items):
+            labels = [0, 1, 0, 1]
+            return (certified_radii(votes, 2, 0.01, [0, 1, 2, 3]),
+                    certified_radii(replace(votes, mode="exclude"), 2, 0.01,
+                                    [0, 1, 2, 3]),
+                    certified_accuracy_curve(votes, labels, 2, 0.01),
+                    certified_overlap_radii(items, {0: [0, 1], 1: [0, 2, 4],
+                                                    2: [3]}, 2, 2, 0.01))
+        narrow = self.tables(num_samples)
+        assert {t.counts.dtype for t in narrow} == {
+            np.dtype(pipeline._count_dtype(num_samples))}
+        expected = certificates(*narrow)
+        monkeypatch.setattr(pipeline, "_count_dtype",
+                            lambda _: np.dtype(np.int64))
+        wide = self.tables(num_samples)
+        assert {t.counts.dtype for t in wide} == {np.dtype(np.int64)}
+        got = certificates(*wide)
+        for a, b in zip(expected[:2], got[:2]):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert expected[2] == got[2]
+        assert np.array_equal(expected[3], got[3])
+
+    @pytest.mark.parametrize("counts, abstains, message", [
+        ([[128, 0]], [0], "more votes"),
+        ([[-1, 128]], [0], "non-negative"),
+        # 261 would wrap to 5 in int8; it is refused before narrowing.
+        ([[261, 0]], [0], "more votes"),
+        ([[0, 0]], [128], "more votes")])
+    def test_out_of_range_counts_are_refused_not_wrapped(self, counts, abstains,
+                                                         message):
+        with pytest.raises(ValueError, match=message):
+            VoteTable(counts=np.array(counts, dtype=np.int64), abstains=abstains,
+                      num_samples=127, params=NOISE, degrees=[1],
+                      provenance={})
+
+    def test_merged_counts_are_exact_in_the_wider_type(self):
+        first = table_of([[100, 0], [60, 40], [0, 100]], 100)
+        second = replace(first, counts=[[100, 0], [90, 10], [27, 73]],
+                         first_index=100)
+        assert first.counts.dtype == second.counts.dtype == np.int8
+        merged = first.merged(second)
+        assert merged.num_samples == 200 and merged.counts.dtype == np.int16
+        assert merged.counts.tolist() == [[200, 0], [150, 50], [27, 173]]
 
 
 class TestCertifiedAccuracyCurve:

@@ -6,7 +6,8 @@ import pytest
 import scipy.sparse as sp
 
 from oracles import (enumerate_item_probs, reference_cooccurrence,
-                     reference_item_votes, reference_overlap_from_bounds,
+                     reference_item_votes, reference_jaccard,
+                     reference_overlap_from_bounds,
                      reference_overlap_radii, reference_recommender_curve,
                      reference_topk)
 from smoothcert import (InteractionMatrix, PerturbationBudget, SmoothingParams,
@@ -219,6 +220,41 @@ class TestTopItems:
         assert np.isfinite(similarity).all() and not similarity[:, 3].any()
 
 
+def union_buffer_jaccard(by_item, counts, lo, rated, similarity, slab):
+    """The Jaccard columns with every denominator of the block held at once
+    in an items x width buffer; ``slab`` is unused."""
+    recsys.sparse_product_into(by_item, rated, similarity)
+    union = np.add.outer(counts, counts[lo:lo + rated.shape[1]])
+    union -= similarity
+    np.maximum(union, 1.0, out=union)
+    similarity /= union
+    return similarity
+
+
+class TestJaccardSlabs:
+    """The denominators, formed one slab of item rows at a time, give the
+    bits of the whole-block form."""
+
+    @pytest.mark.parametrize("users, items", [
+        (30, 40),    # fewer items than one slab
+        (30, 512),   # a whole number of slabs
+        (30, 600),   # a ragged last slab
+        (1, 600)])   # a single user
+    def test_bit_equal_to_the_whole_block(self, monkeypatch, users, items):
+        rng = np.random.default_rng(users * items)
+        matrix = InteractionMatrix(
+            users=users, items=items,
+            pairs=np.argwhere(rng.random((users, items)) < 0.1))
+        histories = recsys._histories(matrix)
+        slabbed = (top_items(histories, 10).copy(),
+                   build_similarity(matrix).toarray())
+        assert slabbed[1].tobytes() == reference_jaccard(matrix).tobytes()
+        monkeypatch.setattr(recsys, "_jaccard_columns", union_buffer_jaccard)
+        whole = (top_items(histories, 10), build_similarity(matrix).toarray())
+        assert slabbed[0].tobytes() == whole[0].tobytes()
+        assert slabbed[1].tobytes() == whole[1].tobytes()
+
+
 class TestCollectItemVotes:
     def test_clean_single_sample_is_one_hot(self, two_user_matrix):
         table = collect_item_votes(two_user_matrix, 1, SmoothingParams(0, 0),
@@ -348,7 +384,9 @@ class TestCollectItemVotes:
             for threads in (1, 3):
                 table = collect_item_votes(matrix, num_samples, params, k_prime,
                                            master_seed=case, threads=threads)
-                assert table.counts.tobytes() == counts.tobytes()
+                # At most 8 samples: the counts are int8, the oracle's int64.
+                assert table.counts.dtype == np.int8
+                assert np.array_equal(table.counts, counts)
                 assert table.abstains.tobytes() == abstains.tobytes()
             voted += bool(counts.any())
         assert voted >= 40
@@ -457,7 +495,8 @@ class TestBoundedVoteMemory:
     params = SmoothingParams(0.1, 0.7)
     k_prime = 10
     one_block = matrix.users * recsys._RANK_COLUMNS * 8
-    table = matrix.users * (matrix.items + 1) * 8
+    # At most 16 samples: int8 counts and int64 abstains.
+    table = matrix.users * matrix.items * 1 + matrix.users * 8
 
     def workspace(self):
         """Bytes of one top_items workspace, buffer by buffer."""
@@ -467,7 +506,8 @@ class TestBoundedVoteMemory:
                 + 2 * users * (k + width) * 8   # scores, partitioned scores
                 + users * (k + width)           # candidate mask
                 + 2 * users * width * 8         # rated and scored blocks
-                + 2 * items * width * 8)        # similarity and union blocks
+                + items * width * 8             # similarity block
+                + width * width * 8)            # Jaccard denominator slab
 
     def collect(self, num_samples, threads):
         return collect_item_votes(self.matrix, num_samples, self.params,
