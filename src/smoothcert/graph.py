@@ -26,21 +26,42 @@ class ParseError(ValueError):
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` marked read-only. A view is copied first, since the array that
+    owns its memory could still be written."""
+    if arr.base is not None:
+        arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
 
-def _canonical_pairs(rows: np.ndarray, cols: np.ndarray, width: int):
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array. Raises ``ValueError`` naming ``what`` if
+    a value is not an integer: a bool, a float with a fraction, NaN or inf,
+    or an integer outside int64. Costs nothing on an int64 array."""
+    array = np.asarray(values)
+    if array.dtype == np.int64:
+        return array
+    if array.dtype.kind in "iufO":
+        with np.errstate(invalid="ignore"):  # NaN and inf fail the comparison
+            ints = array.astype(np.int64)
+        if np.all(ints == array):
+            return ints
+    raise ValueError(f"{what} must be integers")
+
+
+def _canonical_pairs(rows: np.ndarray, cols: np.ndarray, width: int, pairs=None):
     """Sort (row, col) pairs, ``0 <= col < width``, and find a repeated one.
 
     ``row * width + col`` orders the pairs by row, then column. Strictly
     increasing keys are already canonical and duplicate-free, as in any
-    subset of a canonical list, so only other inputs are sorted. Returns the
-    sorted ``(m, 2)`` pairs and the first repeated pair, or None.
+    subset of a canonical list, so only other inputs are sorted, and such a
+    list is returned as ``pairs`` itself, the ``(m, 2)`` array whose columns
+    are ``rows`` and ``cols``, when the caller holds one. Returns the sorted
+    ``(m, 2)`` pairs and the first repeated pair, or None.
     """
     keys = rows * width + cols
     if (keys[1:] > keys[:-1]).all():
-        return np.stack([rows, cols], axis=1), None
+        return (np.stack([rows, cols], axis=1) if pairs is None else pairs), None
     keys = np.sort(keys)
     dup = keys[1:][keys[1:] == keys[:-1]]
     return (np.stack(np.divmod(keys, width), axis=1),
@@ -63,14 +84,21 @@ class Graph:
     n : int
         Number of nodes. Node ids are 0..n-1.
     edges : array-like of shape (m, 2)
-        Undirected edges, one row per edge in either orientation. Self-loops
-        and duplicate edges (in any orientation) are rejected.
+        Undirected edges, one row per edge in either orientation. Self-loops,
+        duplicate edges (in any orientation) and endpoints that are not
+        integers are rejected. They are stored as (smaller, larger) rows in
+        increasing order. A list already in that form, such as any subset of
+        ``Graph.edges``, is kept as it is.
     features : array-like of shape (n, d)
         Dense real-valued node features.
     labels : array-like of shape (n,), optional
-        Per-node class ids; -1 marks an unlabeled node.
+        Per-node integer class ids; -1 marks an unlabeled node.
     num_classes : int, optional
         Number of classes. Defaults to ``labels.max() + 1``.
+
+    An argument that is already a C-contiguous array of the stored type
+    (int64 edges and labels, float64 features) and owns its memory is kept,
+    not copied, and marked read-only; a view is copied.
     """
 
     def __init__(self, n, edges, features, labels=None, num_classes=None):
@@ -79,7 +107,7 @@ class Graph:
             raise ValueError("node count must be non-negative")
         self.n = n
 
-        edges = np.asarray(edges, dtype=np.int64)
+        edges = _integers(edges, "edge endpoints")
         if edges.size == 0:
             edges = np.empty((0, 2), dtype=np.int64)
         if edges.ndim != 2 or edges.shape[1] != 2:
@@ -87,10 +115,15 @@ class Graph:
         if edges.size:
             if edges.min() < 0 or edges.max() >= n:
                 raise ValueError("edge endpoint out of range")
-            if (edges[:, 0] == edges[:, 1]).any():
+            src, dst = edges[:, 0], edges[:, 1]
+            # Rows with src < dst hold no loop and need no swap.
+            if (src < dst).all():
+                edges, dup = _canonical_pairs(src, dst, n, edges)
+            elif (src == dst).any():
                 raise ValueError("self-loops are not allowed")
-            edges, dup = _canonical_pairs(np.minimum(edges[:, 0], edges[:, 1]),
-                                          np.maximum(edges[:, 0], edges[:, 1]), n)
+            else:
+                edges, dup = _canonical_pairs(np.minimum(src, dst),
+                                              np.maximum(src, dst), n)
             if dup is not None:
                 raise ValueError(f"duplicate edge {dup}")
         self.edges = _frozen(np.ascontiguousarray(edges))
@@ -103,7 +136,7 @@ class Graph:
         if labels is None:
             labels = np.full(n, -1, dtype=np.int64)
         else:
-            labels = np.ascontiguousarray(labels, dtype=np.int64)
+            labels = np.ascontiguousarray(_integers(labels, "labels"))
             if labels.shape != (n,):
                 raise ValueError("labels must have shape (n,)")
             if labels.size and labels.min() < -1:
@@ -203,7 +236,7 @@ class InteractionMatrix:
     pairs: np.ndarray  # (nnz, 2) rows of (user, item), sorted, deduplicated
 
     def __post_init__(self):
-        pairs = np.asarray(self.pairs, dtype=np.int64)
+        pairs = _integers(self.pairs, "pairs")
         if pairs.size == 0:
             pairs = np.empty((0, 2), dtype=np.int64)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -213,7 +246,8 @@ class InteractionMatrix:
                 raise ValueError("user index out of range")
             if pairs[:, 1].min() < 0 or pairs[:, 1].max() >= self.items:
                 raise ValueError("item index out of range")
-            pairs, dup = _canonical_pairs(pairs[:, 0], pairs[:, 1], self.items)
+            pairs, dup = _canonical_pairs(pairs[:, 0], pairs[:, 1], self.items,
+                                          pairs)
             if dup is not None:
                 raise ValueError("duplicate (user, item) pair")
         object.__setattr__(self, "pairs", _frozen(np.ascontiguousarray(pairs)))

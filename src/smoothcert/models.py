@@ -72,10 +72,11 @@ class Operator:
     """A row-normalized operator as the CSR arrays of its filled rows.
 
     ``rows`` are the sorted ids of the filled rows; every other row of the
-    ``num_nodes`` x ``num_nodes`` operator is empty. Row ``i`` of the arrays
-    is row ``rows[i]``. A forward pass computes the filled rows only, its
-    live rows: an edgeless node with an empty row neither feeds nor reads a
-    filled row.
+    operator is empty. Row ``i`` of the arrays is row ``rows[i]``, and its
+    columns are ids below ``num_nodes``: an operator from
+    :func:`normalized_operator` is ``num_nodes`` x ``num_nodes``. A forward
+    pass computes the filled rows only, its live rows: an edgeless node with
+    an empty row neither feeds nor reads a filled row.
     """
 
     rows: np.ndarray
@@ -92,6 +93,15 @@ class Operator:
         """``operator.T @ y`` into the n-row ``out``, for the ``y`` that is
         ``x`` (rows x width) on the filled rows and zero elsewhere."""
         return _product_into("csc", (self.num_nodes, self.rows.size), self, x, out)
+
+    def through(self, ids: np.ndarray, num_nodes: int) -> "Operator":
+        """This operator with column ``c`` read as column ``ids[c]`` of
+        ``num_nodes``, in the same order: its product with ``x`` is the bytes
+        of this one's with ``x[ids]``, with no gather. The index type stays,
+        unless ``num_nodes`` needs int64."""
+        index = self.indices.dtype if num_nodes <= 2**31 else np.dtype(np.int64)
+        return Operator(self.rows, int(num_nodes), self.indptr.astype(index, copy=False),
+                        ids[self.indices].astype(index), self.data)
 
 
 def normalized_operator(num_nodes: int, edges: np.ndarray,
@@ -192,34 +202,71 @@ class _Workspace:
     holds ``features @ w1`` and, once that is spent, ``agg.T @ d_z1``;
     ``h1`` holds the hidden activations on the live rows and exact zeros on
     every other row, which therefore meet only the zero rows of ``d_t2``;
-    ``d_z1`` holds ``d_t2 @ w2.T``, masked on the live rows.
+    ``d_z1`` holds ``d_t2 @ w2.T``, masked on the live rows. ``t2`` and the
+    leading rows of ``logits`` hold the second layer of :func:`_forward`.
     """
 
-    def __init__(self, rows: int, hidden: int):
+    def __init__(self, rows: int, hidden: int, classes: int):
         self.t1 = np.empty((rows, hidden))
         self.h1 = np.zeros((rows, hidden))
         self.d_z1 = np.empty((rows, hidden))
         self.live = np.empty((rows, hidden))
         self.positive = np.empty((rows, hidden), dtype=bool)
+        self.t2 = np.empty((rows, classes))
+        self.logits = np.empty((rows, classes))
 
 
-def _forward(weights: dict, operator: Operator, t1: np.ndarray, h: np.ndarray,
-             h1: np.ndarray) -> np.ndarray:
-    """Logits of the live rows from ``t1 = features @ w1``, which is computed
-    before aggregation (same map by associativity) so that it can be cached
-    across smoothing samples. The hidden activations go into ``h`` (live
-    rows x hidden) and the live rows of ``h1`` (n x hidden), whose other
-    rows must hold exact zeros: ``h1 @ w2`` keeps its n-row operand (see
-    :class:`_Workspace`). Where every row is live, ``h`` may be ``h1``.
+class PredictionWorkspace:
+    """The hidden, ``t2`` and logits buffers of :func:`predict_rows` for
+    batches of up to ``rows`` rows, reused by every call given this
+    workspace; a batch uses their leading rows. Not safe to share between
+    threads.
+
+    An evasion batch of about 1000 rows at 64 hidden units holds 0.5 MB of
+    float64 activations, above glibc's mmap threshold: a fresh buffer per
+    batch is mapped and faulted in again each time. A buffer sized once
+    for the largest batch faults in only the pages that batches touch.
     """
-    operator.product_into(t1, h)
+
+    def __init__(self, rows: int, hidden: int, classes: int):
+        self.hidden = np.empty((rows, hidden))
+        self.t2 = np.empty((rows, classes))
+        self.logits = np.empty((rows, classes))
+
+    def blocks(self, rows: int, hidden: int, classes: int) -> tuple:
+        """The leading rows of the buffers, rows x hidden, rows x classes and
+        rows x classes. Raises ``ValueError`` if they do not fit."""
+        if (rows > self.hidden.shape[0]
+                or (self.hidden.shape[1], self.t2.shape[1]) != (hidden, classes)):
+            raise ValueError("the workspace does not fit this batch")
+        return self.hidden[:rows], self.t2[:rows], self.logits[:rows]
+
+
+def _forward(weights: dict, first: Operator, operator: Operator, t1: np.ndarray,
+             h: np.ndarray, h1: np.ndarray, t2: np.ndarray,
+             logits: np.ndarray) -> np.ndarray:
+    """Logits of the live rows, written into ``logits`` (live rows x
+    classes) and returned, from ``t1 = features @ w1``, which is computed
+    before aggregation (same map by associativity) so that it can be cached
+    across smoothing samples.
+
+    The first layer is ``first @ t1``: ``operator`` itself, or ``operator``
+    read through the node id of each column (:meth:`Operator.through`) over
+    the rows of every node. The hidden activations go into ``h`` (live rows
+    x hidden) and the live rows of ``h1`` (n x hidden), whose other rows
+    must hold exact zeros: ``h1 @ w2``, written into ``t2``, keeps its n-row
+    operand (see :class:`_Workspace`). Where every row is live, ``h`` may be
+    ``h1``.
+    """
+    first.product_into(t1, h)
     h += weights["b1"]
     np.maximum(h, 0.0, out=h)
     if h is not h1:
         h1[operator.rows] = h
-    t2 = h1 @ weights["w2"]
-    logits = operator.product_into(t2, np.empty((operator.rows.size, t2.shape[1])))
-    return logits + weights["b2"]
+    np.matmul(h1, weights["w2"], out=t2)
+    operator.product_into(t2, logits)
+    logits += weights["b2"]
+    return logits
 
 
 def _gradients(weights, operator: Operator, at, features, targets, weight_decay,
@@ -234,7 +281,8 @@ def _gradients(weights, operator: Operator, at, features, targets, weight_decay,
     rows, k = operator.rows, operator.rows.size
     t1 = np.matmul(features, weights["w1"], out=work.t1)
     h = work.live[:k]  # relu(z1) on the live rows
-    logits = _forward(weights, operator, t1, h, work.h1)[at]
+    logits = _forward(weights, operator, operator, t1, h, work.h1, work.t2,
+                      work.logits[:k])[at]
     # relu(z1) > 0 exactly where z1 > 0 (NaN is neither).
     positive = np.greater(h, 0.0, out=work.positive[:k])
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -298,7 +346,7 @@ def _fit(spec: ClassifierSpec, graph: Graph, train_idx: np.ndarray,
     gradient, cache = np.empty_like(flat), np.zeros_like(flat)
     weights, grads = (_parameter_views(v, spec, graph.num_features, graph.num_classes)
                       for v in (flat, gradient))
-    work = _Workspace(graph.n, spec.hidden_dim)
+    work = _Workspace(graph.n, spec.hidden_dim, graph.num_classes)
     # Each training row's label column, where softmax - onehot subtracts 1.
     targets = (np.arange(train_idx.size), graph.labels[train_idx])
     live = None
@@ -378,18 +426,21 @@ def predict(model: TrainedModel, graph: Graph) -> np.ndarray:
                         np.arange(graph.n), graph.edges)
 
 
-def _predict_all(weights: dict, operator: Operator, t1: np.ndarray,
-                 nodes: np.ndarray) -> np.ndarray:
+def _predict_all(weights: dict, first: Operator, operator: Operator,
+                 t1: np.ndarray, nodes: np.ndarray,
+                 workspace: PredictionWorkspace) -> np.ndarray:
     """The class of every row of ``operator``, which must fill every row, from
-    ``t1 = features @ w1``; row ``r`` is node ``nodes[r]``.
+    ``first @ t1`` (see :func:`_forward`); row ``r`` is node ``nodes[r]``.
+    The activations and logits go into the buffers of ``workspace``.
 
     Raises ``FloatingPointError`` naming the node of the first row whose
     logits are not finite, as NaN logits would vote for class 0.
     """
+    w2 = weights["w2"]
+    h, t2, logits = workspace.blocks(operator.rows.size, w2.shape[0], w2.shape[1])
     # The check below is the one report of an overflow.
     with np.errstate(over="ignore", invalid="ignore"):
-        h1 = np.empty_like(t1)  # every row is live
-        logits = _forward(weights, operator, t1, h1, h1)
+        logits = _forward(weights, first, operator, t1, h, h, t2, logits)
     if not np.isfinite(logits).all():
         bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))[0]
         raise FloatingPointError(f"logits of node {nodes[bad]} are not finite")
@@ -397,20 +448,28 @@ def _predict_all(weights: dict, operator: Operator, t1: np.ndarray,
 
 
 def predict_rows(model: TrainedModel, transformed: np.ndarray, nodes: np.ndarray,
-                 edges: np.ndarray) -> np.ndarray:
+                 edges: np.ndarray,
+                 workspace: Optional[PredictionWorkspace] = None) -> np.ndarray:
     """Predictions for a stack of node copies joined by ``edges``.
 
     Row ``r`` is a copy of node ``nodes[r]`` and ``edges`` connect rows, not
     nodes. Stacking the non-isolated nodes of several smoothed graphs, each
     graph's edges renumbered to its rows, gives a block-diagonal operator
     whose rows equal :func:`predict` on each graph for those nodes.
-    ``transformed`` is the :func:`feature_transform` of every node.
+    ``transformed`` is the :func:`feature_transform` of every node; the
+    first layer reads it through each column's node id
+    (:meth:`Operator.through`), so no row of it is copied. The activations
+    and logits go into the buffers of ``workspace``: a fresh one, or one
+    that holds the batch, kept by the caller across calls.
 
     Raises ``FloatingPointError`` naming the first node whose logits are not
     finite.
     """
     operator = normalized_operator(len(nodes), _kind_edges(model.spec, edges))
-    return _predict_all(model.weights, operator, transformed[nodes], nodes)
+    first = operator.through(np.asarray(nodes), transformed.shape[0])
+    if workspace is None:
+        workspace = PredictionWorkspace(len(nodes), *model.weights["w2"].shape)
+    return _predict_all(model.weights, first, operator, transformed, nodes, workspace)
 
 
 def train_predict_end_to_end(spec: ClassifierSpec, graph: Graph,
@@ -432,5 +491,6 @@ def train_predict_end_to_end(spec: ClassifierSpec, graph: Graph,
                    repeat(normalized_operator(graph.n, edges, train_idx), spec.epochs))
     with np.errstate(over="ignore", invalid="ignore"):  # _predict_all reports it
         t1 = graph.features @ weights["w1"]
-    return _predict_all(weights, normalized_operator(graph.n, edges), t1,
-                        np.arange(graph.n))
+    operator = normalized_operator(graph.n, edges)
+    return _predict_all(weights, operator, operator, t1, np.arange(graph.n),
+                        PredictionWorkspace(graph.n, *weights["w2"].shape))

@@ -18,7 +18,9 @@ rho one step at a time up to the first failure.
 training loops the models had before they shared one loop; they transpose
 the operator at each use. ``reference_sbm_edges`` is the planted-partition
 generator's edge draw as it was before it went a block of rows at a time:
-every candidate pair at once. The remaining helpers stand in for accessors that
+every candidate pair at once. ``reference_graph_edges`` is ``Graph``'s edge
+check before it kept an already canonical list as it is: every list is
+swapped to (smaller, larger) rows and sorted. The remaining helpers stand in for accessors that
 only tests need: neighbor lists, attack-plan parsing and curve reading.
 """
 import json
@@ -210,6 +212,32 @@ def certified_at(curve, rho):
         if p.rho == rho:
             return p.certified_accuracy
     raise KeyError(f"rho={rho} not on the curve grid")
+
+
+def reference_graph_edges(n, edges):
+    """The stored edges and CSR row pointers of ``Graph(n, edges, ...)`` as
+    the constructor made them before canonical lists were kept: the range,
+    loop and duplicate checks in that order, each with its message, then a
+    swap to (smaller, larger) and a sort of every list."""
+    edges = np.asarray(edges, dtype=np.int64)
+    if edges.size == 0:
+        edges = np.empty((0, 2), dtype=np.int64)
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise ValueError("edges must have shape (m, 2)")
+    if edges.size:
+        if edges.min() < 0 or edges.max() >= n:
+            raise ValueError("edge endpoint out of range")
+        if (edges[:, 0] == edges[:, 1]).any():
+            raise ValueError("self-loops are not allowed")
+        keys = np.sort(np.minimum(edges[:, 0], edges[:, 1]) * n
+                       + np.maximum(edges[:, 0], edges[:, 1]))
+        dup = keys[1:][keys[1:] == keys[:-1]]
+        if dup.size:
+            raise ValueError(f"duplicate edge {divmod(int(dup[0]), n)}")
+        edges = np.stack(np.divmod(keys, n), axis=1)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(edges.ravel(), minlength=n), out=indptr[1:])
+    return edges, indptr
 
 
 def reference_sbm_edges(n, classes, p_in, p_out, seed):

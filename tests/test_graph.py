@@ -4,9 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import (degree, has_edge, neighbors, reference_ratings_split,
-                     reference_sbm_edges)
+from oracles import (degree, has_edge, neighbors, reference_graph_edges,
+                     reference_ratings_split, reference_sbm_edges)
 from smoothcert import graph as graph_module
 from smoothcert import (Graph, DataSplit, InteractionMatrix, ParseError,
                         generate_sbm, load_interaction_dataset,
@@ -67,6 +68,146 @@ class TestGraphType:
         g = Graph(2, [(0, 1)], np.zeros((2, 1)))
         with pytest.raises(ValueError):
             g.edges[0, 0] = 1
+
+    def test_views_of_writable_arrays_are_copied(self):
+        # Every argument below is a contiguous view of the stored type, so
+        # only a copy keeps the graph from changing with its base.
+        edges, features = np.array([[0, 1], [1, 2], [0, 2]]), np.zeros((4, 2))
+        labels = np.array([0, 1, 1, 0])
+        g = Graph(3, edges[:2], features[:3], labels[:3])
+        m = InteractionMatrix(users=2, items=3, pairs=edges[:2])
+        before = g.fingerprint(), m.fingerprint()
+        edges[0], features[0], labels[0] = (0, 2), 5.0, 1
+        assert (g.fingerprint(), m.fingerprint()) == before
+        assert edges.flags.writeable and features.flags.writeable
+
+
+@st.composite
+def edge_lists(draw):
+    """``(n, edges)``: an edge list of one of the shapes ``Graph`` tells
+    apart, drawn over a graph on ``n`` nodes."""
+    n = draw(st.integers(2, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = sorted(draw(st.sets(st.sampled_from(pairs), max_size=len(pairs))))
+    edges = [list(pair) for pair in chosen]  # canonical: sorted, u < v
+    shape = draw(st.sampled_from(["canonical", "duplicate", "self-loop", "reversed",
+                                  "unsorted", "out of range", "empty"]))
+    at = draw(st.integers(0, len(edges)))
+    if shape == "empty":
+        edges = []
+    elif shape == "duplicate" and edges:
+        u, v = edges[draw(st.integers(0, len(edges) - 1))]
+        edges.insert(at, draw(st.sampled_from([[u, v], [v, u]])))
+    elif shape == "self-loop":
+        v = draw(st.integers(0, n - 1))
+        edges.insert(at, [v, v])
+    elif shape == "reversed" and edges:
+        edges[at % len(edges)].reverse()
+    elif shape == "unsorted":
+        edges = draw(st.permutations(edges))
+        edges = [pair[::-1] if draw(st.booleans()) else pair for pair in edges]
+    elif shape == "out of range":
+        bad = draw(st.sampled_from([-1, n]))
+        edges.insert(at, draw(st.sampled_from([[bad, 0], [0, bad], [1, bad]])))
+    return n, np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
+class TestCanonicalEdges:
+    """``Graph`` keeps an already canonical edge list as it is and takes any
+    other through the checks and sort it always made."""
+
+    @given(case=edge_lists())
+    @example(case=(3, np.empty((0, 2), dtype=np.int64)))
+    @example(case=(3, np.array([[0, 1], [0, 1]])))
+    @example(case=(3, np.array([[0, 1], [1, 0]])))
+    @example(case=(3, np.array([[0, 2], [0, 1]])))
+    @example(case=(3, np.array([[1, 1], [0, 3]])))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_sorting_path(self, case):
+        n, edges = case
+        try:
+            expected = reference_graph_edges(n, edges.copy())
+        except ValueError as error:
+            with pytest.raises(ValueError) as raised:
+                Graph(n, edges, np.zeros((n, 1)))
+            assert str(raised.value) == str(error)
+            return
+        graph = Graph(n, edges, np.zeros((n, 1)))
+        assert graph.edges.dtype == np.int64 and graph.edges.shape == expected[0].shape
+        assert graph.edges.tobytes() == expected[0].tobytes()
+        assert graph.indptr.tobytes() == expected[1].tobytes()
+
+    def test_a_canonical_list_is_kept_as_it_is(self):
+        graph, _ = generate_sbm(60, 3, 0.3, 0.05, 3, seed=11)
+        kept = graph.edges.compress(np.arange(graph.num_edges) % 3 > 0, axis=0)
+        assert Graph(graph.n, kept, graph.features).edges is kept
+        assert not kept.flags.writeable
+        reversed_pairs = np.ascontiguousarray(kept[:, ::-1])
+        assert Graph(graph.n, reversed_pairs, graph.features).edges.tobytes() == (
+            kept.tobytes())
+
+
+NOT_INTEGERS = {"fraction": 1.7, "nan": np.nan, "inf": np.inf, "-inf": -np.inf}
+
+
+class TestIntegerInput:
+    """Endpoints, labels and pairs that are not integers are refused, never
+    truncated."""
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS.values(), ids=NOT_INTEGERS.keys())
+    def test_edge_endpoint(self, value):
+        with pytest.raises(ValueError, match="^edge endpoints must be integers$"):
+            Graph(3, [[0, value]], np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="^edge endpoints must be integers$"):
+            Graph(3, [[0.5, 1.7]], np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS.values(), ids=NOT_INTEGERS.keys())
+    def test_label(self, value):
+        with pytest.raises(ValueError, match="^labels must be integers$"):
+            Graph(3, [[0, 1]], np.zeros((3, 2)), labels=[0, value, 1])
+        with pytest.raises(ValueError, match="^labels must be integers$"):
+            Graph(3, [[0, 1]], np.zeros((3, 2)), labels=[0.9, 1.2, -0.5])
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS.values(), ids=NOT_INTEGERS.keys())
+    def test_pair(self, value):
+        with pytest.raises(ValueError, match="^pairs must be integers$"):
+            InteractionMatrix(users=2, items=3, pairs=[[1, value]])
+        with pytest.raises(ValueError, match="^pairs must be integers$"):
+            InteractionMatrix(users=2, items=3, pairs=[[0.6, 2.9]])
+
+    def test_booleans(self):
+        with pytest.raises(ValueError, match="^edge endpoints must be integers$"):
+            Graph(3, np.array([[True, False]]), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="^labels must be integers$"):
+            Graph(2, [], np.zeros((2, 2)), labels=[True, False])
+        with pytest.raises(ValueError, match="^pairs must be integers$"):
+            InteractionMatrix(users=2, items=3, pairs=[[False, True]])
+
+    def test_other_types(self):
+        for edges in ([[0, 1 + 0j]], [["0", "1"]]):
+            with pytest.raises(ValueError, match="^edge endpoints must be integers$"):
+                Graph(3, edges, np.zeros((3, 2)))
+
+    def test_integers_outside_int64(self):
+        with pytest.raises(ValueError, match="^edge endpoints must be integers$"):
+            Graph(3, np.array([[0, 2**64 - 1]], dtype=np.uint64), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="^labels must be integers$"):
+            Graph(2, [], np.zeros((2, 2)), labels=np.array([0, 2.0**63]))
+
+    def test_integer_valued_input_is_read_as_before(self):
+        g = Graph(3, np.array([[2.0, 0.0]]), np.zeros((3, 2)),
+                  labels=np.array([0, 1, -1], dtype=np.int8))
+        assert g.edges.tolist() == [[0, 2]] and g.edges.dtype == np.int64
+        assert g.labels.tolist() == [0, 1, -1] and g.labels.dtype == np.int64
+        m = InteractionMatrix(users=2, items=3,
+                              pairs=np.array([[1, 2], [0, 1]], dtype=np.uint32))
+        assert m.pairs.tolist() == [[0, 1], [1, 2]] and m.pairs.dtype == np.int64
+        assert Graph(2, (), np.zeros((2, 1))).edges.shape == (0, 2)
+
+    def test_int64_input_is_not_copied(self):
+        # The sampler's int64 edges and labels pay no element-wise check.
+        values = np.arange(6, dtype=np.int64).reshape(3, 2)
+        assert graph_module._integers(values, "edge endpoints") is values
 
 
 class TestNodeClassificationLoader:

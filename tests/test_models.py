@@ -3,6 +3,7 @@ from contextlib import suppress
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (neighbors, normalized_adjacency, reference_predict,
@@ -503,6 +504,98 @@ class TestOperatorProducts:
         assert out.tobytes() == (a.T @ y).tobytes()
 
 
+def stacked_samples(graph, params, seeds):
+    """The non-isolated nodes of the samples drawn from ``seeds``, stacked as
+    the evasion vote loop stacks them, and the edges of each sample
+    renumbered to its rows. Returns the nodes, the edges and, per sample,
+    its graph, its nodes and its rows."""
+    rows_of = np.empty(graph.n, dtype=np.int64)
+    nodes, edges, samples, rows = [], [], [], 0
+    for seed in seeds:
+        sample = sample_smoothed_graph(graph, params, seed).graph
+        touched = np.flatnonzero(sample.degrees)
+        rows_of[touched] = np.arange(rows, rows + touched.size)
+        nodes.append(touched)
+        edges.append(rows_of[sample.edges])
+        samples.append((sample, touched, slice(rows, rows + touched.size)))
+        rows += touched.size
+    return np.concatenate(nodes), np.concatenate(edges), samples
+
+
+def random_weights(num_features, hidden, classes, seed):
+    rng = np.random.default_rng(seed)
+    return {"w1": rng.standard_normal((num_features, hidden)),
+            "b1": rng.standard_normal(hidden),
+            "w2": rng.standard_normal((hidden, classes)),
+            "b2": rng.standard_normal(classes)}
+
+
+class TestPredictionWorkspace:
+    """One workspace serves every batch of a vote worker, and the first layer
+    reads the transformed features through each column's node id."""
+
+    graph, _ = generate_sbm(120, 3, 0.15, 0.02, 6, seed=4)
+    params = SmoothingParams(0.1, 0.5)
+
+    def test_each_batch_predicts_what_predict_gives_on_its_samples(self):
+        spec = ClassifierSpec(hidden_dim=16)
+        model = TrainedModel(spec, random_weights(6, 16, 3, seed=2), 3, 6, "random")
+        transformed = feature_transform(model, self.graph.features)
+        # The largest batch, then smaller ones, whose rows must not pick up
+        # what a larger batch left in the buffers.
+        batches = [stacked_samples(self.graph, self.params, range(first, first + count))
+                   for first, count in ((0, 12), (12, 1), (13, 4), (17, 9))]
+        workspace = models.PredictionWorkspace(len(batches[0][0]), 16, 3)
+        for nodes, edges, samples in batches:
+            preds = predict_rows(model, transformed, nodes, edges, workspace)
+            assert preds.shape == nodes.shape
+            for sample, touched, rows in samples:
+                assert np.array_equal(preds[rows], predict(model, sample)[touched])
+
+    @pytest.mark.parametrize("hidden", [1, 64])
+    @pytest.mark.parametrize("classes", [2, 7])
+    def test_node_id_first_layer_is_the_gathered_product(self, hidden, classes):
+        weights = random_weights(6, hidden, classes, seed=hidden + classes)
+        transformed = self.graph.features @ weights["w1"]
+        nodes, edges, _ = stacked_samples(self.graph, self.params, range(10))
+        operator = normalized_operator(len(nodes), edges)
+        first = operator.through(nodes, self.graph.n)
+        assert operator.indices.dtype == first.indices.dtype == np.int32
+        assert first.indptr is operator.indptr and first.data is operator.data
+        rows = operator.rows.size
+        gathered = sp.csr_matrix((operator.data, operator.indices, operator.indptr),
+                                 shape=(rows, rows)) @ transformed[nodes]
+        out = np.full((rows, hidden), np.nan)
+        assert first.product_into(transformed, out).tobytes() == gathered.tobytes()
+        # The whole forward pass, against the one on the gathered rows.
+        logits = []
+        for layer, t1 in ((first, transformed), (operator, transformed[nodes])):
+            h, t2, out = (np.full((rows, width), np.nan)
+                          for width in (hidden, classes, classes))
+            logits.append(models._forward(weights, layer, operator, t1, h, h, t2,
+                                          out).tobytes())
+        assert logits[0] == logits[1]
+
+    def test_index_type_widens_only_past_int32(self):
+        nodes, edges, _ = stacked_samples(self.graph, self.params, range(3))
+        operator = normalized_operator(len(nodes), edges)
+        wide = operator.through(nodes, 2**31 + 1)
+        assert wide.indices.dtype == wide.indptr.dtype == np.int64
+        assert wide.indices.tolist() == nodes[operator.indices].tolist()
+        assert operator.through(nodes, 2**31).indices.dtype == np.int32
+
+    def test_batches_share_the_leading_rows(self):
+        workspace = models.PredictionWorkspace(50, 8, 3)
+        h, t2, logits = workspace.blocks(50, 8, 3)
+        assert h.shape == (50, 8) and t2.shape == logits.shape == (50, 3)
+        smaller = workspace.blocks(20, 8, 3)
+        assert all(a.flags.c_contiguous and a.base is b.base
+                   for a, b in zip(smaller, (h, t2, logits)))
+        for shape in ((51, 8, 3), (20, 7, 3), (20, 8, 2)):
+            with pytest.raises(ValueError, match="does not fit"):
+                workspace.blocks(*shape)
+
+
 class TestTrainingWorkspace:
     """Every epoch writes its n x hidden arrays into one workspace."""
 
@@ -595,6 +688,22 @@ class TestNonFiniteLogits:
             predict_rows(overflowing_model, transformed, nodes, edges)
         assert predict_rows(overflowing_model, transformed, nodes[[0, 3]],
                             np.array([[0, 1]])).tolist() == [0, 0]
+
+    def test_a_reused_workspace_still_names_the_node(self, overflowing_model):
+        features = np.array([[0.5, 0.5]] * 6)
+        features[4] = [2.0, 2.0]
+        transformed = feature_transform(overflowing_model, features)
+        workspace = models.PredictionWorkspace(4, 2, 2)
+        finite = (np.array([1, 0, 3, 5]), np.array([[0, 1], [2, 3]]))
+        assert predict_rows(overflowing_model, transformed, *finite,
+                            workspace).tolist() == [0, 0, 0, 0]
+        for _ in range(2):
+            with pytest.raises(FloatingPointError,
+                               match="^logits of node 4 are not finite$"):
+                predict_rows(overflowing_model, transformed, np.array([1, 4, 4, 0]),
+                             np.array([[2, 3]]), workspace)
+            assert predict_rows(overflowing_model, transformed, *finite,
+                                workspace).tolist() == [0, 0, 0, 0]
 
     def test_predict(self, overflowing_model):
         features = np.array([[0.5, 0.5], [0.9, 0.9], [2.0, 2.0]])

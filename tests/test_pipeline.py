@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from smoothcert import (ClassifierSpec, DataSplit, Graph, InteractionMatrix,
                         generate_sbm, predict, sample_smoothed_graph,
                         write_report)
 from smoothcert import pipeline
+from smoothcert.models import predict_rows
 from smoothcert.pipeline import CertCurve, CurvePoint
 from smoothcert.recsys import ItemVoteTable
 
@@ -149,9 +151,8 @@ class TestCollectVotesEvasion:
         assert np.all(np.abs(freq - exact) <= 4 * sigma + 1e-12)
 
 
-def random_model(kind, num_features, num_classes, seed):
+def random_model(kind, num_features, num_classes, seed, hidden=16):
     rng = np.random.default_rng(seed)
-    hidden = 16
     weights = {"w1": rng.standard_normal((num_features, hidden)),
                "b1": rng.standard_normal(hidden),
                "w2": rng.standard_normal((hidden, num_classes)),
@@ -392,6 +393,45 @@ class TestBatchedEvasionVotes:
             assert np.array_equal(table.counts, expected)
             assert not table.abstains.any()
         assert calls == []
+
+
+class TestEvasionWorkspace:
+    """The evasion worker predicts every batch into one workspace."""
+
+    graph = TestBatchedEvasionVotes.graph
+
+    @pytest.mark.parametrize("p_e,p_n", [(0.0, 0.0), (0.1, 0.8)])
+    def test_batches_allocate_no_hidden_array(self, monkeypatch, p_e, p_n):
+        # Wide enough that one batch rows x hidden block of float64 (2.4 MB
+        # without noise) dwarfs the batch operator's index temporaries.
+        hidden = 256
+        model = random_model("message_passing_2layer", self.graph.num_features, 3,
+                             seed=5, hidden=hidden)
+        calls = []  # (arguments, rise of the traced peak) per batch
+
+        def measured(*args):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            preds = predict_rows(*args)
+            calls.append((args, tracemalloc.get_traced_memory()[1] - start))
+            return preds
+
+        monkeypatch.setattr(pipeline, "predict_rows", measured)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            collect_votes_evasion(model, self.graph, 300, SmoothingParams(p_e, p_n),
+                                  master_seed=7)
+            # The same batch without the worker's workspace, as a control.
+            measured(*calls[0][0][:4])
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        *batches, (control, fresh) = calls
+        block = len(control[2]) * hidden * 8
+        assert len(batches) > 3 and fresh >= block
+        assert max(rise for _, rise in batches) < block / 2, [r for _, r in calls]
 
 
 class TestCollectVotesPoisoning:
