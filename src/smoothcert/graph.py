@@ -10,6 +10,7 @@ import hashlib
 import io
 import math
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,10 +43,12 @@ def _integers(values, what: str) -> np.ndarray:
     if array.dtype == np.int64:
         return array
     if array.dtype.kind in "iufO":
-        with np.errstate(invalid="ignore"):  # NaN and inf fail the comparison
+        # NaN and inf fail the comparison; an object array of Python ints
+        # past int64, or of other objects, fails the conversion.
+        with np.errstate(invalid="ignore"), suppress(OverflowError, TypeError, ValueError):
             ints = array.astype(np.int64)
-        if np.all(ints == array):
-            return ints
+            if np.all(ints == array):
+                return ints
     raise ValueError(f"{what} must be integers")
 
 
@@ -616,6 +619,8 @@ def generate_sbm(n: int, classes: int, p_in: float, p_out: float, d: int,
     """
     if not (0 <= p_out <= p_in <= 1):
         raise ValueError("need 0 <= p_out <= p_in <= 1")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if classes < 2:
         raise ValueError("classes must be >= 2")
     if n % classes != 0:

@@ -186,41 +186,13 @@ def _product_into(fmt: str, shape: tuple, op, x: np.ndarray,
     return out
 
 
-class _Workspace:
-    """The n x hidden buffers of one training, written in place by every epoch.
-
-    At n = 3000 and hidden 64 each float64 buffer is 1.5 MB, above glibc's
-    mmap threshold: a fresh array per epoch maps new pages and faults them
-    in again. An epoch computes its elementwise and sparse work on its live
-    rows only (``Operator.rows``), in the leading rows of ``live`` and
-    ``positive``: first the hidden activations ``relu(agg @ t1 + b1)`` and
-    their mask, then the masked ``d_z1``.
-
-    The dense products keep n-row operands, each live row at its node's
-    position: OpenBLAS rounds a row of a product differently with the row's
-    position, so a compact product would change the trained weights. ``t1``
-    holds ``features @ w1`` and, once that is spent, ``agg.T @ d_z1``;
-    ``h1`` holds the hidden activations on the live rows and exact zeros on
-    every other row, which therefore meet only the zero rows of ``d_t2``;
-    ``d_z1`` holds ``d_t2 @ w2.T``, masked on the live rows. ``t2`` and the
-    leading rows of ``logits`` hold the second layer of :func:`_forward`.
-    """
-
-    def __init__(self, rows: int, hidden: int, classes: int):
-        self.t1 = np.empty((rows, hidden))
-        self.h1 = np.zeros((rows, hidden))
-        self.d_z1 = np.empty((rows, hidden))
-        self.live = np.empty((rows, hidden))
-        self.positive = np.empty((rows, hidden), dtype=bool)
-        self.t2 = np.empty((rows, classes))
-        self.logits = np.empty((rows, classes))
-
-
-class PredictionWorkspace:
-    """The hidden, ``t2`` and logits buffers of :func:`predict_rows` for
-    batches of up to ``rows`` rows, reused by every call given this
-    workspace; a batch uses their leading rows. Not safe to share between
-    threads.
+class Workspace:
+    """The buffers of forward passes of up to ``rows`` rows, reused by every
+    pass given this workspace; a pass uses their leading rows. Not safe to
+    share between threads. ``hidden`` holds the activations of the live
+    rows, ``h1`` the second layer's n-row operand (``hidden`` itself, as
+    every row of a prediction is live), ``t2`` its product with ``w2`` and
+    ``logits`` the live rows' logits.
 
     An evasion batch of about 1000 rows at 64 hidden units holds 0.5 MB of
     float64 activations, above glibc's mmap threshold: a fresh buffer per
@@ -229,48 +201,64 @@ class PredictionWorkspace:
     """
 
     def __init__(self, rows: int, hidden: int, classes: int):
-        self.hidden = np.empty((rows, hidden))
+        self.hidden = self.h1 = np.empty((rows, hidden))
         self.t2 = np.empty((rows, classes))
         self.logits = np.empty((rows, classes))
 
-    def blocks(self, rows: int, hidden: int, classes: int) -> tuple:
-        """The leading rows of the buffers, rows x hidden, rows x classes and
-        rows x classes. Raises ``ValueError`` if they do not fit."""
-        if (rows > self.hidden.shape[0]
-                or (self.hidden.shape[1], self.t2.shape[1]) != (hidden, classes)):
-            raise ValueError("the workspace does not fit this batch")
-        return self.hidden[:rows], self.t2[:rows], self.logits[:rows]
+
+class _TrainingWorkspace(Workspace):
+    """A :class:`Workspace` of n rows plus the backward pass's buffers,
+    written in place by every epoch of a training and by a final prediction.
+
+    An epoch computes its elementwise and sparse work on its live rows only
+    (``Operator.rows``), in the leading rows of ``hidden`` and
+    ``positive``. The dense products keep n-row operands, each live row at
+    its node's position: OpenBLAS rounds a row of a product differently
+    with the row's position, so a compact product would change the trained
+    weights. ``t1`` holds ``features @ w1`` and, once that is spent,
+    ``agg.T @ d_z1``; ``h1`` holds the activations on the live rows and
+    exact zeros on every other row, which therefore meet only the zero rows
+    of ``d_t2``; ``d_z1`` holds ``d_t2 @ w2.T``, masked on the live rows.
+    """
+
+    def __init__(self, rows: int, hidden: int, classes: int):
+        super().__init__(rows, hidden, classes)
+        self.t1 = np.empty((rows, hidden))
+        self.h1 = np.zeros((rows, hidden))
+        self.d_z1 = np.empty((rows, hidden))
+        self.positive = np.empty((rows, hidden), dtype=bool)
 
 
 def _forward(weights: dict, first: Operator, operator: Operator, t1: np.ndarray,
-             h: np.ndarray, h1: np.ndarray, t2: np.ndarray,
-             logits: np.ndarray) -> np.ndarray:
-    """Logits of the live rows, written into ``logits`` (live rows x
-    classes) and returned, from ``t1 = features @ w1``, which is computed
-    before aggregation (same map by associativity) so that it can be cached
-    across smoothing samples.
+             work: Workspace) -> np.ndarray:
+    """Logits of the live rows, in the leading rows of ``work.logits``, from
+    ``t1 = features @ w1``, which is computed before aggregation (same map by
+    associativity) so that it can be cached across smoothing samples.
 
     The first layer is ``first @ t1``: ``operator`` itself, or ``operator``
     read through the node id of each column (:meth:`Operator.through`) over
-    the rows of every node. The hidden activations go into ``h`` (live rows
-    x hidden) and the live rows of ``h1`` (n x hidden), whose other rows
-    must hold exact zeros: ``h1 @ w2``, written into ``t2``, keeps its n-row
-    operand (see :class:`_Workspace`). Where every row is live, ``h`` may be
-    ``h1``.
+    the rows of every node. Every write goes into ``work``; where its ``h1``
+    is its own buffer, that buffer's rows off the live ones must hold exact
+    zeros. Raises ``ValueError`` if the pass does not fit ``work``.
     """
+    live, n = operator.rows.size, operator.num_nodes
+    if (n > work.h1.shape[0] or work.h1.shape[1] != weights["w2"].shape[0]
+            or work.t2.shape[1] != weights["w2"].shape[1]):
+        raise ValueError("the workspace does not fit this batch")
+    h, h1 = work.hidden[:live], work.h1[:n]
     first.product_into(t1, h)
     h += weights["b1"]
     np.maximum(h, 0.0, out=h)
-    if h is not h1:
+    if work.h1 is not work.hidden:
         h1[operator.rows] = h
-    np.matmul(h1, weights["w2"], out=t2)
-    operator.product_into(t2, logits)
+    t2 = np.matmul(h1, weights["w2"], out=work.t2[:n])
+    logits = operator.product_into(t2, work.logits[:live])
     logits += weights["b2"]
     return logits
 
 
 def _gradients(weights, operator: Operator, at, features, targets, weight_decay,
-               work: _Workspace, grads: dict) -> None:
+               work: _TrainingWorkspace, grads: dict) -> None:
     """Gradients of the mean training cross-entropy into the views ``grads``.
 
     ``at`` holds each training node's position among the live rows. Every
@@ -280,9 +268,8 @@ def _gradients(weights, operator: Operator, at, features, targets, weight_decay,
     """
     rows, k = operator.rows, operator.rows.size
     t1 = np.matmul(features, weights["w1"], out=work.t1)
-    h = work.live[:k]  # relu(z1) on the live rows
-    logits = _forward(weights, operator, operator, t1, h, work.h1, work.t2,
-                      work.logits[:k])[at]
+    logits = _forward(weights, operator, operator, t1, work)[at]
+    h = work.hidden[:k]  # relu(z1) on the live rows
     # relu(z1) > 0 exactly where z1 > 0 (NaN is neither).
     positive = np.greater(h, 0.0, out=work.positive[:k])
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -324,9 +311,10 @@ def _check_train_nodes(graph: Graph, train_idx: np.ndarray) -> None:
 
 
 def _fit(spec: ClassifierSpec, graph: Graph, train_idx: np.ndarray,
-         operators: Iterable[Operator]) -> dict:
+         operators: Iterable[Operator], work: _TrainingWorkspace) -> dict:
     """Trained weights after one Adagrad step per operator in ``operators``
-    on the sorted, distinct training nodes ``train_idx``.
+    on the sorted, distinct training nodes ``train_idx``, computed in
+    ``work``, a training workspace of ``graph.n`` rows.
 
     Each step works on the live rows of its operator, its filled rows,
     which must include every training node. Give an edgeless node that is
@@ -346,7 +334,6 @@ def _fit(spec: ClassifierSpec, graph: Graph, train_idx: np.ndarray,
     gradient, cache = np.empty_like(flat), np.zeros_like(flat)
     weights, grads = (_parameter_views(v, spec, graph.num_features, graph.num_classes)
                       for v in (flat, gradient))
-    work = _Workspace(graph.n, spec.hidden_dim, graph.num_classes)
     # Each training row's label column, where softmax - onehot subtracts 1.
     targets = (np.arange(train_idx.size), graph.labels[train_idx])
     live = None
@@ -394,7 +381,9 @@ def train_with_noise(spec: ClassifierSpec, graph: Graph, split: DataSplit,
     operators = (map(operator, range(spec.epochs)) if spec.aggregates else repeat(
         normalized_operator(graph.n, _kind_edges(spec, graph.edges), train_idx),
         spec.epochs))
-    return TrainedModel(spec=spec, weights=_fit(spec, graph, train_idx, operators),
+    work = _TrainingWorkspace(graph.n, spec.hidden_dim, graph.num_classes)
+    weights = _fit(spec, graph, train_idx, operators, work)
+    return TrainedModel(spec=spec, weights=weights,
                         num_classes=graph.num_classes,
                         num_features=graph.num_features,
                         graph_fingerprint=graph.fingerprint())
@@ -427,20 +416,17 @@ def predict(model: TrainedModel, graph: Graph) -> np.ndarray:
 
 
 def _predict_all(weights: dict, first: Operator, operator: Operator,
-                 t1: np.ndarray, nodes: np.ndarray,
-                 workspace: PredictionWorkspace) -> np.ndarray:
+                 t1: np.ndarray, nodes: np.ndarray, work: Workspace) -> np.ndarray:
     """The class of every row of ``operator``, which must fill every row, from
-    ``first @ t1`` (see :func:`_forward`); row ``r`` is node ``nodes[r]``.
-    The activations and logits go into the buffers of ``workspace``.
+    ``first @ t1`` (see :func:`_forward`), computed in ``work``; row ``r`` is
+    node ``nodes[r]``.
 
     Raises ``FloatingPointError`` naming the node of the first row whose
     logits are not finite, as NaN logits would vote for class 0.
     """
-    w2 = weights["w2"]
-    h, t2, logits = workspace.blocks(operator.rows.size, w2.shape[0], w2.shape[1])
     # The check below is the one report of an overflow.
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = _forward(weights, first, operator, t1, h, h, t2, logits)
+        logits = _forward(weights, first, operator, t1, work)
     if not np.isfinite(logits).all():
         bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))[0]
         raise FloatingPointError(f"logits of node {nodes[bad]} are not finite")
@@ -449,7 +435,7 @@ def _predict_all(weights: dict, first: Operator, operator: Operator,
 
 def predict_rows(model: TrainedModel, transformed: np.ndarray, nodes: np.ndarray,
                  edges: np.ndarray,
-                 workspace: Optional[PredictionWorkspace] = None) -> np.ndarray:
+                 workspace: Optional[Workspace] = None) -> np.ndarray:
     """Predictions for a stack of node copies joined by ``edges``.
 
     Row ``r`` is a copy of node ``nodes[r]`` and ``edges`` connect rows, not
@@ -458,17 +444,17 @@ def predict_rows(model: TrainedModel, transformed: np.ndarray, nodes: np.ndarray
     whose rows equal :func:`predict` on each graph for those nodes.
     ``transformed`` is the :func:`feature_transform` of every node; the
     first layer reads it through each column's node id
-    (:meth:`Operator.through`), so no row of it is copied. The activations
-    and logits go into the buffers of ``workspace``: a fresh one, or one
-    that holds the batch, kept by the caller across calls.
+    (:meth:`Operator.through`), so no row of it is copied. The forward
+    pass runs in ``workspace``: a fresh one, or one that holds the batch,
+    kept by the caller across calls.
 
     Raises ``FloatingPointError`` naming the first node whose logits are not
-    finite.
+    finite, and ``ValueError`` if the batch does not fit ``workspace``.
     """
     operator = normalized_operator(len(nodes), _kind_edges(model.spec, edges))
     first = operator.through(np.asarray(nodes), transformed.shape[0])
     if workspace is None:
-        workspace = PredictionWorkspace(len(nodes), *model.weights["w2"].shape)
+        workspace = Workspace(len(nodes), *model.weights["w2"].shape)
     return _predict_all(model.weights, first, operator, transformed, nodes, workspace)
 
 
@@ -476,10 +462,11 @@ def train_predict_end_to_end(spec: ClassifierSpec, graph: Graph,
                              split: DataSplit) -> Optional[np.ndarray]:
     """Train on one smoothed graph and predict on it (no extra noise).
 
-    Training nodes isolated in the graph are bypassed by the loss. Returns
-    every node's class id, or None when every training node is isolated:
-    there is nothing to train on. Raises ``FloatingPointError`` naming the
-    first node whose logits are not finite.
+    Training nodes isolated in the graph are bypassed by the loss. The
+    prediction runs in the training's own workspace, so one call holds one
+    set of n-row buffers. Returns every node's class id, or None when every
+    training node is isolated: there is nothing to train on. Raises
+    ``FloatingPointError`` naming the first node whose logits are not finite.
     """
     train_idx = np.asarray(split.train, dtype=np.int64)
     _check_train_nodes(graph, train_idx)
@@ -487,10 +474,11 @@ def train_predict_end_to_end(spec: ClassifierSpec, graph: Graph,
     if train_idx.size == 0:
         return None
     edges = _kind_edges(spec, graph.edges)
+    work = _TrainingWorkspace(graph.n, spec.hidden_dim, graph.num_classes)
     weights = _fit(spec, graph, train_idx,
-                   repeat(normalized_operator(graph.n, edges, train_idx), spec.epochs))
+                   repeat(normalized_operator(graph.n, edges, train_idx), spec.epochs),
+                   work)
     with np.errstate(over="ignore", invalid="ignore"):  # _predict_all reports it
-        t1 = graph.features @ weights["w1"]
+        t1 = np.matmul(graph.features, weights["w1"], out=work.t1)
     operator = normalized_operator(graph.n, edges)
-    return _predict_all(weights, operator, operator, t1, np.arange(graph.n),
-                        PredictionWorkspace(graph.n, *weights["w2"].shape))
+    return _predict_all(weights, operator, operator, t1, np.arange(graph.n), work)

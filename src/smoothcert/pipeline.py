@@ -26,7 +26,7 @@ from .certify import (RHO_CAP, abstain_test, clopper_pearson_lower,
                       clopper_pearson_upper, largest_certified_rho, margin_exclude,
                       margin_include, node_retention_probs, prob_all_removed)
 from .graph import Graph, DataSplit, PerturbationBudget
-from .models import (ClassifierSpec, PredictionWorkspace, TrainedModel,
+from .models import (ClassifierSpec, TrainedModel, Workspace,
                      feature_transform, predict, predict_rows,
                      train_predict_end_to_end)
 from .sampling import SmoothingParams, derive_sample_seed, sample_smoothed_graph
@@ -233,7 +233,7 @@ def collect_votes_evasion(model: TrainedModel, graph: Graph, num_samples: int,
         votes = np.zeros(n * num_classes, dtype=np.int64)
         rows_of = np.empty(n, dtype=np.int64)
         # Sized for the largest batch: under _BATCH_ROWS rows plus one sample.
-        workspace = PredictionWorkspace(_BATCH_ROWS + n, *model.weights["w2"].shape)
+        workspace = Workspace(_BATCH_ROWS + n, *model.weights["w2"].shape)
         nodes, edges, rows = [], [], 0
         # Without aggregation every node votes as if isolated: no sample needed.
         for i in range(lo, hi if model.spec.aggregates else lo):

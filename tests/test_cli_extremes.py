@@ -40,7 +40,7 @@ NODE_SETTINGS = {
 SETTINGS = {
     "gen-synth": {
         "--seed": ["-1", BIG],
-        "--synth-n": ["0", "61"],
+        "--synth-n": ["0", "61", "-1"],
         "--synth-classes": ["1", "0", "-1", BIG],
         "--synth-d": ["1", BIG],
         "--synth-p-in": ["0.005", "1.0000000000000002", *NON_FINITE],

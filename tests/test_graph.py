@@ -184,7 +184,8 @@ class TestIntegerInput:
             InteractionMatrix(users=2, items=3, pairs=[[False, True]])
 
     def test_other_types(self):
-        for edges in ([[0, 1 + 0j]], [["0", "1"]]):
+        for edges in ([[0, 1 + 0j]], [["0", "1"]], [[0, None]],
+                      np.array([[0, "a"]], dtype=object)):
             with pytest.raises(ValueError, match="^edge endpoints must be integers$"):
                 Graph(3, edges, np.zeros((3, 2)))
 
@@ -193,6 +194,14 @@ class TestIntegerInput:
             Graph(3, np.array([[0, 2**64 - 1]], dtype=np.uint64), np.zeros((3, 2)))
         with pytest.raises(ValueError, match="^labels must be integers$"):
             Graph(2, [], np.zeros((2, 2)), labels=np.array([0, 2.0**63]))
+        # Python integers past int64 make an object array.
+        for big in (2**70, 10**20, -2**70):
+            with pytest.raises(ValueError, match="^edge endpoints must be integers$"):
+                Graph(3, [[0, big]], np.zeros((3, 1)))
+            with pytest.raises(ValueError, match="^labels must be integers$"):
+                Graph(3, [], np.zeros((3, 1)), labels=[0, big, 1])
+            with pytest.raises(ValueError, match="^pairs must be integers$"):
+                InteractionMatrix(users=2, items=3, pairs=[[1, big]])
 
     def test_integer_valued_input_is_read_as_before(self):
         g = Graph(3, np.array([[2.0, 0.0]]), np.zeros((3, 2)),
@@ -684,6 +693,11 @@ class TestGenerateSbm:
         graph, _ = generate_sbm(4, 2, 1.0, 0.0, 2, seed=0)
         assert sorted(map(tuple, graph.edges.tolist())) == [(0, 1), (2, 3)]
         assert list(graph.labels) == [0, 0, 1, 1]
+
+    @pytest.mark.parametrize("n", [-1, -4])
+    def test_negative_n_is_refused(self, n):
+        with pytest.raises(ValueError, match="^n must be >= 0$"):
+            generate_sbm(n, 2, 0.2, 0.02, 4, seed=0)
 
     def test_same_seed_identical(self):
         a, sa = generate_sbm(60, 2, 0.2, 0.02, 4, seed=5)

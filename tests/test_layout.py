@@ -26,7 +26,8 @@ filled rows: ``models.py`` builds no scipy sparse matrix. Every training
 runs one loop: only ``models._fit`` calls ``_adagrad_step`` or loops over
 epochs. An Adagrad step is one update over the parameter vector:
 ``_adagrad_step`` has no loop or comprehension, and ``_gradients`` writes
-into the views of the gradient vector and returns no value.
+into the views of the gradient vector and returns no value. The forward
+pass, ``_forward``, allocates no array: it writes into its workspace.
 """
 import ast
 import inspect
@@ -635,3 +636,47 @@ def test_per_parameter_update_is_detected(tmp_path):
     assert per_parameter_updates(source) == [(2, "_adagrad_step"),
                                              (5, "_adagrad_step.each"),
                                              (10, "_gradients")]
+
+
+ALLOCATORS = ("empty", "zeros", "ones", "full")
+
+
+def forward_allocations(path):
+    """``(line, scope)`` of every array that ``_forward`` or a function in it
+    allocates: a call of ``empty``, ``zeros``, ``ones``, ``full`` or a
+    ``*_like`` function, a ``matmul`` call without ``out``, or a ``@``
+    product."""
+    def allocates(node):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            return isinstance(node.op, ast.MatMult)
+        if not isinstance(node, ast.Call):
+            return False
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", "")
+        return (name in ALLOCATORS or name.endswith("_like") or (
+            name == "matmul" and "out" not in [k.arg for k in node.keywords]))
+
+    return [(line, scope) for line, scope in scoped(path, allocates)
+            if scope.split(".")[0] == "_forward"]
+
+
+def test_the_forward_pass_allocates_nothing():
+    # Every buffer of a forward pass is the workspace's.
+    assert callable(smoothcert.models._forward)
+    assert forward_allocations(MODELS) == []
+
+
+def test_forward_allocation_is_detected(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("import numpy as np\n"
+                      "def _forward(weights, first, operator, t1, work):\n"
+                      "    h = np.empty_like(work.hidden)\n"
+                      "    t2 = h @ weights['w2']\n"
+                      "    np.matmul(h, weights['w2'], out=work.t2)\n"
+                      "    def scratch():\n"
+                      "        return zeros(3), np.matmul(h, t2)\n"
+                      "    return np.full((2, 2), 0.0), work.logits\n"
+                      "def _gradients(work):\n"
+                      "    return np.zeros(3) @ work.h1\n")
+    assert forward_allocations(source) == [(3, "_forward"), (4, "_forward"),
+                                           (7, "_forward.scratch"),
+                                           (7, "_forward.scratch"), (8, "_forward")]

@@ -530,9 +530,10 @@ def random_weights(num_features, hidden, classes, seed):
             "b2": rng.standard_normal(classes)}
 
 
-class TestPredictionWorkspace:
-    """One workspace serves every batch of a vote worker, and the first layer
-    reads the transformed features through each column's node id."""
+class TestWorkspace:
+    """One workspace serves every batch of a vote worker, the first layer
+    reads the transformed features through each column's node id, and the
+    forward pass refuses a workspace that does not fit it."""
 
     graph, _ = generate_sbm(120, 3, 0.15, 0.02, 6, seed=4)
     params = SmoothingParams(0.1, 0.5)
@@ -545,7 +546,7 @@ class TestPredictionWorkspace:
         # what a larger batch left in the buffers.
         batches = [stacked_samples(self.graph, self.params, range(first, first + count))
                    for first, count in ((0, 12), (12, 1), (13, 4), (17, 9))]
-        workspace = models.PredictionWorkspace(len(batches[0][0]), 16, 3)
+        workspace = models.Workspace(len(batches[0][0]), 16, 3)
         for nodes, edges, samples in batches:
             preds = predict_rows(model, transformed, nodes, edges, workspace)
             assert preds.shape == nodes.shape
@@ -570,10 +571,10 @@ class TestPredictionWorkspace:
         # The whole forward pass, against the one on the gathered rows.
         logits = []
         for layer, t1 in ((first, transformed), (operator, transformed[nodes])):
-            h, t2, out = (np.full((rows, width), np.nan)
-                          for width in (hidden, classes, classes))
-            logits.append(models._forward(weights, layer, operator, t1, h, h, t2,
-                                          out).tobytes())
+            work = models.Workspace(rows, hidden, classes)
+            for buffer in (work.hidden, work.t2, work.logits):
+                buffer.fill(np.nan)
+            logits.append(models._forward(weights, layer, operator, t1, work).tobytes())
         assert logits[0] == logits[1]
 
     def test_index_type_widens_only_past_int32(self):
@@ -584,16 +585,59 @@ class TestPredictionWorkspace:
         assert wide.indices.tolist() == nodes[operator.indices].tolist()
         assert operator.through(nodes, 2**31).indices.dtype == np.int32
 
-    def test_batches_share_the_leading_rows(self):
-        workspace = models.PredictionWorkspace(50, 8, 3)
-        h, t2, logits = workspace.blocks(50, 8, 3)
-        assert h.shape == (50, 8) and t2.shape == logits.shape == (50, 3)
-        smaller = workspace.blocks(20, 8, 3)
-        assert all(a.flags.c_contiguous and a.base is b.base
-                   for a, b in zip(smaller, (h, t2, logits)))
-        for shape in ((51, 8, 3), (20, 7, 3), (20, 8, 2)):
-            with pytest.raises(ValueError, match="does not fit"):
-                workspace.blocks(*shape)
+    @pytest.mark.parametrize("workspace", [models.Workspace,
+                                           models._TrainingWorkspace])
+    def test_forward_refuses_a_pass_that_does_not_fit(self, workspace):
+        weights = random_weights(6, 8, 3, seed=0)
+        work = workspace(50, 8, 3)
+
+        def forward(weights, rows):
+            edges = self.graph.edges[(self.graph.edges < rows).all(axis=1)]
+            operator = normalized_operator(rows, edges)
+            t1 = self.graph.features[:rows] @ weights["w1"]
+            return models._forward(weights, operator, operator, t1, work)
+
+        # A pass of up to 50 rows runs in the leading rows of the buffers.
+        for rows in (50, 20):
+            logits = forward(weights, rows)
+            assert logits.shape == (rows, 3) and logits.flags.c_contiguous
+            assert np.shares_memory(logits, work.logits[:rows])
+        before = [buffer.copy() for buffer in vars(work).values()]
+        for unfit, rows in ((weights, 51),  # one row too many
+                            (random_weights(6, 7, 3, seed=1), 20),  # hidden width
+                            (random_weights(6, 8, 2, seed=2), 20)):  # classes
+            with pytest.raises(ValueError, match="^the workspace does not fit"):
+                forward(unfit, rows)
+        # A refused pass writes nothing.
+        assert all(np.array_equal(a, b, equal_nan=True)
+                   for a, b in zip(before, vars(work).values()))
+
+
+class TestPoisoningPredictionInTrainingBuffers:
+    """The poisoning prediction runs in the workspace its training used."""
+
+    @pytest.mark.parametrize("hidden", [1, 7, 64])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("mostly_isolated", [False, True])
+    def test_predictions_are_predict_on_the_fitted_weights(self, hidden, kind,
+                                                           mostly_isolated,
+                                                           monkeypatch):
+        graph, split = generate_sbm(90, 3, 0.2, 0.02, 6, seed=hidden)
+        if mostly_isolated:  # edges only among the first 15 nodes
+            graph = Graph(graph.n, graph.edges[(graph.edges < 15).all(axis=1)],
+                          graph.features, graph.labels)
+            assert (graph.degrees == 0).mean() > 0.8
+        spec = ClassifierSpec(kind=kind, hidden_dim=hidden, epochs=15, seed=hidden)
+        fitted = capture_fit(monkeypatch)
+        built = []
+        init = models.Workspace.__init__
+        monkeypatch.setattr(models.Workspace, "__init__", lambda work, *shape: (
+            built.append(shape) or init(work, *shape)))
+        preds = train_predict_end_to_end(spec, graph, split)
+        assert built == [(graph.n, hidden, graph.num_classes)]
+        model = TrainedModel(spec, fitted.pop(), graph.num_classes,
+                             graph.num_features, "fitted")
+        assert preds.tobytes() == predict(model, graph).tobytes()
 
 
 class TestTrainingWorkspace:
@@ -628,7 +672,9 @@ class TestTrainingWorkspace:
         if not tracing:
             tracemalloc.start()
         try:
-            models._fit(spec, graph, np.asarray(split.train), operators())
+            models._fit(spec, graph, np.asarray(split.train), operators(),
+                        models._TrainingWorkspace(graph.n, spec.hidden_dim,
+                                                  graph.num_classes))
         finally:
             if not tracing:
                 tracemalloc.stop()
@@ -693,7 +739,7 @@ class TestNonFiniteLogits:
         features = np.array([[0.5, 0.5]] * 6)
         features[4] = [2.0, 2.0]
         transformed = feature_transform(overflowing_model, features)
-        workspace = models.PredictionWorkspace(4, 2, 2)
+        workspace = models.Workspace(4, 2, 2)
         finite = (np.array([1, 0, 3, 5]), np.array([[0, 1], [2, 3]]))
         assert predict_rows(overflowing_model, transformed, *finite,
                             workspace).tolist() == [0, 0, 0, 0]
