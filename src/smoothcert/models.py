@@ -160,25 +160,43 @@ def _init_weights(spec, num_features: int, num_classes: int) -> np.ndarray:
                            glorot(h, num_classes), np.zeros(num_classes)])
 
 
-def sparse_product_into(op, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``op @ x`` for a CSR or CSC ``op`` and a 2-d ``x``, written into the
-    C-contiguous float64 ``out`` and returned.
+def add_sparse_product(op, x: np.ndarray, out: np.ndarray, lo: int = 0,
+                       hi: Optional[int] = None) -> np.ndarray:
+    """Add ``op[lo:hi] @ x`` for a CSR ``op``, or ``op[:, lo:hi] @ x`` for a
+    CSC one, and a 2-d ``x`` into the C-contiguous float64 ``out``, and
+    return it; ``hi`` defaults to the end.
 
     Runs the kernel that ``op @ x`` runs (``_cs_matrix._matmul_vector`` for
-    one column, ``_matmul_multivector`` otherwise, scipy 1.17.1) on a zeroed
-    ``out`` instead of a fresh ``np.zeros``, so every sum runs in the same
-    order and the result is bit for bit the same.
+    one column, ``_matmul_multivector`` otherwise, scipy 1.17.1). It adds
+    each stored entry's product into its output row in place, in stored
+    order, through the same ``axpy`` in either format. So on a zeroed
+    ``out`` the whole product is ``op @ x`` bit for bit, and a CSC product
+    added range by range, ascending, gives each output row the adds of the
+    whole product in the same order: the same bits.
     """
-    return _product_into(op.format, op.shape, op, x, out)
+    csr = op.format == "csr"
+    hi = op.shape[0 if csr else 1] if hi is None else hi
+    shape = (hi - lo, op.shape[1]) if csr else (op.shape[0], hi - lo)
+    return _product_add(op.format, shape, op.indptr[lo:hi + 1], op, x, out)
 
 
 def _product_into(fmt: str, shape: tuple, op, x: np.ndarray,
                   out: np.ndarray) -> np.ndarray:
-    """:func:`sparse_product_into` on the ``indptr``, ``indices`` and ``data``
-    of ``op``, read as a ``shape`` matrix in the format ``fmt``."""
-    rows, cols = shape
+    """``op @ x`` into ``out`` (see :func:`add_sparse_product`) for the
+    ``indptr``, ``indices`` and ``data`` of ``op``, read as a ``shape``
+    matrix in the format ``fmt``."""
     out.fill(0.0)
-    arrays = (op.indptr, op.indices, op.data, x.ravel(), out.ravel())
+    return _product_add(fmt, shape, op.indptr, op, x, out)
+
+
+def _product_add(fmt: str, shape: tuple, indptr: np.ndarray, op, x: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """Add the ``shape`` matrix in the format ``fmt`` of ``indptr`` and the
+    ``indices`` and ``data`` of ``op`` times ``x`` into ``out``. The kernels
+    read ``indptr`` as absolute offsets, so a slice of it selects rows
+    (CSR) or columns (CSC) with no copy."""
+    rows, cols = shape
+    arrays = (indptr, op.indices, op.data, x.ravel(), out.ravel())
     if x.shape[1] == 1:
         getattr(_sparsetools, fmt + "_matvec")(rows, cols, *arrays)
     else:
@@ -464,7 +482,9 @@ def train_predict_end_to_end(spec: ClassifierSpec, graph: Graph,
 
     Training nodes isolated in the graph are bypassed by the loss. The
     prediction runs in the training's own workspace, so one call holds one
-    set of n-row buffers. Returns every node's class id, or None when every
+    set of n-row buffers; every row of it is live, so its activations in
+    ``hidden`` are the second layer's operand, with no copy into ``h1``.
+    Returns every node's class id, or None when every
     training node is isolated: there is nothing to train on. Raises
     ``FloatingPointError`` naming the first node whose logits are not finite.
     """
@@ -481,4 +501,5 @@ def train_predict_end_to_end(spec: ClassifierSpec, graph: Graph,
     with np.errstate(over="ignore", invalid="ignore"):  # _predict_all reports it
         t1 = np.matmul(graph.features, weights["w1"], out=work.t1)
     operator = normalized_operator(graph.n, edges)
+    work.h1 = work.hidden  # training is done with its own h1
     return _predict_all(weights, operator, operator, t1, np.arange(graph.n), work)

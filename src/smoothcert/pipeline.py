@@ -195,8 +195,12 @@ def accumulate_parallel(num_samples: int, first_index: int, threads: int,
     num_samples)``, in any order.
 
     At most one worker runs per usable CPU, whatever ``threads`` asks for;
-    with one, the whole range is one call on this thread. Workers return
-    nothing: each adds what it counts into the run's table itself.
+    with one, the whole range is one call on this thread. With more, this
+    thread is one of the workers: it and ``workers - 1`` pool threads take
+    the chunks from one list, under one lock, until none is left, so no
+    thread idles while the others count. A chunk's error is raised here,
+    from whichever thread ran it. Workers return nothing: each adds what it
+    counts into the run's table itself.
     """
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -204,14 +208,31 @@ def accumulate_parallel(num_samples: int, first_index: int, threads: int,
     if workers <= 1:
         worker(first_index, first_index + num_samples)
         return
-    chunk_count = min(num_samples, workers * 4)
+    chunks = iter(_chunks(num_samples, first_index, min(num_samples, workers * 4)))
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                chunk = next(chunks, None)
+            if chunk is None:
+                return
+            worker(*chunk)
+
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+        drain()
+        for helper in helpers:
+            helper.result()
+
+
+def _chunks(num_samples: int, first_index: int,
+            count: int) -> list[tuple[int, int]]:
+    """``count`` consecutive ``(lo, hi)`` chunks that cover ``[first_index,
+    first_index + num_samples)``, in order, as equal as integers allow."""
     # Python integers, so the bounds stay exact at any first_index.
-    bounds = [first_index + num_samples * c // chunk_count
-              for c in range(chunk_count + 1)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # Draining the results re-raises the first chunk's error, if any.
-        for _ in pool.map(worker, bounds[:-1], bounds[1:]):
-            pass
+    bounds = [first_index + num_samples * c // count for c in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def collect_votes_evasion(model: TrainedModel, graph: Graph, num_samples: int,

@@ -11,17 +11,18 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import InteractionMatrix, PerturbationBudget
-from .models import sparse_product_into
+from .models import add_sparse_product
 from .pipeline import BaseVoteTable, Curve, write_report
 from .sampling import SmoothingParams, derive_sample_seed, sample_smoothed_ratings
 from .certify import (RHO_CAP, clopper_pearson_lower, clopper_pearson_upper,
                       largest_certified_rho, prob_all_removed_recsys)
 
 
-# Item columns per block of top_items' similarity and scores, and item rows
-# per slab of the block's Jaccard denominators.
+# Item columns per block of top_items' scores, and item rows per slab of a
+# block's Jaccard similarity.
 _RANK_COLUMNS = 256
-_OVERLAP_ROWS = 64  # table rows per block of the overlap certificate's counts
+_OVERLAP_ROWS = 64      # table rows per block of the overlap certificate's counts
+_OVERLAP_BOUNDS = 1024  # (user, r) rows per block of its Clopper-Pearson uppers
 
 
 def _histories(matrix: InteractionMatrix) -> sp.csr_matrix:
@@ -31,37 +32,39 @@ def _histories(matrix: InteractionMatrix) -> sp.csr_matrix:
 
 
 def _by_item(histories: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Items x users CSR of ``histories`` and each item's rating count."""
+    """Items x users CSR of ``histories`` and each item's rating count,
+    floored at 1."""
     by_item = histories.T.tocsr()
-    return by_item, np.asarray(by_item.sum(axis=1), dtype=np.float64).ravel()
+    counts = np.asarray(by_item.sum(axis=1), dtype=np.float64).ravel()
+    return by_item, np.maximum(counts, 1.0, out=counts)
 
 
-def _jaccard_columns(by_item: sp.csr_matrix, counts: np.ndarray, lo: int,
-                     rated: np.ndarray, similarity: np.ndarray,
-                     slab: np.ndarray) -> np.ndarray:
-    """Columns ``lo:lo + width`` of the item x item Jaccard similarity,
-    written into ``similarity`` and returned, where ``rated`` is
-    ``histories[:, lo:lo + width]`` as a dense 0/1 array and ``slab`` is a
-    flat buffer of at least ``min(_RANK_COLUMNS, items)`` x width floats.
+def _jaccard_slab(by_item: sp.csr_matrix, counts: np.ndarray, row: int, lo: int,
+                  rated: np.ndarray, out: np.ndarray,
+                  union: np.ndarray) -> np.ndarray:
+    """Rows ``row:row + _RANK_COLUMNS`` and columns ``lo:lo + width`` of the
+    item x item Jaccard similarity, written into the head of the flat
+    buffer ``out`` as a C-contiguous array and returned, where ``rated`` is
+    ``histories[:, lo:lo + width]`` as a dense 0/1 array and ``union`` is a
+    flat buffer as large as ``out``.
 
     The similarity at ``(i, j)`` is ``both / ((count[i] + count[j]) - both)``
     over the co-occurrence counts; all three are integer sums, exact in any
-    order. Where both counts are 0 the floor of 1 on the denominator gives
-    0 / 1 = 0; everywhere else it is already >= 1. The denominators are
-    formed ``_RANK_COLUMNS`` item rows at a time in ``slab``, so no second
-    items x width array is held.
+    order. An item without ratings co-occurs with none, so flooring its
+    count at 1 (:func:`_by_item`) only turns a 0 / 0 into 0 / 2 and a
+    0 / c into 0 / (c + 1), +0.0 either way, with no ``maximum`` pass;
+    every other denominator is already >= 1.
     """
-    sparse_product_into(by_item, rated, similarity)
+    hi = min(row + _RANK_COLUMNS, counts.size)
     width = rated.shape[1]
-    for row in range(0, similarity.shape[0], _RANK_COLUMNS):
-        both = similarity[row:row + _RANK_COLUMNS]
-        union = _block(slab, both.shape[0], width)
-        np.add.outer(counts[row:row + _RANK_COLUMNS], counts[lo:lo + width],
-                     out=union)
-        union -= both
-        np.maximum(union, 1.0, out=union)
-        both /= union
-    return similarity
+    both = _block(out, hi - row, width)
+    both.fill(0.0)
+    add_sparse_product(by_item, rated, both, row, hi)
+    denominator = _block(union, hi - row, width)
+    np.add.outer(counts[row:hi], counts[lo:lo + width], out=denominator)
+    denominator -= both
+    both /= denominator
+    return both
 
 
 class _RunningTop:
@@ -138,8 +141,7 @@ class _RankingWorkspace:
         self.users, self.items = users, items
         self.ranking = _RunningTop(users, k_prime, width)
         self.rated, self.score = np.empty(users * width), np.empty(users * width)
-        self.similarity = np.empty(items * width)
-        self.slab = np.empty(width * width)
+        self.similarity, self.union = np.empty(width * width), np.empty(width * width)
 
 
 def top_items(histories: sp.csr_matrix, k_prime: int,
@@ -148,15 +150,20 @@ def top_items(histories: sp.csr_matrix, k_prime: int,
     history, the similarity taken over these same histories.
 
     ``histories`` is a users x items 0/1 CSR with each row's items ascending.
-    Each block of scores is one CSR @ dense product, which adds a user's
-    similarities in history order (the absent entries add +0.0). History
-    items and zero-score items are never ranked and ties break toward the
-    lower item id; rows are padded with -1. Memory is O((users + items) x
-    block), never items x items, and every block writes into the buffers of
-    one workspace: a fresh one, or the ``workspace`` of earlier calls, whose
+    The scores are ranked one block of item columns at a time. A block's
+    similarity is made one slab of item rows at a time
+    (:func:`_jaccard_slab`), and each slab is added into the block's scores
+    at once, as the product of the histories' columns of the slab's items
+    (:func:`models.add_sparse_product`): each user's similarities are added
+    in history order, the order of one whole product. History items and
+    zero-score items are never ranked and ties break toward the lower item
+    id; rows are padded with -1. Memory is O((users + slab) x block), never
+    items x block, and every block writes into the buffers of one
+    workspace: a fresh one, or the ``workspace`` of earlier calls, whose
     buffers the returned array shares until its next call.
     """
     by_item, counts = _by_item(histories)
+    by_user = by_item.T  # users x items CSC over by_item's arrays, no copy
     users, items = histories.shape
     if workspace is None:
         workspace = _RankingWorkspace(users, items, k_prime)
@@ -176,11 +183,13 @@ def top_items(histories: sp.csr_matrix, k_prime: int,
         block = _block(workspace.rated, users, hi - lo)
         block.fill(0.0)
         block.ravel()[cells] = 1.0
-        similar = _jaccard_columns(by_item, counts, lo, block,
-                                   _block(workspace.similarity, items, hi - lo),
-                                   workspace.slab)
-        scored = sparse_product_into(histories, similar,
-                                     _block(workspace.score, users, hi - lo))
+        scored = _block(workspace.score, users, hi - lo)
+        scored.fill(0.0)
+        for row in range(0, items, _RANK_COLUMNS):
+            similar = _jaccard_slab(by_item, counts, row, lo, block,
+                                    workspace.similarity, workspace.union)
+            add_sparse_product(by_user, similar, scored, row,
+                               row + similar.shape[0])
         scored.ravel()[cells] = 0.0
         ranking.merge(lo, scored)
     return ranking.top
@@ -189,13 +198,16 @@ def top_items(histories: sp.csr_matrix, k_prime: int,
 def build_similarity(matrix: InteractionMatrix) -> sp.csr_matrix:
     """The whole item x item Jaccard similarity of :func:`top_items`."""
     by_item, counts = _by_item(_histories(matrix))
+    items = counts.size
+    union = np.empty(min(_RANK_COLUMNS, items) ** 2)
     blocks = []
-    for lo in range(0, counts.size, _RANK_COLUMNS):
+    for lo in range(0, items, _RANK_COLUMNS):
         rated = by_item[lo:lo + _RANK_COLUMNS].T.toarray()
-        blocks.append(sp.csr_matrix(_jaccard_columns(
-            by_item, counts, lo, rated, np.empty((counts.size, rated.shape[1])),
-            np.empty(_RANK_COLUMNS * rated.shape[1]))))
-    return sp.hstack([sp.csr_matrix((counts.size, 0)), *blocks], format="csr")
+        blocks.append(sp.csr_matrix(np.vstack([
+            _jaccard_slab(by_item, counts, row, lo, rated, np.empty(union.size),
+                          union)
+            for row in range(0, items, _RANK_COLUMNS)])))
+    return sp.hstack([sp.csr_matrix((items, 0)), *blocks], format="csr")
 
 
 def recommend_topk(similarity: sp.csr_matrix, user_history,
@@ -342,16 +354,20 @@ def _overlap_radii(table: ItemVoteTable,
     p_isolated = np.array([prob_all_removed_recsys(params, int(d), 1)
                            for d in degrees])[at][user]
     # Row (user, r) bounds the top k - r + 1 other counts, or all of them,
-    # in ascending order.
+    # in ascending order, and sums them up. The rows are bounded in blocks,
+    # so the gathered counts and masks never span every row.
     take = np.minimum(candidates, table.items - sizes[user])
-    filled = np.arange(k) < take[:, None]
-    column = np.maximum(take[:, None] - 1 - np.arange(k), 0)
-    uppers = np.zeros(filled.shape)
-    uppers[filled] = clopper_pearson_upper(others[user[:, None], column][filled],
-                                           table.num_samples,
-                                           np.repeat(level, take))
+    sums = np.zeros((user.size, k))
+    for lo in range(0, user.size, _OVERLAP_BOUNDS):
+        hi = lo + _OVERLAP_BOUNDS
+        filled = np.arange(k) < take[lo:hi, None]
+        column = np.maximum(take[lo:hi, None] - 1 - np.arange(k), 0)
+        uppers = sums[lo:hi]
+        uppers[filled] = clopper_pearson_upper(
+            others[user[lo:hi, None], column][filled], table.num_samples,
+            np.repeat(level[lo:hi], take[lo:hi]))
+        np.cumsum(uppers, axis=1, out=uppers)
     lowers = clopper_pearson_lower(gt_count, table.num_samples, level)
-    sums = np.cumsum(uppers, axis=1)
 
     def holds(rho, live):
         budgets, at = np.unique(rho, return_inverse=True)

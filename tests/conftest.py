@@ -1,3 +1,5 @@
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
@@ -48,12 +50,22 @@ def serial_pool(monkeypatch):
     """``install(cpus, reverse=False)`` makes the vote scheduler see ``cpus``
     usable CPUs and run its chunks one after another on this thread, last
     first if ``reverse``. It returns two lists that fill as chunks run: the
-    worker count of each pool made and each chunk's first sample, in the
+    pool threads of each pool made and each chunk's first sample, in the
     order run."""
+    chunks = pipeline._chunks
+
     def install(cpus, reverse=False):
         pools, ran = [], []
 
+        def ordered(*args):
+            listed = chunks(*args)
+            for chunk in listed[::-1] if reverse else listed:
+                ran.append(chunk[0])
+                yield chunk
+
         class SerialPool:
+            """Runs each submitted call at once, on this thread."""
+
             def __init__(self, max_workers):
                 pools.append(max_workers)
 
@@ -63,13 +75,16 @@ def serial_pool(monkeypatch):
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
-                chunks = list(zip(*iterables))
-                for chunk in chunks[::-1] if reverse else chunks:
-                    ran.append(chunk[0])
-                    yield fn(*chunk)
+            def submit(self, fn, *args):
+                future = Future()
+                try:
+                    future.set_result(fn(*args))
+                except Exception as error:
+                    future.set_exception(error)
+                return future
 
         monkeypatch.setattr(pipeline, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(pipeline, "_chunks", ordered)
         monkeypatch.setattr(pipeline.os, "sched_getaffinity",
                             lambda pid: set(range(cpus)), raising=False)
         return pools, ran

@@ -224,7 +224,7 @@ def test_stats_import_is_detected(tmp_path):
 def test_private_scipy_names_are_pinned():
     # Both are checked against scipy 1.17.1: the binomial CDF ufunc behind
     # certify.majority_pvalue and the sparse kernels behind
-    # models.sparse_product_into.
+    # models.add_sparse_product.
     found = {path.name: private_scipy_imports(path) for path in SOURCES}
     assert {name: imports for name, imports in found.items() if imports} == {
         "certify.py": ["scipy.special._ufuncs._binom_cdf"],

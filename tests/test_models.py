@@ -434,14 +434,25 @@ class TestIsolatedRowsDoNotReachTheWeights:
 
 
 class TestSparseProductInto:
-    """The in-place sparse product equals ``op @ x`` bit for bit."""
+    """The adding sparse product on a zeroed buffer equals ``op @ x`` bit for
+    bit, whole or added range by range of the stored rows or columns."""
 
     @staticmethod
     def assert_same_bits(op, x):
-        out = np.full((op.shape[0], x.shape[1]), np.nan)
-        assert models.sparse_product_into(op, x, out) is out
         expected = op @ x
+        out = np.zeros((op.shape[0], x.shape[1]))
+        assert models.add_sparse_product(op, x, out) is out
         assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+        # Three ranges, the last a single row or column: a CSR range writes
+        # its own rows, a CSC range adds into every row.
+        major = op.shape[0] if op.format == "csr" else op.shape[1]
+        cuts = (0, major // 3, major - 1, major)
+        out = np.zeros_like(out)
+        for lo, hi in zip(cuts, cuts[1:]):
+            part = out[lo:hi] if op.format == "csr" else out
+            rows = x if op.format == "csr" else x[lo:hi]
+            models.add_sparse_product(op, np.ascontiguousarray(rows), part, lo, hi)
         assert out.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("width", [1, 2, 7, 64])

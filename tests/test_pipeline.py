@@ -1,5 +1,6 @@
 import json
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -267,8 +268,9 @@ class TestAccumulateParallel:
         return pools, len(chunks)
 
     def test_workers_capped_at_usable_cpus(self, serial_pool):
-        assert self.run(serial_pool, cpus=3, threads=5000) == ([3], 12)
-        assert self.run(serial_pool, cpus=3, threads=2) == ([2], 8)
+        # The calling thread is one of the workers: the pool has one fewer.
+        assert self.run(serial_pool, cpus=3, threads=5000) == ([2], 12)
+        assert self.run(serial_pool, cpus=3, threads=2) == ([1], 8)
 
     def test_one_cpu_runs_serially(self, serial_pool):
         assert self.run(serial_pool, cpus=1, threads=4) == ([], 1)
@@ -276,7 +278,45 @@ class TestAccumulateParallel:
     def test_chunk_bounds_are_exact_past_float_precision(self, serial_pool):
         # Float bounds would round 2**53 + 1 down and run [2**53, 2**53 + 8).
         assert self.run(serial_pool, cpus=2, threads=2, num_samples=7,
-                        first=2**53 + 1) == ([2], 7)
+                        first=2**53 + 1) == ([1], 7)
+
+    @staticmethod
+    def two_threads(monkeypatch, fail_on=None):
+        """Eight chunks on two real workers, each thread's first chunk
+        waiting until the other thread has run one, so that both threads
+        run chunks. The first chunk of ``fail_on`` ("caller" or "pool")
+        raises once it has waited. Returns the chunks run per thread."""
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity",
+                            lambda pid: {0, 1}, raising=False)
+        caller = threading.get_ident()
+        lock = threading.Lock()
+        ran = {"caller": [], "pool": []}
+        started = {"caller": threading.Event(), "pool": threading.Event()}
+
+        def worker(lo, hi):
+            me = "caller" if threading.get_ident() == caller else "pool"
+            other = "pool" if me == "caller" else "caller"
+            with lock:
+                ran[me].append(lo)
+                first = len(ran[me]) == 1
+            started[me].set()
+            if first:
+                assert started[other].wait(timeout=30)
+            if me == fail_on:
+                raise ValueError(f"chunk {lo} failed on the {me} thread")
+
+        pipeline.accumulate_parallel(8, 0, 2, worker)
+        return ran
+
+    def test_the_calling_thread_runs_chunks(self, monkeypatch):
+        ran = self.two_threads(monkeypatch)
+        assert ran["caller"] and ran["pool"]
+        assert sorted(ran["caller"] + ran["pool"]) == list(range(8))
+
+    @pytest.mark.parametrize("thread", ["caller", "pool"])
+    def test_a_chunk_error_reaches_the_caller(self, monkeypatch, thread):
+        with pytest.raises(ValueError, match=f"on the {thread} thread"):
+            self.two_threads(monkeypatch, fail_on=thread)
 
     def test_chunk_order_does_not_change_any_table(self, serial_pool):
         # Every chunk adds into the run's one table: run last chunk first.
@@ -298,7 +338,7 @@ class TestAccumulateParallel:
         for reverse in (False, True):
             pools, ran = serial_pool(2, reverse)
             tables[reverse] = [collect() for collect in collectors]
-            assert pools == [2, 2, 2]
+            assert pools == [1, 1, 1]
             # The evasion run's eight chunks, in the order asked for.
             firsts = list(range(5, 45, 5))
             assert ran[:8] == (firsts[::-1] if reverse else firsts)

@@ -220,39 +220,68 @@ class TestTopItems:
         assert np.isfinite(similarity).all() and not similarity[:, 3].any()
 
 
-def union_buffer_jaccard(by_item, counts, lo, rated, similarity, slab):
-    """The Jaccard columns with every denominator of the block held at once
-    in an items x width buffer; ``slab`` is unused."""
-    recsys.sparse_product_into(by_item, rated, similarity)
-    union = np.add.outer(counts, counts[lo:lo + rated.shape[1]])
-    union -= similarity
-    np.maximum(union, 1.0, out=union)
-    similarity /= union
-    return similarity
+def whole_product_top(histories, similarity, k_prime):
+    """Each user's top ``k_prime`` items, padded with -1, from one CSR product
+    of the histories with the whole dense ``similarity``: each user's
+    similarities added in history order."""
+    scores = histories @ similarity
+    scores[histories.nonzero()] = 0.0
+    top = np.full((histories.shape[0], k_prime), -1)
+    for u, score in enumerate(scores):
+        candidates = np.flatnonzero(score > 0.0)
+        ranked = candidates[np.lexsort((candidates, -score[candidates]))][:k_prime]
+        top[u, :ranked.size] = ranked
+    return top
 
 
 class TestJaccardSlabs:
-    """The denominators, formed one slab of item rows at a time, give the
-    bits of the whole-block form."""
+    """The similarity, made one slab of item rows at a time and added into
+    the scores slab by slab, gives the bits of the whole matrix and of one
+    whole scoring product."""
 
     @pytest.mark.parametrize("users, items", [
         (30, 40),    # fewer items than one slab
         (30, 512),   # a whole number of slabs
         (30, 600),   # a ragged last slab
         (1, 600)])   # a single user
-    def test_bit_equal_to_the_whole_block(self, monkeypatch, users, items):
+    def test_bit_equal_to_the_whole_product(self, users, items):
         rng = np.random.default_rng(users * items)
         matrix = InteractionMatrix(
             users=users, items=items,
             pairs=np.argwhere(rng.random((users, items)) < 0.1))
         histories = recsys._histories(matrix)
-        slabbed = (top_items(histories, 10).copy(),
-                   build_similarity(matrix).toarray())
-        assert slabbed[1].tobytes() == reference_jaccard(matrix).tobytes()
-        monkeypatch.setattr(recsys, "_jaccard_columns", union_buffer_jaccard)
-        whole = (top_items(histories, 10), build_similarity(matrix).toarray())
-        assert slabbed[0].tobytes() == whole[0].tobytes()
-        assert slabbed[1].tobytes() == whole[1].tobytes()
+        whole = reference_jaccard(matrix)
+        assert build_similarity(matrix).toarray().tobytes() == whole.tobytes()
+        assert (top_items(histories, 10).tobytes()
+                == whole_product_top(histories, whole, 10).tobytes())
+
+    def test_odd_slabs_match_the_reference(self, monkeypatch):
+        # Five-item slabs: 23 items make four whole slabs and a short one.
+        # Item 22 has no rating and user 7 has one.
+        monkeypatch.setattr(recsys, "_RANK_COLUMNS", 5)
+        rng = np.random.default_rng(23)
+        rated = rng.random((12, 23)) < 0.3
+        rated[:, 22] = False
+        rated[7] = False
+        rated[7, 4] = True
+        matrix = InteractionMatrix(users=12, items=23, pairs=np.argwhere(rated))
+        histories = recsys._histories(matrix)
+        assert build_similarity(matrix).toarray().tobytes() == \
+            reference_jaccard(matrix).tobytes()
+        for k_prime in (1, 6, 25):
+            top = assert_ranked_as_reference(matrix, k_prime)
+            assert top.tobytes() == whole_product_top(
+                histories, reference_jaccard(matrix), k_prime).tobytes()
+            assert not (top == 22).any() and (top[7] >= 0).any()
+        params = SmoothingParams(0.2, 0.3)
+        counts, abstains = reference_item_votes(matrix, 6, params, 6,
+                                                master_seed=4)
+        for threads in (1, 2):
+            table = collect_item_votes(matrix, 6, params, 6, master_seed=4,
+                                       threads=threads)
+            assert table.counts.astype(np.int64).tobytes() == counts.tobytes()
+            assert table.abstains.tobytes() == abstains.tobytes()
+        assert counts.any() and not counts[:, 22].any()
 
 
 class TestCollectItemVotes:
@@ -408,16 +437,17 @@ class TestCollectItemVotes:
 
     def test_ranking_blocks_reuse_one_workspace(self, monkeypatch):
         # 300 users rating about 6 % of 1500 items, as in MovieLens-100k:
-        # six column blocks. Every block writes into the buffers that the
-        # call allocates before its first block, so each block after it
-        # allocates less than one users x block float64 array.
+        # six column blocks of six item slabs each. Every slab writes into
+        # the buffers that the call allocates before its first slab, so
+        # each slab after it allocates less than one users x block float64
+        # array.
         rng = np.random.default_rng(1500)
         matrix = InteractionMatrix(users=300, items=1500,
                                    pairs=np.argwhere(rng.random((300, 1500)) < 0.06))
         histories = recsys._histories(matrix)
         one_block = matrix.users * recsys._RANK_COLUMNS * 8
         rises, start = [], []
-        jaccard = recsys._jaccard_columns
+        slab = recsys._jaccard_slab
 
         def block_start():
             if start:
@@ -427,8 +457,8 @@ class TestCollectItemVotes:
 
         def traced(*args):
             block_start()
-            return jaccard(*args)
-        monkeypatch.setattr(recsys, "_jaccard_columns", traced)
+            return slab(*args)
+        monkeypatch.setattr(recsys, "_jaccard_slab", traced)
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
@@ -438,7 +468,7 @@ class TestCollectItemVotes:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert len(rises) == 6
+        assert len(rises) == 6 * 6
         assert max(rises[1:]) < one_block, rises
 
     def test_frequencies_match_enumeration(self, enum_matrix):
@@ -506,8 +536,15 @@ class TestBoundedVoteMemory:
                 + 2 * users * (k + width) * 8   # scores, partitioned scores
                 + users * (k + width)           # candidate mask
                 + 2 * users * width * 8         # rated and scored blocks
-                + items * width * 8             # similarity block
-                + width * width * 8)            # Jaccard denominator slab
+                + 2 * width * width * 8)        # Jaccard slab, denominators
+
+    @pytest.mark.parametrize("items", [2000, 50_000])
+    def test_workspace_bytes_do_not_grow_with_the_items(self, items):
+        # Past one block of columns, a workspace holds no buffer that grows
+        # with the item count: 50 000 items take the bytes of 2000.
+        built = traced_peak(lambda: recsys._RankingWorkspace(
+            self.matrix.users, items, self.k_prime))
+        assert 0 <= built - self.workspace() < 4096, built
 
     def collect(self, num_samples, threads):
         return collect_item_votes(self.matrix, num_samples, self.params,
@@ -753,8 +790,10 @@ class TestCertifiedOverlapRadii:
     noise = SmoothingParams(0.1, 0.55)
 
     def test_row_blocks_give_the_reference_radii(self, monkeypatch):
-        # Blocks of 3 rows split most tables' users into several blocks.
+        # Blocks of 3 rows split most tables' users into several blocks,
+        # and blocks of 5 (user, r) rows their bounds.
         monkeypatch.setattr(recsys, "_OVERLAP_ROWS", 3)
+        monkeypatch.setattr(recsys, "_OVERLAP_BOUNDS", 5)
         rng = np.random.default_rng(2025)
         certifying = 0
         for _ in range(40):
