@@ -9,6 +9,8 @@ p-value calls the binomial CDF kernel that ``stats.binom.cdf`` calls.
 """
 from __future__ import annotations
 
+from operator import index
+
 import numpy as np
 from scipy import special
 from scipy.special._ufuncs import _binom_cdf
@@ -41,40 +43,42 @@ def largest_certified_rho(holds, rows: int) -> np.ndarray:
     return passed
 
 
-def _validate_counts(tau: int, rho: int) -> None:
+def _all_removed(p_n: float, q: float, tau, rho):
+    """``(p_n + (1 - p_n) * q**tau) ** rho``: the probability that each of
+    rho injected nodes is deleted or loses all its (at most tau) edges, an
+    edge being lost with probability ``q``. Integers give a float, and a 1-d
+    integer array of ``tau`` or of ``rho`` an array, each distinct value
+    evaluated once. Python's scalar powers throughout: numpy's array power
+    rounds some of them differently."""
+    if np.ndim(tau) or np.ndim(rho):
+        by_tau = np.ndim(tau) > 0
+        values, at = np.unique(tau if by_tau else rho, return_inverse=True)
+        return np.array([_all_removed(p_n, q, v, rho) if by_tau
+                         else _all_removed(p_n, q, tau, v)
+                         for v in values.tolist()])[at]
+    tau, rho = index(tau), index(rho)
     if tau < 1:
         raise ValueError("tau must be >= 1")
     if rho < 0:
         raise ValueError("rho must be >= 0")
+    return 1.0 if rho == 0 else (p_n + (1.0 - p_n) * q**tau) ** rho
 
 
-def _all_removed(p_n: float, q: float, tau: int, rho: int) -> float:
-    """``(p_n + (1 - p_n) * q**tau) ** rho``: the probability that each of
-    rho injected nodes is deleted or loses all its (at most tau) edges, an
-    edge being lost with probability ``q``. Scalar powers throughout: numpy's
-    array power rounds some of them differently."""
-    _validate_counts(tau, rho)
-    if rho == 0:
-        return 1.0
-    inner = p_n + (1.0 - p_n) * q**tau
-    return inner**rho
-
-
-def prob_all_removed(params: SmoothingParams, tau: int, rho: int) -> float:
+def prob_all_removed(params: SmoothingParams, tau, rho):
     """Probability that smoothing disconnects every injected node.
 
     An injected node vanishes from the sample if the node-deletion coin fires,
     or if each of its (at most tau) edges is dropped, an edge falling either
     to the edge coin or to deletion of the endpoint it attaches to. With rho
     independent injected nodes the probability is
-    ``(p_n + (1 - p_n) * (p_e + p_n - p_e * p_n)**tau) ** rho``.
-    """
+    ``(p_n + (1 - p_n) * (p_e + p_n - p_e * p_n)**tau) ** rho``, at each
+    value of a 1-d integer array of ``tau`` or of ``rho``."""
     q = params.p_e + params.p_n - params.p_e * params.p_n
     return _all_removed(params.p_n, q, tau, rho)
 
 
-def prob_all_removed_recsys(params: SmoothingParams, tau: int, rho: int) -> float:
-    """Bipartite variant of :func:`prob_all_removed`.
+def prob_all_removed_recsys(params: SmoothingParams, tau, rho):
+    """Bipartite variant of :func:`prob_all_removed`, over the same arguments.
 
     Injected users attach only to items, and items are never deleted, so each
     injected rating survives unless its own coin fires:
@@ -83,16 +87,16 @@ def prob_all_removed_recsys(params: SmoothingParams, tau: int, rho: int) -> floa
     return _all_removed(params.p_n, params.p_e, tau, rho)
 
 
-def node_retention_probs(params: SmoothingParams, degree: int) -> tuple[float, float]:
+def node_retention_probs(params: SmoothingParams, degree):
     """Isolation probabilities of a degree-d node, clean and attacked.
 
     Returns ``(p_isolated, p_isolated_attacked_lower)``: the exact probability
     that smoothing isolates the node in the clean graph (exponent d) and a
     lower bound on the same probability after an attack that may at most
     double the node's degree (exponent 2d). The first always dominates the
-    second since the per-edge survival factor is at most one.
-    """
-    if degree < 1:
+    second since the per-edge survival factor is at most one. A 1-d integer
+    array of degrees gives a pair of arrays."""
+    if np.any(np.less(degree, 1)):
         raise ValueError("exclusion mode is undefined for isolated nodes (degree 0)")
     if params.p_e >= 1.0 or params.p_n >= 1.0:
         raise ValueError("retention probabilities require p_e < 1 and p_n < 1")

@@ -113,8 +113,8 @@ class RunConfig:
             if f.name in _DIMENSIONS and getattr(self, f.name) > sys.maxsize:
                 raise UsageError(f"{f.metadata['flag']} must be at most {sys.maxsize}, "
                                  "numpy's largest array dimension")
-        if self.num_samples < 1:
-            raise UsageError("sample count must be >= 1")
+        if not 1 <= self.num_samples <= 2**64 - 1:  # indices lie in [0, 2**64 - 1)
+            raise UsageError("--n must lie in [1, 2**64 - 1]")
         if self.threads < 1:
             raise UsageError("threads must be >= 1")
         if not self.tau or any(t < 1 for t in self.tau):
@@ -280,16 +280,16 @@ def _run_certify_nodes(config: RunConfig) -> tuple[list, dict]:
 def _run_certify_recsys(config: RunConfig) -> tuple[list, dict]:
     matrix, held_out = load_interaction_dataset(config.ratings,
                                                 config.split_fraction)
+    ground_truths = {u: held_out[u] for u in range(matrix.users)
+                     if len(held_out[u]) > 0 and matrix.user_degrees[u] >= 1}
+    if not ground_truths:
+        raise ValueError("no user has both training ratings and held-out items")
     params = SmoothingParams(p_e=config.p_e, p_n=config.p_n)
     _log(f"collecting {config.num_samples} recommendation votes over "
          f"{matrix.users} users / {matrix.items} items")
     table = collect_item_votes(matrix, config.num_samples, params, config.k_prime,
                                derive_sample_seed(config.master_seed, _VOTES_STREAM),
                                threads=config.threads)
-    ground_truths = {u: held_out[u] for u in range(matrix.users)
-                     if len(held_out[u]) > 0 and table.degrees[u] >= 1}
-    if not ground_truths:
-        raise ValueError("no user has both training ratings and held-out items")
     curves = [recommender_curve(table, ground_truths, config.k, tau, config.alpha)
               for tau in config.tau]
     return curves, {"evaluated_users": len(ground_truths)}

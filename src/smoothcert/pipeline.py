@@ -421,14 +421,14 @@ def certified_radii(table: VoteTable, tau: int, alpha: float, nodes):
     abstained = np.array([abstain_test(int(t), int(r), alpha)
                           for t, r in zip(top, runner)], dtype=bool)
     candidates = np.flatnonzero(~abstained & ((node_degrees >= 1) | (not exclude)))
-    retention = [node_retention_probs(params, int(node_degrees[j]))
-                 if exclude else () for j in candidates]
+    # Python floats, as the scalar margins take them.
+    retention = (np.column_stack(node_retention_probs(params, node_degrees[candidates]))
+                 if exclude else np.empty((candidates.size, 0))).tolist()
 
     def holds(rho, live):
-        budgets, at = np.unique(rho, return_inverse=True)
-        removed = [prob_all_removed(params, tau, int(b)) for b in budgets]
-        return [margin(lowers[j], uppers[j], removed[a], *retention[i]) > 0.0
-                for a, i, j in zip(at, live, candidates[live])]
+        removed = prob_all_removed(params, tau, rho).tolist()
+        return [margin(lowers[j], uppers[j], p, *retention[i]) > 0.0
+                for p, i, j in zip(removed, live, candidates[live])]
 
     radius = np.full(nodes.size, -1, dtype=np.int64)
     radius[candidates] = largest_certified_rho(holds, candidates.size)
@@ -452,8 +452,7 @@ def certified_accuracy_curve(table: VoteTable, labels, tau: int, alpha: float,
     correct = majority == labels[nodes]
     # The first rho at which the all-removed probability is at most 1/2.
     rho_cut = 1 + int(largest_certified_rho(
-        lambda rho, _: [prob_all_removed(table.params, tau, int(r)) > 0.5
-                        for r in rho], 1)[0])
+        lambda rho, _: prob_all_removed(table.params, tau, rho) > 0.5, 1)[0])
     reached = radius[correct]
     last = min(RHO_CAP, max(rho_cut, int(reached.max(initial=-1)) + 1))
     # Correct nodes with radius exactly r, then with radius >= r.

@@ -350,9 +350,7 @@ def _overlap_radii(table: ItemVoteTable,
     candidates = k - r + 1
     level = alpha / (sizes[user] + candidates)
     gt_count = gt_counts[np.repeat(np.cumsum(sizes) - sizes, per_user) + r - 1]
-    degrees, at = np.unique(table.degrees[users], return_inverse=True)
-    p_isolated = np.array([prob_all_removed_recsys(params, int(d), 1)
-                           for d in degrees])[at][user]
+    p_isolated = prob_all_removed_recsys(params, table.degrees[users], 1)[user]
     # Row (user, r) bounds the top k - r + 1 other counts, or all of them,
     # in ascending order, and sums them up. The rows are bounded in blocks,
     # so the gathered counts and masks never span every row.
@@ -370,11 +368,9 @@ def _overlap_radii(table: ItemVoteTable,
     lowers = clopper_pearson_lower(gt_count, table.num_samples, level)
 
     def holds(rho, live):
-        budgets, at = np.unique(rho, return_inverse=True)
-        p_hat = np.array([prob_all_removed_recsys(params, tau, int(b))
-                          for b in budgets])[at]
-        return _certifies_overlap(lowers[live], sums[live], take[live],
-                                  table.k_prime, p_hat, p_isolated[live])
+        return _certifies_overlap(lowers[live], sums[live], take[live], table.k_prime,
+                                  prob_all_removed_recsys(params, tau, rho),
+                                  p_isolated[live])
 
     radii = np.full((users.size, k), -1, dtype=np.int64)
     radii[user, r - 1] = largest_certified_rho(holds, r.size)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,71 @@ class TestNodeRetentionProbs:
             node_retention_probs(SmoothingParams(0.5, 0.5), 0)
         with pytest.raises(ValueError):
             node_retention_probs(SmoothingParams(1.0, 0.5), 3)
+
+
+class TestArrayForms:
+    """An integer array of budgets or degrees gives, at each element, the
+    bits of the scalar call: numpy's array power would round some
+    differently."""
+
+    PARAMS = [SmoothingParams(0.1, 0.8), SmoothingParams(0.37, 0.11),
+              SmoothingParams(0.93, 0.05), SmoothingParams(0.0, 0.6)]
+
+    @staticmethod
+    def values(seed, low, high):
+        values = np.random.default_rng(seed).integers(low, high, 300)
+        return np.concatenate([values, values[:50], [low, low]])  # repeats
+
+    @staticmethod
+    def assert_elementwise(array, scalars):
+        assert array.dtype == np.float64 and array.shape == (len(scalars),)
+        for got, want in zip(array, scalars):
+            assert type(want) is float
+            assert got.tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("params", PARAMS)
+    @pytest.mark.parametrize("function", [prob_all_removed, prob_all_removed_recsys])
+    def test_all_removed_over_budgets(self, function, params):
+        rho, tau = self.values(0, 0, 10**6), self.values(1, 1, 60)
+        for fixed_tau in (1, 7, 2**64):
+            self.assert_elementwise(function(params, fixed_tau, rho),
+                                    [function(params, fixed_tau, int(r)) for r in rho])
+        for fixed_rho in (0, 1, 13, 10**6):
+            self.assert_elementwise(function(params, tau, fixed_rho),
+                                    [function(params, int(t), fixed_rho) for t in tau])
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_retention_over_degrees(self, params):
+        degrees = self.values(2, 1, 500)
+        clean, attacked = node_retention_probs(params, degrees)
+        pairs = [node_retention_probs(params, int(d)) for d in degrees]
+        self.assert_elementwise(clean, [p for p, _ in pairs])
+        self.assert_elementwise(attacked, [p for _, p in pairs])
+
+    def test_integers_give_a_float(self):
+        params = SmoothingParams(0.3, 0.4)
+        for tau, rho in ((3, 2), (np.int64(3), np.int64(2)), (2**64, 5), (4, 0)):
+            assert type(prob_all_removed(params, tau, rho)) is float
+            assert type(prob_all_removed_recsys(params, tau, rho)) is float
+        assert all(type(p) is float for p in node_retention_probs(params, np.int64(3)))
+
+    def test_an_empty_array_gives_an_empty_array(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert prob_all_removed(SmoothingParams(0.3, 0.4), 5, empty).shape == (0,)
+
+    def test_arrays_are_validated_like_scalars(self):
+        params = SmoothingParams(0.5, 0.5)
+        for scalar, array in (
+                (lambda: node_retention_probs(params, 0),
+                 lambda: node_retention_probs(params, np.array([3, 0, 2]))),
+                (lambda: prob_all_removed(params, 0, 1),
+                 lambda: prob_all_removed(params, np.array([2, 0]), 1)),
+                (lambda: prob_all_removed(params, 1, -1),
+                 lambda: prob_all_removed(params, 1, np.array([4, -1])))):
+            with pytest.raises(ValueError) as expected:
+                scalar()
+            with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+                array()
 
 
 class TestMargins:

@@ -18,6 +18,25 @@ def make_tiny_dataset(tmp_path, seed=0):
     return out / "edges.tsv", out / "nodes.csv"
 
 
+def make_group_ratings(tmp_path):
+    """Two taste groups of six users over six items each; every user rates
+    its group's items and rates one of them last, so the held-out items are
+    the ones the group recommends and the curve certifies."""
+    lines = [f"{u}\t{(0 if u < 6 else 10) + j}\t4\t{100 if j == u % 6 else j}"
+             for u in range(12) for j in range(6)]
+    ratings = tmp_path / "u.data"
+    ratings.write_text("\n".join(lines) + "\n")
+    return ratings
+
+
+GROUP_RUN = ["--p-e", "0.2", "--p-n", "0.4", "--n", "400", "--k", "1",
+             "--k-prime", "2", "--split-fraction", "0.8", "--seed", "2"]
+
+# A budget past any machine integer and a large one: q**tau is 0.0 at both,
+# so their curves are the same bytes.
+HUGE_TAUS = ("18446744073709551616", "1000000")
+
+
 def make_tiny_ratings(tmp_path):
     # 8 users in two taste groups of four, each group over its own six
     # items. Every user rates all six; the two it rates last are held
@@ -300,6 +319,18 @@ class TestParseConfig:
         with pytest.raises(UsageError, match="--seed must lie in"):
             parse_config(["gen-synth", "--out", "x", "--config", str(config)])
 
+    @pytest.mark.parametrize("n", [2**64, 2**70])
+    def test_sample_count_past_the_index_range_is_usage_error(self, tmp_path, n):
+        # Sample indices lie in [0, 2**64 - 1): refused before any training.
+        argv = ["certify-evasion", *self.NODE_RUN]
+        with pytest.raises(UsageError, match=r"--n must lie in \[1, 2\*\*64 - 1\]"):
+            parse_config(argv + ["--n", str(n)])
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"num_samples": n}))
+        with pytest.raises(UsageError, match="--n must lie in"):
+            parse_config(argv + ["--config", str(config)])
+        assert parse_config(argv + ["--n", str(2**64 - 1)]).num_samples == 2**64 - 1
+
     def test_seed_range_ends_are_accepted(self):
         for seed in (0, 2**64 - 1):
             assert parse_config(["gen-synth", "--out", "x", "--seed",
@@ -443,6 +474,16 @@ class TestCertifyEvasionCommand:
         rows = (out / "curve_tau5.csv").read_text().strip().splitlines()[1:]
         assert [int(r.split(",")[0]) for r in rows] == [0, 1]
 
+    def test_huge_budgets_give_the_same_curve(self, tmp_path):
+        edges, nodes = make_tiny_dataset(tmp_path)
+        out = tmp_path / "huge"
+        assert main(["certify-evasion", "--out", str(out),
+                     "--dataset-edges", str(edges), "--dataset-nodes", str(nodes),
+                     "--p-e", "0.1", "--p-n", "0.8", "--tau", *HUGE_TAUS,
+                     "--n", "150", "--seed", "11"] + FAST_MODEL) == 0
+        huge, large = (out / f"curve_tau{tau}.csv" for tau in HUGE_TAUS)
+        assert huge.read_bytes() == large.read_bytes()
+
     def test_missing_dataset_file_is_runtime_error(self, tmp_path, capsys):
         code = main(["certify-evasion", "--out", str(tmp_path / "o"),
                      "--dataset-edges", str(tmp_path / "missing.tsv"),
@@ -527,27 +568,42 @@ class TestCertifyRecsysCommand:
         assert rho == "0" and float(precision) > 0
 
     def test_byte_identical_reruns(self, tmp_path, monkeypatch):
-        # Two taste groups of six users over six items each; every user
-        # rates its group's items and rates one of them last, so the held-out
-        # items are the ones the group recommends and the curve certifies.
-        lines = [f"{u}\t{(0 if u < 6 else 10) + j}\t4\t{100 if j == u % 6 else j}"
-                 for u in range(12) for j in range(6)]
-        (tmp_path / "u.data").write_text("\n".join(lines) + "\n")
+        make_group_ratings(tmp_path)
         # Relative paths, so both runs echo the same config into report.json.
         for where in ("x", "y"):
             (tmp_path / where).mkdir()
             monkeypatch.chdir(tmp_path / where)
             assert main(["certify-recsys", "--out", "run", "--ratings",
-                         "../u.data", "--p-e", "0.2", "--p-n", "0.4",
-                         "--tau", "2", "3", "--n", "400", "--k", "1",
-                         "--k-prime", "2", "--split-fraction", "0.8",
-                         "--seed", "2"]) == 0
+                         "../u.data", "--tau", "2", "3", *GROUP_RUN]) == 0
         first, second = tmp_path / "x" / "run", tmp_path / "y" / "run"
         assert (first / "recsys_curve_tau2.csv").read_text().splitlines()[1] \
             == "0,1,0.5"
         for name in ("recsys_curve_tau2.csv", "recsys_curve_tau3.csv",
                      "report.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_huge_budgets_give_the_same_curve(self, tmp_path):
+        out = tmp_path / "rec"
+        assert main(["certify-recsys", "--out", str(out), "--ratings",
+                     str(make_group_ratings(tmp_path)), "--tau", *HUGE_TAUS,
+                     *GROUP_RUN]) == 0
+        huge, large = (out / f"recsys_curve_tau{tau}.csv" for tau in HUGE_TAUS)
+        assert huge.read_text().splitlines()[1:] == ["0,1,0.5", "1,0,0"]
+        assert huge.read_bytes() == large.read_bytes()
+
+    @pytest.mark.parametrize("log", ["", "0\t0\t4\t1\n1\t1\t4\t2\n"])
+    def test_a_log_without_evaluable_users_is_refused_before_voting(
+            self, tmp_path, capsys, monkeypatch, log):
+        # An empty log, and one whose users keep every rating in training.
+        (tmp_path / "u.data").write_text(log)
+        voted = []
+        monkeypatch.setattr(cli, "collect_item_votes",
+                            lambda *a, **k: voted.append(a))
+        code = main(["certify-recsys", "--out", str(tmp_path / "o"), "--ratings",
+                     str(tmp_path / "u.data"), "--p-n", "0.5"])
+        assert code == 1 and voted == []
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: no user has both training ratings and held-out items")
 
 
 class TestEmpiricalAttackCommand:

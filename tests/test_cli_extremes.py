@@ -61,13 +61,15 @@ SETTINGS = {
 
 # Runs that must exit 2 with a message that names the setting. A seed is
 # mixed modulo 2**64 and would otherwise alias another; an axis longer than
-# numpy's largest dimension would fail with numpy's message alone.
+# numpy's largest dimension would fail with numpy's message alone; a sample
+# count past the index range would fail only after the model is trained.
 USAGE_ERRORS = {
     "--seed=-1": "--seed must lie in [0, 2**64)",
     f"--seed={BIG}": "--seed must lie in [0, 2**64)",
     f"--hidden-dim={BIG}": "--hidden-dim must be at most",
     f"--synth-d={BIG}": "--synth-d must be at most",
     f"--k-prime={BIG}": "--k-prime must be at most",
+    f"--n={BIG}": "--n must lie in [1, 2**64 - 1]",
 }
 
 

@@ -10,7 +10,10 @@ the workers that count for it return nothing. Every report is rendered by
 one writer, ``write_report``: it and ``AttackPlan.to_json`` are the only
 callers of the JSON encoder. Every radius is found by one search,
 ``largest_certified_rho``: no other function loops over the budget up to
-``RHO_CAP``. The recommender ranks through ``top_items`` only: the
+``RHO_CAP``. The closed forms ``prob_all_removed``,
+``prob_all_removed_recsys`` and ``node_retention_probs`` evaluate arrays of
+budgets and degrees, each distinct value once: outside ``certify.py`` no
+loop or comprehension calls them. The recommender ranks through ``top_items`` only: the
 whole-matrix ``build_similarity`` and the one-user ``recommend_topk`` are
 kept for the benchmark's fixture and hooks, and nothing in the package
 calls them. The only private scipy names the package imports are pinned,
@@ -388,6 +391,41 @@ def test_stray_scan_is_detected(tmp_path):
     assert while_loops(source) == [(3, "certified_radii.holds")]
     assert rho_cap_loops(source) == [(3, "certified_radii.holds"),
                                      (7, "curve"), (9, "largest_certified_rho")]
+
+
+CLOSED_FORMS = ("prob_all_removed", "prob_all_removed_recsys",
+                "node_retention_probs")
+
+
+def closed_form_loops(path):
+    """``(line, scope)`` of every loop or comprehension that names one of
+    the closed forms: per-value calls that their array forms replace."""
+    return scoped(path, lambda node: isinstance(node, LOOPS)
+                  and any(names(node, name) for name in CLOSED_FORMS))
+
+
+def test_closed_forms_are_called_on_arrays_not_in_loops():
+    loops = [(path.name, line, scope) for path in SOURCES
+             if path.name != "certify.py"
+             for line, scope in closed_form_loops(path)]
+    assert loops == []
+
+
+def test_closed_form_loop_is_detected(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("def certified_radii(params, tau, degrees):\n"
+                      "    retention = [node_retention_probs(params, int(d))\n"
+                      "                 for d in degrees]\n"
+                      "    def holds(rho, live):\n"
+                      "        for b in rho:\n"
+                      "            certify.prob_all_removed(params, tau, b)\n"
+                      "        return prob_all_removed(params, tau, rho)\n"
+                      "    return retention, holds\n"
+                      "def curve(params, tau):\n"
+                      "    cut = lambda rho, _: prob_all_removed_recsys(params, tau, rho)\n"
+                      "    return [cut(rho, None) for rho in range(3)]\n")
+    assert closed_form_loops(source) == [(2, "certified_radii"),
+                                         (5, "certified_radii.holds")]
 
 
 MODELS = next(path for path in SOURCES if path.name == "models.py")
