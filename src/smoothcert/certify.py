@@ -105,30 +105,28 @@ def node_retention_probs(params: SmoothingParams, degree):
             prob_all_removed(params, 2 * degree, 1))
 
 
-def margin_include(p_top_lower: float, p_runner_upper: float,
-                   p_all_removed: float) -> float:
-    """Worst-case vote margin when isolated nodes still receive predictions:
-    :func:`margin_exclude` for a node that is never isolated. Total in all
-    arguments, including crossed bounds."""
-    return margin_exclude(p_top_lower, p_runner_upper, p_all_removed, 0.0, 0.0)
+def margin(p_top_lower, p_runner_upper, p_all_removed, p_isolated=0.0,
+           p_isolated_attacked_lower=0.0):
+    """Worst-case vote margin of the certificate, over floats or arrays.
 
-
-def margin_exclude(p_top_lower: float, p_runner_upper: float, p_all_removed: float,
-                   p_isolated: float, p_isolated_attacked_lower: float) -> float:
-    """Worst-case vote margin when isolated nodes abstain from voting.
-
+    When isolated nodes abstain from voting (exclude mode),
     ``p_isolated`` is the clean-graph isolation probability of the query node
     and ``p_isolated_attacked_lower`` the degree-doubled lower bound on the
     attacked one; the two sides of the margin are bounded with the endpoint
-    that is conservative for each.
+    that is conservative for each. When isolated nodes still receive
+    predictions (include mode), both are zero: a node that is never
+    isolated. Total in the first three arguments, including crossed bounds.
     """
-    if p_isolated >= 1.0:
+    if np.any(np.greater_equal(p_isolated, 1.0)):
         raise ValueError("p_isolated must be < 1 (node would never vote)")
     kept_attacked = 1.0 - p_isolated_attacked_lower
     return (p_all_removed * (p_top_lower
                              - kept_attacked * p_runner_upper / (1.0 - p_isolated)
                              + kept_attacked)
             - kept_attacked)
+
+
+margin_include = margin_exclude = margin  # the two modes' names
 
 
 def _checked_counts(successes, trials: int, level):

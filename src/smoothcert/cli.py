@@ -24,9 +24,8 @@ from .graph import (PerturbationBudget, generate_sbm,
                     load_interaction_dataset, load_node_classification_dataset,
                     save_node_classification_dataset, seeded_split)
 from .models import KINDS, ClassifierSpec, train_with_noise
-from .pipeline import (certified_accuracy_at, certified_accuracy_curve,
-                       collect_votes_evasion, collect_votes_poisoning,
-                       write_report)
+from .pipeline import (certified_accuracy_curve, collect_votes_evasion,
+                       collect_votes_poisoning, write_report)
 from .recsys import collect_item_votes, recommender_curve
 from .recsys import write_recommender_report  # noqa: F401 (perfbench/traced.py hook)
 from .sampling import SmoothingParams, derive_sample_seed
@@ -321,8 +320,12 @@ def _run_empirical_attack(config: RunConfig) -> tuple[list, dict]:
                                            votes_seed, threads=config.threads)
     clean_acc, attacked_acc = empirical_accuracy(clean_votes, attacked_votes,
                                                  graph.labels, split.test)
-    certified = certified_accuracy_at(clean_votes, graph.labels, budget,
-                                      config.alpha, nodes=split.test)
+    # The accuracy certified at the budget: the clean curve's point at rho,
+    # or zero past its last one.
+    points = certified_accuracy_curve(clean_votes, graph.labels, tau,
+                                      config.alpha, nodes=split.test).points
+    certified = (points[config.rho].certified_accuracy
+                 if config.rho < len(points) else 0.0)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "attack_plan.json").write_text(plan.to_json() + "\n", encoding="utf-8")

@@ -482,9 +482,7 @@ def train_predict_end_to_end(spec: ClassifierSpec, graph: Graph,
 
     Training nodes isolated in the graph are bypassed by the loss. The
     prediction runs in the training's own workspace, so one call holds one
-    set of n-row buffers; every row of it is live, so its activations in
-    ``hidden`` are the second layer's operand, with no copy into ``h1``.
-    Returns every node's class id, or None when every
+    set of n-row buffers. Returns every node's class id, or None when every
     training node is isolated: there is nothing to train on. Raises
     ``FloatingPointError`` naming the first node whose logits are not finite.
     """
@@ -501,5 +499,4 @@ def train_predict_end_to_end(spec: ClassifierSpec, graph: Graph,
     with np.errstate(over="ignore", invalid="ignore"):  # _predict_all reports it
         t1 = np.matmul(graph.features, weights["w1"], out=work.t1)
     operator = normalized_operator(graph.n, edges)
-    work.h1 = work.hidden  # training is done with its own h1
     return _predict_all(weights, operator, operator, t1, np.arange(graph.n), work)

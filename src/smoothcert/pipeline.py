@@ -11,6 +11,7 @@ that reads them widens them to int64 before any arithmetic.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -22,10 +23,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .certify import (RHO_CAP, abstain_test, clopper_pearson_lower,
-                      clopper_pearson_upper, largest_certified_rho, margin_exclude,
-                      margin_include, node_retention_probs, prob_all_removed)
-from .graph import Graph, DataSplit, PerturbationBudget
+from .certify import (abstain_test, clopper_pearson_lower, clopper_pearson_upper,
+                      largest_certified_rho, margin, node_retention_probs,
+                      prob_all_removed)
+from .certify import margin_exclude, margin_include  # noqa: F401 (benchmark hooks)
+from .graph import Graph, DataSplit
 from .models import (ClassifierSpec, TrainedModel, Workspace,
                      feature_transform, predict, predict_rows,
                      train_predict_end_to_end)
@@ -277,9 +279,15 @@ def collect_votes_evasion(model: TrainedModel, graph: Graph, num_samples: int,
         counts[np.arange(n), isolated] += (hi - lo) - counts.sum(axis=1)
         add(counts)
 
+    # Two trainings of one spec can give other weights, whose votes must
+    # not merge: the table names the model's weights too.
+    weights = hashlib.sha256()
+    for name in ("w1", "b1", "w2", "b2"):
+        weights.update(np.ascontiguousarray(model.weights[name]).tobytes())
     provenance = {"kind": "evasion", "master_seed": int(master_seed),
                   "graph": graph.fingerprint(), "model_graph": model.graph_fingerprint,
-                  "model_spec": asdict(model.spec)}
+                  "model_spec": asdict(model.spec),
+                  "model_weights": weights.hexdigest()}
     return VoteTable.collect(worker, (n, num_classes), num_samples, first_index,
                              threads, params=params, degrees=graph.degrees,
                              provenance=provenance)
@@ -417,18 +425,17 @@ def certified_radii(table: VoteTable, tau: int, alpha: float, nodes):
     lowers = clopper_pearson_lower(top, table.num_samples, level)
     uppers = clopper_pearson_upper(runner, table.num_samples, level)
 
-    margin = margin_exclude if exclude else margin_include
     abstained = np.array([abstain_test(int(t), int(r), alpha)
                           for t, r in zip(top, runner)], dtype=bool)
     candidates = np.flatnonzero(~abstained & ((node_degrees >= 1) | (not exclude)))
-    # Python floats, as the scalar margins take them.
-    retention = (np.column_stack(node_retention_probs(params, node_degrees[candidates]))
-                 if exclude else np.empty((candidates.size, 0))).tolist()
+    lowers, uppers = lowers[candidates], uppers[candidates]
+    # Include mode is the margin of a node that is never isolated.
+    isolated, attacked = (node_retention_probs(params, node_degrees[candidates])
+                          if exclude else (np.zeros(candidates.size),) * 2)
 
     def holds(rho, live):
-        removed = prob_all_removed(params, tau, rho).tolist()
-        return [margin(lowers[j], uppers[j], p, *retention[i]) > 0.0
-                for p, i, j in zip(removed, live, candidates[live])]
+        return margin(lowers[live], uppers[live], prob_all_removed(params, tau, rho),
+                      isolated[live], attacked[live]) > 0.0
 
     radius = np.full(nodes.size, -1, dtype=np.int64)
     radius[candidates] = largest_certified_rho(holds, candidates.size)
@@ -441,11 +448,13 @@ def certified_accuracy_curve(table: VoteTable, labels, tau: int, alpha: float,
 
     The accuracy at rho is the share of nodes whose majority is correct and
     whose radius (:func:`certified_radii`) reaches rho. The grid runs from 0
-    to the first rho at which the all-removed probability drops to 1/2,
-    extended while any node still certifies, under a hard cap, so the curve
-    always terminates at zero. Abstaining nodes count against certified
-    accuracy but are reported separately as the abstain rate; clean accuracy
-    is majority-vote correctness ignoring certification.
+    to the first rho at which the all-removed probability drops to 1/2, and
+    on to one past the largest radius of a correct node, so the curve always
+    terminates at zero. Radii stop at the radius search's cap, so a node
+    certified there reads 0 one budget past it. Abstaining nodes count
+    against certified accuracy but are reported separately as the abstain
+    rate; clean accuracy is majority-vote correctness ignoring
+    certification.
     """
     labels, nodes = _labeled_nodes(table, labels, nodes)
     abstained, majority, radius = certified_radii(table, tau, alpha, nodes)
@@ -454,7 +463,7 @@ def certified_accuracy_curve(table: VoteTable, labels, tau: int, alpha: float,
     rho_cut = 1 + int(largest_certified_rho(
         lambda rho, _: prob_all_removed(table.params, tau, rho) > 0.5, 1)[0])
     reached = radius[correct]
-    last = min(RHO_CAP, max(rho_cut, int(reached.max(initial=-1)) + 1))
+    last = max(rho_cut, int(reached.max(initial=-1)) + 1)
     # Correct nodes with radius exactly r, then with radius >= r.
     exact = np.bincount(reached[reached >= 0], minlength=last + 1)
     accuracy = np.cumsum(exact[::-1])[::-1] / nodes.size
@@ -464,14 +473,6 @@ def certified_accuracy_curve(table: VoteTable, labels, tau: int, alpha: float,
                    for rho in range(last + 1))
     return CertCurve(tau=tau, points=points,
                      clean_accuracy=float(np.mean(correct)))
-
-
-def certified_accuracy_at(table: VoteTable, labels, budget: PerturbationBudget,
-                          alpha: float, nodes=None) -> float:
-    """Certified accuracy at a single budget: one point of the curve."""
-    labels, nodes = _labeled_nodes(table, labels, nodes)
-    _, majority, radius = certified_radii(table, budget.tau, alpha, nodes)
-    return float(np.mean((majority == labels[nodes]) & (radius >= budget.rho)))
 
 
 def average_certified_radius(curve: CertCurve) -> float:

@@ -14,7 +14,7 @@ from .graph import InteractionMatrix, PerturbationBudget
 from .models import add_sparse_product
 from .pipeline import BaseVoteTable, Curve, write_report
 from .sampling import SmoothingParams, derive_sample_seed, sample_smoothed_ratings
-from .certify import (RHO_CAP, clopper_pearson_lower, clopper_pearson_upper,
+from .certify import (clopper_pearson_lower, clopper_pearson_upper,
                       largest_certified_rho, prob_all_removed_recsys)
 
 
@@ -471,7 +471,7 @@ def recommender_curve(table: ItemVoteTable,
     where ``np.sum`` would add pairwise.
     """
     radii, sizes = _overlap_radii(table, ground_truths, k, tau, alpha)
-    last = min(RHO_CAP, int(radii.max(initial=-1)) + 1)
+    last = int(radii.max(initial=-1)) + 1
     points = []
     for rho in range(last + 1):
         overlaps = (radii >= rho).sum(axis=1)

@@ -3,7 +3,8 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from smoothcert import ClassifierSpec, Graph, TrainedModel, generate_sbm, pipeline
+from smoothcert import (ClassifierSpec, Graph, TrainedModel, certify,
+                        generate_sbm, pipeline, recsys)
 
 
 @pytest.fixture
@@ -43,6 +44,17 @@ def sbm_fixture():
     graph, split = generate_sbm(n=120, classes=2, p_in=0.35, p_out=0.02,
                                 d=4, seed=7)
     return graph, split
+
+
+@pytest.fixture
+def small_rho_cap(monkeypatch):
+    """A radius-search cap of 40 instead of ``10**6``, so that a certificate
+    that reaches the cap is fast to search and to draw. The value is set in
+    every certifying module, so a module-level copy of the cap (which the
+    layout rules forbid) could not keep the real one."""
+    for module in (certify, pipeline, recsys):
+        monkeypatch.setattr(module, "RHO_CAP", 40, raising=False)
+    return 40
 
 
 @pytest.fixture

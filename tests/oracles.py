@@ -512,6 +512,29 @@ def reference_certify_node(top, runner, num_samples, params, budget, alpha,
                           *node_retention_probs(params, degree))
 
 
+def reference_certified_accuracy(table, labels, budget, alpha):
+    """Certified accuracy at one budget over all labeled nodes, one node at a
+    time through :func:`reference_certify_node`: the share whose majority
+    is correct and certified. In exclude mode an isolated node is never
+    certified."""
+    labels = np.asarray(labels)
+    certified = []
+    for v in np.flatnonzero(labels >= 0):
+        order = np.argsort(-table.counts[v], kind="stable")
+        top, runner = (int(c) for c in table.counts[v][order[:2]])
+        degree = int(table.degrees[v])
+        if table.mode == "exclude" and degree < 1:
+            margin = None
+        else:
+            margin = reference_certify_node(top, runner, table.num_samples,
+                                            table.params, budget, alpha,
+                                            table.counts.shape[1], table.mode,
+                                            degree)
+        certified.append(order[0] == labels[v] and margin is not None
+                         and margin > 0.0)
+    return float(np.mean(certified))
+
+
 def reference_curve(table, labels, params, tau, alpha, num_classes,
                     mode="include", degrees=None):
     """Certified-accuracy curve over all labeled nodes, one rho at a time.

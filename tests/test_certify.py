@@ -12,7 +12,7 @@ from oracles import (Region, exclude_mode_regions, include_mode_regions,
 from smoothcert import (PerturbationBudget, SmoothingParams,
                         VoteTable, abstain_test, certified_radii,
                         clopper_pearson_lower, clopper_pearson_upper,
-                        majority_pvalue, margin_exclude, margin_include,
+                        majority_pvalue, margin, margin_exclude, margin_include,
                         node_retention_probs, pipeline, prob_all_removed,
                         prob_all_removed_recsys)
 from smoothcert.certify import RHO_CAP, largest_certified_rho
@@ -225,6 +225,22 @@ class TestMargins:
         clipped = margin_exclude(min(0.9, 1 - p_iso), min(0.05, 1 - p_iso),
                                  p_removed, p_iso, p_iso_attacked)
         assert clipped == pytest.approx(oracle, abs=1e-12)
+
+    @pytest.mark.parametrize("exclude", [False, True])
+    def test_arrays_give_the_scalar_bits(self, exclude):
+        rng = np.random.default_rng(3)
+        top, runner, removed = rng.random((3, 500))
+        attacked = rng.random(500) * 0.9 * exclude
+        isolated = attacked + rng.random(500) * 0.09 * exclude
+        got = margin(top, runner, removed, isolated, attacked)
+        expected = [margin(*map(float, args))
+                    for args in zip(top, runner, removed, isolated, attacked)]
+        assert got.tobytes() == np.array(expected).tobytes()
+
+    def test_an_array_with_a_node_that_never_votes_is_refused(self):
+        with pytest.raises(ValueError, match="p_isolated must be < 1"):
+            margin(np.full(3, 0.9), np.full(3, 0.1), np.full(3, 0.5),
+                   np.array([0.2, 1.0, 0.3]), np.full(3, 0.1))
 
 
 class TestWorstCaseSolver:
@@ -666,18 +682,18 @@ class TestMaxCertifiedRho:
 
     def test_large_radius_takes_a_logarithmic_search(self, monkeypatch):
         # 960 and 20 of 1000 votes, 20 abstentions: the radius runs to
-        # hundreds of thousands, which a scan reaches one margin at a time.
+        # hundreds of thousands, which a scan reaches one budget at a time.
         table = VoteTable(counts=[[960, 20]], abstains=[20], num_samples=1000,
                           params=SmoothingParams(0.99, 0.99), degrees=[1],
                           provenance={})
-        margins = []
-        margin = pipeline.margin_include
-        monkeypatch.setattr(pipeline, "margin_include",
-                            lambda *args: margins.append(args) or margin(*args))
+        steps = []  # each search step evaluates the all-removed probability once
+        removed = pipeline.prob_all_removed
+        monkeypatch.setattr(pipeline, "prob_all_removed",
+                            lambda *args: steps.append(args) or removed(*args))
         radius = certified_radii(table, 1, 0.01, [0])[2]
         assert radius.tolist() == reference_radii(table, 1, 0.01, [0])[2].tolist()
         assert radius[0] > 10**5
-        assert len(margins) <= 2 * math.ceil(math.log2(radius[0] + 2)) + 2
+        assert 0 < len(steps) <= 2 * math.ceil(math.log2(radius[0] + 2)) + 2
 
     def test_ties_go_to_the_lower_class(self):
         assert one_node({0: 5, 1: 7, 2: 7}, 19, self.params, 5,

@@ -484,6 +484,23 @@ class TestCertifyEvasionCommand:
         huge, large = (out / f"curve_tau{tau}.csv" for tau in HUGE_TAUS)
         assert huge.read_bytes() == large.read_bytes()
 
+    def test_a_radius_at_the_cap_ends_the_curve_at_zero(self, tmp_path,
+                                                        small_rho_cap):
+        # Noise that removes nearly every injected node certifies the test
+        # nodes up to the radius search's cap; the curve reads 0 past it.
+        edges, nodes = make_tiny_dataset(tmp_path)
+        out = tmp_path / "cap"
+        assert main(["certify-evasion", "--out", str(out),
+                     "--dataset-edges", str(edges), "--dataset-nodes", str(nodes),
+                     "--p-e", "0.5", "--p-n", "0.9999999", "--tau", "1",
+                     "--n", "1000", "--epochs", "5"]) == 0
+        (curve,) = json.loads((out / "report.json").read_text())["curves"]
+        assert curve["max_rho"] == small_rho_cap + 1
+        rows = (out / "curve_tau1.csv").read_text().splitlines()
+        assert len(rows) == small_rho_cap + 3  # the header, then rho 0..cap + 1
+        assert float(rows[-2].split(",")[1]) > 0.0
+        assert rows[-1].startswith(f"{small_rho_cap + 1},0,")
+
     def test_missing_dataset_file_is_runtime_error(self, tmp_path, capsys):
         code = main(["certify-evasion", "--out", str(tmp_path / "o"),
                      "--dataset-edges", str(tmp_path / "missing.tsv"),
@@ -622,3 +639,23 @@ class TestEmpiricalAttackCommand:
         assert meta["attacked_accuracy"] >= meta["certified_accuracy_at_budget"]
         plan = json.loads((out / "attack_plan.json").read_text())
         assert len(plan["features"]) == 3
+
+    @pytest.mark.parametrize("past_the_end", [False, True])
+    def test_certified_accuracy_is_the_clean_curve_at_rho(self, tmp_path,
+                                                          past_the_end):
+        # The clean votes are certify-evasion's votes under the same
+        # settings, and the certified accuracy is that curve's point at
+        # rho, or 0 past its last one.
+        edges, nodes = make_tiny_dataset(tmp_path)
+        flags = ["--dataset-edges", str(edges), "--dataset-nodes", str(nodes),
+                 "--p-e", "0.1", "--p-n", "0.8", "--tau", "2", "--n", "120",
+                 "--seed", "6"] + FAST_MODEL
+        assert main(["certify-evasion", "--out", str(tmp_path / "curve")]
+                    + flags) == 0
+        rows = (tmp_path / "curve" / "curve_tau2.csv").read_text().splitlines()[1:]
+        rho = len(rows) if past_the_end else 3
+        assert main(["empirical-attack", "--out", str(tmp_path / "attack"),
+                     "--rho", str(rho), "--strategy", "centroid_flip"] + flags) == 0
+        meta = json.loads((tmp_path / "attack" / "report.json").read_text())["metadata"]
+        assert meta["certified_accuracy_at_budget"] == (
+            0.0 if past_the_end else float(rows[rho].split(",")[1]))

@@ -10,10 +10,13 @@ the workers that count for it return nothing. Every report is rendered by
 one writer, ``write_report``: it and ``AttackPlan.to_json`` are the only
 callers of the JSON encoder. Every radius is found by one search,
 ``largest_certified_rho``: no other function loops over the budget up to
-``RHO_CAP``. The closed forms ``prob_all_removed``,
-``prob_all_removed_recsys`` and ``node_retention_probs`` evaluate arrays of
-budgets and degrees, each distinct value once: outside ``certify.py`` no
-loop or comprehension calls them. The recommender ranks through ``top_items`` only: the
+``RHO_CAP``, and no module but ``certify.py`` names the cap. One function,
+``certify.margin``, is the margin of both modes, and it takes arrays:
+outside ``certify.py`` no loop or comprehension names a margin. The closed
+forms ``prob_all_removed``, ``prob_all_removed_recsys`` and
+``node_retention_probs`` evaluate arrays of budgets and degrees, each
+distinct value once: outside ``certify.py`` no loop or comprehension calls
+them. The recommender ranks through ``top_items`` only: the
 whole-matrix ``build_similarity`` and the one-user ``recommend_topk`` are
 kept for the benchmark's fixture and hooks, and nothing in the package
 calls them. The only private scipy names the package imports are pinned,
@@ -47,7 +50,8 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "smoothcert")
                  .glob("*.py"))
 REMOVED = ("certify_node", "CertDecision", "Outcome", "VoteStats",
            "vote_bounds", "certify_overlap", "certified_precision_recall",
-           "save_model", "load_model", "read_curve_csv", "CertConfig")
+           "save_model", "load_model", "read_curve_csv", "CertConfig",
+           "certified_accuracy_at")
 # Methods and fields whose only callers were tests, and the live-row
 # wrapper that ``models.Operator`` replaced.
 REMOVED_MEMBERS = (("CertCurve", "certified_at"), ("AttackPlan", "from_json"),
@@ -183,8 +187,8 @@ def test_test_only_members_are_gone(owner, name):
 
 
 CERTIFY_ENTRY_POINTS = ("certified_radii", "certified_accuracy_curve",
-                        "certified_accuracy_at", "certified_overlap_radii",
-                        "recommender_curve", "certify_user_overlap")
+                        "certified_overlap_radii", "recommender_curve",
+                        "certify_user_overlap")
 
 
 @pytest.mark.parametrize("name", CERTIFY_ENTRY_POINTS)
@@ -391,6 +395,62 @@ def test_stray_scan_is_detected(tmp_path):
     assert while_loops(source) == [(3, "certified_radii.holds")]
     assert rho_cap_loops(source) == [(3, "certified_radii.holds"),
                                      (7, "curve"), (9, "largest_certified_rho")]
+
+
+def rho_cap_names(path):
+    """``(line, scope)`` of every name, attribute or import of ``RHO_CAP``."""
+    return scoped(path, lambda node: "RHO_CAP" in (
+        getattr(node, "id", None), getattr(node, "attr", None),
+        node.name if isinstance(node, ast.alias) else None))
+
+
+def test_only_certify_names_the_rho_cap():
+    # The cap is the radius search's: a curve that clamped to it again
+    # would stop at the cap with accuracy left to certify.
+    assert sorted({path.name for path in SOURCES if rho_cap_names(path)}) == [
+        "certify.py"]
+
+
+def test_rho_cap_name_is_detected(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("from .certify import RHO_CAP, prob_all_removed\n"
+                      "from . import certify\n"
+                      "def curve(radii):  # RHO_CAP\n"
+                      "    last = min(RHO_CAP, radii.max() + 1)\n"
+                      "    return min(certify.RHO_CAP, last), 'RHO_CAP'\n")
+    assert rho_cap_names(source) == [(1, ""), (4, "curve"), (5, "curve")]
+
+
+MARGINS = ("margin", "margin_include", "margin_exclude")
+
+
+def margin_loops(path):
+    """``(line, scope)`` of every loop or comprehension that names a margin:
+    per-row calls that the array margin replaces."""
+    return scoped(path, lambda node: isinstance(node, LOOPS)
+                  and any(names(node, name) for name in MARGINS))
+
+
+def test_margins_are_evaluated_on_arrays_not_in_loops():
+    assert smoothcert.margin_include is smoothcert.margin_exclude is smoothcert.margin
+    loops = [(path.name, line, scope) for path in SOURCES
+             if path.name != "certify.py"
+             for line, scope in margin_loops(path)]
+    assert loops == []
+
+
+def test_margin_loop_is_detected(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("def certified_radii(lowers, uppers, removed, exclude):\n"
+                      "    margin = margin_exclude if exclude else margin_include\n"
+                      "    def holds(rho, live):\n"
+                      "        return [margin(lowers[j], uppers[j], p) > 0.0\n"
+                      "                for p, j in zip(removed, live)]\n"
+                      "    for j in range(3):\n"
+                      "        certify.margin_include(lowers[j], uppers[j], 1.0)\n"
+                      "    return certify.margin(lowers, uppers, removed) > 0.0\n")
+    assert margin_loops(source) == [(4, "certified_radii.holds"),
+                                    (6, "certified_radii")]
 
 
 CLOSED_FORMS = ("prob_all_removed", "prob_all_removed_recsys",

@@ -7,11 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import enumerate_graph_votes, read_curve_csv, reference_curve
+from oracles import (enumerate_graph_votes, read_curve_csv,
+                     reference_certified_accuracy, reference_curve)
 from smoothcert import (ClassifierSpec, DataSplit, Graph, InteractionMatrix,
                         PerturbationBudget, SmoothingParams, TrainedModel,
                         VoteTable, average_certified_radius,
-                        certified_accuracy_at, certified_accuracy_curve,
+                        certified_accuracy_curve,
                         certified_overlap_radii, certified_radii,
                         collect_item_votes, collect_votes_evasion,
                         collect_votes_poisoning, derive_sample_seed,
@@ -195,6 +196,24 @@ class TestVoteProvenance:
                                            master_seed=5, first_index=10)
             with pytest.raises(ValueError, match="different runs"):
                 first.merged(second)
+
+    def test_evasion_binds_the_model_weights(self):
+        # One spec and training graph, other weights: as two trainings at
+        # other BLAS thread counts can give. Equal bits still merge.
+        model = random_model("message_passing_2layer", 4, 2, seed=1)
+        copied = replace(model, weights={k: v.copy() for k, v in model.weights.items()})
+        nudged = replace(model, weights={**model.weights,
+                                         "b2": np.nextafter(model.weights["b2"], 9.0)})
+        first = collect_votes_evasion(model, self.graph, 10, self.params,
+                                      master_seed=5)
+        assert first.merged(collect_votes_evasion(
+            copied, self.graph, 10, self.params, master_seed=5,
+            first_index=10)).num_samples == 20
+        second = collect_votes_evasion(nudged, self.graph, 10, self.params,
+                                       master_seed=5, first_index=10)
+        assert second.provenance["model_spec"] == first.provenance["model_spec"]
+        with pytest.raises(ValueError, match="different runs"):
+            first.merged(second)
 
     def test_poisoning_binds_the_graph_split_and_spec(self):
         spec = ClassifierSpec(hidden_dim=4, epochs=3, seed=6)
@@ -702,7 +721,7 @@ class TestCertifiedAccuracyCurve:
         curve = certified_accuracy_curve(table, labels, tau=3, alpha=0.01)
         for point in curve.points:
             budget = PerturbationBudget(rho=point.rho, tau=3)
-            direct = certified_accuracy_at(table, labels, budget, 0.01)
+            direct = reference_certified_accuracy(table, labels, budget, 0.01)
             assert point.certified_accuracy == pytest.approx(direct, abs=1e-15)
 
     def test_exclude_mode_requires_degrees_and_skips_isolated(self):
@@ -747,22 +766,39 @@ class TestCertifiedAccuracyCurve:
         assert values[-1] == 0.0
         assert values[0] > 0.5
 
+    def test_a_radius_at_the_cap_ends_the_curve_at_zero(self, small_rho_cap):
+        # Noise that removes nearly every injected node certifies the node up
+        # to the radius search's cap; the curve reads 0 one budget past it,
+        # a conservative cut, and so still terminates.
+        table = VoteTable(counts=[[1000, 0]], abstains=[0], num_samples=1000,
+                          params=SmoothingParams(0.5, 0.9999999), degrees=[1],
+                          provenance={})
+        assert certified_radii(table, 1, 0.01, [0])[2].tolist() == [small_rho_cap]
+        curve = certified_accuracy_curve(table, [0], 1, 0.01)
+        assert [p.rho for p in curve.points] == list(range(small_rho_cap + 2))
+        assert curve.points[-2:] == (CurvePoint(small_rho_cap, 1.0, 0.0),
+                                     CurvePoint(small_rho_cap + 1, 0.0, 0.0))
+        assert curve.summary() == {"clean_accuracy": 1.0,
+                                   "average_certified_radius": float(small_rho_cap),
+                                   "abstain_rate": 0.0,
+                                   "max_rho": small_rho_cap + 1}
 
-class TestCertifiedAccuracyAt:
+
+class TestEvaluatedNodes:
     labels = np.array([0, -1, 1])
     table = perfect_table(3, 2, np.array([0, 1, 1]), num_samples=1000)
-    budget = PerturbationBudget(rho=1, tau=2)
 
     def test_exclude_mode_requires_degrees(self):
         with pytest.raises(ValueError, match="degrees"):
             replace(self.table, mode="exclude", degrees=[])
 
     def test_rejects_unlabeled_nodes(self):
-        assert certified_accuracy_at(self.table, self.labels, self.budget,
-                                     0.01, nodes=[0]) == 1.0
+        curve = certified_accuracy_curve(self.table, self.labels, 2, 0.01,
+                                         nodes=[0])
+        assert curve.points[1].certified_accuracy == 1.0
         with pytest.raises(ValueError, match="labels"):
-            certified_accuracy_at(self.table, self.labels, self.budget, 0.01,
-                                  nodes=[0, 1])
+            certified_accuracy_curve(self.table, self.labels, 2, 0.01,
+                                     nodes=[0, 1])
 
     @pytest.mark.parametrize("node", [-1, 3])
     def test_rejects_node_ids_out_of_range(self, node):
@@ -770,9 +806,6 @@ class TestCertifiedAccuracyAt:
         labels = np.array([0, 1, 1])
         with pytest.raises(ValueError, match=r"row ids must lie in \[0, 3\)"):
             certified_radii(self.table, 2, 0.01, [0, node])
-        with pytest.raises(ValueError, match="row ids"):
-            certified_accuracy_at(self.table, labels, self.budget, 0.01,
-                                  nodes=[node])
         with pytest.raises(ValueError, match="row ids"):
             certified_accuracy_curve(self.table, labels, 2, 0.01, nodes=[node])
 
@@ -819,11 +852,11 @@ class TestReferenceCurve:
             assert points[-1].certified_accuracy == 0.0
             certified += points[0].certified_accuracy > 0.0
             for rho in (0, 1, 2, 5, 40):
-                expected = (points[rho].certified_accuracy if rho < len(points)
-                            else 0.0)
-                got = certified_accuracy_at(table, labels,
-                                            PerturbationBudget(rho, tau), alpha)
-                assert got == expected
+                # One budget reads the curve's point, or 0 past its last one.
+                got = (points[rho].certified_accuracy if rho < len(points)
+                       else 0.0)
+                assert got == reference_certified_accuracy(
+                    table, labels, PerturbationBudget(rho, tau), alpha)
         assert certified >= 10  # the cases certify, not just abstain
 
 

@@ -770,6 +770,22 @@ class TestRecommenderCurve:
         assert all(a >= b for a, b in zip(precisions, precisions[1:]))
         assert precisions[-1] == 0.0
 
+    def test_a_radius_at_the_cap_ends_the_curve_at_zero(self, small_rho_cap):
+        # One user whose one ground-truth item is always recommended, under
+        # noise that removes nearly every injected user: certified up to the
+        # search's cap, and read as 0 one budget past it.
+        table = ItemVoteTable(counts=[[1000, 0, 0]], abstains=[0],
+                              num_samples=1000,
+                              params=SmoothingParams(0.5, 0.9999999),
+                              degrees=[1], provenance={}, k_prime=1)
+        assert certified_overlap_radii(table, {0: [0]}, 1, 1,
+                                       0.01).tolist() == [[small_rho_cap]]
+        curve = recommender_curve(table, {0: [0]}, k=1, tau=1, alpha=0.01)
+        assert curve.points[-2:] == (
+            RecommenderCurvePoint(small_rho_cap, 1.0, 1.0),
+            RecommenderCurvePoint(small_rho_cap + 1, 0.0, 0.0))
+        assert curve.summary()["max_rho"] == small_rho_cap + 1
+
     def test_report_round_trip(self, tmp_path):
         freqs = np.array([[0.85, 0.80, 0.02, 0.0, 0.0, 0.0]])
         table = table_from_frequencies(freqs, [0.1], 20_000, k_prime=3,
