@@ -13,7 +13,7 @@ from .certify import (abstain_test, clopper_pearson_lower, clopper_pearson_upper
                       prob_all_removed_recsys)
 from .models import (ClassifierSpec, TrainedModel, predict,
                      train_predict_end_to_end, train_with_noise)
-from .pipeline import (CertCurve, CurvePoint, VoteTable,
+from .pipeline import (CertCurve, VoteTable,
                        average_certified_radius, certified_accuracy_curve,
                        certified_radii, collect_votes_evasion,
                        collect_votes_poisoning, write_report)

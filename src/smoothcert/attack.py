@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .graph import DataSplit, Graph, PerturbationBudget
-from .pipeline import VoteTable
+from .pipeline import VoteTable, labeled_nodes
 from .sampling import derive_sample_seed
 
 STRATEGIES = ("random", "centroid_flip")
@@ -119,8 +119,7 @@ def apply_attack(graph: Graph, plan: AttackPlan) -> Graph:
 def empirical_accuracy(clean_votes: VoteTable, attacked_votes: VoteTable,
                        labels, nodes) -> tuple[float, float]:
     """Majority-vote accuracy of the smoothed classifier before and after attack."""
-    labels = np.asarray(labels, dtype=np.int64)
-    nodes = clean_votes.checked_rows(nodes)
+    labels, nodes = labeled_nodes(clean_votes, labels, nodes)
     clean = clean_votes.majority_classes[nodes]
     attacked = attacked_votes.majority_classes[nodes]
     return (float(np.mean(clean == labels[nodes])),

@@ -320,12 +320,11 @@ def _run_empirical_attack(config: RunConfig) -> tuple[list, dict]:
                                            votes_seed, threads=config.threads)
     clean_acc, attacked_acc = empirical_accuracy(clean_votes, attacked_votes,
                                                  graph.labels, split.test)
-    # The accuracy certified at the budget: the clean curve's point at rho,
-    # or zero past its last one.
-    points = certified_accuracy_curve(clean_votes, graph.labels, tau,
-                                      config.alpha, nodes=split.test).points
-    certified = (points[config.rho].certified_accuracy
-                 if config.rho < len(points) else 0.0)
+    # The accuracy certified at the budget: the clean curve's value at rho,
+    # or zero past its end.
+    accuracy = certified_accuracy_curve(clean_votes, graph.labels, tau, config.alpha,
+                                        nodes=split.test).points["certified_accuracy"]
+    certified = float(accuracy[config.rho]) if config.rho < accuracy.size else 0.0
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "attack_plan.json").write_text(plan.to_json() + "\n", encoding="utf-8")

@@ -334,53 +334,56 @@ def collect_votes_poisoning(spec: ClassifierSpec, graph: Graph, split: DataSplit
                              provenance=provenance, mode=mode)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Curve:
-    """A certificate over a dense grid of the injected-node budget rho, from
-    0, at edge budget ``tau``. A subclass names its ``point_type``, whose
-    fields are ``rho`` and then shares, each of which lies in [0, 1] and
-    does not grow with rho; the ``csv_prefix`` of its file; and the
-    ``summary()`` it adds to ``report.json``."""
+    """A certificate at edge budget ``tau`` as one read-only record array:
+    ``rho`` runs 0, 1, 2, ... without a gap, and each of the subclass's
+    ``shares`` lies in [0, 1] and does not grow with rho. A subclass also
+    names the ``csv_prefix`` of its file and its ``report.json`` summary."""
 
     tau: int
-    points: tuple
+    points: np.recarray
+
+    @classmethod
+    def from_shares(cls, tau: int, *shares, **fields):
+        """The curve whose ``cls.shares`` columns run over rho = 0, 1, ..."""
+        rho = np.arange(len(shares[0]), dtype=np.int64)
+        return cls(tau=tau, points=np.rec.fromarrays(
+            [rho, *shares], names=("rho", *cls.shares)), **fields)
 
     def __post_init__(self):
-        for column in fields(self.point_type)[1:]:
-            values = [getattr(p, column.name) for p in self.points]
-            label = column.name.replace("_", " ")
-            if any(not 0.0 <= v <= 1.0 for v in values):
+        rho = self.points["rho"]
+        if rho.size == 0 or np.any(rho != np.arange(rho.size)):
+            raise ValueError("rho must run 0, 1, 2, ... without a gap")
+        for name in self.shares:
+            values = self.points[name]
+            label = name.replace("_", " ")
+            if not np.all((values >= 0.0) & (values <= 1.0)):
                 raise ValueError(f"{label} must lie in [0, 1]")
-            if any(a > b + 1e-15 for a, b in zip(values[1:], values[:-1])):
+            if np.any(values[1:] > values[:-1] + 1e-15):
                 raise ValueError(f"{label} must be non-increasing in rho")
+        self.points.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    rho: int
-    certified_accuracy: float
-    abstain_rate: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CertCurve(Curve):
     """Certified accuracy as a function of the injected-node budget."""
 
     clean_accuracy: float
 
-    point_type = CurvePoint
+    shares = ("certified_accuracy", "abstain_rate")
     csv_prefix = "curve_tau"
 
     def summary(self) -> dict:
         return {
             "clean_accuracy": self.clean_accuracy,
             "average_certified_radius": average_certified_radius(self),
-            "abstain_rate": self.points[0].abstain_rate if self.points else 0.0,
-            "max_rho": self.points[-1].rho if self.points else 0,
+            "abstain_rate": float(self.points["abstain_rate"][0]),
+            "max_rho": int(self.points["rho"][-1]),
         }
 
 
-def _labeled_nodes(table, labels, nodes):
+def labeled_nodes(table, labels, nodes):
     """The labels and the evaluated node ids: labeled rows of the table."""
     labels = np.asarray(labels, dtype=np.int64)
     if nodes is None:
@@ -456,7 +459,7 @@ def certified_accuracy_curve(table: VoteTable, labels, tau: int, alpha: float,
     rate; clean accuracy is majority-vote correctness ignoring
     certification.
     """
-    labels, nodes = _labeled_nodes(table, labels, nodes)
+    labels, nodes = labeled_nodes(table, labels, nodes)
     abstained, majority, radius = certified_radii(table, tau, alpha, nodes)
     correct = majority == labels[nodes]
     # The first rho at which the all-removed probability is at most 1/2.
@@ -467,25 +470,23 @@ def certified_accuracy_curve(table: VoteTable, labels, tau: int, alpha: float,
     # Correct nodes with radius exactly r, then with radius >= r.
     exact = np.bincount(reached[reached >= 0], minlength=last + 1)
     accuracy = np.cumsum(exact[::-1])[::-1] / nodes.size
-    abstain_rate = float(np.mean(abstained))
-    points = tuple(CurvePoint(rho=rho, certified_accuracy=float(accuracy[rho]),
-                              abstain_rate=abstain_rate)
-                   for rho in range(last + 1))
-    return CertCurve(tau=tau, points=points,
-                     clean_accuracy=float(np.mean(correct)))
+    return CertCurve.from_shares(tau, accuracy,
+                                 np.full(accuracy.size, np.mean(abstained)),
+                                 clean_accuracy=float(np.mean(correct)))
 
 
 def average_certified_radius(curve: CertCurve) -> float:
     """Area under the certified accuracy curve (sum over rho >= 1)."""
-    if curve.points and curve.points[-1].certified_accuracy != 0.0:
+    accuracy = curve.points["certified_accuracy"]
+    if accuracy[-1] != 0.0:
         raise ValueError("curve must terminate at certified accuracy 0")
-    return math.fsum(p.certified_accuracy for p in curve.points if p.rho >= 1)
+    return math.fsum(accuracy[1:])
 
 
 def write_report(curves: Sequence[Curve], metadata: dict, out_dir) -> list[Path]:
     """Write one CSV per curve plus a JSON summary.
 
-    Each ``<csv_prefix><tau>.csv`` has the curve's point fields as its
+    Each ``<csv_prefix><tau>.csv`` has the curve's record fields as its
     header, e.g. ``rho,certified_accuracy,abstain_rate`` in
     ``curve_tau5.csv``. The JSON carries the caller's metadata (settings,
     seeds) and each curve's summary. CSV floats have 17 significant digits;
@@ -498,10 +499,9 @@ def write_report(curves: Sequence[Curve], metadata: dict, out_dir) -> list[Path]
     written, summaries = [], []
     for curve in curves:
         csv_path = out / f"{curve.csv_prefix}{curve.tau}.csv"
-        names = [f.name for f in fields(curve.point_type)]
-        lines = [",".join(names)] + [
-            ",".join([str(p.rho)] + ["%.17g" % getattr(p, n) for n in names[1:]])
-            for p in curve.points]
+        row = "%d" + ",%.17g" * len(curve.shares)
+        lines = [",".join(curve.points.dtype.names)] + [
+            row % point for point in curve.points.tolist()]
         csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(csv_path)
         summaries.append({"tau": curve.tau, **curve.summary(),

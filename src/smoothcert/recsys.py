@@ -435,29 +435,23 @@ def certify_user_overlap(table: ItemVoteTable, user: int, ground_truth, k: int,
     return int((radii >= budget.rho).sum())
 
 
-@dataclass(frozen=True)
-class RecommenderCurvePoint:
-    rho: int
-    certified_precision: float
-    certified_recall: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecommenderCurve(Curve):
     """Certified precision and recall as functions of the injected-user
     budget."""
 
-    point_type = RecommenderCurvePoint
+    shares = ("certified_precision", "certified_recall")
     csv_prefix = "recsys_curve_tau"
 
     def summary(self) -> dict:
-        tail = [p for p in self.points if p.rho >= 1]
+        precision = self.points["certified_precision"]
+        recall = self.points["certified_recall"]
         return {
-            "acr_precision": math.fsum(p.certified_precision for p in tail),
-            "acr_recall": math.fsum(p.certified_recall for p in tail),
-            "clean_certified_precision": self.points[0].certified_precision,
-            "clean_certified_recall": self.points[0].certified_recall,
-            "max_rho": self.points[-1].rho,
+            "acr_precision": math.fsum(precision[1:]),
+            "acr_recall": math.fsum(recall[1:]),
+            "clean_certified_precision": float(precision[0]),
+            "clean_certified_recall": float(recall[0]),
+            "max_rho": int(self.points["rho"][-1]),
         }
 
 
@@ -466,19 +460,26 @@ def recommender_curve(table: ItemVoteTable,
                       tau: int, alpha: float) -> RecommenderCurve:
     """Certified precision/recall over a dense rho grid until both reach zero.
 
-    Each point counts the overlap radii (:func:`certified_overlap_radii`)
-    and takes the means in user order: ``cumsum`` adds one user at a time,
-    where ``np.sum`` would add pairwise.
+    A user's overlap at rho counts its radii (:func:`certified_overlap_radii`)
+    that reach rho, so the means change only at rho = 0 and one past each
+    radius. They are taken there in user order (``cumsum`` adds one user at a
+    time, where ``np.sum`` would add pairwise) and hold up to the next start.
     """
     radii, sizes = _overlap_radii(table, ground_truths, k, tau, alpha)
-    last = int(radii.max(initial=-1)) + 1
-    points = []
-    for rho in range(last + 1):
-        overlaps = (radii >= rho).sum(axis=1)
-        points.append(RecommenderCurvePoint(
-            rho, float(np.cumsum(overlaps / k)[-1]) / overlaps.size,
-            float(np.cumsum(overlaps / sizes)[-1]) / overlaps.size))
-    return RecommenderCurve(tau=tau, points=tuple(points))
+    starts = np.union1d(0, radii + 1)
+    # overlaps[u, j] counts user u's radii that reach starts[j]: all k count
+    # at rho = 0, and each stops at its own radius + 1.
+    steps = np.zeros((len(radii), starts.size), dtype=np.int64)
+    steps[:, 0] = k
+    np.add.at(steps, (np.arange(len(radii))[:, None],
+                      np.searchsorted(starts, radii + 1)), -1)
+    overlaps = np.cumsum(steps, axis=1)
+    precision = np.cumsum(overlaps / k, axis=0)[-1] / len(radii)
+    recall = np.cumsum(overlaps / sizes[:, None], axis=0)[-1] / len(radii)
+    # The last start is one past the largest radius, where both are zero.
+    lengths = np.diff(starts, append=starts[-1] + 1)
+    return RecommenderCurve.from_shares(tau, np.repeat(precision, lengths),
+                                        np.repeat(recall, lengths))
 
 
 # The benchmark's traced run (perfbench/traced.py) wraps this name in the

@@ -25,6 +25,7 @@ only tests need: neighbor lists, attack-plan parsing and curve reading.
 """
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -33,16 +34,21 @@ import numpy as np
 import scipy.sparse as sp
 from scipy import stats
 
-from smoothcert import (AttackPlan, CurvePoint, Graph, InteractionMatrix,
+from smoothcert import (AttackPlan, Graph, InteractionMatrix,
                         TrainedModel, abstain_test, clopper_pearson_lower,
                         clopper_pearson_upper, derive_sample_seed,
                         margin_exclude, margin_include, node_retention_probs,
                         prob_all_removed, prob_all_removed_recsys,
                         sample_smoothed_graph, sample_smoothed_ratings)
-from smoothcert.recsys import RecommenderCurvePoint
 
 _MASS_TOL = 1e-9
 _RHO_HARD_CAP = 10**6
+
+# The oracles' own curve rows, which equal the rows of a curve's
+# ``points.tolist()``.
+CurvePoint = namedtuple("CurvePoint", "rho certified_accuracy abstain_rate")
+RecommenderCurvePoint = namedtuple("RecommenderCurvePoint",
+                                   "rho certified_precision certified_recall")
 
 
 @dataclass(frozen=True)
@@ -208,10 +214,9 @@ def plan_from_json(text):
 
 def certified_at(curve, rho):
     """Certified accuracy of a ``CertCurve`` at a grid point."""
-    for p in curve.points:
-        if p.rho == rho:
-            return p.certified_accuracy
-    raise KeyError(f"rho={rho} not on the curve grid")
+    if not 0 <= rho < len(curve.points):
+        raise KeyError(f"rho={rho} not on the curve grid")
+    return float(curve.points["certified_accuracy"][rho])
 
 
 def reference_graph_edges(n, edges):
@@ -670,7 +675,7 @@ def reference_recommender_curve(table, ground_truths, k, params, tau, alpha):
         points.append(RecommenderCurvePoint(rho, precision / count,
                                             recall / count))
         if (precision == 0.0 and recall == 0.0) or rho >= _RHO_HARD_CAP:
-            return tuple(points)
+            return points
         rho += 1
 
 

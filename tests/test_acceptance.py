@@ -489,7 +489,7 @@ def test_recommender_desk_scale():
                                    master_seed=404, threads=2)
 
         curve = recommender_curve(table, ground_truths, k, tau, alpha=0.01)
-        assert curve.points == reference_recommender_curve(
+        assert curve.points.tolist() == reference_recommender_curve(
             table, ground_truths, k, params, tau, 0.01)
         precisions = [p.certified_precision for p in curve.points]
         assert precisions[0] > 0

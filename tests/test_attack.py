@@ -115,6 +115,16 @@ class TestEmpiricalAccuracy:
         with pytest.raises(ValueError, match="row ids"):
             empirical_accuracy(table, table, [0, 1], [0, node])
 
+    def test_rejects_unlabeled_nodes(self):
+        # A node labeled -1 used to count as misclassified: (0.5, 0.5).
+        table = VoteTable(counts=[[3, 0], [0, 3]], abstains=[0, 0],
+                          num_samples=3, params=SmoothingParams(0.1, 0.8),
+                          degrees=[1, 1], provenance={})
+        assert empirical_accuracy(table, table, [0, 1], [0, 1]) == (1.0, 1.0)
+        with pytest.raises(ValueError,
+                           match="labels required for every evaluated node"):
+            empirical_accuracy(table, table, [0, -1], [0, 1])
+
     def test_zero_budget_keeps_accuracy(self, sbm_fixture):
         graph, split = sbm_fixture
         spec = ClassifierSpec(hidden_dim=8, epochs=40, seed=3)

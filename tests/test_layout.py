@@ -19,7 +19,10 @@ distinct value once: outside ``certify.py`` no loop or comprehension calls
 them. The recommender ranks through ``top_items`` only: the
 whole-matrix ``build_similarity`` and the one-user ``recommend_topk`` are
 kept for the benchmark's fixture and hooks, and nothing in the package
-calls them. The only private scipy names the package imports are pinned,
+calls them. A curve is one record array, built and checked a column at a
+time: ``certified_accuracy_curve``, ``recommender_curve`` and
+``Curve.__post_init__`` hold no loop or comprehension but over the curve's
+share names, so none runs over rho. The only private scipy names the package imports are pinned,
 since each one ties it to the scipy floor in ``pyproject.toml``. The models
 train and predict: abstention is the vote collectors' rule, so no function
 in ``models.py`` takes a ``mode``, and only ``ClassifierSpec.aggregates``
@@ -51,7 +54,7 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "smoothcert")
 REMOVED = ("certify_node", "CertDecision", "Outcome", "VoteStats",
            "vote_bounds", "certify_overlap", "certified_precision_recall",
            "save_model", "load_model", "read_curve_csv", "CertConfig",
-           "certified_accuracy_at")
+           "certified_accuracy_at", "CurvePoint", "RecommenderCurvePoint")
 # Methods and fields whose only callers were tests, and the live-row
 # wrapper that ``models.Operator`` replaced.
 REMOVED_MEMBERS = (("CertCurve", "certified_at"), ("AttackPlan", "from_json"),
@@ -395,6 +398,54 @@ def test_stray_scan_is_detected(tmp_path):
     assert while_loops(source) == [(3, "certified_radii.holds")]
     assert rho_cap_loops(source) == [(3, "certified_radii.holds"),
                                      (7, "curve"), (9, "largest_certified_rho")]
+
+
+CURVE_FUNCTIONS = ("certified_accuracy_curve", "recommender_curve",
+                   "Curve.__post_init__")
+
+
+def curve_row_loops(path):
+    """``(line, scope)`` of every loop or comprehension in a curve function
+    that does not run over the curve's ``shares``: one that could run over
+    rho."""
+    def over_rows(node):
+        if not isinstance(node, LOOPS):
+            return False
+        iterables = ([node.iter] if isinstance(node, ast.For) else
+                     [g.iter for g in getattr(node, "generators", [])])
+        return isinstance(node, ast.While) or any(
+            getattr(iterable, "attr", None) != "shares" for iterable in iterables)
+
+    return [(line, scope) for line, scope in scoped(path, over_rows)
+            if any(scope == f or scope.startswith(f + ".") for f in CURVE_FUNCTIONS)]
+
+
+def test_curves_are_built_without_a_loop_over_rho():
+    assert callable(smoothcert.pipeline.Curve.__post_init__)
+    assert callable(smoothcert.certified_accuracy_curve)
+    assert callable(smoothcert.recommender_curve)
+    assert [loop for path in SOURCES for loop in curve_row_loops(path)] == []
+
+
+def test_curve_row_loop_is_detected(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("class Curve:\n"
+                      "    def __post_init__(self):\n"
+                      "        for name in self.shares:\n"
+                      "            values = [v for v in self.points[name]]\n"
+                      "def recommender_curve(radii, last):\n"
+                      "    points = []\n"
+                      "    for rho in range(last + 1):\n"
+                      "        points.append((radii >= rho).sum())\n"
+                      "    return points\n"
+                      "def certified_accuracy_curve(accuracy):\n"
+                      "    return tuple(Point(rho, float(a))\n"
+                      "                 for rho, a in enumerate(accuracy))\n"
+                      "def write_report(curve):\n"
+                      "    return [row for row in curve.points.tolist()]\n")
+    assert curve_row_loops(source) == [(4, "Curve.__post_init__"),
+                                       (7, "recommender_curve"),
+                                       (11, "certified_accuracy_curve")]
 
 
 def rho_cap_names(path):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import (enumerate_graph_votes, read_curve_csv,
+from oracles import (CurvePoint, enumerate_graph_votes, read_curve_csv,
                      reference_certified_accuracy, reference_curve)
 from smoothcert import (ClassifierSpec, DataSplit, Graph, InteractionMatrix,
                         PerturbationBudget, SmoothingParams, TrainedModel,
@@ -19,8 +19,9 @@ from smoothcert import (ClassifierSpec, DataSplit, Graph, InteractionMatrix,
                         generate_sbm, predict, sample_smoothed_graph,
                         write_report)
 from smoothcert import pipeline
+from smoothcert.certify import RHO_CAP
 from smoothcert.models import predict_rows
-from smoothcert.pipeline import CertCurve, CurvePoint
+from smoothcert.pipeline import CertCurve
 from smoothcert.recsys import ItemVoteTable
 
 
@@ -667,7 +668,8 @@ class TestNarrowCounts:
         got = certificates(*wide)
         for a, b in zip(expected[:2], got[:2]):
             assert all(np.array_equal(x, y) for x, y in zip(a, b))
-        assert expected[2] == got[2]
+        assert expected[2].points.tolist() == got[2].points.tolist()
+        assert expected[2].clean_accuracy == got[2].clean_accuracy
         assert np.array_equal(expected[3], got[3])
 
     @pytest.mark.parametrize("counts, abstains, message", [
@@ -775,13 +777,30 @@ class TestCertifiedAccuracyCurve:
                           provenance={})
         assert certified_radii(table, 1, 0.01, [0])[2].tolist() == [small_rho_cap]
         curve = certified_accuracy_curve(table, [0], 1, 0.01)
-        assert [p.rho for p in curve.points] == list(range(small_rho_cap + 2))
-        assert curve.points[-2:] == (CurvePoint(small_rho_cap, 1.0, 0.0),
-                                     CurvePoint(small_rho_cap + 1, 0.0, 0.0))
+        assert curve.points["rho"].tolist() == list(range(small_rho_cap + 2))
+        assert curve.points[-2:].tolist() == [
+            CurvePoint(small_rho_cap, 1.0, 0.0),
+            CurvePoint(small_rho_cap + 1, 0.0, 0.0)]
         assert curve.summary() == {"clean_accuracy": 1.0,
                                    "average_certified_radius": float(small_rho_cap),
                                    "abstain_rate": 0.0,
                                    "max_rho": small_rho_cap + 1}
+
+
+    def test_a_radius_at_the_real_cap_ends_the_curve_at_zero(self, tmp_path):
+        table = VoteTable(counts=[[1000, 0]], abstains=[0], num_samples=1000,
+                          params=SmoothingParams(0.5, 0.9999999), degrees=[1],
+                          provenance={})
+        curve = certified_accuracy_curve(table, [0], 1, 0.01)
+        assert len(curve.points) == RHO_CAP + 2
+        assert curve.points[-2:].tolist() == [CurvePoint(RHO_CAP, 1.0, 0.0),
+                                              CurvePoint(RHO_CAP + 1, 0.0, 0.0)]
+        assert curve.summary() == {"clean_accuracy": 1.0,
+                                   "average_certified_radius": float(RHO_CAP),
+                                   "abstain_rate": 0.0, "max_rho": RHO_CAP + 1}
+        lines = write_report([curve], {}, tmp_path)[0].read_text().splitlines()
+        assert len(lines) == RHO_CAP + 3  # the header and one line per rho
+        assert lines[-2:] == [f"{RHO_CAP},1,0", f"{RHO_CAP + 1},0,0"]
 
 
 class TestEvaluatedNodes:
@@ -847,7 +866,7 @@ class TestReferenceCurve:
             points, clean = reference_curve(table, labels, params, tau, alpha,
                                             table.counts.shape[1], mode,
                                             degrees=degrees)
-            assert list(curve.points) == points
+            assert curve.points.tolist() == points
             assert curve.clean_accuracy == clean
             assert points[-1].certified_accuracy == 0.0
             certified += points[0].certified_accuracy > 0.0
@@ -862,9 +881,8 @@ class TestReferenceCurve:
 
 class TestAverageCertifiedRadius:
     def make_curve(self, values):
-        points = tuple(CurvePoint(rho=i, certified_accuracy=v, abstain_rate=0.0)
-                       for i, v in enumerate(values))
-        return CertCurve(tau=5, points=points, clean_accuracy=values[0])
+        return CertCurve.from_shares(5, values, np.zeros(len(values)),
+                                     clean_accuracy=values[0])
 
     def test_flat_then_zero(self):
         assert average_certified_radius(
@@ -891,16 +909,41 @@ class TestAverageCertifiedRadius:
             self.make_curve([0.5, 0.9, 0.0])
 
     def test_abstain_rate_checked_by_type(self):
-        points = (CurvePoint(0, 0.5, 1.7), CurvePoint(1, 0.0, 1.7))
         with pytest.raises(ValueError, match="abstain rate must lie in"):
-            CertCurve(tau=5, points=points, clean_accuracy=0.5)
+            CertCurve.from_shares(5, [0.5, 0.0], [1.7, 1.7], clean_accuracy=0.5)
+
+
+class TestCurvePoints:
+    def points(self, rho, accuracy):
+        return np.rec.fromarrays([np.asarray(rho, dtype=np.int64), accuracy,
+                                  np.zeros(len(rho))],
+                                 names=("rho", *CertCurve.shares))
+
+    @pytest.mark.parametrize("rho", [[], [1, 2], [0, 2], [0, 1, 1]])
+    def test_rho_runs_from_zero_without_a_gap(self, rho):
+        with pytest.raises(ValueError, match="without a gap"):
+            CertCurve(tau=5, points=self.points(rho, np.zeros(len(rho))),
+                      clean_accuracy=0.0)
+
+    def test_nan_is_refused(self):
+        with pytest.raises(ValueError, match="certified accuracy must lie in"):
+            CertCurve(tau=5, points=self.points([0, 1], [np.nan, 0.0]),
+                      clean_accuracy=0.0)
+
+    def test_points_are_read_only(self):
+        curve = CertCurve.from_shares(5, [0.5, 0.0], [0.25, 0.25],
+                                      clean_accuracy=0.5)
+        assert curve.points.dtype.names == ("rho", "certified_accuracy",
+                                            "abstain_rate")
+        assert curve.points["rho"].dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            curve.points["certified_accuracy"][1] = 0.75
 
 
 class TestWriteReport:
     def make_curve(self):
-        points = (CurvePoint(0, 1 / 3, 0.125), CurvePoint(1, 0.25, 0.125),
-                  CurvePoint(2, 0.0, 0.125))
-        return CertCurve(tau=5, points=points, clean_accuracy=0.5)
+        return CertCurve.from_shares(5, [1 / 3, 0.25, 0.0], [0.125] * 3,
+                                     clean_accuracy=0.5)
 
     def test_round_trip_and_byte_stability(self, tmp_path):
         curve = self.make_curve()
@@ -915,7 +958,7 @@ class TestWriteReport:
         assert (first / "report.json").read_bytes() == \
             (second / "report.json").read_bytes()
         points = read_curve_csv(first / "curve_tau5.csv")
-        assert points == list(curve.points)
+        assert points == curve.points.tolist()
 
     def test_seventeen_digit_floats(self, tmp_path):
         write_report([self.make_curve()], {}, tmp_path)
@@ -933,9 +976,8 @@ class TestWriteReport:
 
         def curve(tau, value):
             # Its clean accuracy, abstain rate and area all equal ``value``.
-            points = (CurvePoint(0, value, value), CurvePoint(1, value, value),
-                      CurvePoint(2, 0.0, value))
-            return CertCurve(tau=tau, points=points, clean_accuracy=value)
+            return CertCurve.from_shares(tau, [value, value, 0.0], [value] * 3,
+                                         clean_accuracy=value)
 
         curves = [curve(tau, value) for tau, value in enumerate(values, start=1)]
         write_report(curves, {"values": values}, tmp_path)

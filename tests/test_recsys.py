@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from oracles import (enumerate_item_probs, reference_cooccurrence,
+from oracles import (RecommenderCurvePoint, enumerate_item_probs,
+                     reference_cooccurrence,
                      reference_item_votes, reference_jaccard,
                      reference_overlap_from_bounds,
                      reference_overlap_radii, reference_recommender_curve,
@@ -16,7 +17,8 @@ from smoothcert import (InteractionMatrix, PerturbationBudget, SmoothingParams,
                         recommend_topk, recommender_curve, top_items,
                         write_recommender_report)
 from smoothcert import recsys
-from smoothcert.recsys import ItemVoteTable, RecommenderCurve, RecommenderCurvePoint
+from smoothcert.certify import RHO_CAP
+from smoothcert.recsys import ItemVoteTable, RecommenderCurve
 
 
 @pytest.fixture
@@ -490,11 +492,10 @@ def precision_recall_at(table, ground_truths, k, budget, alpha):
     """Certified precision and recall at one budget: the curve's point at
     ``budget.rho``, zero past its last rho."""
     points = recommender_curve(table, ground_truths, k, budget.tau,
-                               alpha).points
+                               alpha).points.tolist()
     if budget.rho >= len(points):
         return 0.0, 0.0
-    point = points[budget.rho]
-    return point.certified_precision, point.certified_recall
+    return points[budget.rho][1:]
 
 
 def traced_peak(run):
@@ -752,12 +753,10 @@ class TestRecommenderCurve:
         ([0.2, 0.5, 0.0], "certified recall must be non-increasing")])
     def test_type_checks_the_certified_precision(self, precisions, message):
         # The values fill the column the message names; the other one is 0.
-        recall = "recall" in message
-        points = tuple(RecommenderCurvePoint(rho, 0.0 if recall else v,
-                                             v if recall else 0.0)
-                       for rho, v in enumerate(precisions))
+        zeros = [0.0] * len(precisions)
+        columns = (zeros, precisions) if "recall" in message else (precisions, zeros)
         with pytest.raises(ValueError, match=message):
-            RecommenderCurve(tau=2, points=points)
+            RecommenderCurve.from_shares(2, *columns)
 
     def test_curve_is_monotone_and_reaches_zero(self):
         freqs = np.array([[0.85, 0.80, 0.02, 0.0, 0.0, 0.0]])
@@ -781,10 +780,25 @@ class TestRecommenderCurve:
         assert certified_overlap_radii(table, {0: [0]}, 1, 1,
                                        0.01).tolist() == [[small_rho_cap]]
         curve = recommender_curve(table, {0: [0]}, k=1, tau=1, alpha=0.01)
-        assert curve.points[-2:] == (
+        assert curve.points[-2:].tolist() == [
             RecommenderCurvePoint(small_rho_cap, 1.0, 1.0),
-            RecommenderCurvePoint(small_rho_cap + 1, 0.0, 0.0))
+            RecommenderCurvePoint(small_rho_cap + 1, 0.0, 0.0)]
         assert curve.summary()["max_rho"] == small_rho_cap + 1
+
+    def test_a_radius_at_the_real_cap_ends_the_curve_at_zero(self):
+        table = ItemVoteTable(counts=[[1000, 0, 0]], abstains=[0],
+                              num_samples=1000,
+                              params=SmoothingParams(0.5, 0.9999999),
+                              degrees=[1], provenance={}, k_prime=1)
+        curve = recommender_curve(table, {0: [0]}, k=1, tau=1, alpha=0.01)
+        assert len(curve.points) == RHO_CAP + 2
+        assert curve.points[-2:].tolist() == [
+            RecommenderCurvePoint(RHO_CAP, 1.0, 1.0),
+            RecommenderCurvePoint(RHO_CAP + 1, 0.0, 0.0)]
+        assert curve.summary() == {
+            "acr_precision": float(RHO_CAP), "acr_recall": float(RHO_CAP),
+            "clean_certified_precision": 1.0, "clean_certified_recall": 1.0,
+            "max_rho": RHO_CAP + 1}
 
     def test_report_round_trip(self, tmp_path):
         freqs = np.array([[0.85, 0.80, 0.02, 0.0, 0.0, 0.0]])
@@ -836,7 +850,7 @@ class TestCertifiedOverlapRadii:
             curve = recommender_curve(table, ground_truths, k, tau, alpha)
             expected = reference_recommender_curve(table, ground_truths, k,
                                                    params, tau, alpha)
-            assert curve.points == expected
+            assert curve.points.tolist() == expected
             certifying += len(curve.points) > 1
             rho = int(rng.integers(0, len(expected) + 1))
             radii = certified_overlap_radii(table, ground_truths, k, tau, alpha)
@@ -893,7 +907,7 @@ class TestCertifiedOverlapRadii:
         assert certify_user_overlap(table, 0, [0, 1], 2,
                                     PerturbationBudget(rho=0, tau=2), 0.01) == 2
         curve = recommender_curve(table, {0: [0, 1]}, 2, 2, 0.01)
-        assert curve.points == reference_recommender_curve(
+        assert curve.points.tolist() == reference_recommender_curve(
             table, {0: [0, 1]}, 2, params, 2, 0.01)
 
     def test_precision_adds_users_in_order(self):
@@ -910,5 +924,5 @@ class TestCertifiedOverlapRadii:
         radii = certified_overlap_radii(table, ground_truths, 3, 2, 0.01)
         assert ((radii >= 0).sum(axis=1) == overlaps).all()
         curve = recommender_curve(table, ground_truths, 3, 2, 0.01)
-        assert curve.points == reference_recommender_curve(
+        assert curve.points.tolist() == reference_recommender_curve(
             table, ground_truths, 3, params, 2, 0.01)
