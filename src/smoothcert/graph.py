@@ -52,6 +52,17 @@ def _integers(values, what: str) -> np.ndarray:
     raise ValueError(f"{what} must be integers")
 
 
+def _size(value, what: str) -> int:
+    """``value`` as an int: one non-negative integer under :func:`_integers`'
+    rule, so neither a bool nor a fraction."""
+    size = _integers(value, what)
+    if size.ndim:
+        raise ValueError(f"{what} must be integers")
+    if size < 0:
+        raise ValueError(f"{what} must be non-negative")
+    return int(size)
+
+
 def _canonical_pairs(rows: np.ndarray, cols: np.ndarray, width: int, pairs=None):
     """Sort (row, col) pairs, ``0 <= col < width``, and find a repeated one.
 
@@ -105,10 +116,7 @@ class Graph:
     """
 
     def __init__(self, n, edges, features, labels=None, num_classes=None):
-        n = int(n)
-        if n < 0:
-            raise ValueError("node count must be non-negative")
-        self.n = n
+        self.n = n = _size(n, "node count")
 
         edges = _integers(edges, "edge endpoints")
         if edges.size == 0:
@@ -150,11 +158,7 @@ class Graph:
         self.num_classes = derived if num_classes is None else int(num_classes)
         if self.num_classes < derived:
             raise ValueError("num_classes smaller than the largest label + 1")
-
-        # CSR row pointers over both edge orientations.
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.edges.ravel(), minlength=n), out=indptr[1:])
-        self.indptr = _frozen(indptr)
+        self.degrees = _frozen(np.bincount(self.edges.ravel(), minlength=n))
 
     @property
     def num_edges(self) -> int:
@@ -163,14 +167,6 @@ class Graph:
     @property
     def num_features(self) -> int:
         return self.features.shape[1]
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
-    @property
-    def labeled_mask(self) -> np.ndarray:
-        return self.labels >= 0
 
     def fingerprint(self) -> str:
         """Stable hex digest of the graph contents."""
@@ -239,6 +235,8 @@ class InteractionMatrix:
     pairs: np.ndarray  # (nnz, 2) rows of (user, item), sorted, deduplicated
 
     def __post_init__(self):
+        object.__setattr__(self, "users", _size(self.users, "user count"))
+        object.__setattr__(self, "items", _size(self.items, "item count"))
         pairs = _integers(self.pairs, "pairs")
         if pairs.size == 0:
             pairs = np.empty((0, 2), dtype=np.int64)
@@ -254,17 +252,12 @@ class InteractionMatrix:
             if dup is not None:
                 raise ValueError("duplicate (user, item) pair")
         object.__setattr__(self, "pairs", _frozen(np.ascontiguousarray(pairs)))
-        indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(pairs[:, 0], minlength=self.users))])
-        object.__setattr__(self, "_indptr", _frozen(indptr.astype(np.int64)))
+        object.__setattr__(self, "user_degrees",
+                           _frozen(np.bincount(pairs[:, 0], minlength=self.users)))
 
     @property
     def nnz(self) -> int:
         return self.pairs.shape[0]
-
-    @property
-    def user_degrees(self) -> np.ndarray:
-        return np.diff(self._indptr)
 
     def fingerprint(self) -> str:
         """Stable hex digest of the shape and the rating pairs."""
@@ -273,7 +266,8 @@ class InteractionMatrix:
     def items_of(self, user: int) -> np.ndarray:
         if not 0 <= user < self.users:
             raise ValueError(f"user index {user} out of range")
-        return self.pairs[self._indptr[user]:self._indptr[user + 1], 1]
+        lo, hi = np.searchsorted(self.pairs[:, 0], (user, user + 1))
+        return self.pairs[lo:hi, 1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, InteractionMatrix):
@@ -656,7 +650,7 @@ def generate_sbm(n: int, classes: int, p_in: float, p_out: float, d: int,
 
 def seeded_split(graph: Graph, seed: int) -> DataSplit:
     """Seeded 20/10/70 train/validation/test partition of the labeled nodes."""
-    split = _split(np.flatnonzero(graph.labeled_mask), _rng(seed, 3))
+    split = _split(np.flatnonzero(graph.labels >= 0), _rng(seed, 3))
     if split.test.size == 0:
         raise ValueError("too few labeled nodes for a 3-way split")
     return split

@@ -38,6 +38,8 @@ _TRAIN_STREAM = (1 << 40) + 1
 # this many operator rows. Capping rows rather than samples bounds memory: at
 # 64 hidden units each activation block of a batch stays near 512 KiB.
 _BATCH_ROWS = 1024
+# write_report formats and writes a curve this many CSV rows at a time.
+_CSV_BLOCK_ROWS = 1 << 14
 
 _MERGED_APART = ("counts", "abstains", "num_samples", "first_index", "degrees")
 
@@ -499,10 +501,12 @@ def write_report(curves: Sequence[Curve], metadata: dict, out_dir) -> list[Path]
     written, summaries = [], []
     for curve in curves:
         csv_path = out / f"{curve.csv_prefix}{curve.tau}.csv"
-        row = "%d" + ",%.17g" * len(curve.shares)
-        lines = [",".join(curve.points.dtype.names)] + [
-            row % point for point in curve.points.tolist()]
-        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        row = "%d" + ",%.17g" * len(curve.shares) + "\n"
+        with open(csv_path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(curve.points.dtype.names) + "\n")
+            for lo in range(0, curve.points.size, _CSV_BLOCK_ROWS):
+                block = curve.points[lo:lo + _CSV_BLOCK_ROWS].tolist()
+                fh.write("".join(row % point for point in block))
         written.append(csv_path)
         summaries.append({"tau": curve.tau, **curve.summary(),
                           "csv": csv_path.name})

@@ -220,7 +220,7 @@ def certified_at(curve, rho):
 
 
 def reference_graph_edges(n, edges):
-    """The stored edges and CSR row pointers of ``Graph(n, edges, ...)`` as
+    """The stored edges and node degrees of ``Graph(n, edges, ...)`` as
     the constructor made them before canonical lists were kept: the range,
     loop and duplicate checks in that order, each with its message, then a
     swap to (smaller, larger) and a sort of every list."""
@@ -240,9 +240,7 @@ def reference_graph_edges(n, edges):
         if dup.size:
             raise ValueError(f"duplicate edge {divmod(int(dup[0]), n)}")
         edges = np.stack(np.divmod(keys, n), axis=1)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(edges.ravel(), minlength=n), out=indptr[1:])
-    return edges, indptr
+    return edges, np.bincount(edges.ravel(), minlength=n)
 
 
 def reference_sbm_edges(n, classes, p_in, p_out, seed):

@@ -57,12 +57,21 @@ class TestGraphType:
         edges[flip] = edges[flip][:, ::-1]
         shuffled = Graph(graph.n, edges, graph.features, graph.labels)
         assert shuffled == graph
-        assert np.array_equal(shuffled.indptr, graph.indptr)
+        assert np.array_equal(shuffled.degrees, graph.degrees)
         for v in range(graph.n):
             expected = sorted({int(u) for a, b in graph.edges.tolist()
                                for u, w in ((a, b), (b, a)) if w == v})
             assert neighbors(graph, v).tolist() == expected
             assert neighbors(shuffled, v).tolist() == expected
+
+    @pytest.mark.parametrize("n, edges", [(0, []), (3, []),
+                                          (4, [(0, 1), (1, 2), (0, 2)])])
+    def test_degrees_are_stored_once(self, n, edges):
+        g = Graph(n, edges, np.zeros((n, 1)))
+        assert "degrees" in vars(g) and g.degrees is g.degrees
+        assert g.degrees.dtype == np.int64 and not g.degrees.flags.writeable
+        assert g.degrees.shape == (n,)
+        assert np.array_equal(g.degrees, np.bincount(g.edges.ravel(), minlength=n))
 
     def test_arrays_are_frozen(self):
         g = Graph(2, [(0, 1)], np.zeros((2, 1)))
@@ -135,7 +144,7 @@ class TestCanonicalEdges:
         graph = Graph(n, edges, np.zeros((n, 1)))
         assert graph.edges.dtype == np.int64 and graph.edges.shape == expected[0].shape
         assert graph.edges.tobytes() == expected[0].tobytes()
-        assert graph.indptr.tobytes() == expected[1].tobytes()
+        assert graph.degrees.tobytes() == expected[1].tobytes()
 
     def test_a_canonical_list_is_kept_as_it_is(self):
         graph, _ = generate_sbm(60, 3, 0.3, 0.05, 3, seed=11)
@@ -545,7 +554,7 @@ class TestWholeFileReader:
 
         def load(p):
             graph = load_node_classification_dataset(p, nodes)
-            return graph.edges.tolist(), graph.indptr.tolist()
+            return graph.edges.tolist(), graph.degrees.tolist()
         failures = []
         for case in range(300):
             pairs = np.argwhere(np.triu(rng.random((6, 6)) < 0.3, k=1))
@@ -782,6 +791,36 @@ class TestTimeOrder:
         assert got.tobytes() == np.lexsort((i, ts, u)).tobytes()
 
 
+class TestContainerSizes:
+    """Node, user and item counts are single non-negative integers, under
+    the rule that endpoints, labels and pairs follow."""
+
+    @pytest.mark.parametrize("count", [2.5, np.nan, True, "2", [2]],
+                             ids=["fraction", "nan", "bool", "str", "list"])
+    def test_counts_that_are_not_one_integer(self, count):
+        with pytest.raises(ValueError, match="^node count must be integers$"):
+            Graph(count, [], np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="^user count must be integers$"):
+            InteractionMatrix(count, 3, [])
+        with pytest.raises(ValueError, match="^item count must be integers$"):
+            InteractionMatrix(3, count, [(0, 1)])
+
+    def test_negative_counts(self):
+        with pytest.raises(ValueError, match="^node count must be non-negative$"):
+            Graph(-1, [], np.zeros((0, 1)))
+        with pytest.raises(ValueError, match="^user count must be non-negative$"):
+            InteractionMatrix(-1, 3, [])
+        with pytest.raises(ValueError, match="^item count must be non-negative$"):
+            InteractionMatrix(3, -5, [])
+
+    def test_integer_valued_counts_are_stored_as_int(self):
+        m = InteractionMatrix(np.int32(3), 2.0, [(0, 1)])
+        assert (m.users, m.items) == (3, 2)
+        assert type(m.users) is int and type(m.items) is int
+        g = Graph(np.int64(2), [], np.zeros((2, 1)))
+        assert g.n == 2 and type(g.n) is int
+
+
 class TestInteractionMatrix:
     def test_duplicate_pair_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -819,3 +858,38 @@ class TestInteractionMatrix:
         assert m.items_of(0).tolist() == [1, 2]
         assert m.items_of(1).tolist() == [3]
         assert m.user_degrees.tolist() == [2, 1]
+
+    @pytest.mark.parametrize("users, items, pairs", [
+        (0, 0, []), (3, 2, []), (3, 4, [(0, 2), (0, 1), (2, 3)])])
+    def test_user_degrees_are_stored_once(self, users, items, pairs):
+        m = InteractionMatrix(users, items, pairs)
+        assert "user_degrees" in vars(m) and m.user_degrees is m.user_degrees
+        assert m.user_degrees.dtype == np.int64
+        assert not m.user_degrees.flags.writeable
+        assert m.user_degrees.shape == (users,)
+        assert np.array_equal(m.user_degrees,
+                              np.bincount(m.pairs[:, 0], minlength=users))
+
+    def test_items_of_is_the_users_run_of_the_sorted_pairs(self):
+        rng = np.random.default_rng(9)
+        for trial in range(12):
+            users, items = rng.integers(1, 30), rng.integers(1, 30)
+            keys = rng.choice(users * items, size=rng.integers(users * items + 1),
+                              replace=False)
+            # A third of the users rate nothing, the last one in every other trial.
+            empty = rng.choice(users, size=users // 3)
+            if trial % 2:
+                empty = np.append(empty, users - 1)
+            keys = keys[~np.isin(keys // items, empty)]
+            m = InteractionMatrix(users, items,
+                                  np.stack(np.divmod(keys, items), axis=1))
+            # The row pointers the matrix kept before it stored its degrees.
+            indptr = np.concatenate(
+                [[0], np.cumsum(np.bincount(m.pairs[:, 0], minlength=users))])
+            for u in range(users):
+                run = m.pairs[indptr[u]:indptr[u + 1], 1]
+                assert m.items_of(u).tolist() == run.tolist()
+            assert all(m.items_of(u).size == 0 for u in empty)
+        for user in (-1, 2):
+            with pytest.raises(ValueError, match=f"^user index {user} out of range$"):
+                InteractionMatrix(2, 2, [(1, 1)]).items_of(user)

@@ -55,12 +55,13 @@ REMOVED = ("certify_node", "CertDecision", "Outcome", "VoteStats",
            "vote_bounds", "certify_overlap", "certified_precision_recall",
            "save_model", "load_model", "read_curve_csv", "CertConfig",
            "certified_accuracy_at", "CurvePoint", "RecommenderCurvePoint")
-# Methods and fields whose only callers were tests, and the live-row
-# wrapper that ``models.Operator`` replaced.
+# Methods and fields whose only callers were tests, a mask with one caller,
+# and the live-row wrapper that ``models.Operator`` replaced.
 REMOVED_MEMBERS = (("CertCurve", "certified_at"), ("AttackPlan", "from_json"),
                    ("AttackPlan", "degrees"), ("Graph", "indices"),
                    ("Graph", "degree"), ("Graph", "neighbors"),
-                   ("Graph", "has_edge"), ("InteractionMatrix", "user_ids"),
+                   ("Graph", "has_edge"), ("Graph", "labeled_mask"),
+                   ("InteractionMatrix", "user_ids"),
                    ("InteractionMatrix", "item_ids"), ("models", "_LiveRows"))
 
 
@@ -187,6 +188,16 @@ def test_test_only_members_are_gone(owner, name):
     cls = getattr(smoothcert, owner)
     fields = getattr(cls, "__dataclass_fields__", {})
     assert not hasattr(cls, name) and name not in fields
+
+
+def test_containers_keep_no_row_pointers():
+    # The pointers were set on each instance, so the class check above
+    # cannot see them: the containers store their degrees instead.
+    graph = smoothcert.Graph(3, [(0, 1)], [[0.0]] * 3)
+    matrix = smoothcert.InteractionMatrix(2, 2, [(0, 1)])
+    for container in (graph, matrix):
+        assert not hasattr(container, "indptr")
+        assert not hasattr(container, "_indptr")
 
 
 CERTIFY_ENTRY_POINTS = ("certified_radii", "certified_accuracy_curve",

@@ -10,6 +10,9 @@ of every benchmark workload through the same hooks.
 Each workload's curve CSVs at seed 0 must hash to ``perfbench/digests.json``:
 the fixture and the CLI run each in a fresh interpreter, as
 ``perfbench/run.py`` runs them, with OpenBLAS on the benchmark's two threads.
+Its vote table at seed 0 must hash to ``votes_sha256.json`` beside this
+file, recorded the same way: the curves alone miss a changed vote that no
+certificate turns on, and the recsys curve at N = 8 is all zeros.
 """
 import json
 import os
@@ -26,6 +29,31 @@ ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 TINY = ["--n", "20"]
 WORKLOADS = ["evasion-small", "evasion-large", "poison-exclude", "recsys-ml100k"]
+VOTE_DIGESTS = Path(__file__).with_name("votes_sha256.json")
+# Runs the CLI on argv[2:] and writes to argv[1] the SHA-256 of each vote table
+# its collectors return, over the counts, the abstains and the count dtype.
+CAPTURE_VOTES = """
+import hashlib, json, sys
+from smoothcert import cli
+
+digests = []
+
+def capturing(collect):
+    def capture(*args, **kwargs):
+        table = collect(*args, **kwargs)
+        digest = hashlib.sha256(table.counts.tobytes())
+        digest.update(table.abstains.tobytes())
+        digest.update(table.counts.dtype.name.encode())
+        digests.append(digest.hexdigest())
+        return table
+    return capture
+
+for name in ("collect_votes_evasion", "collect_votes_poisoning", "collect_item_votes"):
+    setattr(cli, name, capturing(getattr(cli, name)))
+assert cli.main(sys.argv[2:]) == 0
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    json.dump(digests, fh)
+"""
 
 
 @pytest.fixture(scope="module")
@@ -82,13 +110,19 @@ def test_traced_run_yields_every_metric(perfbench, sbm_dir, tmp_path, name):
     assert not failures
 
 
-def perfbench_script(script, *args):
-    """Run a perfbench script in a fresh interpreter from the repository root."""
+def fresh_python(*args):
+    """Run Python on ``args`` in a fresh interpreter from the repository
+    root, with OpenBLAS on the benchmark's two threads."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
                PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
-    subprocess.run([sys.executable, str(PERFBENCH / script), *map(str, args)],
+    subprocess.run([sys.executable, *map(str, args)],
                    cwd=ROOT, env=env, check=True, stdout=subprocess.DEVNULL)
+
+
+def perfbench_script(script, *args):
+    """Run a perfbench script in a fresh interpreter."""
+    fresh_python(PERFBENCH / script, *args)
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +151,21 @@ def test_seed_zero_curves_match_the_recorded_digests(perfbench, seed_zero_fixtur
         str(seed_zero_fixture(workload.fixture)), str(out), 0))
     assert json.loads(result.read_text(encoding="utf-8"))["exit_code"] == 0
     assert run.curve_digests(out) == recorded["workloads"][name]
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_seed_zero_vote_tables_match_the_recorded_digests(seed_zero_fixture,
+                                                          tmp_path, name):
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from workloads import WORKLOADS as workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    recorded = json.loads(VOTE_DIGESTS.read_text(encoding="utf-8"))
+    assert recorded["seed"] == 0
+    workload = workloads[name]
+    result = tmp_path / "votes.json"
+    fresh_python("-c", CAPTURE_VOTES, result, *workload.argv(
+        str(seed_zero_fixture(workload.fixture)), str(tmp_path / "out"), 0))
+    assert json.loads(result.read_text(encoding="utf-8")) == \
+        recorded["workloads"][name]

@@ -960,6 +960,30 @@ class TestWriteReport:
         points = read_curve_csv(first / "curve_tau5.csv")
         assert points == curve.points.tolist()
 
+    def test_a_curve_at_the_cap_is_written_a_block_at_a_time(self, tmp_path):
+        # RHO_CAP + 2 rows: as one joined string they raise the traced peak
+        # by about 200 MB.
+        table = VoteTable(counts=[[1000, 0]], abstains=[0], num_samples=1000,
+                          params=SmoothingParams(0.5, 0.9999999), degrees=[1],
+                          provenance={})
+        curve = certified_accuracy_curve(table, [0], 1, 0.01)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            path = write_report([curve], {}, tmp_path)[0]
+            rise = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert rise < 20 * 2**20
+        row = "%d" + ",%.17g" * len(curve.shares)
+        joined = [",".join(curve.points.dtype.names)] + [
+            row % point for point in curve.points.tolist()]
+        assert path.read_bytes() == ("\n".join(joined) + "\n").encode()
+
     def test_seventeen_digit_floats(self, tmp_path):
         write_report([self.make_curve()], {}, tmp_path)
         text = (tmp_path / "curve_tau5.csv").read_text()
